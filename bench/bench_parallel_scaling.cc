@@ -494,9 +494,9 @@ int Main() {
             (fit_seconds + synthesize_seconds / kRequests),
         kRequests);
 
-    // Streaming: time to the first delivered chunk vs job total, global
-    // merge vs progressive prefix-frozen merge, across request sizes.
-    // Both clocks come from the engine's own telemetry, which starts at
+    // Streaming: time to the first delivered chunk vs job total at 4
+    // shards (each chunk leaves as its shard freezes), across request
+    // sizes. Both clocks come from the engine's own telemetry, which starts at
     // job start (after dequeue) — queue wait is excluded, so the numbers
     // measure sampling + merge latency, not Submit-to-dequeue slack.
     struct CountingSink : RowSink {
@@ -509,34 +509,26 @@ int Main() {
     std::printf("\n%-28s %8s %12s %12s\n", "method", "rows", "first_chunk",
                 "job_total");
     for (size_t stream_rows : {size_t{600}, size_t{2400}, size_t{9600}}) {
-      for (bool progressive : {false, true}) {
-        CountingSink sink;
-        SynthesisRequest streaming;
-        streaming.seed = 7;
-        streaming.num_rows = stream_rows;
-        streaming.num_shards = 4;
-        streaming.progressive_merge = progressive;
-        streaming.sink = &sink;
-        streaming.collect_table = false;
-        auto job = engine.Submit(model.value(), streaming);
-        auto job_result = job->Wait();
-        KAMINO_CHECK(job_result.ok()) << job_result.status();
-        KAMINO_CHECK(sink.chunks == 4u) << "streaming run lost chunks";
-        const double first = job_result.value().telemetry.first_chunk_seconds;
-        const double total = job_result.value().sampling_seconds;
-        records.push_back({progressive ? "stream_first_chunk_shards4"
-                                       : "stream_first_chunk_global_shards4",
-                           stream_rows, 1, first});
-        records.push_back({progressive ? "stream_job_total_shards4"
-                                       : "stream_job_total_global_shards4",
-                           stream_rows, 1, total});
-        std::printf("%-28s %8zu %12.4f %12.4f\n",
-                    progressive ? "stream_progressive" : "stream_global",
-                    stream_rows, first, total);
-      }
+      CountingSink sink;
+      SynthesisRequest streaming;
+      streaming.seed = 7;
+      streaming.num_rows = stream_rows;
+      streaming.num_shards = 4;
+      streaming.sink = &sink;
+      streaming.collect_table = false;
+      auto job = engine.Submit(model.value(), streaming);
+      auto job_result = job->Wait();
+      KAMINO_CHECK(job_result.ok()) << job_result.status();
+      KAMINO_CHECK(sink.chunks == 4u) << "streaming run lost chunks";
+      const double first = job_result.value().telemetry.first_chunk_seconds;
+      const double total = job_result.value().sampling_seconds;
+      records.push_back({"stream_first_chunk_shards4", stream_rows, 1, first});
+      records.push_back({"stream_job_total_shards4", stream_rows, 1, total});
+      std::printf("%-28s %8zu %12.4f %12.4f\n", "stream_shards4", stream_rows,
+                  first, total);
     }
 
-    // Out-of-core streaming: the in-memory progressive merge vs the
+    // Out-of-core streaming: the in-memory sharded run vs the
     // spill-backed one at 4 shards across request sizes. Rows are
     // bit-identical by contract (asserted in OutOfCoreTest); what this
     // sweep measures is the memory/latency trade — the resident-row
@@ -552,7 +544,6 @@ int Main() {
         streaming.seed = 7;
         streaming.num_rows = stream_rows;
         streaming.num_shards = 4;
-        streaming.progressive_merge = true;
         streaming.out_of_core = out_of_core;
         streaming.sink = &sink;
         streaming.collect_table = false;

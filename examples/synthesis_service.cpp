@@ -8,9 +8,8 @@
 //      fit, each a pure function of its request seed;
 //   2. an async `Submit` job with progress polling;
 //   3. a streaming job whose `RowSink` receives `TableChunk`s as shards
-//      clear reconciliation, before the job completes — once with the
-//      default global merge, once with `progressive_merge`, which
-//      freezes and emits each prefix while later shards still sample.
+//      clear reconciliation, before the job completes: each prefix
+//      freezes and is emitted while later shards still sample.
 //
 // Pass a file path as the first argument to run with tracing + metrics
 // enabled: the Chrome trace-event JSON of the whole session is written
@@ -190,10 +189,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(
                   async_result.value().telemetry.merge_cross_violations));
 
-  // --- Streaming delivery: chunks arrive before the job completes. ---
+  // --- Streaming delivery: each shard's chunk leaves as soon as the
+  // prefix through it freezes, while later shards still sample. The first
+  // chunk should arrive well before the job finishes — `bound` is OK when
+  // first-chunk latency is under 0.75x the job total. ---
   PrintingSink sink;
   kamino::SynthesisRequest streaming;
-  streaming.seed = 22;
+  streaming.seed = 23;
   streaming.num_shards = 4;
   streaming.sink = &sink;
   streaming.collect_table = false;  // rows leave through the sink only
@@ -205,33 +207,13 @@ int main(int argc, char** argv) {
                  stream_result.status().ToString().c_str());
     return 1;
   }
-  std::printf("    delivered %zu chunks / %zu rows through the sink\n",
-              stream_job->progress().chunks_delivered,
-              stream_job->progress().rows_committed);
-
-  // --- Progressive streaming: each shard's chunk leaves as soon as the
-  // prefix through it freezes, instead of after the global merge. The
-  // first chunk should arrive well before the job finishes — `bound` is
-  // OK when first-chunk latency is under 0.75x the job total. ---
-  PrintingSink progressive_sink;
-  kamino::SynthesisRequest progressive;
-  progressive.seed = 23;
-  progressive.num_shards = 4;
-  progressive.progressive_merge = true;
-  progressive.sink = &progressive_sink;
-  progressive.collect_table = false;
-  std::printf("  progressive streaming job (4 shards):\n");
-  auto progressive_job = engine.Submit(model.value(), progressive);
-  auto progressive_result = progressive_job->Wait();
-  if (!progressive_result.ok()) {
-    std::fprintf(stderr, "progressive streaming job failed: %s\n",
-                 progressive_result.status().ToString().c_str());
-    return 1;
-  }
   {
-    const auto& telemetry = progressive_result.value().telemetry;
+    const auto& telemetry = stream_result.value().telemetry;
     const double first = telemetry.first_chunk_seconds;
-    const double total = progressive_result.value().sampling_seconds;
+    const double total = stream_result.value().sampling_seconds;
+    std::printf("    delivered %zu chunks / %zu rows through the sink\n",
+                stream_job->progress().chunks_delivered,
+                stream_job->progress().rows_committed);
     std::printf(
         "    first_chunk=%.4fs job_total=%.4fs ratio=%.2f bound=%s\n",
         first, total, total > 0.0 ? first / total : 0.0,
@@ -244,16 +226,15 @@ int main(int argc, char** argv) {
   // --- Out-of-core streaming: frozen slices spill to disk at each
   // freeze and their in-memory columns are dropped, bounding resident
   // rows to ~2 shard widths while the delivered rows stay bit-identical
-  // to the in-memory progressive run (same seed, same shard count). ---
+  // to the in-memory run (same seed, same shard count). ---
   kamino::SynthesisRequest in_memory_ref;
   in_memory_ref.seed = 23;
   in_memory_ref.num_shards = 4;
-  in_memory_ref.progressive_merge = true;
   auto in_memory_out = engine.Synthesize(model.value(), in_memory_ref);
   kamino::SynthesisRequest out_of_core;
   out_of_core.seed = 23;
   out_of_core.num_shards = 4;
-  out_of_core.out_of_core = true;  // implies progressive_merge
+  out_of_core.out_of_core = true;
   std::printf("  out-of-core streaming job (4 shards):\n");
   auto ooc_out = engine.Synthesize(model.value(), out_of_core);
   if (!in_memory_out.ok() || !ooc_out.ok()) {

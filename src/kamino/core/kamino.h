@@ -19,10 +19,10 @@ struct PhaseTimings {
   double training = 0.0;
   double violation_matrix = 0.0;  ///< violation matrix + weight learning
   double sampling = 0.0;
-  /// Seconds of the shard-merge reconciliation pass. A sub-phase of
-  /// `sampling` (already counted there), surfaced separately so the merge
-  /// overhead of shard-parallel synthesis is visible; 0 when the run used
-  /// a single shard.
+  /// Seconds of shard reconciliation, summed over the per-shard freezes.
+  /// A sub-phase of `sampling` (already counted there), surfaced
+  /// separately so the merge overhead of shard-parallel synthesis is
+  /// visible; 0 when the run used a single shard.
   double shard_merge = 0.0;
   /// Thread budget the phases above ran with (resolved; >= 1). Compare
   /// the same phase across runs at different budgets for the realized

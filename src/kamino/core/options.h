@@ -86,41 +86,16 @@ struct KaminoOptions {
   /// Shards for shard-parallel synthesis (core/sampler.cc): the output rows
   /// are partitioned into `num_shards` contiguous shards, each sampled
   /// concurrently from its own `RngStream` sub-seed with its own per-shard
-  /// violation indices, then merged with a bounded reconciliation pass
-  /// that repairs cross-shard DC conflicts. 1 = exact sequential paper
+  /// violation indices. Shards freeze in order, each reconciled against
+  /// the frozen prefix before it, and stream out as they freeze: rows
+  /// already emitted are never rewritten, and hard DCs are exact over the
+  /// frozen prefix after every freeze. 1 = exact sequential paper
   /// semantics (the default); 0 = one shard per worker thread. Synthetic
   /// output is a pure function of (seed, resolved num_shards): changing
   /// `num_threads` never changes it, changing the shard count does. Note
   /// that 0 resolves the shard count *from* the thread budget, so for
   /// machine-independent output pick an explicit shard count.
   size_t num_shards = 1;
-
-  /// Re-sample budget of the shard-merge reconciliation pass: at most this
-  /// many rows with remaining cross-shard violations are re-scored (and
-  /// possibly re-valued) against the merged instance. Hard FDs are always
-  /// canonicalized exactly afterwards, regardless of the budget. Only
-  /// consulted when `adaptive_merge_budget` is false (the fixed
-  /// override); the adaptive mode derives its own budget.
-  size_t shard_merge_resamples = 64;
-
-  /// When true (the default), the reconciliation budget scales with the
-  /// observed cross-shard conflict count (a couple of unit repairs per
-  /// conflicted row) instead of the fixed `shard_merge_resamples` knob,
-  /// and the repair sweep stops early once consecutive repairs stop
-  /// reducing the weighted violation penalty. Deterministic: the conflict
-  /// set and penalties are pure functions of (seed, num_shards), so the
-  /// output contract is unchanged. Set to false to restore the fixed
-  /// budget.
-  bool adaptive_merge_budget = true;
-
-  /// When true (the default), the shard-merge reconciliation sweep repairs
-  /// conflict rows in descending order of their weighted soft-DC penalty
-  /// contribution (ties and soft-free runs fall back to row order), so the
-  /// bounded budget is spent where it lowers the measured penalty most.
-  /// Set to false for the pre-session-API row-order sweep. Deterministic
-  /// either way: the ordering is a pure function of the merged instance,
-  /// which is itself a pure function of (seed, num_shards).
-  bool soft_penalty_merge_order = true;
 
   // --- Observability (src/kamino/obs/) ---
   /// Record pipeline/sampler/runtime spans into the process-wide
@@ -150,30 +125,14 @@ struct KaminoOptions {
   /// `DecodeChunkColumns`; round trips are bit-exact, so the delivered
   /// rows are unchanged — only their wire form is. Off by default.
   bool compress_chunks = false;
-  /// Reconcile each shard against the already-frozen prefix [0, s) as
-  /// soon as it finishes sampling, freeze the grown prefix, and emit its
-  /// chunk immediately — while later shards are still sampling — instead
-  /// of running one global merge after all shards complete. Cuts
-  /// time-to-first-chunk from ~= job total to ~ 1/num_shards of it.
-  /// Contract: output is a pure function of (seed, num_shards),
-  /// bit-identical at any num_threads; rows already emitted are never
-  /// rewritten (prefix immutability); hard DCs are exact over the frozen
-  /// prefix after every freeze. The freeze may only rewrite the incoming
-  /// shard's rows, so the result generally differs from the global
-  /// merge's joint choices (and soft-DC repair sweeps run in row order;
-  /// `merge_soft_penalty_delta` is not measured). No effect at
-  /// num_shards <= 1, which keeps the paper-semantics sequential sampler
-  /// (golden digest) regardless of this flag. Off by default.
-  bool progressive_merge = false;
   /// Spill each frozen slice to disk (`src/kamino/store/`) at its freeze
   /// and drop the in-memory columns, keeping only the live shards, the
   /// merged violation-index state, and the persisted frozen FD/envelope
   /// lookups — turning "n rows" from a RAM limit into a disk limit.
-  /// Implies `progressive_merge`; like it, synthesized rows are a pure
-  /// function of (seed, num_shards): a run with this flag on is
-  /// bit-identical to the in-memory progressive run at any num_threads.
-  /// No effect at num_shards <= 1 (golden digest unchanged). Off by
-  /// default.
+  /// Synthesized rows stay a pure function of (seed, num_shards): a run
+  /// with this flag on is bit-identical to the in-memory run at any
+  /// num_threads. No effect at num_shards <= 1 (golden digest
+  /// unchanged). Off by default.
   bool out_of_core = false;
   /// Parent directory for the out-of-core spill store's private
   /// `mkdtemp` directory. Empty (the default) means $TMPDIR, else /tmp.

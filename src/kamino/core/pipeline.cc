@@ -148,11 +148,7 @@ Result<Table> SamplePipeline(const FitArtifacts& fitted,
     runtime::SetGlobalNumThreads(spec.num_threads);
   }
   if (spec.compress_chunks) options.compress_chunks = true;
-  if (spec.progressive_merge) options.progressive_merge = true;
-  if (spec.out_of_core) {
-    options.out_of_core = true;
-    options.progressive_merge = true;
-  }
+  if (spec.out_of_core) options.out_of_core = true;
   ApplyObservabilityOptions(options);
   const size_t n = spec.num_rows == 0 ? fitted.input_rows : spec.num_rows;
 
@@ -170,8 +166,8 @@ Result<Table> SamplePipeline(const FitArtifacts& fitted,
       Table out, Synthesize(fitted.model, fitted.weighted, n, options, &rng,
                             telemetry, hooks));
   // The sampling phase is the synthesize span's duration; the merge
-  // sub-phase is the shard_merge span's duration (surfaced through
-  // telemetry by the sampler) — both derived from the span tree.
+  // sub-phase is the sum of the per-freeze prefix_merge spans (surfaced
+  // through telemetry by the sampler) — both derived from the span tree.
   const double sampling_seconds = span.Finish();
   if (timings != nullptr) {
     timings->sampling = sampling_seconds;

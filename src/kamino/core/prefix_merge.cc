@@ -74,8 +74,8 @@ int64_t PrefixFrozenFdCanonicalize(Table* table,
 
   int64_t total_rewrites = 0;
   // Rewrites can land on another family's LHS or RHS attributes; rounds
-  // repeat until a fixpoint, bounded by the schema width like the global
-  // canonicalization's sweep.
+  // repeat until a fixpoint, bounded by the schema width (the length of
+  // the longest FD dependency chain).
   for (size_t round = 0; round < table->num_columns() + 1; ++round) {
     int64_t rewrites = 0;
     for (size_t f = 0; f < families.size(); ++f) {
@@ -99,8 +99,7 @@ int64_t PrefixFrozenFdCanonicalize(Table* table,
       for (const auto& [root, members] : components) {
         (void)root;
         // Adopt the frozen match with the smallest representative row;
-        // with no frozen match, the smallest member's value (the global
-        // rule, suffix-internal).
+        // with no frozen match, the smallest member's value.
         size_t best_rep = static_cast<size_t>(-1);
         Value canonical = table->at(frozen_end + members[0], family.rhs);
         for (size_t i : members) {

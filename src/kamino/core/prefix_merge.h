@@ -10,16 +10,14 @@
 
 namespace kamino {
 
-/// Prefix-frozen reconciliation primitives for the progressive shard
-/// merge (`KaminoOptions::progressive_merge`).
+/// Prefix-frozen reconciliation primitives for sharded synthesis
+/// (core/sampler.cc, `KaminoOptions::num_shards` > 1).
 ///
 /// Both passes bring the suffix rows [frozen_end, num_rows) of a table —
 /// a freshly sampled shard appended behind the already-delivered prefix —
 /// into agreement with the frozen prefix [0, frozen_end) while NEVER
-/// writing a frozen cell. They are the prefix-respecting counterparts of
-/// the global merge's joint hard-FD canonicalization and rank alignment
-/// (core/sampler.cc), which are free to rewrite any row of the union and
-/// therefore cannot run after chunks have left the process.
+/// writing a frozen cell, because those rows may already have left the
+/// process as chunks.
 ///
 /// Both are pure deterministic functions of the table contents: no RNG,
 /// no iteration-order dependence (groups and components are walked in
@@ -42,13 +40,12 @@ struct PrefixFdFamily {
 /// unioned into components. A component with at least one frozen LHS-key
 /// match adopts the value of the match with the smallest frozen
 /// representative row; a component with none canonicalizes to its
-/// smallest member's value (the global merge's rule, applied
-/// suffix-internally). When a member's key under some FD is frozen with a
-/// *different* value than the adopted one — the row bridges two frozen
-/// groups, which the global pass would resolve by rewriting one of them —
-/// the member's LHS attributes for that FD are overwritten with the
-/// adopted representative's, re-pointing the key at a frozen group that
-/// already agrees. Rounds repeat until a fixpoint (bounded by the schema
+/// smallest member's value. When a member's key under some FD is frozen
+/// with a *different* value than the adopted one — the row bridges two
+/// frozen groups, neither of which may be rewritten — the member's LHS
+/// attributes for that FD are overwritten with the adopted
+/// representative's, re-pointing the key at a frozen group that already
+/// agrees. Rounds repeat until a fixpoint (bounded by the schema
 /// width) so rewrites cascading into other families' keys settle.
 ///
 /// Returns the number of cells rewritten; flags every touched attribute

@@ -1,7 +1,6 @@
 #include "kamino/core/sampler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <exception>
@@ -213,9 +212,9 @@ double FullTablePenalty(const Row& row, size_t self, const Table& table,
   return penalty;
 }
 
-/// Freeze-repair penalty under progressive merge: index delta against the
-/// merged indices (which hold exactly the frozen prefix) plus a pair scan
-/// restricted to the live shard's rows. Equals `FullTablePenalty` over the
+/// Freeze-repair penalty: index delta against the merged indices (which
+/// hold exactly the frozen prefix) plus a pair scan restricted to the live
+/// shard's rows. Equals `FullTablePenalty` over the
 /// concatenated prefix+shard table — `CountNew` is an exact count for
 /// every index class — without reading a single frozen row; the
 /// live/frozen scan counters let tests assert that. (Every non-unary DC
@@ -639,28 +638,6 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
   return Status::OK();
 }
 
-/// Strict weak ordering on cells under the Value ordering, for the
-/// deterministic sorts and map keys of the shard merge.
-struct ValueLess {
-  bool operator()(const Value& a, const Value& b) const {
-    return EvalCompare(a, CompareOp::kLt, b);
-  }
-};
-
-/// Lexicographic ordering on row keys (e.g. FD LHS tuples or order-DC
-/// group scopes).
-struct ValueVectorLess {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    const size_t common = std::min(a.size(), b.size());
-    for (size_t i = 0; i < common; ++i) {
-      if (EvalCompare(a[i], CompareOp::kLt, b[i])) return true;
-      if (EvalCompare(b[i], CompareOp::kLt, a[i])) return false;
-    }
-    return a.size() < b.size();
-  }
-};
-
 /// Everything one shard produces: its slice of the instance, its final
 /// per-DC violation indices, and its telemetry counters.
 struct ShardState {
@@ -782,477 +759,51 @@ std::vector<PrefixFdFamily> BuildFdFamilies(
   return families;
 }
 
-/// The shard-boundary reconciliation pass, run after the per-shard tables
-/// are concatenated into `out` (global row r of shard s lives at
-/// offsets[s] + r):
-///
-///  1. Per DC, fold the per-shard indices together in fixed shard order;
-///     `CountAgainst` on the running merge exposes exactly the cross-shard
-///     violating pairs the per-shard sampling could not see, and the rows
-///     involved become the conflict set. Every mergeable index class is
-///     subquadratic here — hash-group sweeps for FDs, Fenwick-tree
-///     inversion sweeps for (equality-scoped) order DCs — so only the
-///     residual general binary DCs still pay a cross pair scan.
-///  2. Over a bounded budget, re-score each conflicted row's activating
-///     unit against the *merged* instance (the same kernel as the MCMC
-///     pass, with randomness keyed by (row, unit) so the result is
-///     schedule-independent) and commit the greedy winner.
-///  3. Canonicalize hard FDs exactly via per-RHS-attribute connected
-///     components: after this no FD group maps one LHS to two RHS values,
-///     whatever the budget of step 2 left behind.
-///  4. Reconcile hard order DCs globally by rank alignment — the
-///     per-shard monotone relations are merged into one by reassigning
-///     the dependent attribute's sampled values in context rank order
-///     (per equality-scope group), which zeroes the DC's violations while
-///     permuting (not changing) the sampled value multiset.
-///  5. If step 4 touched an attribute a hard FD mentions, re-run step 3:
-///     the hard-FD guarantee always wins.
-Status ReconcileShards(const ProbabilisticDataModel& model,
-                       const std::vector<WeightedConstraint>& constraints,
+/// Retires one final slice of the instance and delivers it to
+/// `hooks->on_chunk`. The slice is encoded at most once: out-of-core runs
+/// seal the encoding into `spill` (and, under `compress_chunks`, pass the
+/// same payload straight to the sink instead of re-encoding or re-reading
+/// it); otherwise the rows are appended to `out` when the caller keeps the
+/// table (null `out` = discard). The chunk then owns the slice, so the
+/// sink may keep it alive past the call.
+Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
                        const KaminoOptions& options,
-                       const ActivationMap& activation,
-                       const std::vector<ShardState>& shards,
-                       const std::vector<size_t>& offsets, uint64_t merge_seed,
+                       const SynthesisHooks* hooks, store::SpillStore* spill,
                        Table* out, SynthesisTelemetry* telemetry) {
-  const Schema& schema = model.schema();
-  const size_t n = out->num_rows();
-
-  // Soft-DC merge telemetry: the weighted penalty sum_soft w * violations
-  // over the concatenated instance, measured before and after the
-  // reconciliation. Only soft DCs with subquadratic counting paths (FD
-  // grouping, sorted order scans, the composite engine, unary) are
-  // measured — a kGeneral-shaped soft DC would pay two O(n^2) pair scans
-  // just to fill a telemetry field, which could dominate the merge it is
-  // measuring. The measurement itself is surfaced in merge_soft_seconds.
-  auto soft_measurable = [](const WeightedConstraint& wc) {
-    // Decompose() classifies unary DCs as kUnary, so they stay measurable.
-    return !wc.hard && wc.dc.Decompose().shape !=
-                           PredicateDecomposition::Shape::kGeneral;
-  };
-  const bool any_soft =
-      std::any_of(constraints.begin(), constraints.end(), soft_measurable);
-  auto soft_penalty = [&]() {
-    double penalty = 0.0;
-    for (const WeightedConstraint& wc : constraints) {
-      if (!soft_measurable(wc)) continue;
-      penalty +=
-          wc.weight * static_cast<double>(CountViolations(wc.dc, *out));
-    }
-    return penalty;
-  };
-  double soft_before = 0.0;
-  if (any_soft) {
-    const auto t0 = std::chrono::steady_clock::now();
-    soft_before = soft_penalty();
-    telemetry->merge_soft_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+  std::vector<uint8_t> encoded;
+  if (spill != nullptr) {
+    obs::TraceSpan spill_span("sampler/spill");
+    spill_span.AddArg("shard", static_cast<int64_t>(shard));
+    spill_span.AddArg("rows", static_cast<int64_t>(live.num_rows()));
+    encoded = EncodeChunkColumns(live);
+    const uint64_t before = spill->spilled_bytes();
+    KAMINO_RETURN_IF_ERROR(spill->AppendBlock(encoded, live.num_rows()));
+    const int64_t delta = static_cast<int64_t>(spill->spilled_bytes() - before);
+    spill_span.AddArg("bytes", delta);
+    telemetry->spill_blocks += 1;
+    telemetry->spill_bytes += delta;
+    telemetry->spilled_rows += static_cast<int64_t>(live.num_rows());
+  } else if (out != nullptr) {
+    out->AppendRowsFrom(live, 0, live.num_rows());
   }
-
-  // Hard order DCs whose reconciliation is step 4's rank alignment; step
-  // 2's repair budget skips their conflicts.
-  std::vector<bool> alignable;
-  const std::vector<AlignTask> alignments = BuildAlignTasks(
-      model, constraints, activation, shards[0].indices, &alignable);
-
-  // --- Step 1: deterministic fixed-order merge + conflict detection. ---
-  // merged[l] ends up indexing the whole instance for DC l; offenders maps
-  // each conflicted global row to the DCs it crosses shards on (std::map
-  // for a deterministic row-order walk in step 2).
-  std::vector<std::unique_ptr<ViolationIndex>> merged(constraints.size());
-  std::vector<int64_t> cross_by_dc(constraints.size(), 0);
-  std::map<size_t, std::vector<size_t>> offenders;
-  for (size_t l = 0; l < constraints.size(); ++l) {
-    if (shards[0].indices[l] == nullptr) continue;
-    if (constraints[l].dc.is_unary()) continue;  // no cross-shard pairs
-    merged[l] = MakeViolationIndex(constraints[l].dc);
-    for (size_t s = 0; s < shards.size(); ++s) {
-      const ViolationIndex& shard_index = *shards[s].indices[l];
-      if (s > 0) {
-        const int64_t cross = merged[l]->CountAgainst(shard_index);
-        cross_by_dc[l] += cross;
-        telemetry->merge_cross_violations += cross;
-        if (cross > 0 && !alignable[l]) {
-          const Table& shard = shards[s].table;
-          for (size_t r = 0; r < shard.num_rows(); ++r) {
-            if (merged[l]->CountNew(shard.row(r)) > 0) {
-              offenders[offsets[s] + r].push_back(l);
-            }
-          }
-        }
-      }
-      merged[l]->Merge(shard_index);
-    }
-  }
-  telemetry->merge_conflict_rows =
-      static_cast<int64_t>(offenders.size());
-
-  // Attributes modified after step 1's cross counts were taken (by step
-  // 2 repairs or step 3 rewrites). An alignment task whose attributes are
-  // untouched and whose DC saw no cross-shard violations can skip step 4.
-  std::vector<bool> attr_modified(schema.size(), false);
-
-  // --- Step 2: bounded re-sample repair against the merged instance. ---
-  // Adaptive mode scales the budget with the observed conflict set (a
-  // couple of unit repairs per conflicted row, floored so tiny conflict
-  // sets still get a useful sweep) and additionally cuts the sweep short
-  // once consecutive repairs stop reducing the weighted violation
-  // penalty; the fixed knob is kept as the non-adaptive override.
-  constexpr size_t kMergeNoGainStreak = 8;
-  size_t budget = options.adaptive_merge_budget
-                      ? 16 + 2 * offenders.size()
-                      : options.shard_merge_resamples;
-  telemetry->merge_budget = static_cast<int64_t>(budget);
-  size_t no_gain_streak = 0;
-  bool swept_dry = false;
-  const runtime::RngStream merge_stream(merge_seed);
-  // Repair order: by default, conflict rows are swept in descending order
-  // of their weighted soft-DC penalty contribution against the merged
-  // instance (ties, and runs without measurable soft DCs, keep ascending
-  // row order), so the bounded budget is spent where it can lower the
-  // penalty most. `soft_penalty_merge_order = false` restores the plain
-  // row-order sweep. Both orders are pure functions of the merged
-  // instance, so the (seed, num_shards) output contract is unchanged.
-  std::vector<std::pair<size_t, const std::vector<size_t>*>> repair_order;
-  repair_order.reserve(offenders.size());
-  for (const auto& [row, dcs] : offenders) {
-    repair_order.emplace_back(row, &dcs);
-  }
-  if (options.soft_penalty_merge_order && any_soft && !repair_order.empty()) {
-    std::vector<double> contribution(repair_order.size(), 0.0);
-    for (size_t k = 0; k < repair_order.size(); ++k) {
-      const Row& conflicted = out->row(repair_order[k].first);
-      for (size_t l = 0; l < constraints.size(); ++l) {
-        if (merged[l] == nullptr || !soft_measurable(constraints[l])) continue;
-        contribution[k] += constraints[l].weight *
-                           static_cast<double>(merged[l]->CountNew(conflicted));
-      }
-    }
-    std::vector<size_t> perm(repair_order.size());
-    for (size_t k = 0; k < perm.size(); ++k) perm[k] = k;
-    std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-      return contribution[a] > contribution[b];
-    });
-    std::vector<std::pair<size_t, const std::vector<size_t>*>> sorted;
-    sorted.reserve(repair_order.size());
-    for (size_t k : perm) sorted.push_back(repair_order[k]);
-    repair_order.swap(sorted);
-  }
-  for (const auto& [row, dcs_ptr] : repair_order) {
-    const std::vector<size_t>& dcs = *dcs_ptr;
-    if (budget == 0 || swept_dry) break;
-    // The units at which the conflicted DCs activate, ascending.
-    std::vector<size_t> units;
-    for (size_t l : dcs) {
-      const size_t u = activation.dc_unit[l];
-      if (u != SIZE_MAX &&
-          std::find(units.begin(), units.end(), u) == units.end()) {
-        units.push_back(u);
-      }
-    }
-    std::sort(units.begin(), units.end());
-    for (size_t u : units) {
-      if (budget == 0) break;
-      const ModelUnit& unit = model.units()[u];
-      const std::vector<size_t>& active = activation.unit_active[u];
-      Rng task_rng(merge_stream.Fork(row).SubSeed(u));
-      Row scratch = out->row(row);
-
-      // Merged-instance candidate seeding for numeric attributes: the FD
-      // group's established value and the order-DC neighbours' values are
-      // often the only feasible points.
-      std::vector<double> extra_values;
-      if (unit.attrs.size() == 1 &&
-          schema.attribute(unit.attrs[0]).is_numeric()) {
-        for (size_t l : active) {
-          std::vector<size_t> lhs;
-          size_t rhs = 0, x = 0, y = 0;
-          if (merged[l] != nullptr && constraints[l].dc.AsFd(&lhs, &rhs) &&
-              rhs == unit.attrs[0]) {
-            std::optional<Value> forced = merged[l]->FdForcedValue(scratch);
-            if (forced.has_value() && forced->is_numeric()) {
-              extra_values.push_back(forced->numeric());
-            }
-          } else if (constraints[l].dc.AsOrderPair(&x, &y)) {
-            const size_t other =
-                y == unit.attrs[0] ? x : (x == unit.attrs[0] ? y : SIZE_MAX);
-            if (other != SIZE_MAX && schema.attribute(other).is_numeric()) {
-              // Unit-attribute values of the 4 rows nearest in the other
-              // attribute (deterministic tie-break on row index).
-              const double x0 = scratch[other].numeric();
-              std::vector<std::pair<double, size_t>> nearest;
-              for (size_t j = 0; j < n; ++j) {
-                if (j == row) continue;
-                nearest.emplace_back(
-                    std::abs(out->at(j, other).numeric() - x0), j);
-              }
-              const size_t keep = std::min<size_t>(4, nearest.size());
-              std::partial_sort(nearest.begin(), nearest.begin() + keep,
-                                nearest.end());
-              for (size_t k = 0; k < keep; ++k) {
-                extra_values.push_back(
-                    out->at(nearest[k].second, unit.attrs[0]).numeric());
-              }
-            }
-          }
-        }
-      }
-
-      std::vector<Candidate> candidates = GenerateCandidates(
-          unit, schema, scratch, options, extra_values, &task_rng);
-      if (candidates.empty()) continue;
-      // Repair is greedy: commit the best-scoring candidate (first index
-      // wins ties, so the choice is deterministic) instead of sampling —
-      // the row already went through its shard's sampled draw; this pass
-      // only exists to undo cross-shard damage.
-      const double penalty_before =
-          FullTablePenalty(out->row(row), row, *out, active, constraints);
-      size_t pick = 0;
-      double best = -std::numeric_limits<double>::infinity();
-      double best_penalty = penalty_before;
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        ApplyCandidateToRow(unit, candidates[c], &scratch);
-        const double penalty =
-            FullTablePenalty(scratch, row, *out, active, constraints);
-        const double score = std::log(candidates[c].prob + 1e-300) - penalty;
-        if (score > best) {
-          best = score;
-          best_penalty = penalty;
-          pick = c;
-        }
-      }
-      for (size_t a = 0; a < unit.attrs.size(); ++a) {
-        out->set(row, unit.attrs[a], candidates[pick].values[a]);
-        attr_modified[unit.attrs[a]] = true;
-      }
-      ++telemetry->merge_resamples;
-      --budget;
-      if (options.adaptive_merge_budget) {
-        // Early stop: a long run of repairs that leave the weighted
-        // penalty where it was means the remaining conflicts are not
-        // single-row-repairable (steps 3/4 handle the hard ones exactly).
-        if (best_penalty < penalty_before - 1e-12) {
-          no_gain_streak = 0;
-        } else if (++no_gain_streak >= kMergeNoGainStreak) {
-          ++telemetry->merge_early_stops;
-          swept_dry = true;
-          break;
-        }
-      }
-    }
-  }
-
-  // --- Step 3: exact hard-FD canonicalization. ---
-  // Hard FDs sharing an RHS attribute must be canonicalized *jointly*
-  // (alternating per-DC sweeps can oscillate forever when two FDs pull the
-  // same cell toward different group values): for each RHS attribute, rows
-  // connected by sharing any of its FDs' LHS keys form a component, and
-  // the whole component takes the value of its smallest-index row. One
-  // round makes every FD of that RHS exact; extra rounds only run when an
-  // RHS attribute feeds another FD's LHS (a dependency chain, bounded by
-  // the schema width).
-  std::map<size_t, std::vector<size_t>> fds_by_rhs;  // rhs attr -> DCs
-  for (size_t l = 0; l < constraints.size(); ++l) {
-    if (!constraints[l].hard || shards[0].indices[l] == nullptr) continue;
-    std::vector<size_t> lhs;
-    size_t rhs = 0;
-    if (constraints[l].dc.AsFd(&lhs, &rhs)) fds_by_rhs[rhs].push_back(l);
-  }
-  auto canonicalize_hard_fds = [&]() {
-    for (size_t round = 0; round < schema.size() + 1; ++round) {
-      int64_t rewrites = 0;
-      for (const auto& [rhs, dcs] : fds_by_rhs) {
-        // Union rows that any FD of this RHS forces to agree.
-        std::vector<size_t> parent(n);
-        for (size_t r = 0; r < n; ++r) parent[r] = r;
-        auto find = [&parent](size_t r) {
-          while (parent[r] != r) {
-            parent[r] = parent[parent[r]];
-            r = parent[r];
-          }
-          return r;
-        };
-        for (size_t l : dcs) {
-          std::vector<size_t> lhs;
-          size_t rhs_attr = 0;
-          constraints[l].dc.AsFd(&lhs, &rhs_attr);
-          std::map<std::vector<Value>, size_t, ValueVectorLess> first_row;
-          for (size_t r = 0; r < n; ++r) {
-            std::vector<Value> key;
-            key.reserve(lhs.size());
-            for (size_t a : lhs) key.push_back(out->at(r, a));
-            auto [it, inserted] = first_row.try_emplace(std::move(key), r);
-            if (!inserted) parent[find(r)] = find(it->second);
-          }
-        }
-        // The component's canonical value is that of its first row (rows
-        // walked in ascending order, so the choice is deterministic).
-        std::vector<std::optional<Value>> canonical(n);
-        for (size_t r = 0; r < n; ++r) {
-          const size_t root = find(r);
-          if (!canonical[root].has_value()) {
-            canonical[root] = out->at(r, rhs);
-          } else if (!(out->at(r, rhs) == *canonical[root])) {
-            out->set(r, rhs, *canonical[root]);
-            attr_modified[rhs] = true;
-            ++rewrites;
-          }
-        }
-      }
-      telemetry->merge_fd_rewrites += rewrites;
-      if (rewrites == 0) break;
-    }
-  };
-  canonicalize_hard_fds();
-
-  // --- Step 4: rank alignment for hard order DCs. ---
-  // Within each equality-scope group, sort rows by the context attribute
-  // (ties broken by global row index) and reassign the dependent
-  // attribute's sampled values in rank order — ascending for the
-  // co-monotone form, descending for the anti-monotone one. The result is
-  // a permutation of the values the shards sampled, so every per-value
-  // marginal is preserved exactly, and the DC's violation count drops to
-  // zero. Deterministic: no randomness, fixed tie-breaks. Runs after the
-  // FD canonicalization so the groups it scopes by are already final.
-  bool realigned_fd_attr = false;
-  for (const AlignTask& task : alignments) {
-    // A DC that is already violation-free needs no alignment: skip rather
-    // than permute values (and sever row-level correlations) to repair
-    // nothing. Cheap path first: no cross-shard violations and no
-    // attribute of the DC touched by steps 2/3; otherwise count for real.
-    bool touched = attr_modified[task.dep] || attr_modified[task.ctx];
-    for (size_t a : task.group) touched = touched || attr_modified[a];
-    if (cross_by_dc[task.dc] == 0 && !touched) continue;
-    if (CountViolations(constraints[task.dc].dc, *out) == 0) continue;
-    std::map<std::vector<Value>, std::vector<size_t>, ValueVectorLess> groups;
-    for (size_t r = 0; r < n; ++r) {
-      std::vector<Value> key;
-      key.reserve(task.group.size());
-      for (size_t a : task.group) key.push_back(out->at(r, a));
-      groups[std::move(key)].push_back(r);  // ascending rows per group
-    }
-    for (auto& [key, rows] : groups) {
-      if (rows.size() < 2) continue;
-      std::vector<size_t> order = rows;
-      std::sort(order.begin(), order.end(), [&](size_t i, size_t j) {
-        const Value& a = out->at(i, task.ctx);
-        const Value& b = out->at(j, task.ctx);
-        if (EvalCompare(a, CompareOp::kLt, b)) return true;
-        if (EvalCompare(b, CompareOp::kLt, a)) return false;
-        return i < j;
-      });
-      std::vector<Value> values;
-      values.reserve(rows.size());
-      for (size_t r : rows) values.push_back(out->at(r, task.dep));
-      std::sort(values.begin(), values.end(), ValueLess());
-      if (!task.co_monotone) std::reverse(values.begin(), values.end());
-      for (size_t k = 0; k < order.size(); ++k) {
-        const size_t r = order[k];
-        if (!(out->at(r, task.dep) == values[k])) {
-          out->set(r, task.dep, values[k]);
-          // Mirror steps 2/3: a later alignment task reading this
-          // attribute must not take the cheap "untouched" skip.
-          attr_modified[task.dep] = true;
-          ++telemetry->merge_order_alignments;
-        }
-      }
-    }
-    // If the realigned attribute participates in a hard FD, that FD's
-    // exactness guarantee must be restored below.
-    for (const auto& [rhs, dcs] : fds_by_rhs) {
-      for (size_t l : dcs) {
-        const std::vector<size_t>& attrs = constraints[l].dc.attributes();
-        if (std::find(attrs.begin(), attrs.end(), task.dep) != attrs.end()) {
-          realigned_fd_attr = true;
-        }
-      }
-    }
-  }
-
-  // --- Step 5: hard FDs win. ---
-  // Rank alignment touching an FD attribute is the one way step 4 can
-  // undo step 3; re-canonicalize so the hard-FD contract holds
-  // unconditionally (the affected order DC then stays best-effort).
-  if (realigned_fd_attr) canonicalize_hard_fds();
-
-  if (any_soft) {
-    const auto t0 = std::chrono::steady_clock::now();
-    telemetry->merge_soft_penalty_delta = soft_before - soft_penalty();
-    telemetry->merge_soft_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  }
-  return Status::OK();
-}
-
-/// Delivers one shard's slice of `out` to `hooks->on_chunk`. The chunk
-/// slices its rows out as per-column block copies, so the sink may keep
-/// them alive past the call; under `options.compress_chunks` the slice
-/// travels as an encoded per-column payload instead of materialized rows.
-Status EmitOneChunk(const Table& out, size_t shard, size_t offset, size_t rows,
-                    bool last, const KaminoOptions& options,
-                    const SynthesisHooks* hooks) {
   if (hooks == nullptr || !hooks->on_chunk) return Status::OK();
   if (!KeepGoing(hooks)) return CancelledStatus();
   obs::TraceSpan span("sampler/chunk");
   span.AddArg("shard", static_cast<int64_t>(shard));
   span.AddArg("row_offset", static_cast<int64_t>(offset));
-  span.AddArg("rows", static_cast<int64_t>(rows));
-  TableChunk chunk;
-  chunk.shard = shard;
-  chunk.row_offset = offset;
-  chunk.last = last;
-  Table slice = out.Slice(offset, rows);
-  if (options.compress_chunks) {
-    chunk.encoded = EncodeChunkColumns(slice);
-    chunk.encoded_rows = slice.num_rows();
-    chunk.rows = Table(out.schema());  // schema-only carrier
-    span.AddArg("encoded_bytes", static_cast<int64_t>(chunk.encoded.size()));
-  } else {
-    chunk.rows = std::move(slice);
-  }
-  return hooks->on_chunk(chunk);
-}
-
-/// Streams the instance shard by shard: ascending row offsets, each shard
-/// exactly once, tiling [0, n). The global path's delivery loop; the
-/// progressive path emits each chunk at its freeze instead.
-Status EmitChunks(const Table& out, const std::vector<size_t>& sizes,
-                  const std::vector<size_t>& offsets,
-                  const KaminoOptions& options, const SynthesisHooks* hooks) {
-  if (hooks == nullptr || !hooks->on_chunk) return Status::OK();
-  for (size_t s = 0; s < sizes.size(); ++s) {
-    KAMINO_RETURN_IF_ERROR(EmitOneChunk(out, s, offsets[s], sizes[s],
-                                        s + 1 == sizes.size(), options, hooks));
-  }
-  return Status::OK();
-}
-
-/// Frozen-slice chunk delivery for the out-of-core path: the slice is
-/// already materialized (it *is* the chunk — no slicing a big table) and,
-/// under `compress_chunks`, already encoded for the spill store, so the
-/// same payload passes straight through to the sink instead of being
-/// re-encoded or re-read from disk.
-Status EmitOneChunk(Table slice, std::vector<uint8_t> encoded, size_t shard,
-                    size_t offset, bool last, const KaminoOptions& options,
-                    const SynthesisHooks* hooks) {
-  if (hooks == nullptr || !hooks->on_chunk) return Status::OK();
-  if (!KeepGoing(hooks)) return CancelledStatus();
-  obs::TraceSpan span("sampler/chunk");
-  span.AddArg("shard", static_cast<int64_t>(shard));
-  span.AddArg("row_offset", static_cast<int64_t>(offset));
-  span.AddArg("rows", static_cast<int64_t>(slice.num_rows()));
+  span.AddArg("rows", static_cast<int64_t>(live.num_rows()));
   TableChunk chunk;
   chunk.shard = shard;
   chunk.row_offset = offset;
   chunk.last = last;
   if (options.compress_chunks) {
+    if (spill == nullptr) encoded = EncodeChunkColumns(live);
     chunk.encoded = std::move(encoded);
-    chunk.encoded_rows = slice.num_rows();
-    chunk.rows = Table(slice.schema());  // schema-only carrier
+    chunk.encoded_rows = live.num_rows();
+    chunk.rows = Table(live.schema());  // schema-only carrier
     span.AddArg("encoded_bytes", static_cast<int64_t>(chunk.encoded.size()));
   } else {
-    chunk.rows = std::move(slice);
+    chunk.rows = std::move(live);
   }
   return hooks->on_chunk(chunk);
 }
@@ -1362,38 +913,38 @@ struct FrozenNeighborStore {
   std::vector<Entry> entries;
 };
 
-/// The progressive prefix-frozen merge (`options.progressive_merge`):
-/// shard s is reconciled against the already-frozen prefix [0, s) as soon
-/// as its sampling completes, the grown prefix freezes, and shard s's
-/// chunk is emitted immediately — while later shards are still sampling
-/// on the pool. The first chunk therefore leaves after ~1/num_shards of
-/// the work instead of after the global merge.
+/// Shard-parallel synthesis with prefix-frozen reconciliation: shard s is
+/// reconciled against the already-frozen prefix [0, s) as soon as its
+/// sampling completes, the grown prefix freezes, and shard s's chunk is
+/// emitted immediately — while later shards are still sampling on the
+/// pool. The first chunk therefore leaves after ~1/num_shards of the
+/// work.
 ///
-/// Each freeze mirrors the global pass restricted to shard s's rows
-/// (frozen cells are never written):
+/// Each freeze touches only shard s's rows (frozen cells are never
+/// written):
 ///  1. Conflict detection: `CountAgainst` between the running merged
-///     indices (exactly the frozen prefix) and shard s's fresh index.
-///  2. Bounded greedy re-sample repair over the conflicted shard rows,
-///     with a per-freeze adaptive budget and randomness keyed by
-///     (global row, unit) off the same merge stream as the global path.
-///     Conflicts sweep in ascending row order (the soft-penalty ordering
-///     and `merge_soft_penalty_delta` are global-merge-only: measuring
-///     the soft penalty at every freeze would dominate the freezes).
+///     indices (exactly the frozen prefix) and shard s's fresh index
+///     exposes the cross-shard violating pairs the per-shard sampling
+///     could not see; the shard rows involved become the conflict set.
+///  2. Bounded greedy re-sample repair over the conflicted shard rows in
+///     ascending row order, with randomness keyed by (global row, unit).
+///     The budget scales with the conflict set (16 + 2 per conflicted
+///     row) and the sweep stops early once consecutive repairs stop
+///     reducing the weighted violation penalty.
 ///  3. Prefix-frozen hard-FD canonicalization: shard rows adopt the
 ///     frozen prefix's canonical RHS values, never the reverse.
 ///  4. Prefix-frozen rank alignment: shard rows slot into the frozen
-///     monotone relation (envelope clamp) instead of re-ranking the
-///     union. Run whenever the DC actually has violations.
+///     monotone relation (envelope clamp). Run whenever the DC actually
+///     has violations.
 ///  5. Hard FDs win: re-run 3 if 4 touched an FD attribute.
-/// Shard 0's freeze runs 3/4 with an empty prefix — the global semantics
-/// restricted to one shard — so hard DCs are exact after *every* freeze.
+/// Shard 0's freeze runs 3/4 with an empty prefix, so hard DCs are exact
+/// after *every* freeze.
 ///
 /// Determinism: shard content comes from per-shard sub-seeds, and every
 /// freeze is a pure function of (frozen prefix, shard s, merge_seed)
 /// applied in fixed shard order by this one coordinator thread — so the
 /// output is a pure function of (seed, num_shards), bit-identical at any
-/// num_threads. It generally differs from the global merge's output: the
-/// freeze may only rewrite shard-s rows, never revisit the prefix.
+/// num_threads.
 Result<Table> ProgressiveShardSynthesis(
     const ProbabilisticDataModel& model,
     const std::vector<WeightedConstraint>& constraints,
@@ -1404,7 +955,11 @@ Result<Table> ProgressiveShardSynthesis(
     SynthesisTelemetry* telemetry) {
   const Schema& schema = model.schema();
   const size_t num_shards = sizes.size();
+  // The assembled table, unless the caller consumes the run through chunks
+  // only (`discard_result`): then it stays schema-only.
   Table out(schema);
+  Table* const keep_table =
+      hooks != nullptr && hooks->discard_result ? nullptr : &out;
 
   // Out-of-core: frozen slices leave memory for the spill store at their
   // freeze. The store lives on this stack frame, so its destructor —
@@ -1485,7 +1040,7 @@ Result<Table> ProgressiveShardSynthesis(
   // Persistent frozen-prefix lookups: everything a freeze needs from the
   // rows frozen before it, absorbed slice by slice so no frozen row is
   // ever re-read for reconciliation (the out-of-core contract; in-memory
-  // progressive runs share the exact same code path).
+  // runs share the exact same code path).
   std::unique_ptr<FrozenFdLookups> fd_lookups;
   std::vector<FrozenAlignLookups> align_lookups;
   std::vector<std::unique_ptr<FrozenNeighborStore>> neighbors(
@@ -1556,9 +1111,7 @@ Result<Table> ProgressiveShardSynthesis(
     // the live rows only — equal to the full-table penalty over [0, end)
     // without touching a frozen row.
     if (!offenders.empty()) {
-      size_t budget = options.adaptive_merge_budget
-                          ? 16 + 2 * offenders.size()
-                          : options.shard_merge_resamples;
+      size_t budget = 16 + 2 * offenders.size();
       telemetry->merge_budget += static_cast<int64_t>(budget);
       size_t no_gain_streak = 0;
       bool swept_dry = false;
@@ -1577,8 +1130,8 @@ Result<Table> ProgressiveShardSynthesis(
           if (budget == 0) break;
           const ModelUnit& unit = model.units()[u];
           const std::vector<size_t>& active = activation.unit_active[u];
-          // RNG keying stays on the GLOBAL row: identical draws whether
-          // the repair runs over `out` (old layout) or `live` (this one).
+          // RNG keying stays on the GLOBAL row, so the draws do not
+          // depend on where the shard's rows are held.
           Rng task_rng(merge_stream.Fork(row).SubSeed(u));
           const size_t local = row - begin;
           Row scratch = live.row(local);
@@ -1638,14 +1191,15 @@ Result<Table> ProgressiveShardSynthesis(
           }
           ++telemetry->merge_resamples;
           --budget;
-          if (options.adaptive_merge_budget) {
-            if (best_penalty < penalty_before - 1e-12) {
-              no_gain_streak = 0;
-            } else if (++no_gain_streak >= kMergeNoGainStreak) {
-              ++telemetry->merge_early_stops;
-              swept_dry = true;
-              break;
-            }
+          // Early stop: a run of repairs that leave the weighted penalty
+          // where it was means the remaining conflicts are not
+          // single-row-repairable (passes 3/4 handle the hard ones).
+          if (best_penalty < penalty_before - 1e-12) {
+            no_gain_streak = 0;
+          } else if (++no_gain_streak >= kMergeNoGainStreak) {
+            ++telemetry->merge_early_stops;
+            swept_dry = true;
+            break;
           }
         }
       }
@@ -1718,32 +1272,10 @@ Result<Table> ProgressiveShardSynthesis(
     span.AddArg("cross_violations", freeze_cross);
     span.AddArg("conflict_rows", static_cast<int64_t>(offenders.size()));
 
-    // Emit immediately: these rows are frozen and never rewritten.
-    if (out_of_core) {
-      // Seal the slice into the spill store and hand the encoded payload
-      // (or the materialized slice) straight to the chunk sink — the
-      // in-memory copy dies with `live` at the end of this freeze.
-      std::vector<uint8_t> encoded;
-      {
-        obs::TraceSpan spill_span("sampler/spill");
-        spill_span.AddArg("shard", static_cast<int64_t>(s));
-        spill_span.AddArg("rows", static_cast<int64_t>(live.num_rows()));
-        encoded = EncodeChunkColumns(live);
-        const uint64_t before = spill->spilled_bytes();
-        KAMINO_RETURN_IF_ERROR(spill->AppendBlock(encoded, live.num_rows()));
-        const int64_t delta =
-            static_cast<int64_t>(spill->spilled_bytes() - before);
-        spill_span.AddArg("bytes", delta);
-        telemetry->spill_blocks += 1;
-        telemetry->spill_bytes += delta;
-        telemetry->spilled_rows += static_cast<int64_t>(live.num_rows());
-      }
-      return EmitOneChunk(std::move(live), std::move(encoded), s, begin,
-                          s + 1 == num_shards, options, hooks);
-    }
-    out.AppendRowsFrom(live, 0, live.num_rows());
-    return EmitOneChunk(out, s, begin, sizes[s], s + 1 == num_shards, options,
-                        hooks);
+    // Emit immediately: these rows are frozen and never rewritten. The
+    // in-memory copy dies with `live` unless the caller keeps the table.
+    return EmitFrozenSlice(std::move(live), s, begin, s + 1 == num_shards,
+                           options, hooks, spill.get(), keep_table, telemetry);
   };
 
   Status status = Status::OK();
@@ -1829,13 +1361,10 @@ Result<Table> ProgressiveShardSynthesis(
   }
   KAMINO_RETURN_IF_ERROR(status);
   telemetry->peak_resident_rows = peak_resident;
-  if (out_of_core) {
-    // The full table only ever existed on disk. Callers consuming the run
-    // through chunks skip the rebuild entirely (the constant-memory
-    // path); otherwise reassemble by bounded re-read — one validated
-    // block resident at a time, bit-exact by the codec's round-trip
-    // contract.
-    if (hooks != nullptr && hooks->discard_result) return out;
+  if (out_of_core && keep_table != nullptr) {
+    // The full table only ever existed on disk: reassemble it by bounded
+    // re-read — one validated block resident at a time, bit-exact by the
+    // codec's round-trip contract.
     for (size_t b = 0; b < spill->block_count(); ++b) {
       KAMINO_ASSIGN_OR_RETURN(Table slice, spill->ReadBlock(b, schema));
       out.AppendRowsFrom(slice, 0, slice.num_rows());
@@ -1910,7 +1439,11 @@ Result<Table> Synthesize(const ProbabilisticDataModel& model,
           /*allow_nested_parallel=*/true, hooks, rng, telemetry, &out,
           &indices));
     }
-    KAMINO_RETURN_IF_ERROR(EmitChunks(out, {n}, {0}, options, hooks));
+    if (hooks != nullptr && hooks->on_chunk) {
+      KAMINO_RETURN_IF_ERROR(EmitFrozenSlice(out.Slice(0, n), 0, 0,
+                                             /*last=*/true, options, hooks,
+                                             nullptr, nullptr, telemetry));
+    }
     RecordSamplerMetrics(*telemetry, n);
     return out;
   }
@@ -1931,69 +1464,11 @@ Result<Table> Synthesize(const ProbabilisticDataModel& model,
   const runtime::RngStream root(rng->NextSeed());
   const uint64_t merge_seed = root.SubSeed(num_shards);  // distinct stream
 
-  if (options.progressive_merge || options.out_of_core) {
-    // Same shard plan, same sub-seeds, different merge: reconcile + freeze
-    // + emit each shard as it completes instead of one global pass.
-    // `out_of_core` implies the progressive freeze order — spilling only
-    // makes sense for slices that are final at their freeze.
-    KAMINO_ASSIGN_OR_RETURN(
-        Table out, ProgressiveShardSynthesis(model, constraints, options,
-                                             activation, sizes, offsets,
-                                             mcmc_budgets, root, merge_seed,
-                                             hooks, telemetry));
-    RecordSamplerMetrics(*telemetry, n);
-    return out;
-  }
-
-  std::vector<ShardState> shards(num_shards);
-  for (ShardState& shard : shards) shard.table = Table(schema);
-  KAMINO_RETURN_IF_ERROR(
-      runtime::ParallelFor(0, num_shards, 1, [&](size_t lo, size_t hi) {
-        for (size_t s = lo; s < hi; ++s) {
-          // Shard boundary: a cancelled job never starts another shard.
-          if (!KeepGoing(hooks)) return CancelledStatus();
-          obs::TraceSpan span("sampler/shard");
-          span.AddArg("shard", static_cast<int64_t>(s));
-          span.AddArg("rows", static_cast<int64_t>(sizes[s]));
-          Rng shard_rng(root.SubSeed(s));
-          KAMINO_RETURN_IF_ERROR(SampleShardRows(
-              model, constraints, activation, sizes[s], options,
-              mcmc_budgets[s], /*allow_nested_parallel=*/false, hooks,
-              &shard_rng, &shards[s].telemetry, &shards[s].table,
-              &shards[s].indices));
-        }
-        return Status::OK();
-      }));
-  if (!KeepGoing(hooks)) return CancelledStatus();
-
-  // Fixed-order aggregation of rows and telemetry. Shard concatenation is
-  // one block copy per column (no per-row Value boxing).
-  Table out(schema);
-  for (const ShardState& shard : shards) {
-    out.AppendRowsFrom(shard.table, 0, shard.table.num_rows());
-    telemetry->ar_proposals += shard.telemetry.ar_proposals;
-    telemetry->fd_fast_path_hits += shard.telemetry.fd_fast_path_hits;
-    telemetry->mcmc_resamples += shard.telemetry.mcmc_resamples;
-    telemetry->parallel_score_dispatches +=
-        shard.telemetry.parallel_score_dispatches;
-    telemetry->mcmc_batches += shard.telemetry.mcmc_batches;
-  }
-
-  {
-    // The merge span is the stopwatch for `merge_seconds` (and thus
-    // PhaseTimings.shard_merge): one measurement, one source of truth.
-    obs::TraceSpan span("sampler/shard_merge");
-    span.AddArg("shards", static_cast<int64_t>(num_shards));
-    KAMINO_RETURN_IF_ERROR(ReconcileShards(model, constraints, options,
-                                           activation, shards, offsets,
-                                           merge_seed, &out, telemetry));
-    span.AddArg("cross_violations", telemetry->merge_cross_violations);
-    span.AddArg("conflict_rows", telemetry->merge_conflict_rows);
-    telemetry->merge_seconds = span.Finish();
-  }
-  // Every row is final once reconciliation returns; stream the shards out
-  // in ascending row-offset order before handing back the full table.
-  KAMINO_RETURN_IF_ERROR(EmitChunks(out, sizes, offsets, options, hooks));
+  KAMINO_ASSIGN_OR_RETURN(
+      Table out, ProgressiveShardSynthesis(model, constraints, options,
+                                           activation, sizes, offsets,
+                                           mcmc_budgets, root, merge_seed,
+                                           hooks, telemetry));
   RecordSamplerMetrics(*telemetry, n);
   return out;
 }

@@ -66,10 +66,11 @@ struct SynthesisHooks {
   std::function<Status(const TableChunk&)> on_chunk;
   /// The caller consumes the run through `on_chunk` only and will drop
   /// the returned table (the engine sets this when `collect_table` is
-  /// off). Under `out_of_core` this lets the sampler skip re-reading the
-  /// spilled slices to rebuild the full table and return a schema-only
-  /// one instead — the truly constant-memory delivery path. Ignored by
-  /// in-memory runs (the table already exists; returning it is free).
+  /// off). A sharded run then returns a schema-only table in every mode:
+  /// in memory it never accumulates the frozen slices, and under
+  /// `out_of_core` it skips re-reading them from the spill store — the
+  /// truly constant-memory delivery path. A single-shard run samples into
+  /// one table anyway and returns it.
   bool discard_result = false;
 };
 
@@ -93,51 +94,38 @@ struct SynthesisTelemetry {
   // --- Shard-parallel synthesis (resolved num_shards > 1) ---
   /// Shards the run was partitioned into (resolved; >= 1).
   size_t num_shards = 1;
-  /// Cross-shard violating pairs found by the fixed-order index merge
-  /// (violations the per-shard sampling could not see).
+  /// Cross-shard violating pairs found between each shard and the frozen
+  /// prefix before it (violations the per-shard sampling could not see).
   int64_t merge_cross_violations = 0;
   /// Rows that participated in at least one cross-shard violation.
   int64_t merge_conflict_rows = 0;
   /// Re-samples spent by the bounded reconciliation repair.
   int64_t merge_resamples = 0;
-  /// Re-sample budget the reconciliation sweep resolved to (the fixed
-  /// `shard_merge_resamples` knob, or the adaptively scaled value derived
-  /// from the conflict count when `adaptive_merge_budget` is on).
+  /// Re-sample budget of the reconciliation repair, summed over freezes:
+  /// each freeze with conflicts gets 16 + 2 * its conflicted rows.
   int64_t merge_budget = 0;
-  /// Reconciliation sweeps cut short because consecutive repairs stopped
-  /// reducing the weighted violation penalty (adaptive mode only).
+  /// Repair sweeps cut short because consecutive repairs stopped reducing
+  /// the weighted violation penalty.
   int64_t merge_early_stops = 0;
-  /// Weighted soft-DC violation penalty removed by the shard merge:
-  /// sum over soft DCs of weight * violations, measured before minus
-  /// after reconciliation (positive = the merge also helped soft DCs;
-  /// zero when the run has no soft DCs). Soft DCs whose decomposition is
-  /// `kGeneral` are excluded — counting those costs an O(n^2) pair scan,
-  /// too much to pay twice for a telemetry field.
-  double merge_soft_penalty_delta = 0.0;
-  /// Wall-clock seconds spent measuring the soft-DC penalty around the
-  /// merge (included in `merge_seconds`).
-  double merge_soft_seconds = 0.0;
-  /// Cells rewritten by the final hard-FD canonicalization sweep.
+  /// Cells rewritten by the hard-FD canonicalization passes.
   int64_t merge_fd_rewrites = 0;
   /// Cells moved by the hard-order-DC rank alignment (a permutation of
   /// the sampled values, so per-value marginals are unchanged).
   int64_t merge_order_alignments = 0;
-  /// Wall-clock seconds of the merge + reconciliation pass (included in
-  /// the sampling phase timing). Under `progressive_merge` this is the
-  /// sum of the per-freeze `sampler/prefix_merge` spans.
+  /// Wall-clock seconds of reconciliation (included in the sampling phase
+  /// timing): the sum of the per-freeze `sampler/prefix_merge` spans.
   double merge_seconds = 0.0;
-  /// Prefix freezes performed by the progressive merge
-  /// (`KaminoOptions::progressive_merge`): one per shard, each ending
-  /// with the frozen prefix hard-DC exact and its chunk emitted. Zero on
-  /// global-merge runs.
+  /// Prefix freezes performed by a sharded run: one per shard, each
+  /// ending with the frozen prefix hard-DC exact and its chunk emitted.
+  /// Zero on single-shard runs.
   int64_t merge_prefix_freezes = 0;
   /// Rows frozen (made immutable and eligible for delivery) by those
-  /// freezes; equals the row count on a completed progressive run.
+  /// freezes; equals the row count on a completed sharded run.
   int64_t merge_frozen_rows = 0;
   /// Partner rows pair-scanned by the freeze repair's penalty kernel in
-  /// *live* (not yet frozen) tables. Under progressive merge the kernel
-  /// scores candidates as index-delta (`CountNew` against the merged
-  /// indices) + live pair scan, so...
+  /// *live* (not yet frozen) tables. The kernel scores candidates as
+  /// index-delta (`CountNew` against the merged indices) + live pair
+  /// scan, so...
   int64_t merge_penalty_live_row_scans = 0;
   /// ...this stays zero: frozen rows are never re-scanned. Asserted by
   /// tests; a nonzero value means the constant-memory contract broke.
@@ -178,13 +166,14 @@ struct SynthesisTelemetry {
 /// When `options.num_shards` resolves to more than one, the rows are
 /// partitioned into contiguous shards sampled concurrently (each shard
 /// drives the full per-row loop over its slice from its own RngStream
-/// sub-seed with per-shard violation indices), then the per-shard DC
-/// indices are merged in fixed shard order and a bounded reconciliation
-/// pass re-scores/repairs rows whose FD groups or order-DC ranges span
-/// shards; hard FDs are canonicalized exactly. The output is a pure
-/// function of (seed, num_shards) — bit-identical at any `num_threads` —
-/// and `num_shards == 1` reproduces the sequential paper semantics
-/// exactly.
+/// sub-seed with per-shard violation indices). Shards then freeze in
+/// ascending order: each is reconciled against the frozen prefix before
+/// it — a bounded repair of rows in cross-shard DC conflicts, then exact
+/// hard-FD canonicalization and hard-order-DC rank alignment that rewrite
+/// only the incoming shard's rows — and its chunk is emitted at once. The
+/// output is a pure function of (seed, num_shards) — bit-identical at any
+/// `num_threads` — and `num_shards == 1` reproduces the sequential paper
+/// semantics exactly.
 ///
 /// Runs entirely on the learned model - a post-processing step with no
 /// additional privacy cost.

@@ -40,7 +40,10 @@ bool ReadBool(ByteReader* in, bool* v, bool* flag_ok) {
 
 // --- options section -------------------------------------------------------
 // Every knob, in declaration order. Bools travel as 0/1 bytes; signed
-// integers as their two's-complement u64/u32 bit patterns.
+// integers as their two's-complement u64/u32 bit patterns. Version 1 also
+// carried three shard-merge knobs after `num_shards` (a u64 resample
+// budget and two flag bytes) that no longer exist; v1 readers validate
+// and discard them.
 
 void SerializeOptions(const KaminoOptions& o, std::vector<uint8_t>* out) {
   AppendU64(out, o.embed_dim);
@@ -69,9 +72,6 @@ void SerializeOptions(const KaminoOptions& o, std::vector<uint8_t>* out) {
   AppendU64(out, o.ar_max_tries);
   AppendU64(out, o.num_threads);
   AppendU64(out, o.num_shards);
-  AppendU64(out, o.shard_merge_resamples);
-  AppendU8(out, o.adaptive_merge_budget ? 1 : 0);
-  AppendU8(out, o.soft_penalty_merge_order ? 1 : 0);
   AppendU8(out, o.enable_tracing ? 1 : 0);
   AppendU8(out, o.enable_metrics ? 1 : 0);
   AppendU64(out, o.trace_capacity_events);
@@ -80,9 +80,10 @@ void SerializeOptions(const KaminoOptions& o, std::vector<uint8_t>* out) {
   AppendU64(out, o.seed);
 }
 
-Result<KaminoOptions> DeserializeOptions(ByteReader* in) {
+Result<KaminoOptions> DeserializeOptions(ByteReader* in, uint32_t version) {
   KaminoOptions o;
   bool flags_ok = true;
+  bool retired_flag = false;
   uint32_t quantize_bins = 0;
   uint32_t max_candidates = 0;
   uint64_t u64 = 0;
@@ -115,10 +116,9 @@ Result<KaminoOptions> DeserializeOptions(ByteReader* in) {
       ((o.ar_max_tries = static_cast<size_t>(u64)), true) &&
       in->ReadU64(&u64) && ((o.num_threads = static_cast<size_t>(u64)), true) &&
       in->ReadU64(&u64) && ((o.num_shards = static_cast<size_t>(u64)), true) &&
-      in->ReadU64(&u64) &&
-      ((o.shard_merge_resamples = static_cast<size_t>(u64)), true) &&
-      ReadBool(in, &o.adaptive_merge_budget, &flags_ok) &&
-      ReadBool(in, &o.soft_penalty_merge_order, &flags_ok) &&
+      (version >= 2 || (in->ReadU64(&u64) &&
+                        ReadBool(in, &retired_flag, &flags_ok) &&
+                        ReadBool(in, &retired_flag, &flags_ok))) &&
       ReadBool(in, &o.enable_tracing, &flags_ok) &&
       ReadBool(in, &o.enable_metrics, &flags_ok) && in->ReadU64(&u64) &&
       ((o.trace_capacity_events = static_cast<size_t>(u64)), true) &&
@@ -265,11 +265,11 @@ Result<FitArtifacts> DeserializeFitArtifacts(
   uint32_t version = 0;
   uint64_t payload_len = 0;
   if (!in.ReadU32(&version) || !in.ReadU64(&payload_len)) return Truncated();
-  if (version != kArtifactVersion) {
+  if (version < 1 || version > kArtifactVersion) {
     return Status::InvalidArgument(
         "unsupported artifact format version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kArtifactVersion) +
-        ")");
+        " (this build reads versions 1 to " +
+        std::to_string(kArtifactVersion) + ")");
   }
   if (payload_len != bytes.size() - kArtifactEnvelopeBytes) {
     return Status::InvalidArgument("artifact payload length mismatch");
@@ -291,7 +291,7 @@ Result<FitArtifacts> DeserializeFitArtifacts(
 
   KAMINO_RETURN_IF_ERROR(OpenSection(&body, kSectionOptions, &section));
   KAMINO_ASSIGN_OR_RETURN(artifacts.resolved_options,
-                          DeserializeOptions(&section));
+                          DeserializeOptions(&section, version));
   KAMINO_RETURN_IF_ERROR(CloseSection(section, "options"));
 
   KAMINO_RETURN_IF_ERROR(OpenSection(&body, kSectionModel, &section));

@@ -4,7 +4,8 @@
 // Versioned binary wire format for fitted Kamino models (FitArtifacts):
 //
 //   [8]  magic  "KAMINOFM"
-//   [4]  u32    format version (currently 1; higher versions rejected)
+//   [4]  u32    format version (currently 2; versions 1 and 2 are read,
+//               any other is rejected)
 //   [8]  u64    payload length in bytes
 //   [..] payload: length-prefixed sections, in this fixed order:
 //          1 options      resolved KaminoOptions, every knob
@@ -37,7 +38,10 @@ namespace io {
 
 inline constexpr uint8_t kArtifactMagic[8] = {'K', 'A', 'M', 'I',
                                               'N', 'O', 'F', 'M'};
-inline constexpr uint32_t kArtifactVersion = 1;
+/// Version written by this build. Version 1 differs only in its options
+/// section, which carried three since-removed shard-merge knobs; it still
+/// loads (the knobs are validated and discarded).
+inline constexpr uint32_t kArtifactVersion = 2;
 /// Header (magic + version + payload length) plus trailing digest.
 inline constexpr size_t kArtifactEnvelopeBytes = 8 + 4 + 8 + 8;
 

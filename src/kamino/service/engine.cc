@@ -19,18 +19,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-SampleSpec SpecOf(const SynthesisRequest& request) {
-  SampleSpec spec;
-  spec.num_rows = request.num_rows;
-  spec.seed = request.seed;
-  spec.num_shards = request.num_shards;
-  spec.num_threads = request.num_threads;
-  spec.compress_chunks = request.compress_chunks;
-  spec.progressive_merge = request.progressive_merge;
-  spec.out_of_core = request.out_of_core;
-  return spec;
-}
-
 /// First-chunk latency histogram, recorded per streaming run. Fixed
 /// roughly-logarithmic bounds from 1ms to 10s (first registration wins,
 /// so every engine in the process shares one layout).
@@ -199,8 +187,8 @@ Result<SynthesisResult> KaminoEngine::Synthesize(
   }
   SynthesisResult result;
   KAMINO_ASSIGN_OR_RETURN(
-      Table out, SamplePipeline(model.artifacts(), SpecOf(request), &hooks,
-                                &result.telemetry));
+      Table out,
+      SamplePipeline(model.artifacts(), request, &hooks, &result.telemetry));
   result.sampling_seconds = SecondsSince(start);
   if (*first_chunk >= 0.0) {
     result.telemetry.first_chunk_seconds = *first_chunk;
@@ -282,8 +270,7 @@ std::shared_ptr<SynthesisJob> KaminoEngine::Submit(
 
     SynthesisTelemetry telemetry;
     Result<Table> out =
-        SamplePipeline(model.artifacts(), SpecOf(request), &hooks,
-                       &telemetry);
+        SamplePipeline(model.artifacts(), request, &hooks, &telemetry);
     const double seconds = SecondsSince(start);
     if (*first_chunk >= 0.0) {
       telemetry.first_chunk_seconds = *first_chunk;

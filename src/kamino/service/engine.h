@@ -127,12 +127,10 @@ class FittedModel {
 /// called serially (never two calls in flight) from the job's runner
 /// thread, not from the submitting thread. The sink must outlive the job.
 ///
-/// The contract holds in both merge modes. Under the default global
-/// merge, chunks arrive back to back after all shards have sampled and
-/// reconciled; under `progressive_merge`, chunk s arrives as soon as
-/// shards [0, s] have frozen — typically while later shards are still
-/// sampling — which is what makes time-to-first-chunk ~ 1/num_shards of
-/// the job instead of ~ all of it.
+/// In a sharded run, chunk s arrives as soon as shards [0, s] have
+/// frozen — typically while later shards are still sampling — which is
+/// what makes time-to-first-chunk ~ 1/num_shards of the job instead of
+/// ~ all of it.
 class RowSink {
  public:
   virtual ~RowSink() = default;
@@ -142,51 +140,25 @@ class RowSink {
   virtual Status OnChunk(const TableChunk& chunk) = 0;
 };
 
-/// One synthesis request against a fitted model. Value-semantics; the
+/// One synthesis request against a fitted model: the sampling knobs of
+/// `SampleSpec` (rows, seed, shard and thread overrides, compressed
+/// chunks, out-of-core spill) plus delivery. Value-semantics; the
 /// defaults reproduce the fit config's sampling phase exactly.
-struct SynthesisRequest {
-  /// Synthetic rows; 0 means "as many as the fitted instance".
-  size_t num_rows = 0;
-  /// Root seed of the request's sampling randomness. 0 (the default)
-  /// resumes the fit's RNG snapshot — the stream the monolithic
-  /// `RunKamino` sampling phase drew from, so a default request
-  /// reproduces the full run bit for bit. Any other value seeds an
-  /// independent stream: the output is then a pure function of
-  /// (model, seed, resolved num_shards).
-  uint64_t seed = 0;
-  /// Shard override for shard-parallel sampling; kUnset keeps the fitted
-  /// options' count. Part of the output contract (see KaminoOptions).
-  size_t num_shards = SampleSpec::kUnset;
-  /// Thread-budget override; kUnset keeps the process-wide budget. Never
-  /// changes the output, only wall clock. The budget is global: with
-  /// overlapping jobs the last starter wins for newly started parallel
-  /// regions (outputs are unaffected by construction).
-  size_t num_threads = SampleSpec::kUnset;
+struct SynthesisRequest : SampleSpec {
   /// Optional streaming delivery (see RowSink for the order guarantee).
-  /// Must outlive the job.
+  /// Must outlive the job. `compress_chunks` is ignored without a sink;
+  /// `out_of_core` combined with `collect_table = false` and a sink is the
+  /// constant-memory delivery path: rows then exist only as chunks and
+  /// spill blocks.
   RowSink* sink = nullptr;
-  /// Deliver chunks to `sink` as compressed per-column payloads
-  /// (`TableChunk::encoded`, decode with `DecodeChunkColumns`) instead of
-  /// materialized rows. The delivered rows are unchanged — only their
-  /// wire form is. Ignored without a sink.
-  bool compress_chunks = false;
-  /// Stream through the progressive prefix-frozen merge: each shard is
-  /// reconciled against the frozen prefix and its chunk delivered as soon
-  /// as it finishes sampling (see `KaminoOptions::progressive_merge` for
-  /// the determinism + prefix-immutability contract). Changes the merge,
-  /// so the synthesized rows differ from the global-merge output for the
-  /// same seed; either mode satisfies the same hard-DC guarantees.
-  bool progressive_merge = false;
-  /// Spill frozen slices to disk and drop their in-memory columns (see
-  /// `KaminoOptions::out_of_core`). Implies `progressive_merge`. Combine
-  /// with `collect_table = false` + a sink for the constant-memory
-  /// delivery path: rows then exist only as chunks and spill blocks.
-  bool out_of_core = false;
   /// When false, the result's `synthetic` table is left empty — rows are
-  /// observable through `sink` only. Saves the final copy for consumers
-  /// that forward chunks elsewhere anyway (and under `out_of_core` skips
-  /// re-reading the spilled slices entirely).
+  /// observable through `sink` only. A sharded run then never assembles
+  /// the table at all: in memory it skips accumulating the frozen slices,
+  /// and under `out_of_core` it skips re-reading them from disk.
   bool collect_table = true;
+  /// No-op, kept for source compatibility: every sharded run streams
+  /// through the prefix-frozen merge, so nothing reads this field.
+  bool progressive_merge = false;
 };
 
 /// What one synthesis request produced.

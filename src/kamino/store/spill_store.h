@@ -23,7 +23,7 @@ inline constexpr uint8_t kSpillBlockMagic[4] = {'K', 'S', 'P', 'B'};
 /// 4 magic + 4 version + 8 rows + 8 payload length before it, 8 digest after.
 inline constexpr size_t kSpillBlockFramingBytes = 4 + 4 + 8 + 8 + 8;
 
-/// Append-only store of frozen-slice spill blocks under progressive merge.
+/// Append-only store of frozen-slice spill blocks for sharded synthesis.
 ///
 /// Each block is one frozen shard slice, already encoded by the chunk codec
 /// (`EncodeChunkColumns`), sealed into a self-validating frame:
@@ -49,7 +49,7 @@ inline constexpr size_t kSpillBlockFramingBytes = 4 + 4 + 8 + 8 + 8;
 /// lives on the synthesis stack and unwinds with it), and engine
 /// destruction (joining a cancelled job unwinds the same stack).
 ///
-/// Not thread-safe: the progressive-merge coordinator thread is the only
+/// Not thread-safe: the shard-freeze coordinator thread is the only
 /// caller.
 class SpillStore {
  public:

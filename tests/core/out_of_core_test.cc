@@ -1,6 +1,6 @@
 // Tests for out-of-core synthesis (KaminoOptions::out_of_core): spilling
 // frozen slices through src/kamino/store/ must not change a single
-// sampled bit relative to the in-memory progressive merge at any thread
+// sampled bit relative to the in-memory sharded run at any thread
 // or shard count, the sequential golden digest must survive the flag,
 // hard DCs stay exact after every freeze, frozen rows are never
 // re-scanned by the repair penalty kernel (the constant-memory
@@ -98,8 +98,8 @@ struct RunOutput {
 };
 
 /// Trains on `ds` (fixed seeds, comparable across configs) and
-/// synthesizes `n` rows through the progressive merge, in-memory or
-/// out-of-core per `config`, capturing every chunk.
+/// synthesizes `n` sharded rows, in-memory or out-of-core per `config`,
+/// capturing every chunk.
 RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
                    const RunConfig& config) {
   ScopedNumThreads threads(config.num_threads);
@@ -112,7 +112,6 @@ RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
   options.mcmc_resamples = 40;
   options.seed = 77;
   options.num_shards = config.num_shards;
-  options.progressive_merge = true;
   options.out_of_core = config.out_of_core;
   options.compress_chunks = config.compress_chunks;
   Rng rng(77);
@@ -167,36 +166,33 @@ TEST(OutOfCoreTest, BitIdenticalToInMemoryProgressiveAcrossThreadsAndShards) {
 }
 
 TEST(OutOfCoreTest, GoldenDigestUnchangedAtSingleShard) {
-  // The golden scenario (same pin as ProgressiveMergeTest): out_of_core
-  // on at the default num_shards=1 keeps the sequential paper path and
-  // its digest; nothing spills.
-  for (const bool out_of_core : {false, true}) {
-    ScopedNumThreads threads(1);
-    BenchmarkDataset ds = MakeAdultLike(120, 7);
-    auto constraints =
-        ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema())
-            .TakeValue();
-    auto sequence = SequenceSchema(ds.table.schema(), constraints);
-    KaminoOptions options;
-    options.non_private = true;
-    options.iterations = 12;
-    options.mcmc_resamples = 48;
-    options.seed = 31;
-    options.out_of_core = out_of_core;
-    ASSERT_EQ(options.num_shards, 1u);
-    Rng rng(31);
-    auto model =
-        ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
-            .TakeValue();
-    Rng srng(17);
-    SynthesisTelemetry telemetry;
-    Table out = Synthesize(model, constraints, 150, options, &srng, &telemetry)
-                    .TakeValue();
-    EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
-        << "out_of_core=" << out_of_core << " changed the sequential path";
-    EXPECT_EQ(telemetry.spill_blocks, 0);
-    EXPECT_EQ(telemetry.spilled_rows, 0);
-  }
+  // The golden scenario (same pin as ShardedSamplerTest): out_of_core on
+  // at the default num_shards=1 keeps the sequential paper path and its
+  // digest; nothing spills.
+  ScopedNumThreads threads(1);
+  BenchmarkDataset ds = MakeAdultLike(120, 7);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema())
+          .TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.mcmc_resamples = 48;
+  options.seed = 31;
+  options.out_of_core = true;
+  ASSERT_EQ(options.num_shards, 1u);
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  Rng srng(17);
+  SynthesisTelemetry telemetry;
+  Table out = Synthesize(model, constraints, 150, options, &srng, &telemetry)
+                  .TakeValue();
+  EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
+      << "out_of_core changed the sequential path";
+  EXPECT_EQ(telemetry.spill_blocks, 0);
+  EXPECT_EQ(telemetry.spilled_rows, 0);
 }
 
 TEST(OutOfCoreTest, ChunksTileAndMatchTheRebuiltTable) {
@@ -269,7 +265,7 @@ TEST(OutOfCoreTest, FrozenRowsNeverRescannedAndResidencyBounded) {
         << "threads=" << num_threads;
     EXPECT_GT(run.telemetry.peak_resident_rows, 0);
   }
-  // In-memory progressive accumulates the full instance.
+  // The in-memory run accumulates the full instance.
   RunConfig in_memory;
   in_memory.num_shards = num_shards;
   const RunOutput mem = RunMerge(ds, n, in_memory);

@@ -1,10 +1,11 @@
-// Tests for the progressive prefix-frozen shard merge
-// (KaminoOptions::progressive_merge): the (seed, num_shards) determinism
-// contract across thread budgets, hard-DC exactness after *every* prefix
-// freeze (checked against the MakeNaiveViolationIndex oracle), frozen-
-// prefix immutability (rows already streamed are never rewritten), the
-// default-off golden digest, and unit tests of the prefix-frozen FD
-// canonicalization + rank alignment passes in core/prefix_merge.h.
+// Tests for the prefix-frozen shard reconciliation every sharded run goes
+// through: the (seed, num_shards) determinism contract across thread
+// budgets, hard-DC exactness after *every* prefix freeze (checked against
+// the MakeNaiveViolationIndex oracle), frozen-prefix immutability (rows
+// already streamed are never rewritten), the single-shard golden digest,
+// chunk-only delivery (`discard_result`), and unit tests of the
+// prefix-frozen FD canonicalization + rank alignment passes in
+// core/prefix_merge.h.
 
 #include <gtest/gtest.h>
 
@@ -88,11 +89,13 @@ struct ProgressiveRun {
   std::vector<TableChunk> chunks;
 };
 
-/// Trains on `ds` and synthesizes `n` rows through the progressive merge,
+/// Trains on `ds` and synthesizes `n` rows in `num_shards` shards,
 /// capturing every chunk. Model training and sampling seeds are fixed so
-/// runs are comparable across thread budgets.
+/// runs are comparable across thread budgets. With `discard_result` the
+/// caller consumes the run through the chunks only.
 ProgressiveRun RunProgressive(const BenchmarkDataset& ds, size_t n,
-                              size_t num_threads, size_t num_shards) {
+                              size_t num_threads, size_t num_shards,
+                              bool discard_result = false) {
   ScopedNumThreads threads(num_threads);
   auto constraints =
       ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
@@ -103,12 +106,12 @@ ProgressiveRun RunProgressive(const BenchmarkDataset& ds, size_t n,
   options.mcmc_resamples = 40;
   options.seed = 77;
   options.num_shards = num_shards;
-  options.progressive_merge = true;
   Rng rng(77);
   auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
                    .TakeValue();
   ProgressiveRun run;
   SynthesisHooks hooks;
+  hooks.discard_result = discard_result;
   hooks.on_chunk = [&run](const TableChunk& chunk) {
     run.chunks.push_back(chunk);
     return Status::OK();
@@ -121,8 +124,8 @@ ProgressiveRun RunProgressive(const BenchmarkDataset& ds, size_t n,
 }
 
 TEST(ProgressiveMergeTest, OutputPureFunctionOfSeedAndShardsAcrossThreads) {
-  // The acceptance grid: with progressive_merge on at num_shards=4, the
-  // thread budget must not change a single bit, and the same
+  // The acceptance grid: at num_shards=4 the thread budget must not
+  // change a single bit, and the same
   // (seed, num_shards) twice must reproduce exactly.
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
   const ProgressiveRun t1 = RunProgressive(ds, 120, 1, 4);
@@ -197,41 +200,36 @@ TEST(ProgressiveMergeTest, FrozenPrefixNeverRewritten) {
 }
 
 TEST(ProgressiveMergeTest, DefaultOffGoldenDigestUnchanged) {
-  // The golden scenario (same as ShardedSamplerTest's digest pin): with
-  // the flag off — and with the flag ON at the default num_shards=1,
-  // which keeps the sequential paper path — the output digest must stay
-  // 0x214d31f811dbdd0f.
-  for (const bool progressive : {false, true}) {
-    ScopedNumThreads threads(1);
-    BenchmarkDataset ds = MakeAdultLike(120, 7);
-    auto constraints =
-        ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema())
-            .TakeValue();
-    auto sequence = SequenceSchema(ds.table.schema(), constraints);
-    KaminoOptions options;
-    options.non_private = true;
-    options.iterations = 12;
-    options.mcmc_resamples = 48;
-    options.seed = 31;
-    options.progressive_merge = progressive;
-    ASSERT_EQ(options.num_shards, 1u);
-    Rng rng(31);
-    auto model =
-        ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
-            .TakeValue();
-    Rng srng(17);
-    SynthesisTelemetry telemetry;
-    Table out =
-        Synthesize(model, constraints, 150, options, &srng, &telemetry)
-            .TakeValue();
-    EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
-        << "progressive_merge=" << progressive
-        << " changed the sequential path";
-    EXPECT_EQ(telemetry.merge_prefix_freezes, 0);
-  }
+  // The golden scenario (same as ShardedSamplerTest's digest pin): the
+  // default num_shards=1 keeps the sequential paper path — no freezes —
+  // and its digest 0x214d31f811dbdd0f.
+  ScopedNumThreads threads(1);
+  BenchmarkDataset ds = MakeAdultLike(120, 7);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema())
+          .TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.mcmc_resamples = 48;
+  options.seed = 31;
+  ASSERT_EQ(options.num_shards, 1u);
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  Rng srng(17);
+  SynthesisTelemetry telemetry;
+  Table out = Synthesize(model, constraints, 150, options, &srng, &telemetry)
+                  .TakeValue();
+  EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
+      << "the sequential path changed";
+  EXPECT_EQ(telemetry.merge_prefix_freezes, 0);
 }
 
-TEST(ProgressiveMergeTest, GlobalMergeTelemetryHasNoFreezes) {
+TEST(ProgressiveMergeTest, DefaultShardedRunFreezesEveryShard) {
+  // A sharded run with default options (the full pipeline, no streaming
+  // hooks) reconciles through one prefix freeze per shard.
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
   auto constraints =
       ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
@@ -243,8 +241,36 @@ TEST(ProgressiveMergeTest, GlobalMergeTelemetryHasNoFreezes) {
   auto result = RunKamino(ds.table, constraints, config);
   runtime::SetGlobalNumThreads(0);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result.value().telemetry.merge_prefix_freezes, 0);
-  EXPECT_EQ(result.value().telemetry.merge_frozen_rows, 0);
+  EXPECT_EQ(result.value().telemetry.merge_prefix_freezes, 4);
+  EXPECT_EQ(result.value().telemetry.merge_frozen_rows, 100);
+}
+
+TEST(ProgressiveMergeTest, DiscardResultDeliversChunksOnly) {
+  // discard_result behaves the same in memory as out of core: the
+  // sampler returns a schema-only table and never accumulates the frozen
+  // slices, while the chunks still tile [0, n) and carry the same rows
+  // as a run that keeps the table.
+  const BenchmarkDataset ds = MakeAdultLike(100, 13);
+  const size_t n = 120;
+  const ProgressiveRun kept = RunProgressive(ds, n, 1, 4);
+  const ProgressiveRun discarded =
+      RunProgressive(ds, n, 1, 4, /*discard_result=*/true);
+  EXPECT_EQ(discarded.out.num_rows(), 0u);
+  EXPECT_EQ(discarded.out.num_columns(), kept.out.num_columns());
+  ASSERT_EQ(discarded.chunks.size(), 4u);
+  size_t next_offset = 0;
+  for (size_t s = 0; s < discarded.chunks.size(); ++s) {
+    const TableChunk& chunk = discarded.chunks[s];
+    EXPECT_EQ(chunk.row_offset, next_offset);
+    EXPECT_EQ(chunk.last, s + 1 == discarded.chunks.size());
+    ExpectSameTable(chunk.rows, kept.out.Slice(chunk.row_offset,
+                                               chunk.num_rows()));
+    next_offset += chunk.num_rows();
+  }
+  EXPECT_EQ(next_offset, n);
+  // Only the slice being frozen is ever resident at one thread.
+  EXPECT_LT(discarded.telemetry.peak_resident_rows, static_cast<int64_t>(n));
+  EXPECT_EQ(kept.telemetry.peak_resident_rows, static_cast<int64_t>(n));
 }
 
 // ---------------------------------------------------------------------

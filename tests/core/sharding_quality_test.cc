@@ -1,0 +1,96 @@
+// Differential quality oracle for shard-parallel synthesis: sharded output
+// may differ from the sequential sampler's, but it must not be measurably
+// worse. One Adult fit is sampled at 1, 2 and 4 shards over three request
+// seeds; the sharded runs' mean 1-way and 2-way marginal distances must
+// stay within the end-to-end bounds of BENCHMARK.json (+15% and +25% of
+// the 1-shard figures), with zero hard-DC violations by the naive pair
+// scan.
+//
+// Tax is deliberately not an input: its 1-shard output carries thousands
+// of hard-DC violations (about 4,500 per 2400 rows), because the
+// sequential sampler has no exact FD/order pass while the shard freezes
+// do — so the sequential run is not a fair reference for it.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "kamino/core/pipeline.h"
+#include "kamino/data/generators.h"
+#include "kamino/dc/violations.h"
+#include "kamino/eval/marginals.h"
+#include "kamino/runtime/thread_pool.h"
+
+namespace kamino {
+namespace {
+
+constexpr int kNumericBins = 16;
+
+struct Quality {
+  double one_way = 0.0;
+  double two_way = 0.0;
+  int64_t hard_violations = 0;
+};
+
+/// Mean marginal distances to `truth` over request seeds 1..3, plus the
+/// total hard-DC violations of those runs.
+Quality MeasureAtShards(const FitArtifacts& fitted, const Table& truth,
+                        size_t num_rows, size_t num_shards) {
+  constexpr uint64_t kSeeds = 3;
+  Quality q;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SampleSpec spec;
+    spec.num_rows = num_rows;
+    spec.seed = seed;
+    spec.num_shards = num_shards;
+    Result<Table> out = SamplePipeline(fitted, spec);
+    EXPECT_TRUE(out.ok()) << out.status();
+    if (!out.ok()) return q;
+    const Table& rows = out.value();
+    q.one_way +=
+        MeanOf(OneWayMarginalDistances(rows, truth, kNumericBins)) / kSeeds;
+    // More pairs than the schema has: every pair is scored, so the RNG
+    // does not pick which ones.
+    Rng pair_rng(1);
+    q.two_way += MeanOf(TwoWayMarginalDistances(rows, truth, kNumericBins,
+                                                /*num_pairs=*/1000,
+                                                &pair_rng)) /
+                 kSeeds;
+    for (const WeightedConstraint& wc : fitted.weighted) {
+      if (wc.hard) q.hard_violations += CountViolationsNaive(wc.dc, rows);
+    }
+  }
+  return q;
+}
+
+TEST(ShardingQualityTest, ShardedMarginalsWithinBoundOfSequential) {
+  const BenchmarkDataset ds = MakeAdultLike(600, 13);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  KaminoConfig config;
+  config.options.non_private = true;
+  config.options.iterations = 40;
+  config.options.seed = 77;
+  config.options.num_threads = 1;
+  Result<FitArtifacts> fitted = FitPipeline(ds.table, constraints, config);
+  ASSERT_TRUE(fitted.ok()) << fitted.status();
+
+  const size_t n = 1200;
+  const Quality sequential = MeasureAtShards(fitted.value(), ds.table, n, 1);
+  EXPECT_EQ(sequential.hard_violations, 0);
+  for (const size_t num_shards : {size_t{2}, size_t{4}}) {
+    const Quality sharded =
+        MeasureAtShards(fitted.value(), ds.table, n, num_shards);
+    EXPECT_LE(sharded.one_way, 1.15 * sequential.one_way)
+        << "1-way marginals degraded at num_shards=" << num_shards;
+    EXPECT_LE(sharded.two_way, 1.25 * sequential.two_way)
+        << "2-way marginals degraded at num_shards=" << num_shards;
+    EXPECT_EQ(sharded.hard_violations, 0)
+        << "hard DCs violated at num_shards=" << num_shards;
+  }
+  runtime::SetGlobalNumThreads(0);
+}
+
+}  // namespace
+}  // namespace kamino

@@ -192,6 +192,94 @@ TEST(ArtifactTest, SaveLoadSynthesizeReproducesGoldenDigest) {
       << "loaded model diverged from the golden sequential run";
 }
 
+/// Re-frames a current (v2) artifact as format version 1: re-inserts the
+/// three retired shard-merge knobs into the options section right after
+/// `num_shards` — a u64 resample budget and two flag bytes, here the old
+/// defaults 64 / true / true unless `flag_byte` overrides the first flag —
+/// then rebuilds the section and payload lengths, the version and the
+/// digest.
+std::vector<uint8_t> ReframeAsV1(const std::vector<uint8_t>& v2,
+                                 uint8_t flag_byte = 1) {
+  // Options-section offset just past `num_shards`: eleven u64/double
+  // fields, two u32s (quantize_bins, max_candidates), the non_private
+  // flag, mcmc_resamples and the two domain thresholds, six flag bytes,
+  // then ar_max_tries / num_threads / num_shards.
+  constexpr size_t kAfterNumShards = 11 * 8 + 2 * 4 + 1 + 3 * 8 + 6 + 3 * 8;
+  io::ByteReader in(v2.data(), v2.size());
+  const uint8_t* magic = nullptr;
+  uint32_t version = 0;
+  uint64_t payload_len = 0;
+  EXPECT_TRUE(in.ReadBytes(&magic, 8) && in.ReadU32(&version) &&
+              in.ReadU64(&payload_len));
+  EXPECT_EQ(version, 2u);
+  std::vector<uint8_t> payload;
+  for (bool first = true; in.remaining() > 8; first = false) {
+    uint32_t id = 0;
+    uint64_t len = 0;
+    const uint8_t* body = nullptr;
+    EXPECT_TRUE(in.ReadU32(&id) && in.ReadU64(&len) &&
+                in.ReadBytes(&body, static_cast<size_t>(len)));
+    std::vector<uint8_t> section(body, body + len);
+    if (first) {
+      // Guard the offset: the u64 just before it is num_shards (1).
+      io::ByteReader shards(section.data() + kAfterNumShards - 8, 8);
+      uint64_t num_shards = 0;
+      EXPECT_TRUE(shards.ReadU64(&num_shards));
+      EXPECT_EQ(num_shards, 1u);
+      std::vector<uint8_t> retired;
+      io::AppendU64(&retired, 64);
+      io::AppendU8(&retired, flag_byte);
+      io::AppendU8(&retired, 1);
+      section.insert(section.begin() + kAfterNumShards, retired.begin(),
+                     retired.end());
+    }
+    io::AppendU32(&payload, id);
+    io::AppendU64(&payload, section.size());
+    payload.insert(payload.end(), section.begin(), section.end());
+  }
+  std::vector<uint8_t> v1(io::kArtifactMagic, io::kArtifactMagic + 8);
+  io::AppendU32(&v1, 1);
+  io::AppendU64(&v1, payload.size());
+  v1.insert(v1.end(), payload.begin(), payload.end());
+  io::AppendU64(&v1, io::DigestBytes(payload.data(), payload.size()));
+  return v1;
+}
+
+TEST(ArtifactTest, LoadsVersionOneArtifacts) {
+  // Readers keep accepting every version they know: a v1 artifact (with
+  // the retired shard-merge knobs in its options section) loads, its
+  // flag bytes are still validated, and it reproduces the golden digest.
+  ScopedNumThreads threads(1);
+  const std::vector<uint8_t> v1 =
+      ReframeAsV1(io::SerializeFitArtifacts(MakeGoldenArtifacts()));
+  auto loaded = FittedModel::Deserialize(v1);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().resolved_options().mcmc_resamples, 48u);
+  EXPECT_EQ(loaded.value().resolved_options().seed, 31u);
+  KaminoEngine engine;
+  SynthesisRequest request;
+  request.num_rows = 150;
+  request.seed = 0;  // resume the fit RNG snapshot
+  auto result = engine.Synthesize(loaded.value(), request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  char actual[32];
+  std::snprintf(actual, sizeof(actual), "0x%016" PRIx64,
+                TableDigest(result.value().synthetic));
+  EXPECT_EQ(std::string(actual), "0x214d31f811dbdd0f")
+      << "v1 artifact diverged from the golden sequential run";
+  // Re-serializing writes the current version.
+  auto bytes = loaded.value().Serialize();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes.value(), io::SerializeFitArtifacts(MakeGoldenArtifacts()));
+
+  const std::vector<uint8_t> bad_flag = ReframeAsV1(
+      io::SerializeFitArtifacts(MakeGoldenArtifacts()), /*flag_byte=*/2);
+  auto rejected = io::DeserializeFitArtifacts(bad_flag);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("flag"), std::string::npos)
+      << rejected.status().ToString();
+}
+
 TEST(ArtifactTest, LoadedModelOwnsAllState) {
   // The ownership contract: a loaded model aliases nothing. Destroying
   // every input (the artifact bytes included) must leave it fully usable.
@@ -300,12 +388,17 @@ TEST(ArtifactTest, RejectsDigestMismatch) {
 
 TEST(ArtifactTest, RejectsFutureVersion) {
   ScopedNumThreads threads(1);
-  std::vector<uint8_t> bytes = io::SerializeFitArtifacts(MakeTinyArtifacts());
-  bytes[8] = 0x7F;  // version little-endian at offset 8: 0x7F = version 127
-  auto result = io::DeserializeFitArtifacts(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("version"), std::string::npos)
-      << result.status().ToString();
+  // Version little-endian at offset 8: the next version (3), a far
+  // future one (127), and the never-issued version 0.
+  for (const uint8_t version : {uint8_t{3}, uint8_t{0x7F}, uint8_t{0}}) {
+    std::vector<uint8_t> bytes =
+        io::SerializeFitArtifacts(MakeTinyArtifacts());
+    bytes[8] = version;
+    auto result = io::DeserializeFitArtifacts(bytes);
+    ASSERT_FALSE(result.ok()) << "accepted version " << int{version};
+    EXPECT_NE(result.status().message().find("version"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(ArtifactTest, RejectsBadMagic) {

@@ -471,7 +471,7 @@ TEST(ObsEngineTest, FitAndAsyncSynthesizeProduceExpectedSpanTree) {
   for (const char* name :
        {"\"fit\"", "\"fit/sequencing\"", "\"fit/parameter_search\"",
         "\"fit/training\"", "\"fit/weights\"", "\"service/job\"",
-        "\"synthesize\"", "\"sampler/shard\"", "\"sampler/shard_merge\"",
+        "\"synthesize\"", "\"sampler/shard\"", "\"sampler/prefix_merge\"",
         "\"sampler/chunk\""}) {
     EXPECT_NE(trace.find(name), std::string::npos)
         << "span " << name << " missing from the exported trace";

@@ -13,8 +13,6 @@ bool ValueLt(const Value& a, const Value& b) {
   return EvalCompare(a, CompareOp::kLt, b);
 }
 
-using ValueVectorLess = PrefixKeyLess;
-
 std::vector<Value> KeyOf(const Table& table, size_t row,
                          const std::vector<size_t>& attrs) {
   std::vector<Value> key;
@@ -22,10 +20,6 @@ std::vector<Value> KeyOf(const Table& table, size_t row,
   for (size_t a : attrs) key.push_back(table.at(row, a));
   return key;
 }
-
-/// Key -> (canonical RHS value, smallest frozen row holding the key).
-using FrozenLookup =
-    std::map<std::vector<Value>, std::pair<Value, size_t>, ValueVectorLess>;
 
 size_t Find(std::vector<size_t>& parent, size_t i) {
   while (parent[i] != i) {
@@ -44,203 +38,6 @@ bool PrefixKeyLess::operator()(const std::vector<Value>& a,
     if (ValueLt(b[i], a[i])) return false;
   }
   return a.size() < b.size();
-}
-
-int64_t PrefixFrozenFdCanonicalize(Table* table,
-                                   const std::vector<PrefixFdFamily>& families,
-                                   size_t frozen_end,
-                                   std::vector<bool>* attr_modified) {
-  const size_t n = table->num_rows();
-  if (frozen_end >= n || families.empty()) return 0;
-  const size_t suffix = n - frozen_end;
-
-  // Frozen lookups are invariant across rounds (frozen cells are never
-  // written): build them once, one per (family, FD).
-  std::vector<std::vector<FrozenLookup>> frozen(families.size());
-  for (size_t f = 0; f < families.size(); ++f) {
-    frozen[f].resize(families[f].lhs_sets.size());
-    for (size_t d = 0; d < families[f].lhs_sets.size(); ++d) {
-      for (size_t r = 0; r < frozen_end; ++r) {
-        frozen[f][d].try_emplace(
-            KeyOf(*table, r, families[f].lhs_sets[d]),
-            std::make_pair(table->at(r, families[f].rhs), r));
-      }
-    }
-  }
-
-  auto mark = [&](size_t attr) {
-    if (attr_modified != nullptr) (*attr_modified)[attr] = true;
-  };
-
-  int64_t total_rewrites = 0;
-  // Rewrites can land on another family's LHS or RHS attributes; rounds
-  // repeat until a fixpoint, bounded by the schema width (the length of
-  // the longest FD dependency chain).
-  for (size_t round = 0; round < table->num_columns() + 1; ++round) {
-    int64_t rewrites = 0;
-    for (size_t f = 0; f < families.size(); ++f) {
-      const PrefixFdFamily& family = families[f];
-      // Union suffix rows that any family FD forces to agree.
-      std::vector<size_t> parent(suffix);
-      for (size_t i = 0; i < suffix; ++i) parent[i] = i;
-      for (size_t d = 0; d < family.lhs_sets.size(); ++d) {
-        std::map<std::vector<Value>, size_t, ValueVectorLess> first_member;
-        for (size_t i = 0; i < suffix; ++i) {
-          auto [it, inserted] = first_member.try_emplace(
-              KeyOf(*table, frozen_end + i, family.lhs_sets[d]), i);
-          if (!inserted) parent[Find(parent, i)] = Find(parent, it->second);
-        }
-      }
-      std::map<size_t, std::vector<size_t>> components;
-      for (size_t i = 0; i < suffix; ++i) {
-        components[Find(parent, i)].push_back(i);
-      }
-
-      for (const auto& [root, members] : components) {
-        (void)root;
-        // Adopt the frozen match with the smallest representative row;
-        // with no frozen match, the smallest member's value.
-        size_t best_rep = static_cast<size_t>(-1);
-        Value canonical = table->at(frozen_end + members[0], family.rhs);
-        for (size_t i : members) {
-          for (size_t d = 0; d < family.lhs_sets.size(); ++d) {
-            const auto it = frozen[f][d].find(
-                KeyOf(*table, frozen_end + i, family.lhs_sets[d]));
-            if (it != frozen[f][d].end() && it->second.second < best_rep) {
-              best_rep = it->second.second;
-              canonical = it->second.first;
-            }
-          }
-        }
-        const bool has_frozen = best_rep != static_cast<size_t>(-1);
-
-        for (size_t i : members) {
-          const size_t r = frozen_end + i;
-          if (!(table->at(r, family.rhs) == canonical)) {
-            table->set(r, family.rhs, canonical);
-            mark(family.rhs);
-            ++rewrites;
-          }
-          if (!has_frozen) continue;
-          for (size_t d = 0; d < family.lhs_sets.size(); ++d) {
-            const auto it = frozen[f][d].find(
-                KeyOf(*table, r, family.lhs_sets[d]));
-            if (it == frozen[f][d].end() || it->second.first == canonical) {
-              continue;
-            }
-            // The member bridges into a frozen group with a different
-            // canonical value; the frozen side cannot move, so re-point
-            // the member's key at the adopted representative's.
-            for (size_t a : family.lhs_sets[d]) {
-              const Value v = table->at(best_rep, a);
-              if (!(table->at(r, a) == v)) {
-                table->set(r, a, v);
-                mark(a);
-                ++rewrites;
-              }
-            }
-          }
-        }
-      }
-    }
-    total_rewrites += rewrites;
-    if (rewrites == 0) break;
-  }
-  return total_rewrites;
-}
-
-int64_t PrefixFrozenRankAlign(Table* table, const PrefixAlignSpec& spec,
-                              size_t frozen_end) {
-  const size_t n = table->num_rows();
-  if (frozen_end >= n) return 0;
-  auto oriented_lt = [&spec](const Value& a, const Value& b) {
-    return spec.co_monotone ? ValueLt(a, b) : ValueLt(b, a);
-  };
-  // Context order with row-index tie-break: the deterministic walk both
-  // the frozen envelope and the suffix assignment use.
-  auto ctx_row_less = [&](size_t i, size_t j) {
-    const Value& a = table->at(i, spec.ctx_attr);
-    const Value& b = table->at(j, spec.ctx_attr);
-    if (ValueLt(a, b)) return true;
-    if (ValueLt(b, a)) return false;
-    return i < j;
-  };
-
-  // Group rows by scope key, frozen and suffix separately.
-  std::map<std::vector<Value>, std::pair<std::vector<size_t>, std::vector<size_t>>,
-           ValueVectorLess>
-      groups;
-  for (size_t r = 0; r < n; ++r) {
-    auto& lists = groups[KeyOf(*table, r, spec.group_attrs)];
-    (r < frozen_end ? lists.first : lists.second).push_back(r);
-  }
-
-  int64_t rewrites = 0;
-  for (auto& [key, lists] : groups) {
-    (void)key;
-    std::vector<size_t>& fsorted = lists.first;
-    std::vector<size_t>& fresh = lists.second;
-    if (fresh.empty()) continue;
-    std::sort(fsorted.begin(), fsorted.end(), ctx_row_less);
-    const size_t m = fsorted.size();
-
-    // prefix_max[i] / suffix_min[i]: oriented running extrema of the
-    // frozen dependent values along the context walk.
-    std::vector<Value> prefix_max(m), suffix_min(m);
-    for (size_t i = 0; i < m; ++i) {
-      const Value& dep = table->at(fsorted[i], spec.dep_attr);
-      prefix_max[i] =
-          (i > 0 && oriented_lt(dep, prefix_max[i - 1])) ? prefix_max[i - 1]
-                                                         : dep;
-    }
-    for (size_t i = m; i-- > 0;) {
-      const Value& dep = table->at(fsorted[i], spec.dep_attr);
-      suffix_min[i] =
-          (i + 1 < m && oriented_lt(suffix_min[i + 1], dep)) ? suffix_min[i + 1]
-                                                             : dep;
-    }
-
-    // Rank-align the suffix rows among themselves: walked in context
-    // order, they receive their own dependent values in oriented sorted
-    // order (the shard's value multiset, permuted)...
-    std::sort(fresh.begin(), fresh.end(), ctx_row_less);
-    std::vector<Value> targets;
-    targets.reserve(fresh.size());
-    for (size_t r : fresh) targets.push_back(table->at(r, spec.dep_attr));
-    std::sort(targets.begin(), targets.end(), oriented_lt);
-
-    for (size_t k = 0; k < fresh.size(); ++k) {
-      const size_t r = fresh[k];
-      const Value x = table->at(r, spec.ctx_attr);
-      Value v = targets[k];
-      // ...then clamp each into the frozen envelope at its context.
-      // Applying `lo` before `hi` makes the upper bound win should the
-      // envelope invert (non-monotone frozen prefix).
-      const size_t lt =
-          static_cast<size_t>(std::partition_point(
-                                  fsorted.begin(), fsorted.end(),
-                                  [&](size_t i) {
-                                    return ValueLt(table->at(i, spec.ctx_attr),
-                                                   x);
-                                  }) -
-                              fsorted.begin());
-      const size_t le =
-          static_cast<size_t>(std::partition_point(
-                                  fsorted.begin(), fsorted.end(),
-                                  [&](size_t i) {
-                                    return !ValueLt(x,
-                                                    table->at(i, spec.ctx_attr));
-                                  }) -
-                              fsorted.begin());
-      if (lt > 0 && oriented_lt(v, prefix_max[lt - 1])) v = prefix_max[lt - 1];
-      if (le < m && oriented_lt(suffix_min[le], v)) v = suffix_min[le];
-      if (!(table->at(r, spec.dep_attr) == v)) {
-        table->set(r, spec.dep_attr, v);
-        ++rewrites;
-      }
-    }
-  }
-  return rewrites;
 }
 
 FrozenFdLookups::FrozenFdLookups(std::vector<PrefixFdFamily> families)
@@ -303,16 +100,18 @@ int64_t FrozenFdLookups::Canonicalize(Table* live,
   };
 
   int64_t total_rewrites = 0;
-  // Same fixpoint sweep as PrefixFrozenFdCanonicalize, with the frozen
-  // lookups read from the absorbed state instead of the prefix rows.
+  // Rewrites can land on another family's LHS or RHS attributes; rounds
+  // repeat until a fixpoint, bounded by the schema width (the length of
+  // the longest FD dependency chain).
   for (size_t round = 0; round < live->num_columns() + 1; ++round) {
     int64_t rewrites = 0;
     for (size_t f = 0; f < families_.size(); ++f) {
       const PrefixFdFamily& family = families_[f];
+      // Union live rows that any family FD forces to agree.
       std::vector<size_t> parent(suffix);
       for (size_t i = 0; i < suffix; ++i) parent[i] = i;
       for (size_t d = 0; d < family.lhs_sets.size(); ++d) {
-        std::map<std::vector<Value>, size_t, ValueVectorLess> first_member;
+        std::map<std::vector<Value>, size_t, PrefixKeyLess> first_member;
         for (size_t i = 0; i < suffix; ++i) {
           auto [it, inserted] = first_member.try_emplace(
               KeyOf(*live, i, family.lhs_sets[d]), i);
@@ -326,6 +125,8 @@ int64_t FrozenFdLookups::Canonicalize(Table* live,
 
       for (const auto& [root, members] : components) {
         (void)root;
+        // Adopt the frozen match with the smallest representative row;
+        // with no frozen match, the smallest member's value.
         size_t best_rep = static_cast<size_t>(-1);
         Value canonical = live->at(members[0], family.rhs);
         for (size_t i : members) {
@@ -354,6 +155,9 @@ int64_t FrozenFdLookups::Canonicalize(Table* live,
                 it->second.canonical == canonical) {
               continue;
             }
+            // The member bridges into a frozen group with a different
+            // canonical value; the frozen side cannot move, so re-point
+            // the member's key at the adopted representative's.
             const std::vector<Value>& rep = rep_values_[f].at(best_rep);
             for (size_t k = 0; k < family.lhs_sets[d].size(); ++k) {
               const size_t a = family.lhs_sets[d][k];
@@ -391,8 +195,7 @@ void FrozenAlignLookups::Absorb(const Table& slice) {
         [](const Value& a, const Value& b) { return ValueLt(a, b); });
     const size_t i = static_cast<size_t>(it - env.ctx.begin());
     if (it != env.ctx.end() && !ValueLt(x, *it)) {
-      // Existing context run. Tie rules mirror the per-element folds in
-      // PrefixFrozenRankAlign: the later row wins the running max, the
+      // Existing context run: the later row wins the running max, the
       // earlier row keeps the running min.
       if (!oriented_lt(dep, env.mx[i])) env.mx[i] = dep;
       if (oriented_lt(dep, env.mn[i])) env.mn[i] = dep;
@@ -403,8 +206,8 @@ void FrozenAlignLookups::Absorb(const Table& slice) {
     }
   }
   // Rebuild the running envelopes. Folding per-context extrema is
-  // grouping-invariant (the folds always return one operand), so these
-  // equal the per-element prefix_max / suffix_min at context boundaries.
+  // grouping-invariant (the folds always return one operand), so the
+  // result does not depend on how the frozen rows were sliced.
   for (auto& [key, env] : groups_) {
     (void)key;
     const size_t m = env.ctx.size();
@@ -437,7 +240,7 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
     return i < j;
   };
 
-  std::map<std::vector<Value>, std::vector<size_t>, ValueVectorLess> groups;
+  std::map<std::vector<Value>, std::vector<size_t>, PrefixKeyLess> groups;
   for (size_t r = 0; r < n; ++r) {
     groups[KeyOf(*live, r, spec_.group_attrs)].push_back(r);
   }
@@ -448,6 +251,9 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
     const Envelope* env = git == groups_.end() ? nullptr : &git->second;
     const size_t runs = env == nullptr ? 0 : env->ctx.size();
 
+    // Rank-align the live rows among themselves: walked in (context, row)
+    // order, they receive their own dependent values in oriented sorted
+    // order (the shard's value multiset, permuted)...
     std::sort(fresh.begin(), fresh.end(), ctx_row_less);
     std::vector<Value> targets;
     targets.reserve(fresh.size());
@@ -458,6 +264,7 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
       const size_t r = fresh[k];
       const Value x = live->at(r, spec_.ctx_attr);
       Value v = targets[k];
+      // ...then clamp each into the frozen envelope at its context.
       if (env != nullptr) {
         const size_t idx = static_cast<size_t>(
             std::lower_bound(
@@ -470,7 +277,7 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
                 [](const Value& a, const Value& b) { return ValueLt(a, b); }) -
             env->ctx.begin());
         // Lower clamp before upper: the upper bound wins should the
-        // envelope invert, exactly as in PrefixFrozenRankAlign.
+        // envelope invert (non-monotone frozen prefix).
         if (idx > 0 && oriented_lt(v, env->pmax[idx - 1])) {
           v = env->pmax[idx - 1];
         }

@@ -219,8 +219,8 @@ double FullTablePenalty(const Row& row, size_t self, const Table& table,
 /// every index class — without reading a single frozen row; the
 /// live/frozen scan counters let tests assert that. (Every non-unary DC
 /// reachable from the repair has a merged index: they are built for
-/// exactly the DCs the shards indexed, and repair only triggers on index
-/// conflicts.)
+/// every non-unary DC the shards index, and a repaired unit samples with
+/// the DC factor.)
 double FrozenRestrictedPenalty(
     const Row& row, size_t self, const Table& live,
     const std::vector<size_t>& active,
@@ -346,8 +346,8 @@ ActivationMap BuildActivationMap(
 }
 
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
-/// `n` rows, writing into `out` (resized here) and leaving the final
-/// per-DC violation indices in `indices` for the shard merge. With
+/// `n` rows, writing into `out` (resized here). Its violation indices
+/// are local: the MCMC pass rewrites rows without updating them. With
 /// `allow_nested_parallel` the candidate scoring and MCMC batches may fan
 /// out onto the pool (the single-shard configuration); shard-parallel
 /// callers pass false so each shard stays a serial unit of work and the
@@ -362,15 +362,12 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
                        const KaminoOptions& options, size_t mcmc_resamples,
                        bool allow_nested_parallel, const SynthesisHooks* hooks,
                        Rng* rng, SynthesisTelemetry* telemetry,
-                       Table* out_table,
-                       std::vector<std::unique_ptr<ViolationIndex>>* indices_out) {
+                       Table* out_table) {
   const Schema& schema = model.schema();
   Table& out = *out_table;
   out.ResizeRows(n);
 
-  std::vector<std::unique_ptr<ViolationIndex>>& indices = *indices_out;
-  indices.clear();
-  indices.resize(constraints.size());
+  std::vector<std::unique_ptr<ViolationIndex>> indices(constraints.size());
 
   for (size_t unit_index = 0; unit_index < model.units().size(); ++unit_index) {
     if (!KeepGoing(hooks)) return CancelledStatus();
@@ -638,11 +635,10 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
   return Status::OK();
 }
 
-/// Everything one shard produces: its slice of the instance, its final
-/// per-DC violation indices, and its telemetry counters.
+/// Everything one shard produces: its slice of the instance and its
+/// telemetry counters.
 struct ShardState {
   Table table;
-  std::vector<std::unique_ptr<ViolationIndex>> indices;
   SynthesisTelemetry telemetry;
 };
 
@@ -665,6 +661,33 @@ size_t ResolveNumShards(const KaminoOptions& options, size_t n) {
   return shards;
 }
 
+/// The one mechanism a shard freeze reconciles a DC's cross-shard
+/// conflicts with, fixed once per run. The exact passes leave their DCs
+/// violation-free by themselves, so the greedy repair never spends budget
+/// on them.
+enum class DcOwner : uint8_t {
+  kNone,          // no cross-shard pairs: unary, or not indexed this run
+  kCanonicalize,  // hard FD: FrozenFdLookups::Canonicalize
+  kAlign,         // hard order DC with an AlignTask: FrozenAlignLookups
+  kRepair,        // everything else: the budgeted greedy re-sample repair
+};
+
+/// Ownership before the exact passes claim their DCs: every DC that
+/// pairs rows and that the per-shard sampling indexes (its activation
+/// unit samples with the DC factor) is repair-owned.
+std::vector<DcOwner> RepairOwners(
+    const std::vector<WeightedConstraint>& constraints,
+    const ActivationMap& activation, const KaminoOptions& options) {
+  std::vector<DcOwner> owner(constraints.size(), DcOwner::kNone);
+  for (size_t l = 0; l < constraints.size(); ++l) {
+    if (options.constraint_aware_sampling &&
+        activation.dc_unit[l] != SIZE_MAX && !constraints[l].dc.is_unary()) {
+      owner[l] = DcOwner::kRepair;
+    }
+  }
+  return owner;
+}
+
 /// A hard order DC reconciled by rank alignment instead of per-row
 /// re-sampling (see BuildAlignTasks).
 struct AlignTask {
@@ -678,25 +701,19 @@ struct AlignTask {
 /// Hard (possibly equality-scoped) order DCs are reconciled by rank
 /// alignment instead of per-row re-sampling: each shard's internally
 /// monotone relation disagrees with the others', and no sequence of
-/// single-row repairs can make disagreeing monotone maps agree. Identify
-/// them up front so the repair budget is not wasted there. `probe_indices`
-/// (any completed shard's index vector) tells which DCs actually built
-/// indices this run; `alignable` is sized to `constraints` and flags the
-/// accepted tasks' DCs.
+/// single-row repairs can make disagreeing monotone maps agree. Claims
+/// (`DcOwner::kAlign`) each still repair-owned DC whose task is accepted.
 std::vector<AlignTask> BuildAlignTasks(
     const ProbabilisticDataModel& model,
     const std::vector<WeightedConstraint>& constraints,
-    const ActivationMap& activation,
-    const std::vector<std::unique_ptr<ViolationIndex>>& probe_indices,
-    std::vector<bool>* alignable) {
-  alignable->assign(constraints.size(), false);
+    const ActivationMap& activation, std::vector<DcOwner>* owner) {
   std::vector<AlignTask> alignments;
   // Attributes an accepted task's correctness depends on: a later task
   // whose dep would rewrite one of them would silently re-break the
   // earlier task's zeroed DC, so such a task falls back to repair instead.
   std::vector<size_t> locked_attrs;
   for (size_t l = 0; l < constraints.size(); ++l) {
-    if (probe_indices[l] == nullptr || !constraints[l].hard) continue;
+    if ((*owner)[l] != DcOwner::kRepair || !constraints[l].hard) continue;
     std::optional<GroupedOrderSpec> spec =
         constraints[l].dc.AsGroupedOrderSpec();
     if (!spec.has_value()) continue;
@@ -729,7 +746,7 @@ std::vector<AlignTask> BuildAlignTasks(
     locked_attrs.push_back(task.ctx);
     locked_attrs.insert(locked_attrs.end(), task.group.begin(),
                         task.group.end());
-    (*alignable)[l] = true;
+    (*owner)[l] = DcOwner::kAlign;
     alignments.push_back(std::move(task));
   }
   return alignments;
@@ -737,15 +754,17 @@ std::vector<AlignTask> BuildAlignTasks(
 
 /// Indexed hard FDs grouped by RHS attribute, in the joint-canonicalization
 /// form the prefix-frozen pass consumes (ascending RHS, so deterministic).
+/// Claims each of them (`DcOwner::kCanonicalize`).
 std::vector<PrefixFdFamily> BuildFdFamilies(
     const std::vector<WeightedConstraint>& constraints,
-    const std::vector<std::unique_ptr<ViolationIndex>>& probe_indices) {
+    std::vector<DcOwner>* owner) {
   std::map<size_t, PrefixFdFamily> by_rhs;
   for (size_t l = 0; l < constraints.size(); ++l) {
-    if (!constraints[l].hard || probe_indices[l] == nullptr) continue;
+    if ((*owner)[l] != DcOwner::kRepair || !constraints[l].hard) continue;
     std::vector<size_t> lhs;
     size_t rhs = 0;
     if (!constraints[l].dc.AsFd(&lhs, &rhs)) continue;
+    (*owner)[l] = DcOwner::kCanonicalize;
     PrefixFdFamily& family = by_rhs[rhs];
     family.rhs = rhs;
     family.lhs_sets.push_back(std::move(lhs));
@@ -920,12 +939,15 @@ struct FrozenNeighborStore {
 /// pool. The first chunk therefore leaves after ~1/num_shards of the
 /// work.
 ///
-/// Each freeze touches only shard s's rows (frozen cells are never
-/// written):
-///  1. Conflict detection: `CountAgainst` between the running merged
-///     indices (exactly the frozen prefix) and shard s's fresh index
-///     exposes the cross-shard violating pairs the per-shard sampling
-///     could not see; the shard rows involved become the conflict set.
+/// Every DC has exactly one owner (`DcOwner`, fixed before the first
+/// freeze): hard FDs are canonicalized, hard order DCs with an accepted
+/// `AlignTask` are rank-aligned, and every other indexed pair DC — soft,
+/// or hard with no exact pass — is repaired. Each freeze touches only
+/// shard s's rows (frozen cells are never written):
+///  1. Conflict detection: each shard row's `CountNew` against the running
+///     merged indices (exactly the frozen prefix) counts the cross-shard
+///     violating pairs the per-shard sampling could not see; rows in such
+///     a pair of a repair-owned DC become the conflict set.
 ///  2. Bounded greedy re-sample repair over the conflicted shard rows in
 ///     ascending row order, with randomness keyed by (global row, unit).
 ///     The budget scales with the conflict set (16 + 2 per conflicted
@@ -937,8 +959,8 @@ struct FrozenNeighborStore {
 ///     monotone relation (envelope clamp). Run whenever the DC actually
 ///     has violations.
 ///  5. Hard FDs win: re-run 3 if 4 touched an FD attribute.
-/// Shard 0's freeze runs 3/4 with an empty prefix, so hard DCs are exact
-/// after *every* freeze.
+/// Shard 0's freeze runs 3/4 with an empty prefix, so the exactly-owned
+/// hard DCs hold after *every* freeze.
 ///
 /// Determinism: shard content comes from per-shard sub-seeds, and every
 /// freeze is a pure function of (frozen prefix, shard s, merge_seed)
@@ -984,7 +1006,7 @@ Result<Table> ProgressiveShardSynthesis(
     return SampleShardRows(model, constraints, activation, sizes[s], options,
                            mcmc_budgets[s], /*allow_nested_parallel=*/false,
                            hooks, &shard_rng, &shards[s].telemetry,
-                           &shards[s].table, &shards[s].indices);
+                           &shards[s].table);
   };
 
   // Scheduling: shards go onto the pool as independent tasks while this
@@ -1030,25 +1052,59 @@ Result<Table> ProgressiveShardSynthesis(
     for (; dispatched < window; ++dispatched) dispatch_shard(dispatched);
   }
 
-  // Filled once shard 0 completes (its index vector is the probe for
-  // which DCs built indices this run).
-  std::vector<bool> alignable;
-  std::vector<AlignTask> alignments;
-  std::vector<PrefixFdFamily> families;
-  // merged[l] indexes exactly the frozen prefix, growing at each freeze.
+  // The freeze plan, fixed for the run: one owner per DC, the exact
+  // passes' inputs, and merged[l], which indexes exactly the frozen prefix
+  // of every DC with cross-shard pairs, growing at each freeze.
+  std::vector<DcOwner> owner = RepairOwners(constraints, activation, options);
+  const std::vector<PrefixFdFamily> families =
+      BuildFdFamilies(constraints, &owner);
+  const std::vector<AlignTask> alignments =
+      BuildAlignTasks(model, constraints, activation, &owner);
   std::vector<std::unique_ptr<ViolationIndex>> merged(constraints.size());
+  for (size_t l = 0; l < constraints.size(); ++l) {
+    if (owner[l] != DcOwner::kNone) {
+      merged[l] = MakeViolationIndex(constraints[l].dc);
+    }
+  }
   // Persistent frozen-prefix lookups: everything a freeze needs from the
   // rows frozen before it, absorbed slice by slice so no frozen row is
   // ever re-read for reconciliation (the out-of-core contract; in-memory
   // runs share the exact same code path).
-  std::unique_ptr<FrozenFdLookups> fd_lookups;
+  FrozenFdLookups fd_lookups(families);
   std::vector<FrozenAlignLookups> align_lookups;
+  for (const AlignTask& task : alignments) {
+    PrefixAlignSpec spec;
+    spec.group_attrs = task.group;
+    spec.ctx_attr = task.ctx;
+    spec.dep_attr = task.dep;
+    spec.co_monotone = task.co_monotone;
+    align_lookups.emplace_back(std::move(spec));
+  }
+  // Frozen-neighbour stores for the repair's order-DC candidate seeding:
+  // one per order-pair DC active at a unit the repair re-samples (the
+  // activation unit of a repair-owned DC), when that unit is a single
+  // numeric attribute on one side of the pair.
+  std::vector<char> repaired_unit(model.units().size(), 0);
+  for (size_t l = 0; l < constraints.size(); ++l) {
+    if (owner[l] == DcOwner::kRepair) repaired_unit[activation.dc_unit[l]] = 1;
+  }
   std::vector<std::unique_ptr<FrozenNeighborStore>> neighbors(
       constraints.size());
+  for (size_t l = 0; l < constraints.size(); ++l) {
+    size_t x = 0, y = 0;
+    if (!constraints[l].dc.AsOrderPair(&x, &y)) continue;
+    const size_t u = activation.dc_unit[l];
+    if (u == SIZE_MAX || !repaired_unit[u]) continue;
+    if (model.units()[u].attrs.size() != 1) continue;
+    const size_t unit_attr = model.units()[u].attrs[0];
+    if (!schema.attribute(unit_attr).is_numeric()) continue;
+    const size_t other = y == unit_attr ? x : (x == unit_attr ? y : SIZE_MAX);
+    if (other == SIZE_MAX || !schema.attribute(other).is_numeric()) continue;
+    neighbors[l] = std::make_unique<FrozenNeighborStore>(other, unit_attr);
+  }
   // Running count of violating pairs wholly inside the frozen prefix,
   // per alignment DC — the frozen-side term of the align-pass gate.
   std::vector<int64_t> frozen_violations(constraints.size(), 0);
-  std::vector<char> is_align_dc(constraints.size(), 0);
   const runtime::RngStream merge_stream(merge_seed);
   constexpr size_t kMergeNoGainStreak = 8;
 
@@ -1084,25 +1140,24 @@ Result<Table> ProgressiveShardSynthesis(
         shards[s].telemetry.parallel_score_dispatches;
     telemetry->mcmc_batches += shards[s].telemetry.mcmc_batches;
 
-    // Conflict detection against the frozen prefix.
+    // Conflict detection against the frozen prefix, recounted from the
+    // final shard rows: each row's delta against the merged indices is
+    // its frozen x live violating pairs. Rows in such a pair of a
+    // repair-owned DC are queued for repair; the exact passes below fix
+    // the other DCs' conflicts wholesale.
     std::map<size_t, std::vector<size_t>> offenders;
     int64_t freeze_cross = 0;
-    if (s > 0) {
+    for (size_t r = 0; r < live.num_rows(); ++r) {
+      const Row row = live.row(r);
       for (size_t l = 0; l < constraints.size(); ++l) {
-        if (merged[l] == nullptr || shards[s].indices[l] == nullptr) continue;
-        const int64_t cross = merged[l]->CountAgainst(*shards[s].indices[l]);
+        if (merged[l] == nullptr) continue;
+        const int64_t cross = merged[l]->CountNew(row);
         if (cross == 0) continue;
         freeze_cross += cross;
-        telemetry->merge_cross_violations += cross;
-        if (!alignable[l]) {
-          for (size_t r = 0; r < live.num_rows(); ++r) {
-            if (merged[l]->CountNew(live.row(r)) > 0) {
-              offenders[begin + r].push_back(l);
-            }
-          }
-        }
+        if (owner[l] == DcOwner::kRepair) offenders[begin + r].push_back(l);
       }
     }
+    telemetry->merge_cross_violations += freeze_cross;
     telemetry->merge_conflict_rows += static_cast<int64_t>(offenders.size());
 
     // Bounded greedy repair, restricted to shard s's rows. Candidates are
@@ -1193,7 +1248,7 @@ Result<Table> ProgressiveShardSynthesis(
           --budget;
           // Early stop: a run of repairs that leave the weighted penalty
           // where it was means the remaining conflicts are not
-          // single-row-repairable (passes 3/4 handle the hard ones).
+          // single-row-repairable.
           if (best_penalty < penalty_before - 1e-12) {
             no_gain_streak = 0;
           } else if (++no_gain_streak >= kMergeNoGainStreak) {
@@ -1209,7 +1264,7 @@ Result<Table> ProgressiveShardSynthesis(
     // rows are neither written nor read.
     std::vector<bool> attr_modified(schema.size(), false);
     telemetry->merge_fd_rewrites +=
-        fd_lookups->Canonicalize(&live, &attr_modified);
+        fd_lookups.Canonicalize(&live, &attr_modified);
 
     bool realigned_fd_attr = false;
     for (size_t k = 0; k < alignments.size(); ++k) {
@@ -1242,17 +1297,16 @@ Result<Table> ProgressiveShardSynthesis(
     }
     if (realigned_fd_attr) {
       telemetry->merge_fd_rewrites +=
-          fd_lookups->Canonicalize(&live, &attr_modified);
+          fd_lookups.Canonicalize(&live, &attr_modified);
     }
 
     // Freeze: index the shard's *final* rows into the running merged
-    // indices (the stale pre-repair shard index is discarded). For
-    // alignment DCs, fold the new intra-prefix pairs into the running
+    // indices. For alignment DCs, fold the new intra-prefix pairs into the running
     // count first — CountNew before AddRow sees each pair exactly once.
     for (size_t l = 0; l < constraints.size(); ++l) {
       if (merged[l] == nullptr) continue;
       for (size_t r = 0; r < live.num_rows(); ++r) {
-        if (is_align_dc[l]) {
+        if (owner[l] == DcOwner::kAlign) {
           frozen_violations[l] += merged[l]->CountNew(live.row(r));
         }
         merged[l]->AddRow(live.row(r));
@@ -1260,7 +1314,7 @@ Result<Table> ProgressiveShardSynthesis(
     }
     // Absorb the now-final slice into the persistent frozen lookups — the
     // last read of these rows for reconciliation purposes, ever.
-    fd_lookups->Absorb(live, begin);
+    fd_lookups.Absorb(live, begin);
     for (size_t k = 0; k < alignments.size(); ++k) {
       align_lookups[k].Absorb(live);
     }
@@ -1293,44 +1347,6 @@ Result<Table> ProgressiveShardSynthesis(
       status = shard_status[s];
     }
     if (!status.ok()) break;
-    if (s == 0) {
-      alignments = BuildAlignTasks(model, constraints, activation,
-                                   shards[0].indices, &alignable);
-      families = BuildFdFamilies(constraints, shards[0].indices);
-      for (size_t l = 0; l < constraints.size(); ++l) {
-        if (shards[0].indices[l] == nullptr) continue;
-        if (constraints[l].dc.is_unary()) continue;  // no cross pairs
-        merged[l] = MakeViolationIndex(constraints[l].dc);
-      }
-      fd_lookups = std::make_unique<FrozenFdLookups>(families);
-      for (const AlignTask& task : alignments) {
-        PrefixAlignSpec spec;
-        spec.group_attrs = task.group;
-        spec.ctx_attr = task.ctx;
-        spec.dep_attr = task.dep;
-        spec.co_monotone = task.co_monotone;
-        align_lookups.emplace_back(std::move(spec));
-        is_align_dc[task.dc] = 1;
-      }
-      // Frozen-neighbour stores for the repair's order-DC candidate
-      // seeding: one per indexed order-pair DC whose activation unit is a
-      // single numeric attribute on one side of the pair.
-      for (size_t l = 0; l < constraints.size(); ++l) {
-        size_t x = 0, y = 0;
-        if (!constraints[l].dc.AsOrderPair(&x, &y)) continue;
-        if (shards[0].indices[l] == nullptr) continue;
-        const size_t u = activation.dc_unit[l];
-        if (u == SIZE_MAX || model.units()[u].attrs.size() != 1) continue;
-        const size_t unit_attr = model.units()[u].attrs[0];
-        if (!schema.attribute(unit_attr).is_numeric()) continue;
-        const size_t other =
-            y == unit_attr ? x : (x == unit_attr ? y : SIZE_MAX);
-        if (other == SIZE_MAX || !schema.attribute(other).is_numeric()) {
-          continue;
-        }
-        neighbors[l] = std::make_unique<FrozenNeighborStore>(other, unit_attr);
-      }
-    }
     obs::TraceSpan span("sampler/prefix_merge");
     span.AddArg("shard", static_cast<int64_t>(s));
     span.AddArg("rows", static_cast<int64_t>(sizes[s]));
@@ -1429,15 +1445,13 @@ Result<Table> Synthesize(const ProbabilisticDataModel& model,
     // driven directly by the run RNG (no sub-seeding), with nested
     // parallelism for candidate scoring and MCMC batches.
     Table out(schema);
-    std::vector<std::unique_ptr<ViolationIndex>> indices;
     {
       obs::TraceSpan span("sampler/shard");
       span.AddArg("shard", 0);
       span.AddArg("rows", static_cast<int64_t>(n));
       KAMINO_RETURN_IF_ERROR(SampleShardRows(
           model, constraints, activation, n, options, options.mcmc_resamples,
-          /*allow_nested_parallel=*/true, hooks, rng, telemetry, &out,
-          &indices));
+          /*allow_nested_parallel=*/true, hooks, rng, telemetry, &out));
     }
     if (hooks != nullptr && hooks->on_chunk) {
       KAMINO_RETURN_IF_ERROR(EmitFrozenSlice(out.Slice(0, n), 0, 0,

@@ -95,14 +95,17 @@ struct SynthesisTelemetry {
   /// Shards the run was partitioned into (resolved; >= 1).
   size_t num_shards = 1;
   /// Cross-shard violating pairs found between each shard and the frozen
-  /// prefix before it (violations the per-shard sampling could not see).
+  /// prefix before it (violations the per-shard sampling could not see),
+  /// over every DC whatever reconciles it.
   int64_t merge_cross_violations = 0;
-  /// Rows that participated in at least one cross-shard violation.
+  /// Rows queued for the bounded repair: rows in at least one cross-shard
+  /// violation of a repair-owned DC (soft, or hard with no exact pass).
+  /// Zero when the exact FD / order passes own every DC.
   int64_t merge_conflict_rows = 0;
   /// Re-samples spent by the bounded reconciliation repair.
   int64_t merge_resamples = 0;
   /// Re-sample budget of the reconciliation repair, summed over freezes:
-  /// each freeze with conflicts gets 16 + 2 * its conflicted rows.
+  /// each freeze that queues rows for repair gets 16 + 2 * those rows.
   int64_t merge_budget = 0;
   /// Repair sweeps cut short because consecutive repairs stopped reducing
   /// the weighted violation penalty.
@@ -168,9 +171,12 @@ struct SynthesisTelemetry {
 /// drives the full per-row loop over its slice from its own RngStream
 /// sub-seed with per-shard violation indices). Shards then freeze in
 /// ascending order: each is reconciled against the frozen prefix before
-/// it — a bounded repair of rows in cross-shard DC conflicts, then exact
-/// hard-FD canonicalization and hard-order-DC rank alignment that rewrite
-/// only the incoming shard's rows — and its chunk is emitted at once. The
+/// it, rewriting only the incoming shard's rows, and its chunk is emitted
+/// at once. Every DC has one reconciling mechanism: hard FDs are
+/// canonicalized onto the prefix's values, hard order DCs are rank-aligned
+/// into the prefix's monotone relation (both exact), and every other DC —
+/// soft, or hard with no exact pass — gets a bounded greedy repair of the
+/// rows in its cross-shard conflicts. The
 /// output is a pure function of (seed, num_shards) — bit-identical at any
 /// `num_threads` — and `num_shards == 1` reproduces the sequential paper
 /// semantics exactly.

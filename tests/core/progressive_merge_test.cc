@@ -4,8 +4,7 @@
 // the MakeNaiveViolationIndex oracle), frozen-prefix immutability (rows
 // already streamed are never rewritten), the single-shard golden digest,
 // chunk-only delivery (`discard_result`), and unit tests of the
-// prefix-frozen FD canonicalization + rank alignment passes in
-// core/prefix_merge.h.
+// frozen-prefix FD and order lookups in core/prefix_merge.h.
 
 #include <gtest/gtest.h>
 
@@ -186,6 +185,36 @@ TEST(ProgressiveMergeTest, HardDcsExactAfterEveryPrefixFreeze) {
   EXPECT_EQ(run.telemetry.merge_prefix_freezes, 4);
 }
 
+TEST(ProgressiveMergeTest, ExactPassesOwnEveryHardDcOnTaxAndTpch) {
+  // Every Tax and TPC-H DC is a hard FD or a hard order DC, so an exact
+  // pass owns each one: the freezes meet cross-shard conflicts, yet the
+  // greedy repair never runs, and the hard DCs still hold over every
+  // delivered prefix by the naive pair scan.
+  for (const BenchmarkDataset& ds :
+       {MakeTaxLike(100, 13), MakeTpchLike(100, 13)}) {
+    auto constraints =
+        ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema())
+            .TakeValue();
+    const ProgressiveRun run = RunProgressive(ds, 100, 1, 4);
+    EXPECT_GT(run.telemetry.merge_cross_violations, 0) << ds.name;
+    EXPECT_EQ(run.telemetry.merge_conflict_rows, 0) << ds.name;
+    EXPECT_EQ(run.telemetry.merge_resamples, 0) << ds.name;
+    EXPECT_EQ(run.telemetry.merge_budget, 0) << ds.name;
+    EXPECT_EQ(run.telemetry.merge_penalty_live_row_scans, 0) << ds.name;
+    ASSERT_EQ(run.chunks.size(), 4u);
+    Table prefix(run.out.schema());
+    for (size_t s = 0; s < run.chunks.size(); ++s) {
+      prefix.AppendRowsFrom(run.chunks[s].rows, 0, run.chunks[s].num_rows());
+      for (const WeightedConstraint& wc : constraints) {
+        if (!wc.hard) continue;
+        EXPECT_EQ(CountViolationsNaive(wc.dc, prefix), 0)
+            << ds.name << ": " << wc.dc.ToString(ds.table.schema())
+            << " violated on the frozen prefix after freeze " << s;
+      }
+    }
+  }
+}
+
 TEST(ProgressiveMergeTest, FrozenPrefixNeverRewritten) {
   // Prefix immutability: every row exactly as delivered in its chunk must
   // reappear bit-identical in the final table — later freezes repair only
@@ -274,9 +303,41 @@ TEST(ProgressiveMergeTest, DiscardResultDeliversChunksOnly) {
 }
 
 // ---------------------------------------------------------------------
-// Unit tests of the prefix-frozen passes (core/prefix_merge.h) on
-// hand-built tables.
+// Unit tests of the frozen-prefix lookups (core/prefix_merge.h) on
+// hand-built tables. Rows [0, frozen_end) play the frozen prefix and the
+// rest the live shard, as at a shard freeze.
 // ---------------------------------------------------------------------
+
+/// Replaces rows [frozen_end, n) of `t` with `live`.
+void WriteBackLive(Table* t, size_t frozen_end, const Table& live) {
+  Table out = t->Slice(0, frozen_end);
+  out.AppendRowsFrom(live, 0, live.num_rows());
+  *t = std::move(out);
+}
+
+/// Absorbs rows [0, frozen_end) of `t` as one frozen slice, canonicalizes
+/// the rest as the live table, and writes it back. Returns cells
+/// rewritten.
+int64_t CanonicalizeLive(Table* t, const std::vector<PrefixFdFamily>& families,
+                         size_t frozen_end, std::vector<bool>* attr_modified) {
+  FrozenFdLookups lookups(families);
+  lookups.Absorb(t->Slice(0, frozen_end), 0);
+  Table live = t->Slice(frozen_end, t->num_rows() - frozen_end);
+  const int64_t rewrites = lookups.Canonicalize(&live, attr_modified);
+  WriteBackLive(t, frozen_end, live);
+  return rewrites;
+}
+
+/// Absorbs rows [0, frozen_end) of `t` as one frozen slice, aligns the
+/// rest as the live table, and writes it back. Returns cells rewritten.
+int64_t AlignLive(Table* t, const PrefixAlignSpec& spec, size_t frozen_end) {
+  FrozenAlignLookups lookups(spec);
+  lookups.Absorb(t->Slice(0, frozen_end));
+  Table live = t->Slice(frozen_end, t->num_rows() - frozen_end);
+  const int64_t moved = lookups.Align(&live);
+  WriteBackLive(t, frozen_end, live);
+  return moved;
+}
 
 /// Schema of three numeric attributes g, x, y (group, context, dependent).
 Table NumericTable(const std::vector<std::vector<double>>& rows) {
@@ -303,7 +364,7 @@ PrefixAlignSpec GroupedSpec(bool co_monotone) {
 
 int64_t AlignViolations(const Table& t, const PrefixAlignSpec& spec) {
   // Strict inversions within each group under the oriented order: the
-  // quantity PrefixFrozenRankAlign must zero.
+  // quantity FrozenAlignLookups::Align must zero.
   int64_t violations = 0;
   for (size_t i = 0; i < t.num_rows(); ++i) {
     for (size_t j = 0; j < i; ++j) {
@@ -337,7 +398,7 @@ TEST(PrefixRankAlignTest, SlotsNewRowsIntoFrozenMonotoneRelation) {
                           {0, 35, 2}});
   const PrefixAlignSpec spec = GroupedSpec(true);
   EXPECT_GT(AlignViolations(t, spec), 0);
-  const int64_t moved = PrefixFrozenRankAlign(&t, spec, 3);
+  const int64_t moved = AlignLive(&t, spec, 3);
   EXPECT_GT(moved, 0);
   EXPECT_EQ(AlignViolations(t, spec), 0);
   // Frozen cells untouched.
@@ -352,7 +413,7 @@ TEST(PrefixRankAlignTest, AntiMonotoneOrientation) {
   // (oriented), i.e. its y lands between the frozen neighbours.
   Table t = NumericTable({{0, 10, 9}, {0, 30, 1}, {0, 20, 100}});
   const PrefixAlignSpec spec = GroupedSpec(false);
-  PrefixFrozenRankAlign(&t, spec, 2);
+  AlignLive(&t, spec, 2);
   EXPECT_EQ(AlignViolations(t, spec), 0);
   const double y = t.at(2, 2).numeric();
   EXPECT_LE(y, 9.0);
@@ -366,7 +427,7 @@ TEST(PrefixRankAlignTest, GroupsAlignIndependently) {
                           {1, 20, 2},     // group 1 suffix, below lo = 5
                           {2, 20, 10}});  // group 2 suffix, below lo = 50
   const PrefixAlignSpec spec = GroupedSpec(true);
-  PrefixFrozenRankAlign(&t, spec, 2);
+  AlignLive(&t, spec, 2);
   EXPECT_EQ(AlignViolations(t, spec), 0);
   EXPECT_EQ(t.at(2, 2).numeric(), 5.0);   // clamped to group 1's lo
   EXPECT_EQ(t.at(3, 2).numeric(), 50.0);  // clamped to group 2's lo
@@ -377,7 +438,7 @@ TEST(PrefixRankAlignTest, EmptyFrozenPrefixIsPlainRankAlignment) {
   // the suffix: the dependent values are a permutation of the originals.
   Table t = NumericTable({{0, 30, 1}, {0, 10, 9}, {0, 20, 5}});
   const PrefixAlignSpec spec = GroupedSpec(true);
-  PrefixFrozenRankAlign(&t, spec, 0);
+  AlignLive(&t, spec, 0);
   EXPECT_EQ(AlignViolations(t, spec), 0);
   EXPECT_EQ(t.at(0, 2).numeric(), 9.0);  // x=30 takes the largest y
   EXPECT_EQ(t.at(1, 2).numeric(), 1.0);
@@ -392,7 +453,7 @@ TEST(PrefixRankAlignTest, PreservesSuffixMultisetWhenEnvelopeIsLoose) {
                           {0, 20, 60},
                           {0, 40, 20}});
   const PrefixAlignSpec spec = GroupedSpec(true);
-  PrefixFrozenRankAlign(&t, spec, 2);
+  AlignLive(&t, spec, 2);
   EXPECT_EQ(AlignViolations(t, spec), 0);
   EXPECT_EQ(t.at(3, 2).numeric(), 20.0);  // x=20 -> smallest suffix y
   EXPECT_EQ(t.at(2, 2).numeric(), 40.0);
@@ -404,9 +465,36 @@ TEST(PrefixRankAlignTest, TiedContextsImposeNoConstraint) {
   // ties never violate an order DC.
   Table t = NumericTable({{0, 10, 5}, {0, 10, 999}});
   const PrefixAlignSpec spec = GroupedSpec(true);
-  const int64_t moved = PrefixFrozenRankAlign(&t, spec, 1);
+  const int64_t moved = AlignLive(&t, spec, 1);
   EXPECT_EQ(moved, 0);
   EXPECT_EQ(t.at(1, 2).numeric(), 999.0);
+}
+
+TEST(PrefixRankAlignTest, AlignInvariantToFrozenSlicing) {
+  // A freeze absorbs the frozen prefix one slice at a time. Absorbing the
+  // same nine frozen rows whole or as three slices must give the same
+  // envelope — here with contexts tied across slices (x=10, 20 and 30 of
+  // group 0 each appear in two slices) — so the live rows align alike.
+  const Table frozen = NumericTable({{0, 10, 1}, {0, 20, 5}, {1, 10, 50},
+                                     {0, 20, 3}, {0, 30, 9}, {1, 20, 60},
+                                     {0, 10, 2}, {0, 30, 7}, {1, 10, 40}});
+  const Table live = NumericTable({{0, 20, 100}, {0, 15, 0}, {0, 30, 1},
+                                   {0, 5, 8}, {1, 10, 0}, {1, 15, 70},
+                                   {2, 1, 1}});
+  for (const bool co_monotone : {true, false}) {
+    FrozenAlignLookups whole(GroupedSpec(co_monotone));
+    FrozenAlignLookups sliced(GroupedSpec(co_monotone));
+    whole.Absorb(frozen);
+    for (size_t begin = 0; begin < 9; begin += 3) {
+      sliced.Absorb(frozen.Slice(begin, 3));
+    }
+    Table a = live;
+    Table b = live;
+    const int64_t moved = whole.Align(&a);
+    EXPECT_GT(moved, 0);
+    EXPECT_EQ(moved, sliced.Align(&b)) << "co_monotone=" << co_monotone;
+    ExpectSameTable(a, b);
+  }
 }
 
 /// Schema of four categorical attributes a, b, c, d for the FD tests.
@@ -442,8 +530,7 @@ TEST(ProgressiveMergeTest, PrefixFdCanonicalizeAdoptsFrozenValue) {
   family.rhs = 2;
   family.lhs_sets = {{0}};
   std::vector<bool> modified(4, false);
-  const int64_t rewrites =
-      PrefixFrozenFdCanonicalize(&t, {family}, 2, &modified);
+  const int64_t rewrites = CanonicalizeLive(&t, {family}, 2, &modified);
   EXPECT_EQ(rewrites, 2);
   EXPECT_TRUE(modified[2]);
   EXPECT_EQ(t.at(2, 2).category(), 1);  // adopted frozen canonical
@@ -464,7 +551,7 @@ TEST(ProgressiveMergeTest, BridgingRowRepointsLhsAtAdoptedRepresentative) {
   family.rhs = 2;
   family.lhs_sets = {{0}, {1}};
   std::vector<bool> modified(4, false);
-  PrefixFrozenFdCanonicalize(&t, {family}, 2, &modified);
+  CanonicalizeLive(&t, {family}, 2, &modified);
   EXPECT_EQ(t.at(2, 2).category(), 1);
   EXPECT_EQ(t.at(2, 1).category(), 0);
   EXPECT_EQ(t.at(2, 0).category(), 0);
@@ -495,9 +582,54 @@ TEST(ProgressiveMergeTest, FdCanonicalizationCascadesAcrossFamilies) {
   PrefixFdFamily cd;
   cd.rhs = 3;
   cd.lhs_sets = {{2}};
-  PrefixFrozenFdCanonicalize(&t, {ac, cd}, 1, nullptr);
+  CanonicalizeLive(&t, {ac, cd}, 1, nullptr);
   EXPECT_EQ(t.at(1, 2).category(), 1);
   EXPECT_EQ(t.at(1, 3).category(), 5);
+}
+
+TEST(ProgressiveMergeTest, FdCanonicalizeInvariantToFrozenSlicing) {
+  // A freeze absorbs the frozen prefix one slice at a time. Absorbing the
+  // same nine FD-exact frozen rows (a -> c, b -> c, c -> d) whole or as
+  // three slices must canonicalize the live rows alike. Keys repeat
+  // across slices, and two live rows bridge frozen groups whose adopted
+  // representative lies in a later slice (rows 3 and 6), so the LHS
+  // re-point reads values captured from that slice.
+  const Table frozen = CategoricalTable({{0, 0, 1, 5}, {1, 1, 2, 6},
+                                         {0, 0, 1, 5}, {2, 2, 3, 7},
+                                         {1, 1, 2, 6}, {3, 0, 1, 5},
+                                         {4, 4, 4, 8}, {2, 5, 3, 7},
+                                         {5, 1, 2, 6}});
+  const Table live = CategoricalTable({{0, 1, 9, 0},    // bridges rows 0, 1
+                                       {3, 2, 7, 1},    // bridges rows 5, 3
+                                       {6, 6, 9, 9},    // live-only keys
+                                       {6, 7, 8, 2},    // joins the row above
+                                       {5, 4, 0, 0}});  // bridges rows 8, 6
+  PrefixFdFamily ac;
+  ac.rhs = 2;
+  ac.lhs_sets = {{0}, {1}};
+  PrefixFdFamily cd;
+  cd.rhs = 3;
+  cd.lhs_sets = {{2}};
+  FrozenFdLookups whole({ac, cd});
+  FrozenFdLookups sliced({ac, cd});
+  whole.Absorb(frozen, 0);
+  for (size_t begin = 0; begin < 9; begin += 3) {
+    sliced.Absorb(frozen.Slice(begin, 3), begin);
+  }
+  Table a = live;
+  Table b = live;
+  std::vector<bool> modified_a(4, false);
+  std::vector<bool> modified_b(4, false);
+  const int64_t rewrites = whole.Canonicalize(&a, &modified_a);
+  EXPECT_GT(rewrites, 0);
+  EXPECT_EQ(rewrites, sliced.Canonicalize(&b, &modified_b));
+  EXPECT_EQ(modified_a, modified_b);
+  ExpectSameTable(a, b);
+  // The bridging rows adopted the later-slice representative's values.
+  EXPECT_EQ(a.at(1, 0).category(), 2);
+  EXPECT_EQ(a.at(1, 2).category(), 3);
+  EXPECT_EQ(a.at(4, 0).category(), 4);
+  EXPECT_EQ(a.at(4, 2).category(), 4);
 }
 
 }  // namespace

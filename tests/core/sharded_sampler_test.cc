@@ -294,13 +294,14 @@ TEST(ShardedSamplerTest, ShardedRunsAreReproducible) {
 }
 
 TEST(ShardedSamplerTest, AdaptiveMergeBudgetScalesWithConflicts) {
-  // Each freeze with cross-shard conflicts gets a repair budget of
-  // 16 + 2 * its conflicted rows; the run's budget is the sum over
-  // freezes. The per-freeze conflict counts come from the
-  // sampler/prefix_merge spans.
+  // Each freeze with rows queued for repair gets a budget of
+  // 16 + 2 * those rows; the run's budget is the sum over freezes. The
+  // per-freeze conflict counts come from the sampler/prefix_merge spans.
+  // Adult's DCs are flipped soft: hard, they are owned by the exact
+  // passes and never reach the repair.
   obs::TraceRecorder::Global().Clear();
   obs::TraceRecorder::Global().SetEnabled(true);
-  const KaminoResult a = RunPipeline(1, 4);
+  const KaminoResult a = RunPipeline(1, 4, /*all_soft=*/true);
   const std::vector<obs::TraceEvent> events =
       obs::TraceRecorder::Global().Snapshot();
   obs::TraceRecorder::Global().SetEnabled(false);
@@ -321,9 +322,10 @@ TEST(ShardedSamplerTest, AdaptiveMergeBudgetScalesWithConflicts) {
   EXPECT_EQ(conflict_rows, a.telemetry.merge_conflict_rows);
   EXPECT_GT(a.telemetry.merge_conflict_rows, 0);
   EXPECT_EQ(a.telemetry.merge_budget, expected_budget);
+  EXPECT_GT(a.telemetry.merge_resamples, 0);
   EXPECT_LE(a.telemetry.merge_resamples, a.telemetry.merge_budget);
   // Deterministic: same seed + shards => same table, budget and stops.
-  const KaminoResult b = RunPipeline(1, 4);
+  const KaminoResult b = RunPipeline(1, 4, /*all_soft=*/true);
   ExpectSameTable(a.synthetic, b.synthetic);
   EXPECT_EQ(a.telemetry.merge_budget, b.telemetry.merge_budget);
   EXPECT_EQ(a.telemetry.merge_early_stops, b.telemetry.merge_early_stops);

@@ -1,10 +1,12 @@
 // Differential quality oracle for shard-parallel synthesis: sharded output
 // may differ from the sequential sampler's, but it must not be measurably
-// worse. One Adult fit is sampled at 1, 2 and 4 shards over three request
-// seeds; the sharded runs' mean 1-way and 2-way marginal distances must
-// stay within the end-to-end bounds of BENCHMARK.json (+15% and +25% of
-// the 1-shard figures), with zero hard-DC violations by the naive pair
-// scan.
+// worse. One fit is sampled at 1, 2 and 4 shards over three request
+// seeds, and the sharded runs are held to the 1-shard run:
+//  - Adult (hard DCs, owned by the exact passes): mean 1-way and 2-way
+//    marginal distances within the end-to-end bounds of BENCHMARK.json
+//    (+15% and +25%), with zero hard-DC violations by the naive pair scan.
+//  - BR2000 (soft DCs only, all owned by the freeze repair): total
+//    soft-DC violations within a fixed factor of the 1-shard total.
 //
 // Tax is deliberately not an input: its 1-shard output carries thousands
 // of hard-DC violations (about 4,500 per 2400 rows), because the
@@ -31,10 +33,11 @@ struct Quality {
   double one_way = 0.0;
   double two_way = 0.0;
   int64_t hard_violations = 0;
+  int64_t soft_violations = 0;
 };
 
 /// Mean marginal distances to `truth` over request seeds 1..3, plus the
-/// total hard-DC violations of those runs.
+/// total hard- and soft-DC violations of those runs.
 Quality MeasureAtShards(const FitArtifacts& fitted, const Table& truth,
                         size_t num_rows, size_t num_shards) {
   constexpr uint64_t kSeeds = 3;
@@ -58,14 +61,15 @@ Quality MeasureAtShards(const FitArtifacts& fitted, const Table& truth,
                                                 &pair_rng)) /
                  kSeeds;
     for (const WeightedConstraint& wc : fitted.weighted) {
-      if (wc.hard) q.hard_violations += CountViolationsNaive(wc.dc, rows);
+      (wc.hard ? q.hard_violations : q.soft_violations) +=
+          CountViolationsNaive(wc.dc, rows);
     }
   }
   return q;
 }
 
-TEST(ShardingQualityTest, ShardedMarginalsWithinBoundOfSequential) {
-  const BenchmarkDataset ds = MakeAdultLike(600, 13);
+/// The non-private single-thread fit both legs sample from.
+Result<FitArtifacts> Fit(const BenchmarkDataset& ds) {
   auto constraints =
       ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
   KaminoConfig config;
@@ -73,7 +77,12 @@ TEST(ShardingQualityTest, ShardedMarginalsWithinBoundOfSequential) {
   config.options.iterations = 40;
   config.options.seed = 77;
   config.options.num_threads = 1;
-  Result<FitArtifacts> fitted = FitPipeline(ds.table, constraints, config);
+  return FitPipeline(ds.table, constraints, config);
+}
+
+TEST(ShardingQualityTest, ShardedMarginalsWithinBoundOfSequential) {
+  const BenchmarkDataset ds = MakeAdultLike(600, 13);
+  Result<FitArtifacts> fitted = Fit(ds);
   ASSERT_TRUE(fitted.ok()) << fitted.status();
 
   const size_t n = 1200;
@@ -88,6 +97,30 @@ TEST(ShardingQualityTest, ShardedMarginalsWithinBoundOfSequential) {
         << "2-way marginals degraded at num_shards=" << num_shards;
     EXPECT_EQ(sharded.hard_violations, 0)
         << "hard DCs violated at num_shards=" << num_shards;
+  }
+  runtime::SetGlobalNumThreads(0);
+}
+
+TEST(ShardingQualityTest, ShardedSoftDcViolationsWithinFactorOfSequential) {
+  // The freeze repair is what keeps soft DCs in check across shards: the
+  // per-shard sampling never sees its pairs with earlier shards. With the
+  // repair this input's 2- and 4-shard totals are 1.86x and 1.44x the
+  // 1-shard total; with the repair skipped they are 4.19x and 4.30x.
+  constexpr double kMaxFactor = 2.5;
+  const BenchmarkDataset ds = MakeBr2000Like(600, 13);
+  Result<FitArtifacts> fitted = Fit(ds);
+  ASSERT_TRUE(fitted.ok()) << fitted.status();
+
+  const size_t n = 1200;
+  const Quality sequential = MeasureAtShards(fitted.value(), ds.table, n, 1);
+  ASSERT_GT(sequential.soft_violations, 0);
+  for (const size_t num_shards : {size_t{2}, size_t{4}}) {
+    const Quality sharded =
+        MeasureAtShards(fitted.value(), ds.table, n, num_shards);
+    EXPECT_LE(static_cast<double>(sharded.soft_violations),
+              kMaxFactor * static_cast<double>(sequential.soft_violations))
+        << "soft-DC violations at num_shards=" << num_shards << " vs "
+        << sequential.soft_violations << " at 1 shard";
   }
   runtime::SetGlobalNumThreads(0);
 }

@@ -8,13 +8,13 @@
 
 namespace kamino {
 
-std::vector<int32_t> ModelUnit::DecodeJointIndex(size_t index) const {
-  std::vector<int32_t> values(radix.size());
+void ModelUnit::DecodeJointIndex(size_t index,
+                                 std::vector<Value>* values) const {
+  values->resize(radix.size());
   for (size_t i = radix.size(); i-- > 0;) {
-    values[i] = static_cast<int32_t>(index % radix[i]);
+    (*values)[i] = Value::Categorical(static_cast<int32_t>(index % radix[i]));
     index /= radix[i];
   }
-  return values;
 }
 
 namespace {

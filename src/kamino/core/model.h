@@ -45,8 +45,10 @@ struct ModelUnit {
   /// null when the shared store is used.
   std::unique_ptr<EncoderStore> private_store;
 
-  /// Decodes a joint histogram index into per-attribute category values.
-  std::vector<int32_t> DecodeJointIndex(size_t index) const;
+  /// Decodes a joint index over the unit's categorical attributes into
+  /// per-attribute category values, written to `values` (resized to
+  /// radix.size(), aligned with attrs) without a temporary vector.
+  void DecodeJointIndex(size_t index, std::vector<Value>* values) const;
 };
 
 /// The privately learned probabilistic data model M of Algorithm 2: the

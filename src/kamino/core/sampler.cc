@@ -100,9 +100,7 @@ std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
       out.reserve(unit.distribution.size());
       for (size_t idx = 0; idx < unit.distribution.size(); ++idx) {
         Candidate c;
-        for (int32_t v : unit.DecodeJointIndex(idx)) {
-          c.values.push_back(Value::Categorical(v));
-        }
+        unit.DecodeJointIndex(idx, &c.values);
         c.prob = unit.distribution[idx];
         out.push_back(std::move(c));
       }
@@ -117,9 +115,7 @@ std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
     out.reserve(probs.size());
     for (size_t idx = 0; idx < probs.size(); ++idx) {
       Candidate c;
-      for (int32_t v : model.DecodeJointIndex(idx)) {
-        c.values.push_back(Value::Categorical(v));
-      }
+      unit.DecodeJointIndex(idx, &c.values);
       c.prob = probs[idx];
       out.push_back(std::move(c));
     }

@@ -1,10 +1,27 @@
 #include "kamino/nn/discriminative.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kamino/common/logging.h"
 
 namespace kamino {
+namespace {
+
+/// In-place softmax of v[0..n), as autograd's `Softmax` computes one row:
+/// max shift, exp, running sum, then divide.
+void SoftmaxInPlace(double* v, size_t n) {
+  double mx = v[0];
+  for (size_t i = 1; i < n; ++i) mx = std::max(mx, v[i]);
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = std::exp(v[i] - mx);
+    sum += v[i];
+  }
+  for (size_t i = 0; i < n; ++i) v[i] /= sum;
+}
+
+}  // namespace
 
 DiscriminativeModel::DiscriminativeModel(const Schema& schema,
                                          std::vector<size_t> context,
@@ -119,16 +136,6 @@ size_t DiscriminativeModel::JointIndex(const Row& row) const {
   return index;
 }
 
-std::vector<int32_t> DiscriminativeModel::DecodeJointIndex(
-    size_t index) const {
-  std::vector<int32_t> values(targets_.size());
-  for (size_t i = targets_.size(); i-- > 0;) {
-    values[i] = static_cast<int32_t>(index % radix_[i]);
-    index /= radix_[i];
-  }
-  return values;
-}
-
 Var DiscriminativeModel::Output(const Row& row, ForwardContext* ctx) const {
   std::vector<Var> embeddings;
   embeddings.reserve(context_.size());
@@ -157,32 +164,53 @@ Var DiscriminativeModel::Loss(const Row& row, ForwardContext* ctx) const {
   return GaussianNll(out, enc->Standardize(row[targets_[0]].numeric()));
 }
 
+void DiscriminativeModel::Forward(const Row& row, double* out) const {
+  const size_t m = context_.size();
+  const size_t d = store_->embed_dim();
+  std::vector<double> buffer(m * d + m + 3 * d);
+  double* keys = buffer.data();       // m x d
+  double* scores = keys + m * d;      // 1 x m, then alpha
+  double* context_vec = scores + m;   // 1 x d
+  double* h = context_vec + d;        // 1 x d
+  double* scratch = h + d;            // 1 x d, numeric encoder hidden layer
+  for (size_t i = 0; i < m; ++i) {
+    store_->encoder(context_[i])
+        ->EncodeInto(row[context_[i]], scratch, keys + i * d);
+  }
+  // scores = q keys^T, accumulated as MatMul(q, Transpose(keys)).
+  const Tensor& q = query_->value;
+  for (size_t j = 0; j < d; ++j) {
+    const double qj = q[j];
+    if (qj == 0.0) continue;
+    for (size_t l = 0; l < m; ++l) scores[l] += qj * keys[l * d + j];
+  }
+  SoftmaxInPlace(scores, m);
+  RowTimesMatrix(scores, m, keys, d, context_vec);
+  RowTimesMatrix(context_vec, d, w1_->value.data().data(), d, h);
+  const Tensor& b1 = b1_->value;
+  for (size_t l = 0; l < d; ++l) h[l] = std::max(0.0, h[l] + b1[l]);
+  const Tensor& w2 = w2_->value;
+  RowTimesMatrix(h, d, w2.data().data(), w2.cols(), out);
+  const Tensor& b2 = b2_->value;
+  for (size_t l = 0; l < w2.cols(); ++l) out[l] += b2[l];
+}
+
 std::vector<double> DiscriminativeModel::PredictCategorical(
     const Row& row) const {
   KAMINO_CHECK(target_is_categorical_) << "target is numeric";
-  ForwardContext ctx;
-  Var out = Output(row, &ctx);
-  // Softmax over logits (inference only, no gradient machinery needed).
-  const Tensor& logits = out->value;
-  std::vector<double> probs(logits.cols());
-  double mx = logits[0];
-  for (size_t i = 1; i < probs.size(); ++i) mx = std::max(mx, logits[i]);
-  double sum = 0.0;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    probs[i] = std::exp(logits[i] - mx);
-    sum += probs[i];
-  }
-  for (double& p : probs) p /= sum;
+  std::vector<double> probs(w2_->value.cols());
+  Forward(row, probs.data());
+  SoftmaxInPlace(probs.data(), probs.size());
   return probs;
 }
 
 std::pair<double, double> DiscriminativeModel::PredictGaussian(
     const Row& row) const {
   KAMINO_CHECK(!target_is_categorical_) << "target is categorical";
-  ForwardContext ctx;
-  Var out = Output(row, &ctx);
-  const double mu = out->value[0];
-  const double s = out->value[1];
+  double out[2] = {0.0, 0.0};
+  Forward(row, out);
+  const double mu = out[0];
+  const double s = out[1];
   const double sigma = (s > 30.0 ? s : std::log1p(std::exp(s))) + 1e-3;
   const AttributeEncoder* enc = store_->encoder(targets_[0]);
   // Destandardize: shift/scale the mean, scale the stddev.

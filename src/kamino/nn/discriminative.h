@@ -22,6 +22,12 @@ namespace kamino {
 ///   h       = relu(ctx_vec W1 + b1)                         (1 x d)
 ///   out     = h W2 + b2     (logits, or 1 x 2 (mu, s))
 ///
+/// Training builds this as an autograd graph (`Loss`). Inference
+/// (`PredictCategorical` / `PredictGaussian`) computes the same forward
+/// pass straight from the live parameter tensors into local buffers, with
+/// the same floating-point operations in the same order, so predictions
+/// are bit-identical to the graph's and never read a stale weight copy.
+///
 /// Targets come in two flavors:
 ///  - one numeric attribute: a Gaussian regression head (mu, sigma) trained
 ///    with negative log-likelihood on standardized values;
@@ -51,22 +57,21 @@ class DiscriminativeModel {
 
   /// Conditional distribution over the (joint) categorical target domain
   /// given the row's context attributes. Requires a categorical target.
+  /// Tape-free and reentrant: one model may predict from many threads.
   std::vector<double> PredictCategorical(const Row& row) const;
 
   /// Gaussian (mean, stddev) for a numeric target in the original value
-  /// space. Requires a numeric target.
+  /// space. Requires a numeric target. Tape-free and reentrant.
   std::pair<double, double> PredictGaussian(const Row& row) const;
 
   /// Every trainable parameter: shared context encoders plus the
   /// model-private attention query and head weights.
   std::vector<Parameter*> Parameters();
 
-  /// Index of `row`'s target values in the joint categorical domain.
+  /// Index of `row`'s target values in the joint categorical domain:
+  /// row-major over the targets, the first target most significant (the
+  /// coding `ModelUnit::DecodeJointIndex` inverts).
   size_t JointIndex(const Row& row) const;
-
-  /// Inverse of JointIndex: the per-target category values for a joint
-  /// domain index.
-  std::vector<int32_t> DecodeJointIndex(size_t index) const;
 
   const std::vector<size_t>& context() const { return context_; }
   const std::vector<size_t>& targets() const { return targets_; }
@@ -81,7 +86,12 @@ class DiscriminativeModel {
   Status ImportHeadTensors(const std::vector<Tensor>& values, size_t* pos);
 
  private:
+  /// The head output as a training graph (for `Loss`).
   Var Output(const Row& row, ForwardContext* ctx) const;
+
+  /// The head output without a graph: writes w2's column count of values
+  /// (logits, or (mu, s)) to `out`, op for op as `Output` computes them.
+  void Forward(const Row& row, double* out) const;
 
   const Schema* schema_;
   std::vector<size_t> context_;

@@ -1,5 +1,6 @@
 #include "kamino/nn/encoders.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kamino/common/logging.h"
@@ -45,6 +46,31 @@ Var AttributeEncoder::Encode(const Value& v, ForwardContext* ctx) const {
   Var d = ctx->Bind(num_d_.get());
   Var hidden = Relu(Add(Scale(a, x), c));          // 1 x d
   return Add(MatMul(hidden, b), d);                // 1 x d
+}
+
+void AttributeEncoder::EncodeInto(const Value& v, double* scratch,
+                                  double* out) const {
+  const size_t d = embed_dim_;
+  if (is_categorical_) {
+    KAMINO_CHECK(v.is_categorical()) << "categorical encoder got numeric";
+    const size_t index = static_cast<size_t>(v.category());
+    KAMINO_CHECK(index < lookup_->value.rows()) << "SelectRow out of range";
+    const double* table_row = lookup_->value.data().data() + index * d;
+    std::copy(table_row, table_row + d, out);
+    return;
+  }
+  KAMINO_CHECK(v.is_numeric()) << "numeric encoder got categorical";
+  const double x = Standardize(v.numeric());
+  const Tensor& a = num_a_->value;
+  const Tensor& c = num_c_->value;
+  // hidden = relu((a * x) + c): Scale, then Add, then Relu.
+  for (size_t i = 0; i < d; ++i) {
+    const double ax = a[i] * x;
+    scratch[i] = std::max(0.0, ax + c[i]);
+  }
+  RowTimesMatrix(scratch, d, num_b_->value.data().data(), d, out);
+  const Tensor& bias = num_d_->value;
+  for (size_t i = 0; i < d; ++i) out[i] += bias[i];
 }
 
 std::vector<Parameter*> AttributeEncoder::Parameters() {

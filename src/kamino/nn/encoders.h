@@ -21,7 +21,15 @@ class AttributeEncoder {
   AttributeEncoder(const Attribute& attr, size_t embed_dim, Rng* rng);
 
   /// Embeds `v` as a 1 x d vector, binding parameters through `ctx`.
+  /// Training only; inference uses `EncodeInto`.
   Var Encode(const Value& v, ForwardContext* ctx) const;
+
+  /// Tape-free `Encode`: writes the d values of `v`'s embedding to `out`,
+  /// reading the live parameter values. `scratch` holds d doubles for the
+  /// numeric hidden layer (unused for categorical). The floating-point
+  /// operations and their order are those of `Encode`, so the result is
+  /// bit-identical. Const and state-free, so concurrent calls are safe.
+  void EncodeInto(const Value& v, double* scratch, double* out) const;
 
   /// All trainable tensors of this encoder.
   std::vector<Parameter*> Parameters();

@@ -1,6 +1,7 @@
 #ifndef KAMINO_NN_MODULE_H_
 #define KAMINO_NN_MODULE_H_
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,21 @@ class ForwardContext {
  private:
   std::vector<std::pair<Parameter*, Var>> bindings_;
 };
+
+/// out[0..p) = x[0..k) * w for a row-major k x p matrix `w`, without a
+/// tape. Accumulates exactly as autograd's `MatMul` does: from 0.0, over
+/// x's entries in order, skipping those equal to 0.0. Tape-free inference
+/// relies on that order to match the training graph bit for bit.
+inline void RowTimesMatrix(const double* x, size_t k, const double* w,
+                           size_t p, double* out) {
+  std::fill(out, out + p, 0.0);
+  for (size_t j = 0; j < k; ++j) {
+    const double xj = x[j];
+    if (xj == 0.0) continue;
+    const double* w_row = w + j * p;
+    for (size_t l = 0; l < p; ++l) out[l] += xj * w_row[l];
+  }
+}
 
 /// Allocates zero tensors shaped like each parameter, for gradient
 /// accumulation.

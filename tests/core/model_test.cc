@@ -74,10 +74,13 @@ TEST(ModelUnitTest, DecodeJointIndexRoundTrip) {
   ModelUnit unit;
   unit.radix = {2, 3, 2};
   for (size_t idx = 0; idx < 12; ++idx) {
-    std::vector<int32_t> vals = unit.DecodeJointIndex(idx);
+    std::vector<Value> vals;
+    unit.DecodeJointIndex(idx, &vals);
+    ASSERT_EQ(vals.size(), unit.radix.size());
     size_t back = 0;
     for (size_t i = 0; i < vals.size(); ++i) {
-      back = back * unit.radix[i] + static_cast<size_t>(vals[i]);
+      EXPECT_TRUE(vals[i].is_categorical());
+      back = back * unit.radix[i] + static_cast<size_t>(vals[i].category());
     }
     EXPECT_EQ(back, idx);
   }

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "kamino/core/model.h"
 #include "kamino/data/table.h"
 #include "kamino/nn/discriminative.h"
 #include "kamino/nn/dpsgd.h"
 #include "kamino/nn/encoders.h"
+#include "kamino/runtime/thread_pool.h"
 
 namespace kamino {
 namespace {
@@ -90,10 +95,14 @@ TEST(DiscriminativeModelTest, JointTargetIndexRoundTrip) {
   // Joint target over (a: 3, b: 2) = 6 classes, context n.
   DiscriminativeModel model(schema, {1}, {0, 2}, &store, &rng);
   EXPECT_EQ(model.joint_domain_size(), 6u);
+  // The sampler decodes candidates with the unit's radix (the target
+  // domain sizes in target order); that must invert the model's coding.
+  ModelUnit unit;
+  unit.radix = {3, 2};
   for (size_t idx = 0; idx < 6; ++idx) {
-    std::vector<int32_t> vals = model.DecodeJointIndex(idx);
-    Row row = {Value::Categorical(vals[0]), Value::Numeric(0),
-               Value::Categorical(vals[1])};
+    std::vector<Value> vals;
+    unit.DecodeJointIndex(idx, &vals);
+    Row row = {vals[0], Value::Numeric(0), vals[1]};
     EXPECT_EQ(model.JointIndex(row), idx);
   }
 }
@@ -195,6 +204,275 @@ TEST(DpSgdTest, EmptyDataIsHandled) {
   Table data(schema);
   DpSgdOptions options;
   EXPECT_DOUBLE_EQ(TrainDpSgd(&model, data, options, &rng), 0.0);
+}
+
+// --- Tape-free inference: bit identity against the training graph. ---
+
+/// Two categorical and two numeric attributes, so every context mixes both
+/// encoder kinds.
+Schema InferenceSchema() {
+  return Schema({
+      Attribute::MakeCategorical("a", {"x", "y", "z"}),
+      Attribute::MakeNumeric("n", 0, 10, 11),
+      Attribute::MakeCategorical("b", {"p", "q"}),
+      Attribute::MakeCategorical("c", {"c0", "c1", "c2", "c3"}),
+      Attribute::MakeNumeric("m", -5, 5, 11),
+  });
+}
+
+std::vector<Row> RandomRows(const Schema& schema, size_t count, Rng* rng) {
+  std::vector<Row> rows;
+  for (size_t r = 0; r < count; ++r) {
+    Row row;
+    for (size_t a = 0; a < schema.size(); ++a) {
+      const Attribute& attr = schema.attribute(a);
+      if (attr.is_categorical()) {
+        row.push_back(Value::Categorical(static_cast<int32_t>(rng->UniformInt(
+            0, static_cast<int64_t>(attr.categories().size()) - 1))));
+      } else {
+        row.push_back(
+            Value::Numeric(rng->Uniform(attr.min_value(), attr.max_value())));
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// The head output (logits, or (mu, s)) as the training graph computes it,
+/// rebuilt from public pieces only: the encoders' own graphs, ConcatRows,
+/// and leaves over the exported head tensors. Adds to `*zeroed` the hidden
+/// units the head's ReLU clamped to 0.0 (the ones MatMul then skips).
+Tensor ReferenceOutput(const DiscriminativeModel& model,
+                       const EncoderStore& store, const Row& row,
+                       size_t* zeroed) {
+  ForwardContext ctx;
+  std::vector<Var> embeddings;
+  for (size_t a : model.context()) {
+    embeddings.push_back(store.encoder(a)->Encode(row[a], &ctx));
+  }
+  std::vector<Tensor> head;  // query, w1, b1, w2, b2
+  model.ExportHeadTensors(&head);
+  Var keys = ConcatRows(embeddings);
+  Var alpha = Softmax(MatMul(MakeLeaf(head[0]), Transpose(keys)));
+  Var context_vec = MatMul(alpha, keys);
+  Var h = Relu(Add(MatMul(context_vec, MakeLeaf(head[1])), MakeLeaf(head[2])));
+  for (double v : h->value.data()) {
+    if (v == 0.0) ++*zeroed;
+  }
+  return Add(MatMul(h, MakeLeaf(head[3])), MakeLeaf(head[4]))->value;
+}
+
+std::vector<double> ReferenceCategorical(const DiscriminativeModel& model,
+                                         const EncoderStore& store,
+                                         const Row& row, size_t* zeroed) {
+  Tensor logits = ReferenceOutput(model, store, row, zeroed);
+  return Softmax(MakeConstant(logits))->value.data();
+}
+
+std::pair<double, double> ReferenceGaussian(const DiscriminativeModel& model,
+                                            const EncoderStore& store,
+                                            const Row& row, size_t* zeroed) {
+  Tensor out = ReferenceOutput(model, store, row, zeroed);
+  const double s = out[1];
+  const double sigma = (s > 30.0 ? s : std::log1p(std::exp(s))) + 1e-3;
+  const AttributeEncoder* enc = store.encoder(model.targets()[0]);
+  const double stddev =
+      sigma * (enc->Destandardize(1.0) - enc->Destandardize(0.0));
+  return {enc->Destandardize(out[0]), std::abs(stddev)};
+}
+
+/// EXPECT_EQ (bit identity, not NEAR) of every prediction against the
+/// reference graph; returns the ReLU-zeroed hidden units seen.
+size_t ExpectMatchesGraph(const DiscriminativeModel& model,
+                          const EncoderStore& store,
+                          const std::vector<Row>& rows) {
+  size_t zeroed = 0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (model.target_is_categorical()) {
+      const std::vector<double> want =
+          ReferenceCategorical(model, store, rows[r], &zeroed);
+      const std::vector<double> got = model.PredictCategorical(rows[r]);
+      EXPECT_EQ(got.size(), want.size()) << "row " << r;
+      for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+        EXPECT_EQ(got[i], want[i]) << "row " << r << " class " << i;
+      }
+    } else {
+      const std::pair<double, double> want =
+          ReferenceGaussian(model, store, rows[r], &zeroed);
+      const std::pair<double, double> got = model.PredictGaussian(rows[r]);
+      EXPECT_EQ(got.first, want.first) << "row " << r;
+      EXPECT_EQ(got.second, want.second) << "row " << r;
+    }
+  }
+  return zeroed;
+}
+
+/// Fresh random tensors shaped like `like`.
+std::vector<Tensor> RandomLike(const std::vector<Tensor>& like, Rng* rng) {
+  std::vector<Tensor> out;
+  for (const Tensor& t : like) {
+    out.push_back(Tensor::Randn(t.rows(), t.cols(), 0.7, rng));
+  }
+  return out;
+}
+
+TEST(DiscriminativeInferenceTest, CategoricalTargetMatchesGraph) {
+  Schema schema = InferenceSchema();
+  Rng rng(11);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel model(schema, {0, 1, 3, 4}, {2}, &store, &rng);
+  const std::vector<Row> rows = RandomRows(schema, 64, &rng);
+  EXPECT_GT(ExpectMatchesGraph(model, store, rows), 0u);
+}
+
+TEST(DiscriminativeInferenceTest, JointTargetMatchesGraph) {
+  Schema schema = InferenceSchema();
+  Rng rng(12);
+  EncoderStore store(schema, 8, &rng);
+  // Hyper-attribute target (a, c): a 3 x 4 = 12-class joint domain.
+  DiscriminativeModel model(schema, {1, 2, 4}, {0, 3}, &store, &rng);
+  ASSERT_EQ(model.joint_domain_size(), 12u);
+  const std::vector<Row> rows = RandomRows(schema, 64, &rng);
+  EXPECT_GT(ExpectMatchesGraph(model, store, rows), 0u);
+}
+
+TEST(DiscriminativeInferenceTest, GaussianTargetMatchesGraph) {
+  Schema schema = InferenceSchema();
+  Rng rng(13);
+  EncoderStore store(schema, 6, &rng);
+  DiscriminativeModel model(schema, {0, 1, 2, 3}, {4}, &store, &rng);
+  std::vector<Row> rows = RandomRows(schema, 64, &rng);
+  // Domain ends and the midpoint (standardized x = 0) of the numeric
+  // context attribute.
+  for (double n : {0.0, 5.0, 10.0}) {
+    Row row = rows[0];
+    row[1] = Value::Numeric(n);
+    rows.push_back(std::move(row));
+  }
+  EXPECT_GT(ExpectMatchesGraph(model, store, rows), 0u);
+}
+
+TEST(DiscriminativeInferenceTest, ZeroQueryAndDeadHiddenUnitsMatchGraph) {
+  Schema schema = InferenceSchema();
+  Rng rng(14);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel cat(schema, {0, 1, 4}, {2, 3}, &store, &rng);
+  DiscriminativeModel gauss(schema, {0, 1, 3}, {4}, &store, &rng);
+  const std::vector<Row> rows = RandomRows(schema, 32, &rng);
+  for (DiscriminativeModel* model : {&cat, &gauss}) {
+    // Exact zeros in the attention query, and b1 so negative that half the
+    // hidden units are dead on every row: both drive MatMul's zero skip.
+    std::vector<Tensor> head;
+    model->ExportHeadTensors(&head);
+    for (size_t j = 0; j < head[0].size(); j += 2) head[0][j] = 0.0;
+    for (size_t j = 1; j < head[2].size(); j += 2) head[2][j] = -1e3;
+    size_t pos = 0;
+    ASSERT_TRUE(model->ImportHeadTensors(head, &pos).ok());
+    EXPECT_GE(ExpectMatchesGraph(*model, store, rows), rows.size() * 4);
+  }
+}
+
+TEST(DiscriminativeInferenceTest, ImportedAndCopiedWeightsAreReadLive) {
+  Schema schema = InferenceSchema();
+  Rng rng(15);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel cat(schema, {0, 1, 4}, {2}, &store, &rng);
+  DiscriminativeModel gauss(schema, {0, 1, 2}, {4}, &store, &rng);
+  const std::vector<Row> rows = RandomRows(schema, 16, &rng);
+  const std::vector<double> p0 = cat.PredictCategorical(rows[0]);
+  const std::pair<double, double> g0 = gauss.PredictGaussian(rows[0]);
+
+  // New head weights.
+  for (DiscriminativeModel* model : {&cat, &gauss}) {
+    std::vector<Tensor> head;
+    model->ExportHeadTensors(&head);
+    size_t pos = 0;
+    ASSERT_TRUE(model->ImportHeadTensors(RandomLike(head, &rng), &pos).ok());
+    ExpectMatchesGraph(*model, store, rows);
+  }
+  const std::vector<double> p1 = cat.PredictCategorical(rows[0]);
+  const std::pair<double, double> g1 = gauss.PredictGaussian(rows[0]);
+  EXPECT_NE(p1, p0);
+  EXPECT_NE(g1, g0);
+
+  // New encoder weights for every attribute.
+  std::vector<Tensor> encoders;
+  store.ExportTensors(&encoders);
+  size_t pos = 0;
+  ASSERT_TRUE(store.ImportTensors(RandomLike(encoders, &rng), &pos).ok());
+  ExpectMatchesGraph(cat, store, rows);
+  ExpectMatchesGraph(gauss, store, rows);
+  const std::vector<double> p2 = cat.PredictCategorical(rows[0]);
+  const std::pair<double, double> g2 = gauss.PredictGaussian(rows[0]);
+  EXPECT_NE(p2, p1);
+  EXPECT_NE(g2, g1);
+
+  // Embedding reuse (Algorithm 2) copied into one categorical and one
+  // numeric context encoder.
+  EncoderStore donor(schema, 8, &rng);
+  store.encoder(0)->CopyFrom(*donor.encoder(0));
+  store.encoder(1)->CopyFrom(*donor.encoder(1));
+  ExpectMatchesGraph(cat, store, rows);
+  ExpectMatchesGraph(gauss, store, rows);
+  EXPECT_NE(cat.PredictCategorical(rows[0]), p2);
+  EXPECT_NE(gauss.PredictGaussian(rows[0]), g2);
+}
+
+TEST(DiscriminativeInferenceTest, FurtherTrainingIsReadLive) {
+  Schema schema = InferenceSchema();
+  Rng rng(16);
+  const std::vector<Row> rows = RandomRows(schema, 80, &rng);
+  Table data(schema);
+  for (const Row& row : rows) data.AppendRowUnchecked(row);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel model(schema, {0, 1, 4}, {2, 3}, &store, &rng);
+  DpSgdOptions options;
+  options.noise_multiplier = 0.0;
+  options.iterations = 5;
+  options.learning_rate = 0.3;
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<double> before = model.PredictCategorical(rows[0]);
+    TrainDpSgd(&model, data, options, &rng);
+    EXPECT_NE(model.PredictCategorical(rows[0]), before) << "round " << round;
+    ExpectMatchesGraph(model, store, rows);
+  }
+}
+
+TEST(DiscriminativeInferenceTest, SharedModelPredictsIdenticallyFromFourThreads) {
+  Schema schema = InferenceSchema();
+  Rng rng(17);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel cat(schema, {0, 1, 4}, {2, 3}, &store, &rng);
+  DiscriminativeModel gauss(schema, {0, 1, 2, 3}, {4}, &store, &rng);
+  const std::vector<Row> rows = RandomRows(schema, 256, &rng);
+
+  std::vector<std::vector<double>> serial_cat;
+  std::vector<std::pair<double, double>> serial_gauss;
+  for (const Row& row : rows) {
+    serial_cat.push_back(cat.PredictCategorical(row));
+    serial_gauss.push_back(gauss.PredictGaussian(row));
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<double>> parallel_cat(rows.size());
+  std::vector<std::pair<double, double>> parallel_gauss(rows.size());
+  {
+    runtime::ThreadPool pool(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      pool.Submit([&, t] {
+        // Strided so all threads run both models on the same store at once.
+        for (size_t r = t; r < rows.size(); r += kThreads) {
+          parallel_cat[r] = cat.PredictCategorical(rows[r]);
+          parallel_gauss[r] = gauss.PredictGaussian(rows[r]);
+        }
+      });
+    }
+  }  // The pool's destructor finishes every task and joins.
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(parallel_cat[r], serial_cat[r]) << "row " << r;
+    EXPECT_EQ(parallel_gauss[r], serial_gauss[r]) << "row " << r;
+  }
 }
 
 }  // namespace

@@ -190,13 +190,19 @@ int main(int argc, char** argv) {
                   async_result.value().telemetry.merge_cross_violations));
 
   // --- Streaming delivery: each shard's chunk leaves as soon as the
-  // prefix through it freezes, while later shards still sample. The first
+  // prefix through it freezes, before later shards are done. The first
   // chunk should arrive well before the job finishes — `bound` is OK when
-  // first-chunk latency is under 0.75x the job total. ---
+  // first-chunk latency is under 0.75x the job total. One thread runs the
+  // shards inline (sample -> freeze -> emit, shard by shard), the schedule
+  // the bound describes; with a thread per shard these small shards all
+  // finish sampling at once and there is nothing left to overlap. The
+  // thread budget is process-wide, so the jobs below also run on one
+  // thread; their rows do not depend on it. ---
   PrintingSink sink;
   kamino::SynthesisRequest streaming;
   streaming.seed = 23;
   streaming.num_shards = 4;
+  streaming.num_threads = 1;
   streaming.sink = &sink;
   streaming.collect_table = false;  // rows leave through the sink only
   std::printf("  streaming job (4 shards):\n");

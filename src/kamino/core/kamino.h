@@ -22,7 +22,7 @@ struct PhaseTimings {
   /// Seconds of shard reconciliation, summed over the per-shard freezes.
   /// A sub-phase of `sampling` (already counted there), surfaced
   /// separately so the merge overhead of shard-parallel synthesis is
-  /// visible; 0 when the run used a single shard.
+  /// visible; a one-shard run counts its one freeze here.
   double shard_merge = 0.0;
   /// Thread budget the phases above ran with (resolved; >= 1). Compare
   /// the same phase across runs at different budgets for the realized

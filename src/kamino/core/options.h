@@ -89,12 +89,13 @@ struct KaminoOptions {
   /// violation indices. Shards freeze in order, each reconciled against
   /// the frozen prefix before it, and stream out as they freeze: rows
   /// already emitted are never rewritten, and hard DCs are exact over the
-  /// frozen prefix after every freeze. 1 = exact sequential paper
-  /// semantics (the default); 0 = one shard per worker thread. Synthetic
-  /// output is a pure function of (seed, resolved num_shards): changing
-  /// `num_threads` never changes it, changing the shard count does. Note
-  /// that 0 resolves the shard count *from* the thread budget, so for
-  /// machine-independent output pick an explicit shard count.
+  /// frozen prefix after every freeze. 1 (the default) = the sequential
+  /// paper stream, frozen once against an empty prefix; 0 = one shard per
+  /// worker thread. Synthetic output is a pure function of (seed,
+  /// resolved num_shards): changing `num_threads` never changes it,
+  /// changing the shard count does. Note that 0 resolves the shard count
+  /// *from* the thread budget, so for machine-independent output pick an
+  /// explicit shard count.
   size_t num_shards = 1;
 
   // --- Observability (src/kamino/obs/) ---
@@ -131,8 +132,7 @@ struct KaminoOptions {
   /// lookups — turning "n rows" from a RAM limit into a disk limit.
   /// Synthesized rows stay a pure function of (seed, num_shards): a run
   /// with this flag on is bit-identical to the in-memory run at any
-  /// num_threads. No effect at num_shards <= 1 (golden digest
-  /// unchanged). Off by default.
+  /// num_threads. Off by default.
   bool out_of_core = false;
   /// Parent directory for the out-of-core spill store's private
   /// `mkdtemp` directory. Empty (the default) means $TMPDIR, else /tmp.

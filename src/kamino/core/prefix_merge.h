@@ -10,10 +10,9 @@
 
 namespace kamino {
 
-/// Prefix-frozen reconciliation state for sharded synthesis
-/// (core/sampler.cc, `KaminoOptions::num_shards` > 1): the two exact
-/// passes a shard freeze runs, one for hard FDs and one for hard order
-/// DCs.
+/// Prefix-frozen reconciliation state for synthesis (core/sampler.cc) at
+/// every shard count: the two exact passes a shard freeze runs, one for
+/// hard FDs and one for hard order DCs.
 ///
 /// Each pass is a lookup class over the frozen prefix. `Absorb` folds in
 /// each newly frozen slice, in ascending global row order, at its freeze;

@@ -345,7 +345,7 @@ ActivationMap BuildActivationMap(
 /// `n` rows, writing into `out` (resized here). Its violation indices
 /// are local: the MCMC pass rewrites rows without updating them. With
 /// `allow_nested_parallel` the candidate scoring and MCMC batches may fan
-/// out onto the pool (the single-shard configuration); shard-parallel
+/// out onto the pool (the one-shard configuration); shard-parallel
 /// callers pass false so each shard stays a serial unit of work and the
 /// pool is fed whole shards instead. `mcmc_resamples` is this shard's
 /// slice of the run-wide `options.mcmc_resamples` budget, so total MCMC
@@ -928,12 +928,12 @@ struct FrozenNeighborStore {
   std::vector<Entry> entries;
 };
 
-/// Shard-parallel synthesis with prefix-frozen reconciliation: shard s is
-/// reconciled against the already-frozen prefix [0, s) as soon as its
-/// sampling completes, the grown prefix freezes, and shard s's chunk is
-/// emitted immediately — while later shards are still sampling on the
-/// pool. The first chunk therefore leaves after ~1/num_shards of the
-/// work.
+/// Synthesis at every shard count, with prefix-frozen reconciliation:
+/// shard s is reconciled against the already-frozen prefix [0, s) as soon
+/// as its sampling completes, the grown prefix freezes, and shard s's
+/// chunk is emitted immediately — while later shards are still sampling on
+/// the pool. The first chunk therefore leaves after ~1/num_shards of the
+/// work. A one-shard run is one freeze against an empty prefix.
 ///
 /// Every DC has exactly one owner (`DcOwner`, fixed before the first
 /// freeze): hard FDs are canonicalized, hard order DCs with an accepted
@@ -956,23 +956,30 @@ struct FrozenNeighborStore {
 ///     has violations.
 ///  5. Hard FDs win: re-run 3 if 4 touched an FD attribute.
 /// Shard 0's freeze runs 3/4 with an empty prefix, so the exactly-owned
-/// hard DCs hold after *every* freeze.
+/// hard DCs hold after *every* freeze, at every shard count.
 ///
-/// Determinism: shard content comes from per-shard sub-seeds, and every
-/// freeze is a pure function of (frozen prefix, shard s, merge_seed)
-/// applied in fixed shard order by this one coordinator thread — so the
-/// output is a pure function of (seed, num_shards), bit-identical at any
+/// Determinism: shard content comes from per-shard sub-seeds (one shard:
+/// the run RNG itself, the paper's sequential stream), and every freeze
+/// is a pure function of (frozen prefix, shard s, repair stream) applied
+/// in fixed shard order by this one coordinator thread — so the output is
+/// a pure function of (seed, num_shards), bit-identical at any
 /// num_threads.
 Result<Table> ProgressiveShardSynthesis(
     const ProbabilisticDataModel& model,
     const std::vector<WeightedConstraint>& constraints,
     const KaminoOptions& options, const ActivationMap& activation,
     const std::vector<size_t>& sizes, const std::vector<size_t>& offsets,
-    const std::vector<size_t>& mcmc_budgets, const runtime::RngStream& root,
-    uint64_t merge_seed, const SynthesisHooks* hooks,
-    SynthesisTelemetry* telemetry) {
+    const std::vector<size_t>& mcmc_budgets, Rng* rng,
+    const SynthesisHooks* hooks, SynthesisTelemetry* telemetry) {
   const Schema& schema = model.schema();
   const size_t num_shards = sizes.size();
+  // Seeds. Several shards each sample from a sub-seed of one root drawn
+  // from the run RNG, and the freeze repair draws from a stream distinct
+  // from all of them. One shard samples from the run RNG itself, with no
+  // draw before it (the paper's sequential stream), and never repairs:
+  // with no frozen prefix there are no cross-shard conflicts.
+  const bool one_shard = num_shards == 1;
+  const runtime::RngStream root(one_shard ? 0 : rng->NextSeed());
   // The assembled table, unless the caller consumes the run through chunks
   // only (`discard_result`): then it stays schema-only.
   Table out(schema);
@@ -998,21 +1005,24 @@ Result<Table> ProgressiveShardSynthesis(
     obs::TraceSpan span("sampler/shard");
     span.AddArg("shard", static_cast<int64_t>(s));
     span.AddArg("rows", static_cast<int64_t>(sizes[s]));
+    // The one shard of a one-shard run is the whole run: its candidate
+    // scoring and MCMC batches fan out onto the pool instead.
     Rng shard_rng(root.SubSeed(s));
     return SampleShardRows(model, constraints, activation, sizes[s], options,
-                           mcmc_budgets[s], /*allow_nested_parallel=*/false,
-                           hooks, &shard_rng, &shards[s].telemetry,
-                           &shards[s].table);
+                           mcmc_budgets[s], /*allow_nested_parallel=*/one_shard,
+                           hooks, one_shard ? rng : &shard_rng,
+                           &shards[s].telemetry, &shards[s].table);
   };
 
   // Scheduling: shards go onto the pool as independent tasks while this
-  // (coordinator) thread freezes them strictly in ascending order. With a
-  // single-thread budget — or when the caller is itself a pool worker and
-  // must not block on pool tasks — shards run inline between freezes
+  // (coordinator) thread freezes them strictly in ascending order. With one
+  // shard (nothing to overlap, and its nested parallelism needs the pool),
+  // a single-thread budget, or a caller that is itself a pool worker and
+  // must not block on pool tasks, shards run inline between freezes
   // instead: the same sample -> freeze -> emit order, so the same output
   // and the same early first chunk, just without sampling/freeze overlap.
-  const bool inline_shards =
-      runtime::GlobalNumThreads() <= 1 || runtime::ThreadPool::InWorkerThread();
+  const bool inline_shards = one_shard || runtime::GlobalNumThreads() <= 1 ||
+                             runtime::ThreadPool::InWorkerThread();
   std::mutex mu;
   std::condition_variable cv;
   std::vector<char> done(num_shards, 0);
@@ -1101,7 +1111,7 @@ Result<Table> ProgressiveShardSynthesis(
   // Running count of violating pairs wholly inside the frozen prefix,
   // per alignment DC — the frozen-side term of the align-pass gate.
   std::vector<int64_t> frozen_violations(constraints.size(), 0);
-  const runtime::RngStream merge_stream(merge_seed);
+  const runtime::RngStream merge_stream(root.SubSeed(num_shards));
   constexpr size_t kMergeNoGainStreak = 8;
 
   // Resident-row high-water mark, computed analytically (never by reading
@@ -1296,26 +1306,32 @@ Result<Table> ProgressiveShardSynthesis(
           fd_lookups.Canonicalize(&live, &attr_modified);
     }
 
-    // Freeze: index the shard's *final* rows into the running merged
-    // indices. For alignment DCs, fold the new intra-prefix pairs into the running
-    // count first — CountNew before AddRow sees each pair exactly once.
-    for (size_t l = 0; l < constraints.size(); ++l) {
-      if (merged[l] == nullptr) continue;
-      for (size_t r = 0; r < live.num_rows(); ++r) {
-        if (owner[l] == DcOwner::kAlign) {
-          frozen_violations[l] += merged[l]->CountNew(live.row(r));
+    // Freeze: fold the shard's *final* rows into the frozen-prefix state
+    // the later freezes read. The last freeze has no later one, so it
+    // skips the fold.
+    const bool last = s + 1 == num_shards;
+    if (!last) {
+      // Index the rows into the running merged indices. For alignment
+      // DCs, fold the new intra-prefix pairs into the running count first
+      // — CountNew before AddRow sees each pair exactly once.
+      for (size_t l = 0; l < constraints.size(); ++l) {
+        if (merged[l] == nullptr) continue;
+        for (size_t r = 0; r < live.num_rows(); ++r) {
+          if (owner[l] == DcOwner::kAlign) {
+            frozen_violations[l] += merged[l]->CountNew(live.row(r));
+          }
+          merged[l]->AddRow(live.row(r));
         }
-        merged[l]->AddRow(live.row(r));
       }
-    }
-    // Absorb the now-final slice into the persistent frozen lookups — the
-    // last read of these rows for reconciliation purposes, ever.
-    fd_lookups.Absorb(live, begin);
-    for (size_t k = 0; k < alignments.size(); ++k) {
-      align_lookups[k].Absorb(live);
-    }
-    for (size_t l = 0; l < constraints.size(); ++l) {
-      if (neighbors[l] != nullptr) neighbors[l]->Absorb(live, begin);
+      // Absorb the now-final slice into the persistent frozen lookups —
+      // the last read of these rows for reconciliation purposes, ever.
+      fd_lookups.Absorb(live, begin);
+      for (size_t k = 0; k < alignments.size(); ++k) {
+        align_lookups[k].Absorb(live);
+      }
+      for (size_t l = 0; l < constraints.size(); ++l) {
+        if (neighbors[l] != nullptr) neighbors[l]->Absorb(live, begin);
+      }
     }
     ++telemetry->merge_prefix_freezes;
     telemetry->merge_frozen_rows += static_cast<int64_t>(sizes[s]);
@@ -1324,8 +1340,8 @@ Result<Table> ProgressiveShardSynthesis(
 
     // Emit immediately: these rows are frozen and never rewritten. The
     // in-memory copy dies with `live` unless the caller keeps the table.
-    return EmitFrozenSlice(std::move(live), s, begin, s + 1 == num_shards,
-                           options, hooks, spill.get(), keep_table, telemetry);
+    return EmitFrozenSlice(std::move(live), s, begin, last, options, hooks,
+                           spill.get(), keep_table, telemetry);
   };
 
   Status status = Status::OK();
@@ -1431,37 +1447,15 @@ Result<Table> Synthesize(const ProbabilisticDataModel& model,
   if (telemetry == nullptr) telemetry = &local_telemetry;
   telemetry->num_threads = runtime::GlobalNumThreads();
 
-  const Schema& schema = model.schema();
   const ActivationMap activation = BuildActivationMap(model, constraints);
   const size_t num_shards = ResolveNumShards(options, n);
   telemetry->num_shards = num_shards;
 
-  if (num_shards <= 1) {
-    // Exact sequential paper semantics: one shard spanning every row,
-    // driven directly by the run RNG (no sub-seeding), with nested
-    // parallelism for candidate scoring and MCMC batches.
-    Table out(schema);
-    {
-      obs::TraceSpan span("sampler/shard");
-      span.AddArg("shard", 0);
-      span.AddArg("rows", static_cast<int64_t>(n));
-      KAMINO_RETURN_IF_ERROR(SampleShardRows(
-          model, constraints, activation, n, options, options.mcmc_resamples,
-          /*allow_nested_parallel=*/true, hooks, rng, telemetry, &out));
-    }
-    if (hooks != nullptr && hooks->on_chunk) {
-      KAMINO_RETURN_IF_ERROR(EmitFrozenSlice(out.Slice(0, n), 0, 0,
-                                             /*last=*/true, options, hooks,
-                                             nullptr, nullptr, telemetry));
-    }
-    RecordSamplerMetrics(*telemetry, n);
-    return out;
-  }
-
-  // --- Shard plan: contiguous slices, one RngStream sub-seed per shard.
-  // Everything below is a pure function of (root seed, num_shards): shard
-  // randomness is keyed by shard index and the merge walks shards in fixed
-  // order, so the output is bit-identical at any thread count.
+  // --- Shard plan: contiguous slices, sampled, frozen in order and emitted
+  // by ProgressiveShardSynthesis at every shard count. Everything below is
+  // a pure function of (run seed, num_shards): shard randomness is keyed
+  // by shard index and the freezes walk shards in fixed order, so the
+  // output is bit-identical at any thread count.
   const std::vector<size_t> sizes = ShardSizes(n, num_shards);
   // The run-wide MCMC budget splits across shards the same way rows do,
   // so `mcmc_resamples` means the same total work at every shard count.
@@ -1471,14 +1465,12 @@ Result<Table> Synthesize(const ProbabilisticDataModel& model,
   for (size_t s = 1; s < num_shards; ++s) {
     offsets[s] = offsets[s - 1] + sizes[s - 1];
   }
-  const runtime::RngStream root(rng->NextSeed());
-  const uint64_t merge_seed = root.SubSeed(num_shards);  // distinct stream
 
   KAMINO_ASSIGN_OR_RETURN(
       Table out, ProgressiveShardSynthesis(model, constraints, options,
                                            activation, sizes, offsets,
-                                           mcmc_budgets, root, merge_seed,
-                                           hooks, telemetry));
+                                           mcmc_budgets, rng, hooks,
+                                           telemetry));
   RecordSamplerMetrics(*telemetry, n);
   return out;
 }

@@ -66,11 +66,10 @@ struct SynthesisHooks {
   std::function<Status(const TableChunk&)> on_chunk;
   /// The caller consumes the run through `on_chunk` only and will drop
   /// the returned table (the engine sets this when `collect_table` is
-  /// off). A sharded run then returns a schema-only table in every mode:
+  /// off). The run then returns a schema-only table in every mode:
   /// in memory it never accumulates the frozen slices, and under
   /// `out_of_core` it skips re-reading them from the spill store — the
-  /// truly constant-memory delivery path. A single-shard run samples into
-  /// one table anyway and returns it.
+  /// truly constant-memory delivery path.
   bool discard_result = false;
 };
 
@@ -91,7 +90,7 @@ struct SynthesisTelemetry {
   /// Row batches executed by the parallel MCMC pass.
   int64_t mcmc_batches = 0;
 
-  // --- Shard-parallel synthesis (resolved num_shards > 1) ---
+  // --- Shard plan and prefix freezes (every run) ---
   /// Shards the run was partitioned into (resolved; >= 1).
   size_t num_shards = 1;
   /// Cross-shard violating pairs found between each shard and the frozen
@@ -118,12 +117,11 @@ struct SynthesisTelemetry {
   /// Wall-clock seconds of reconciliation (included in the sampling phase
   /// timing): the sum of the per-freeze `sampler/prefix_merge` spans.
   double merge_seconds = 0.0;
-  /// Prefix freezes performed by a sharded run: one per shard, each
-  /// ending with the frozen prefix hard-DC exact and its chunk emitted.
-  /// Zero on single-shard runs.
+  /// Prefix freezes performed: one per shard, each ending with the frozen
+  /// prefix hard-DC exact and its chunk emitted.
   int64_t merge_prefix_freezes = 0;
   /// Rows frozen (made immutable and eligible for delivery) by those
-  /// freezes; equals the row count on a completed sharded run.
+  /// freezes; equals the row count on a completed run.
   int64_t merge_frozen_rows = 0;
   /// Partner rows pair-scanned by the freeze repair's penalty kernel in
   /// *live* (not yet frozen) tables. The kernel scores candidates as
@@ -166,20 +164,22 @@ struct SynthesisTelemetry {
 /// fast path, and `mcmc_resamples` rounds of constrained re-sampling per
 /// column.
 ///
-/// When `options.num_shards` resolves to more than one, the rows are
-/// partitioned into contiguous shards sampled concurrently (each shard
-/// drives the full per-row loop over its slice from its own RngStream
-/// sub-seed with per-shard violation indices). Shards then freeze in
-/// ascending order: each is reconciled against the frozen prefix before
-/// it, rewriting only the incoming shard's rows, and its chunk is emitted
-/// at once. Every DC has one reconciling mechanism: hard FDs are
-/// canonicalized onto the prefix's values, hard order DCs are rank-aligned
-/// into the prefix's monotone relation (both exact), and every other DC —
+/// Every run takes one path: shard plan -> sample -> freeze -> emit. The
+/// rows are partitioned into `options.num_shards` (resolved) contiguous
+/// shards sampled concurrently (each shard drives the full per-row loop
+/// over its slice from its own RngStream sub-seed with per-shard
+/// violation indices; the one shard of a one-shard run samples from `rng`
+/// itself, the sequential paper stream). Shards then freeze in ascending
+/// order: each is reconciled against the frozen prefix before it (empty
+/// for shard 0), rewriting only the incoming shard's rows, and its chunk
+/// is emitted at once. Every DC has one reconciling mechanism: hard FDs
+/// are canonicalized onto the prefix's values, hard order DCs are
+/// rank-aligned into the prefix's monotone relation (both exact, and
+/// both also fixing violations inside the shard), and every other DC —
 /// soft, or hard with no exact pass — gets a bounded greedy repair of the
-/// rows in its cross-shard conflicts. The
-/// output is a pure function of (seed, num_shards) — bit-identical at any
-/// `num_threads` — and `num_shards == 1` reproduces the sequential paper
-/// semantics exactly.
+/// rows in its cross-shard conflicts. The output is a pure function of
+/// (seed, num_shards) — bit-identical at any `num_threads` — and the
+/// hard DCs hold over every delivered prefix at every shard count.
 ///
 /// Runs entirely on the learned model - a post-processing step with no
 /// additional privacy cost.

@@ -152,12 +152,12 @@ struct SynthesisRequest : SampleSpec {
   /// spill blocks.
   RowSink* sink = nullptr;
   /// When false, the result's `synthetic` table is left empty — rows are
-  /// observable through `sink` only. A sharded run then never assembles
-  /// the table at all: in memory it skips accumulating the frozen slices,
+  /// observable through `sink` only. The run then never assembles the
+  /// table at all: in memory it skips accumulating the frozen slices,
   /// and under `out_of_core` it skips re-reading them from disk.
   bool collect_table = true;
-  /// No-op, kept for source compatibility: every sharded run streams
-  /// through the prefix-frozen merge, so nothing reads this field.
+  /// No-op, kept for source compatibility: every run streams through the
+  /// prefix-frozen merge, so nothing reads this field.
   bool progressive_merge = false;
 };
 

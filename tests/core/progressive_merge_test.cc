@@ -2,7 +2,7 @@
 // through: the (seed, num_shards) determinism contract across thread
 // budgets, hard-DC exactness after *every* prefix freeze (checked against
 // the MakeNaiveViolationIndex oracle), frozen-prefix immutability (rows
-// already streamed are never rewritten), the single-shard golden digest,
+// already streamed are never rewritten), the one-shard golden digest,
 // chunk-only delivery (`discard_result`), and unit tests of the
 // frozen-prefix FD and order lookups in core/prefix_merge.h.
 
@@ -187,29 +187,42 @@ TEST(ProgressiveMergeTest, HardDcsExactAfterEveryPrefixFreeze) {
 
 TEST(ProgressiveMergeTest, ExactPassesOwnEveryHardDcOnTaxAndTpch) {
   // Every Tax and TPC-H DC is a hard FD or a hard order DC, so an exact
-  // pass owns each one: the freezes meet cross-shard conflicts, yet the
-  // greedy repair never runs, and the hard DCs still hold over every
-  // delivered prefix by the naive pair scan.
+  // pass owns each one: the freezes meet violations the per-shard sampling
+  // left (across shards, or inside the one shard), yet the greedy repair
+  // never runs, and the hard DCs still hold over every delivered prefix by
+  // the naive pair scan.
   for (const BenchmarkDataset& ds :
        {MakeTaxLike(100, 13), MakeTpchLike(100, 13)}) {
     auto constraints =
         ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema())
             .TakeValue();
-    const ProgressiveRun run = RunProgressive(ds, 100, 1, 4);
-    EXPECT_GT(run.telemetry.merge_cross_violations, 0) << ds.name;
-    EXPECT_EQ(run.telemetry.merge_conflict_rows, 0) << ds.name;
-    EXPECT_EQ(run.telemetry.merge_resamples, 0) << ds.name;
-    EXPECT_EQ(run.telemetry.merge_budget, 0) << ds.name;
-    EXPECT_EQ(run.telemetry.merge_penalty_live_row_scans, 0) << ds.name;
-    ASSERT_EQ(run.chunks.size(), 4u);
-    Table prefix(run.out.schema());
-    for (size_t s = 0; s < run.chunks.size(); ++s) {
-      prefix.AppendRowsFrom(run.chunks[s].rows, 0, run.chunks[s].num_rows());
-      for (const WeightedConstraint& wc : constraints) {
-        if (!wc.hard) continue;
-        EXPECT_EQ(CountViolationsNaive(wc.dc, prefix), 0)
-            << ds.name << ": " << wc.dc.ToString(ds.table.schema())
-            << " violated on the frozen prefix after freeze " << s;
+    for (const size_t num_shards : {size_t{1}, size_t{4}}) {
+      const ProgressiveRun run = RunProgressive(ds, 100, 1, num_shards);
+      if (num_shards == 1) {
+        // No prefix: the exact passes fix the shard's own violations.
+        EXPECT_GT(run.telemetry.merge_fd_rewrites +
+                      run.telemetry.merge_order_alignments,
+                  0)
+            << ds.name;
+      } else {
+        EXPECT_GT(run.telemetry.merge_cross_violations, 0) << ds.name;
+      }
+      EXPECT_EQ(run.telemetry.merge_conflict_rows, 0) << ds.name;
+      EXPECT_EQ(run.telemetry.merge_resamples, 0) << ds.name;
+      EXPECT_EQ(run.telemetry.merge_budget, 0) << ds.name;
+      EXPECT_EQ(run.telemetry.merge_penalty_live_row_scans, 0) << ds.name;
+      ASSERT_EQ(run.chunks.size(), num_shards);
+      Table prefix(run.out.schema());
+      for (size_t s = 0; s < run.chunks.size(); ++s) {
+        prefix.AppendRowsFrom(run.chunks[s].rows, 0,
+                              run.chunks[s].num_rows());
+        for (const WeightedConstraint& wc : constraints) {
+          if (!wc.hard) continue;
+          EXPECT_EQ(CountViolationsNaive(wc.dc, prefix), 0)
+              << ds.name << " at " << num_shards << " shard(s): "
+              << wc.dc.ToString(ds.table.schema())
+              << " violated on the frozen prefix after freeze " << s;
+        }
       }
     }
   }
@@ -230,8 +243,9 @@ TEST(ProgressiveMergeTest, FrozenPrefixNeverRewritten) {
 
 TEST(ProgressiveMergeTest, DefaultOffGoldenDigestUnchanged) {
   // The golden scenario (same as ShardedSamplerTest's digest pin): the
-  // default num_shards=1 keeps the sequential paper path — no freezes —
-  // and its digest 0x214d31f811dbdd0f.
+  // default num_shards=1 samples the sequential paper stream and freezes
+  // it once against an empty prefix; the exact passes find nothing to
+  // rewrite, so the digest stays 0x214d31f811dbdd0f.
   ScopedNumThreads threads(1);
   BenchmarkDataset ds = MakeAdultLike(120, 7);
   auto constraints =
@@ -252,8 +266,8 @@ TEST(ProgressiveMergeTest, DefaultOffGoldenDigestUnchanged) {
   Table out = Synthesize(model, constraints, 150, options, &srng, &telemetry)
                   .TakeValue();
   EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
-      << "the sequential path changed";
-  EXPECT_EQ(telemetry.merge_prefix_freezes, 0);
+      << "the one-shard output changed";
+  EXPECT_EQ(telemetry.merge_prefix_freezes, 1);
 }
 
 TEST(ProgressiveMergeTest, DefaultShardedRunFreezesEveryShard) {

@@ -2,16 +2,12 @@
 // may differ from the sequential sampler's, but it must not be measurably
 // worse. One fit is sampled at 1, 2 and 4 shards over three request
 // seeds, and the sharded runs are held to the 1-shard run:
-//  - Adult (hard DCs, owned by the exact passes): mean 1-way and 2-way
-//    marginal distances within the end-to-end bounds of BENCHMARK.json
-//    (+15% and +25%), with zero hard-DC violations by the naive pair scan.
+//  - Adult and Tax (hard DCs, owned by the exact passes at every shard
+//    count): mean 1-way and 2-way marginal distances within the
+//    end-to-end bounds of BENCHMARK.json (+15% and +25%), with zero
+//    hard-DC violations by the naive pair scan at 1, 2 and 4 shards.
 //  - BR2000 (soft DCs only, all owned by the freeze repair): total
 //    soft-DC violations within a fixed factor of the 1-shard total.
-//
-// Tax is deliberately not an input: its 1-shard output carries thousands
-// of hard-DC violations (about 4,500 per 2400 rows), because the
-// sequential sampler has no exact FD/order pass while the shard freezes
-// do — so the sequential run is not a fair reference for it.
 
 #include <gtest/gtest.h>
 
@@ -81,22 +77,27 @@ Result<FitArtifacts> Fit(const BenchmarkDataset& ds) {
 }
 
 TEST(ShardingQualityTest, ShardedMarginalsWithinBoundOfSequential) {
-  const BenchmarkDataset ds = MakeAdultLike(600, 13);
-  Result<FitArtifacts> fitted = Fit(ds);
-  ASSERT_TRUE(fitted.ok()) << fitted.status();
+  for (const BenchmarkDataset& ds :
+       {MakeAdultLike(600, 13), MakeTaxLike(600, 13)}) {
+    Result<FitArtifacts> fitted = Fit(ds);
+    ASSERT_TRUE(fitted.ok()) << fitted.status();
 
-  const size_t n = 1200;
-  const Quality sequential = MeasureAtShards(fitted.value(), ds.table, n, 1);
-  EXPECT_EQ(sequential.hard_violations, 0);
-  for (const size_t num_shards : {size_t{2}, size_t{4}}) {
-    const Quality sharded =
-        MeasureAtShards(fitted.value(), ds.table, n, num_shards);
-    EXPECT_LE(sharded.one_way, 1.15 * sequential.one_way)
-        << "1-way marginals degraded at num_shards=" << num_shards;
-    EXPECT_LE(sharded.two_way, 1.25 * sequential.two_way)
-        << "2-way marginals degraded at num_shards=" << num_shards;
-    EXPECT_EQ(sharded.hard_violations, 0)
-        << "hard DCs violated at num_shards=" << num_shards;
+    const size_t n = 1200;
+    const Quality sequential = MeasureAtShards(fitted.value(), ds.table, n, 1);
+    EXPECT_EQ(sequential.hard_violations, 0)
+        << ds.name << ": hard DCs violated at num_shards=1";
+    for (const size_t num_shards : {size_t{2}, size_t{4}}) {
+      const Quality sharded =
+          MeasureAtShards(fitted.value(), ds.table, n, num_shards);
+      EXPECT_LE(sharded.one_way, 1.15 * sequential.one_way)
+          << ds.name << ": 1-way marginals degraded at num_shards="
+          << num_shards;
+      EXPECT_LE(sharded.two_way, 1.25 * sequential.two_way)
+          << ds.name << ": 2-way marginals degraded at num_shards="
+          << num_shards;
+      EXPECT_EQ(sharded.hard_violations, 0)
+          << ds.name << ": hard DCs violated at num_shards=" << num_shards;
+    }
   }
   runtime::SetGlobalNumThreads(0);
 }

@@ -2,11 +2,11 @@
 // BuildViolationMatrix (Algorithm 5), constraint-aware synthesis
 // (Algorithm 3) and DP-SGD training (Algorithm 2) — at 1/2/4/N threads on
 // the generated 600-row Adult workload, plus a cross-thread-count
-// determinism check, the 1/2/4/8 shard sweep, the sorted order-DC and
-// composite mixed-DC engines vs the naive pair scan at growing n, and the
-// columnar core (packed-key index build, block shard merge, chunk codec)
-// vs the boxed row-oriented equivalents. Emits BENCH_parallel.json for
-// the perf trajectory.
+// determinism check, the 1/2/4/8 shard sweep, the constrained MCMC pass
+// at 1 and 4 shards, the sorted order-DC and composite mixed-DC engines vs
+// the naive pair scan at growing n, and the columnar core (packed-key
+// index build, block shard merge, chunk codec) vs the boxed row-oriented
+// equivalents. Emits BENCH_parallel.json for the perf trajectory.
 
 #include <algorithm>
 #include <chrono>
@@ -172,6 +172,48 @@ int Main() {
   }
   std::printf("\nsharded output across thread counts: %s\n",
               shards_deterministic ? "IDENTICAL (bit-exact)" : "MISMATCH");
+
+  // --- Hot path 4b: constrained MCMC (Algorithm 3 line 12). ---
+  // One fit with 1000 re-samples per unit, synthesized at 2400 and 9600
+  // rows at 1 and 4 shards. The timed run uses 1 thread; each output is
+  // checked bit-identical against the same request at 4 threads.
+  std::printf("\n%-28s %8s %8s %12s\n", "method", "rows", "shards",
+              "seconds");
+  bool mcmc_deterministic = true;
+  {
+    KaminoEngine engine;
+    KaminoConfig config = BenchKaminoConfig(1.0, kSeed);
+    config.options.mcmc_resamples = 1000;
+    auto model = engine.Fit(ds.table, constraints, config);
+    KAMINO_CHECK(model.ok()) << model.status();
+    for (size_t mcmc_rows : {size_t{2400}, size_t{9600}}) {
+      for (size_t shards : {size_t{1}, size_t{4}}) {
+        SynthesisRequest request;
+        request.seed = 7;
+        request.num_rows = mcmc_rows;
+        request.num_shards = shards;
+        request.num_threads = 1;
+        auto serial = engine.Synthesize(model.value(), request);
+        KAMINO_CHECK(serial.ok()) << serial.status();
+        request.num_threads = 4;
+        auto parallel = engine.Synthesize(model.value(), request);
+        KAMINO_CHECK(parallel.ok()) << parallel.status();
+        if (!SameTable(serial.value().synthetic,
+                       parallel.value().synthetic)) {
+          mcmc_deterministic = false;
+        }
+        const std::string method =
+            "mcmc_sampling_shards" + std::to_string(shards);
+        const double secs = serial.value().sampling_seconds;
+        records.push_back({method, mcmc_rows, 1, secs});
+        std::printf("%-28s %8zu %8zu %12.4f\n", method.c_str(), mcmc_rows,
+                    shards, secs);
+      }
+    }
+  }
+  runtime::SetGlobalNumThreads(0);
+  std::printf("\nMCMC output across thread counts: %s\n",
+              mcmc_deterministic ? "IDENTICAL (bit-exact)" : "MISMATCH");
 
   // --- Hot path 5: sorted order-DC violation engine. ---
   // Naive pair scan vs the sorted Fenwick/block-list engine on the Tax
@@ -667,8 +709,8 @@ int Main() {
   runtime::SetGlobalNumThreads(0);
 
   WriteBenchJson("BENCH_parallel.json", records);
-  return deterministic && shards_deterministic && order_counts_agree &&
-                 mixed_counts_agree && columnar_agree &&
+  return deterministic && shards_deterministic && mcmc_deterministic &&
+                 order_counts_agree && mixed_counts_agree && columnar_agree &&
                  service_deterministic && obs_output_identical &&
                  ooc_resident_bounded
              ? 0

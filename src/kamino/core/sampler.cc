@@ -4,6 +4,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <exception>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -162,15 +163,18 @@ void ApplyCandidate(const ModelUnit& unit, const Candidate& candidate,
   }
 }
 
-/// Weighted violation penalty sum_phi w_phi * new_violations for the row
-/// as currently materialized.
-double ViolationPenalty(
-    const Row& row, const std::vector<size_t>& active,
-    const std::vector<WeightedConstraint>& constraints,
-    const std::vector<std::unique_ptr<ViolationIndex>>& indices) {
+/// One violation index per DC (null where a DC is not indexed).
+using IndexSet = std::vector<std::unique_ptr<ViolationIndex>>;
+
+/// sum_phi w_phi * count(phi) over the DCs in `active`, from each DC's
+/// exact violation count: the weighting every penalty below shares.
+template <typename CountFn>
+double WeightedPenalty(const std::vector<size_t>& active,
+                       const std::vector<WeightedConstraint>& constraints,
+                       const CountFn& count) {
   double penalty = 0.0;
   for (size_t dc_index : active) {
-    const int64_t vio = indices[dc_index]->CountNew(row);
+    const int64_t vio = count(dc_index);
     if (vio > 0) {
       penalty += constraints[dc_index].EffectiveWeight() *
                  static_cast<double>(vio);
@@ -179,73 +183,55 @@ double ViolationPenalty(
   return penalty;
 }
 
-/// Violation count of `row` (bound as row `self`) against every other row
-/// of the partially synthesized table, for the DCs in `active`. Used by the
-/// constrained MCMC pass, which must look at all rows, not just a prefix.
-double FullTablePenalty(const Row& row, size_t self, const Table& table,
-                        const std::vector<size_t>& active,
-                        const std::vector<WeightedConstraint>& constraints) {
-  double penalty = 0.0;
-  for (size_t dc_index : active) {
-    const DenialConstraint& dc = constraints[dc_index].dc;
-    int64_t vio = 0;
-    if (dc.is_unary()) {
-      vio = dc.ViolatesUnary(row) ? 1 : 0;
-    } else {
-      // Columnar probe: the partner tuple reads straight from the typed
-      // columns instead of materializing table.row(j) per comparison —
-      // this loop dominates MCMC resampling cost.
-      for (size_t j = 0; j < table.num_rows(); ++j) {
-        if (j == self) continue;
-        if (dc.ViolatesPairAt(row, table, j)) ++vio;
-      }
-    }
-    if (vio > 0) {
-      penalty += constraints[dc_index].EffectiveWeight() *
-                 static_cast<double>(vio);
-    }
-  }
-  return penalty;
+/// Penalty of the row as currently materialized against the committed
+/// prefix held by `indices` (the sampling loop's kernel).
+double ViolationPenalty(const Row& row, const std::vector<size_t>& active,
+                        const std::vector<WeightedConstraint>& constraints,
+                        const IndexSet& indices) {
+  return WeightedPenalty(active, constraints, [&](size_t dc_index) {
+    return indices[dc_index]->CountNew(row);
+  });
 }
 
-/// Freeze-repair penalty: index delta against the merged indices (which
-/// hold exactly the frozen prefix) plus a pair scan restricted to the live
-/// shard's rows. Equals `FullTablePenalty` over the
-/// concatenated prefix+shard table — `CountNew` is an exact count for
-/// every index class — without reading a single frozen row; the
-/// live/frozen scan counters let tests assert that. (Every non-unary DC
-/// reachable from the repair has a merged index: they are built for
-/// every non-unary DC the shards index, and a repaired unit samples with
-/// the DC factor.)
-double FrozenRestrictedPenalty(
-    const Row& row, size_t self, const Table& live,
-    const std::vector<size_t>& active,
-    const std::vector<WeightedConstraint>& constraints,
-    const std::vector<std::unique_ptr<ViolationIndex>>& merged,
-    SynthesisTelemetry* telemetry) {
-  double penalty = 0.0;
-  for (size_t dc_index : active) {
-    const DenialConstraint& dc = constraints[dc_index].dc;
+/// Penalty of `candidate` replacing `current`, a row exactly one of
+/// `index_sets` holds: its violations against every other indexed row
+/// (the indices also count its pair with `current`, which is subtracted).
+double ReplacementPenalty(const Row& candidate, const Row& current,
+                          const std::vector<size_t>& active,
+                          const std::vector<WeightedConstraint>& constraints,
+                          std::initializer_list<const IndexSet*> index_sets) {
+  return WeightedPenalty(active, constraints, [&](size_t dc_index) {
     int64_t vio = 0;
-    if (dc.is_unary()) {
-      vio = dc.ViolatesUnary(row) ? 1 : 0;
-    } else {
-      if (merged[dc_index] != nullptr) vio = merged[dc_index]->CountNew(row);
-      for (size_t j = 0; j < live.num_rows(); ++j) {
-        if (j == self) continue;
-        if (dc.ViolatesPairAt(row, live, j)) ++vio;
-      }
-      if (live.num_rows() > 0) {
-        telemetry->merge_penalty_live_row_scans +=
-            static_cast<int64_t>(live.num_rows() - 1);
-      }
+    for (const IndexSet* indices : index_sets) {
+      const ViolationIndex* index = (*indices)[dc_index].get();
+      if (index != nullptr) vio += index->CountNew(candidate);
     }
-    if (vio > 0) {
-      penalty += constraints[dc_index].EffectiveWeight() *
-                 static_cast<double>(vio);
-    }
+    const DenialConstraint& dc = constraints[dc_index].dc;
+    if (!dc.is_unary() && dc.ViolatesPair(candidate, current)) --vio;
+    return vio;
+  });
+}
+
+/// Indexes every row of `table` under each DC in `dcs`.
+IndexSet IndexTable(const Table& table, const std::vector<size_t>& dcs,
+                    const std::vector<WeightedConstraint>& constraints) {
+  IndexSet indices(constraints.size());
+  if (dcs.empty()) return indices;
+  for (size_t l : dcs) indices[l] = MakeViolationIndex(constraints[l].dc);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const Row row = table.row(r);
+    for (size_t l : dcs) indices[l]->AddRow(row);
   }
-  return penalty;
+  return indices;
+}
+
+/// Replaces committed row `old` with `now` in every index of `indices`.
+void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
+  for (std::unique_ptr<ViolationIndex>& index : *indices) {
+    if (index == nullptr) continue;
+    index->RemoveRow(old);
+    index->AddRow(now);
+  }
 }
 
 /// Writes a candidate's values into a detached scratch row (the parallel
@@ -269,9 +255,8 @@ Status ScoreCandidatesAgainstPrefix(
     const ModelUnit& unit, const std::vector<Candidate>& candidates,
     const Row& base_row, const std::vector<size_t>& active,
     const std::vector<WeightedConstraint>& constraints,
-    const std::vector<std::unique_ptr<ViolationIndex>>& indices,
-    bool allow_nested_parallel, SynthesisTelemetry* telemetry,
-    std::vector<double>* log_scores) {
+    const IndexSet& indices, bool allow_nested_parallel,
+    SynthesisTelemetry* telemetry, std::vector<double>* log_scores) {
   log_scores->assign(candidates.size(), 0.0);
   auto score_range = [&](size_t lo, size_t hi) {
     Row scratch = base_row;
@@ -342,8 +327,9 @@ ActivationMap BuildActivationMap(
 }
 
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
-/// `n` rows, writing into `out` (resized here). Its violation indices
-/// are local: the MCMC pass rewrites rows without updating them. With
+/// `n` rows, writing into `out` (resized here). Its sampling indices are
+/// local and hold each unit's rows as first drawn; the MCMC pass scores
+/// against a full-table index of its own and leaves them untouched. With
 /// `allow_nested_parallel` the candidate scoring and MCMC batches may fan
 /// out onto the pool (the one-shard configuration); shard-parallel
 /// callers pass false so each shard stays a serial unit of work and the
@@ -363,7 +349,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
   Table& out = *out_table;
   out.ResizeRows(n);
 
-  std::vector<std::unique_ptr<ViolationIndex>> indices(constraints.size());
+  IndexSet indices(constraints.size());
 
   for (size_t unit_index = 0; unit_index < model.units().size(); ++unit_index) {
     if (!KeepGoing(hooks)) return CancelledStatus();
@@ -561,9 +547,12 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
     // output is bit-identical because randomness is keyed by index, never
     // by thread or schedule. In shard-parallel mode the batch runs inline
     // (the shard itself is the unit of parallelism) — same result, since
-    // randomness is keyed by resample index either way.
+    // randomness is keyed by resample index either way. Candidates score
+    // against full-table indices, which only the apply step writes.
     if (mcmc_resamples > 0) {
       const runtime::RngStream streams(rng->NextSeed());
+      IndexSet table_indices = IndexTable(
+          out, use_dc_factor ? active : std::vector<size_t>(), constraints);
       struct Resample {
         size_t row = 0;
         std::vector<Value> values;  // winning candidate, aligned with attrs
@@ -583,7 +572,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
           for (size_t k = lo; k < hi; ++k) {
             Rng task_rng(streams.SubSeed(done + k));
             const size_t i = resamples[k].row;
-            Row scratch = out.row(i);
+            const Row current = out.row(i);
+            Row scratch = current;
             std::vector<double> extra_values;
             if (track_prior_values) {
               extra_values = nearest_y_values(scratch);
@@ -596,8 +586,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
               ApplyCandidateToRow(unit, candidates[c], &scratch);
               double penalty = 0.0;
               if (use_dc_factor) {
-                penalty =
-                    FullTablePenalty(scratch, i, out, active, constraints);
+                penalty = ReplacementPenalty(scratch, current, active,
+                                             constraints, {&table_indices});
               }
               log_scores[c] =
                   std::log(candidates[c].prob + 1e-300) - penalty;
@@ -617,9 +607,11 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         }
         for (Resample& r : resamples) {
           if (!r.accepted) continue;
+          const Row old = out.row(r.row);
           for (size_t a = 0; a < unit.attrs.size(); ++a) {
             out.set(r.row, unit.attrs[a], r.values[a]);
           }
+          ReplaceIndexedRow(old, out.row(r.row), &table_indices);
           ++telemetry->mcmc_resamples;
         }
         ++telemetry->mcmc_batches;
@@ -1066,7 +1058,7 @@ Result<Table> ProgressiveShardSynthesis(
       BuildFdFamilies(constraints, &owner);
   const std::vector<AlignTask> alignments =
       BuildAlignTasks(model, constraints, activation, &owner);
-  std::vector<std::unique_ptr<ViolationIndex>> merged(constraints.size());
+  IndexSet merged(constraints.size());
   for (size_t l = 0; l < constraints.size(); ++l) {
     if (owner[l] != DcOwner::kNone) {
       merged[l] = MakeViolationIndex(constraints[l].dc);
@@ -1086,21 +1078,25 @@ Result<Table> ProgressiveShardSynthesis(
     spec.co_monotone = task.co_monotone;
     align_lookups.emplace_back(std::move(spec));
   }
-  // Frozen-neighbour stores for the repair's order-DC candidate seeding:
-  // one per order-pair DC active at a unit the repair re-samples (the
-  // activation unit of a repair-owned DC), when that unit is a single
-  // numeric attribute on one side of the pair.
-  std::vector<char> repaired_unit(model.units().size(), 0);
-  for (size_t l = 0; l < constraints.size(); ++l) {
-    if (owner[l] == DcOwner::kRepair) repaired_unit[activation.dc_unit[l]] = 1;
+  // The DCs repair candidates are scored on: every DC active at a unit
+  // the repair re-samples (the activation unit of a repair-owned DC).
+  std::vector<size_t> repair_scored;
+  for (const std::vector<size_t>& active : activation.unit_active) {
+    if (std::any_of(active.begin(), active.end(), [&](size_t l) {
+          return owner[l] == DcOwner::kRepair;
+        })) {
+      repair_scored.insert(repair_scored.end(), active.begin(), active.end());
+    }
   }
+  // Frozen-neighbour stores for the repair's order-DC candidate seeding:
+  // one per order-pair DC among those, when its unit is a single numeric
+  // attribute on one side of the pair.
   std::vector<std::unique_ptr<FrozenNeighborStore>> neighbors(
       constraints.size());
-  for (size_t l = 0; l < constraints.size(); ++l) {
+  for (size_t l : repair_scored) {
     size_t x = 0, y = 0;
     if (!constraints[l].dc.AsOrderPair(&x, &y)) continue;
     const size_t u = activation.dc_unit[l];
-    if (u == SIZE_MAX || !repaired_unit[u]) continue;
     if (model.units()[u].attrs.size() != 1) continue;
     const size_t unit_attr = model.units()[u].attrs[0];
     if (!schema.attribute(unit_attr).is_numeric()) continue;
@@ -1167,11 +1163,12 @@ Result<Table> ProgressiveShardSynthesis(
     telemetry->merge_conflict_rows += static_cast<int64_t>(offenders.size());
 
     // Bounded greedy repair, restricted to shard s's rows. Candidates are
-    // scored by the frozen-restricted penalty kernel: index delta against
-    // the merged indices (exactly the frozen prefix) plus a pair scan of
-    // the live rows only — equal to the full-table penalty over [0, end)
-    // without touching a frozen row.
+    // scored through the indices only: the merged indices (exactly the
+    // frozen prefix) plus live-slice indices of every DC active at a
+    // repaired unit, which each repair write keeps in step — equal to the
+    // full-table penalty over [0, end) without touching a frozen row.
     if (!offenders.empty()) {
+      IndexSet live_indices = IndexTable(live, repair_scored, constraints);
       size_t budget = 16 + 2 * offenders.size();
       telemetry->merge_budget += static_cast<int64_t>(budget);
       size_t no_gain_streak = 0;
@@ -1195,7 +1192,8 @@ Result<Table> ProgressiveShardSynthesis(
           // depend on where the shard's rows are held.
           Rng task_rng(merge_stream.Fork(row).SubSeed(u));
           const size_t local = row - begin;
-          Row scratch = live.row(local);
+          const Row current = live.row(local);
+          Row scratch = current;
 
           // Frozen-instance candidate seeding for numeric attributes: the
           // prefix's established FD value and the order-DC neighbours'
@@ -1229,16 +1227,16 @@ Result<Table> ProgressiveShardSynthesis(
           std::vector<Candidate> candidates = GenerateCandidates(
               unit, schema, scratch, options, extra_values, &task_rng);
           if (candidates.empty()) continue;
-          const double penalty_before = FrozenRestrictedPenalty(
-              live.row(local), local, live, active, constraints, merged,
-              telemetry);
+          const double penalty_before = ReplacementPenalty(
+              current, current, active, constraints, {&merged, &live_indices});
           size_t pick = 0;
           double best = -std::numeric_limits<double>::infinity();
           double best_penalty = penalty_before;
           for (size_t c = 0; c < candidates.size(); ++c) {
             ApplyCandidateToRow(unit, candidates[c], &scratch);
-            const double penalty = FrozenRestrictedPenalty(
-                scratch, local, live, active, constraints, merged, telemetry);
+            const double penalty =
+                ReplacementPenalty(scratch, current, active, constraints,
+                                   {&merged, &live_indices});
             const double score =
                 std::log(candidates[c].prob + 1e-300) - penalty;
             if (score > best) {
@@ -1250,6 +1248,7 @@ Result<Table> ProgressiveShardSynthesis(
           for (size_t a = 0; a < unit.attrs.size(); ++a) {
             live.set(local, unit.attrs[a], candidates[pick].values[a]);
           }
+          ReplaceIndexedRow(current, live.row(local), &live_indices);
           ++telemetry->merge_resamples;
           --budget;
           // Early stop: a run of repairs that leave the weighted penalty

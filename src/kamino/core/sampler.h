@@ -123,13 +123,13 @@ struct SynthesisTelemetry {
   /// Rows frozen (made immutable and eligible for delivery) by those
   /// freezes; equals the row count on a completed run.
   int64_t merge_frozen_rows = 0;
-  /// Partner rows pair-scanned by the freeze repair's penalty kernel in
-  /// *live* (not yet frozen) tables. The kernel scores candidates as
-  /// index-delta (`CountNew` against the merged indices) + live pair
-  /// scan, so...
+  /// Rows pair-scanned by the freeze repair's penalty scoring, in the live
+  /// slice and in the frozen prefix. Both are always 0: the repair scores
+  /// candidates through the violation indices only (`CountNew` against
+  /// the merged frozen-prefix indices plus live-slice indices), so no row
+  /// is scanned and frozen rows are never re-read. Kept because the
+  /// service benchmark reads and cross-checks them.
   int64_t merge_penalty_live_row_scans = 0;
-  /// ...this stays zero: frozen rows are never re-scanned. Asserted by
-  /// tests; a nonzero value means the constant-memory contract broke.
   int64_t merge_penalty_frozen_row_scans = 0;
 
   // --- Out-of-core spill (`KaminoOptions::out_of_core`) ---

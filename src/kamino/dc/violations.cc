@@ -285,6 +285,20 @@ class FdViolationIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    auto it = groups_.find(KeyOf(row));
+    KAMINO_CHECK(it != groups_.end()) << "RemoveRow of a row never added";
+    GroupStats& g = it->second;
+    auto same = g.rhs_counts.find(row[rhs_]);
+    KAMINO_CHECK(same != g.rhs_counts.end())
+        << "RemoveRow of a row never added";
+    // Zero counts and empty groups are erased, so the majority vote of
+    // FdForcedValue sees exactly the surviving rows.
+    if (--same->second == 0) g.rhs_counts.erase(same);
+    if (--g.size == 0) groups_.erase(it);
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const FdViolationIndex*>(&other);
     KAMINO_CHECK(peer != nullptr) << "Merge across index types";
@@ -369,6 +383,12 @@ class UnaryViolationIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    (void)row;
+    KAMINO_CHECK(num_rows_ > 0) << "RemoveRow of a row never added";
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     KAMINO_CHECK(dynamic_cast<const UnaryViolationIndex*>(&other) != nullptr)
         << "Merge across index types";
@@ -403,6 +423,16 @@ class NaiveViolationIndex : public ViolationIndex {
   }
 
   void AddRow(const Row& row) override { rows_.push_back(row); }
+
+  void RemoveRow(const Row& row) override {
+    const std::vector<size_t>& attrs = dc_.attributes();
+    auto it = std::find_if(rows_.begin(), rows_.end(), [&](const Row& old) {
+      return std::all_of(attrs.begin(), attrs.end(),
+                         [&](size_t a) { return old[a] == row[a]; });
+    });
+    KAMINO_CHECK(it != rows_.end()) << "RemoveRow of a row never added";
+    rows_.erase(it);
+  }
 
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const NaiveViolationIndex*>(&other);
@@ -630,11 +660,12 @@ void OrderViolationColumn(const GroupedOrderSpec& spec, const Table& table,
 /// left/right of the candidate's x with one binary search each (the rows
 /// above/below the candidate's y), and scans only the <= 2 blocks the
 /// candidate's x falls into — O(sqrt(m) * log) per candidate instead of
-/// O(m). `Merge` rebuilds each group from the two x-sorted sequences in
-/// linear-log time, and `CountAgainst` runs a merged ascending-x sweep
-/// with one Fenwick tree per side, O((m_a + m_b) log) per group. All
-/// counts are exact integers: the index is output-indistinguishable from
-/// the naive probe.
+/// O(m). `RemoveRow` erases the entry from its block in O(cap) and drops
+/// emptied blocks and groups. `Merge` rebuilds each group from the two
+/// x-sorted sequences in linear-log time, and `CountAgainst` runs a merged
+/// ascending-x sweep with one Fenwick tree per side, O((m_a + m_b) log)
+/// per group. All counts are exact integers: the index is
+/// output-indistinguishable from the naive probe.
 class OrderViolationIndex : public ViolationIndex {
  public:
   explicit OrderViolationIndex(GroupedOrderSpec spec)
@@ -674,6 +705,17 @@ class OrderViolationIndex : public ViolationIndex {
     groups_[KeyOf(row)].Insert(spec_.ContextKey(row[spec_.x_attr]),
                                spec_.OrientedKey(row[spec_.y_attr]));
     ++num_rows_;
+  }
+
+  void RemoveRow(const Row& row) override {
+    auto it = groups_.find(KeyOf(row));
+    const bool erased =
+        it != groups_.end() &&
+        it->second.Erase(spec_.ContextKey(row[spec_.x_attr]),
+                         spec_.OrientedKey(row[spec_.y_attr]));
+    KAMINO_CHECK(erased) << "RemoveRow of a row never added";
+    if (it->second.size == 0) groups_.erase(it);
+    --num_rows_;
   }
 
   void Merge(const ViolationIndex& other) override {
@@ -745,6 +787,32 @@ class OrderViolationIndex : public ViolationIndex {
       b.ys_sorted.insert(
           std::upper_bound(b.ys_sorted.begin(), b.ys_sorted.end(), y), y);
       if (b.xs.size() > BlockCap(size)) Split(idx);
+    }
+
+    /// Erases one (x, y) entry; false when there is none. A run of equal
+    /// x can span several blocks, so every block whose x range covers x
+    /// is searched. An emptied block is dropped.
+    bool Erase(double x, double y) {
+      auto it = std::lower_bound(
+          blocks.begin(), blocks.end(), x,
+          [](const Block& b, double v) { return b.xs.back() < v; });
+      for (; it != blocks.end() && it->xs.front() <= x; ++it) {
+        Block& b = *it;
+        for (size_t k = static_cast<size_t>(
+                 std::lower_bound(b.xs.begin(), b.xs.end(), x) -
+                 b.xs.begin());
+             k < b.xs.size() && b.xs[k] == x; ++k) {
+          if (b.ys[k] != y) continue;
+          b.xs.erase(b.xs.begin() + k);
+          b.ys.erase(b.ys.begin() + k);
+          b.ys_sorted.erase(
+              std::lower_bound(b.ys_sorted.begin(), b.ys_sorted.end(), y));
+          if (b.xs.empty()) blocks.erase(it);
+          --size;
+          return true;
+        }
+      }
+      return false;
     }
 
     void Split(size_t idx) {
@@ -968,6 +1036,13 @@ class ScopeCountIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    auto it = counts_.find(KeyOf(row));
+    KAMINO_CHECK(it != counts_.end()) << "RemoveRow of a row never added";
+    if (--it->second == 0) counts_.erase(it);
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const ScopeCountIndex*>(&other);
     KAMINO_CHECK(peer != nullptr) << "Merge across index types";
@@ -1009,6 +1084,12 @@ class NeverViolationIndex : public ViolationIndex {
   void AddRow(const Row& row) override {
     (void)row;
     ++num_rows_;
+  }
+
+  void RemoveRow(const Row& row) override {
+    (void)row;
+    KAMINO_CHECK(num_rows_ > 0) << "RemoveRow of a row never added";
+    --num_rows_;
   }
 
   void Merge(const ViolationIndex& other) override {
@@ -1060,6 +1141,11 @@ class CompositeViolationIndex : public ViolationIndex {
   void AddRow(const Row& row) override {
     for (auto& block : blocks_) block->AddRow(row);
     ++num_rows_;
+  }
+
+  void RemoveRow(const Row& row) override {
+    for (auto& block : blocks_) block->RemoveRow(row);
+    --num_rows_;
   }
 
   void Merge(const ViolationIndex& other) override {

@@ -65,25 +65,28 @@ int64_t CountNewViolations(const DenialConstraint& dc, const Row& row,
 std::vector<std::vector<double>> BuildViolationMatrix(
     const Table& table, const std::vector<WeightedConstraint>& constraints);
 
-/// Incremental per-DC index used by the constraint-aware sampler: rows are
-/// added as their relevant attributes get filled, and candidate rows can be
-/// scored for the number of *new* violations they would introduce.
+/// Incremental per-DC index: the one violation-penalty kernel of the
+/// sampler. Rows are added as their relevant attributes get filled, and
+/// candidate rows are scored for the number of *new* violations they
+/// would introduce against the committed rows.
 ///
 /// Implementations: an O(1) hash-group index for FD-shaped DCs (including
 /// decomposition-normalized FD equivalents and pure-`!=` DCs), a trivial
 /// evaluator for unary DCs, a sorted block-list index for (equality-
-/// scoped) order DCs (sub-linear `CountNew`, Fenwick-tree `Merge`/
-/// `CountAgainst` sweeps), a composite index for the remaining DCs with a
-/// `kComposite` decomposition (a signed inclusion–exclusion sum of
-/// hash-group and order blocks — see `PredicateDecomposition`), a
-/// zero-reporting index for `kNeverFires` conjunctions, and a prefix-scan
-/// fallback for `kGeneral` binary DCs.
+/// scoped) order DCs (sub-linear `CountNew`), a composite index for the
+/// remaining DCs with a `kComposite` decomposition (a signed
+/// inclusion–exclusion sum of hash-group and order blocks — see
+/// `PredicateDecomposition`), a zero-reporting index for `kNeverFires`
+/// conjunctions, and a prefix-scan fallback for `kGeneral` binary DCs.
 ///
-/// Indices are *mergeable*: the shard-parallel sampler builds one index per
-/// shard and folds them together in fixed shard order with `Merge`, using
-/// `CountAgainst` to measure the cross-shard violations the per-shard
-/// sampling could not see. Both operations require the two indices to be
-/// over the same DC (and therefore the same implementation type).
+/// The sampler uses four operations: `AddRow`, `RemoveRow`, `CountNew`
+/// and `FdForcedValue`. The sampling loop commits each row as it is
+/// drawn; the MCMC pass keeps a full-table index and the freeze repair a
+/// live-slice index, and both replace a rewritten row with `RemoveRow`
+/// then `AddRow`. `CountNew` is an exact integer count for every class,
+/// so no caller ever pair-scans a table. `Merge` and `CountAgainst` have
+/// no production caller; they remain for tests and the service
+/// benchmark's probe.
 class ViolationIndex {
  public:
   virtual ~ViolationIndex() = default;
@@ -94,6 +97,12 @@ class ViolationIndex {
 
   /// Commits `row` to the index.
   virtual void AddRow(const Row& row) = 0;
+
+  /// Retracts one committed row equal to `row` on the DC's attributes.
+  /// Afterwards `CountNew`, `FdForcedValue` and `size` answer exactly as
+  /// an index built from the remaining rows. Removing a row that was
+  /// never added is an internal error (checked).
+  virtual void RemoveRow(const Row& row) = 0;
 
   /// Folds `other`'s committed rows into this index, equivalent to
   /// re-adding them through `AddRow` one by one (but O(groups) for the FD

@@ -188,6 +188,50 @@ TEST(ShardedSamplerTest, GoldenDigestGridAcrossThreadsAndShards) {
   }
 }
 
+TEST(ShardedSamplerTest, Br2000McmcAndRepairDigestsPinned) {
+  // BR2000's soft DCs score through the composite and naive indices, in
+  // the MCMC pass and, at 4 shards, in the freeze repair; the Adult
+  // golden grid above reaches neither. Pinned per shard count, at every
+  // thread budget. If one fails after an *intentional* sampler change,
+  // re-capture from the failure message.
+  const BenchmarkDataset ds = MakeBr2000Like(200, 5);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.mcmc_resamples = 64;
+  options.seed = 31;
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  const std::pair<size_t, const char*> pinned[] = {
+      {1, "0x8d84349eae2e4b82"},
+      {4, "0xe80f21b1c9681f8d"},
+  };
+  for (const auto& [num_shards, expected] : pinned) {
+    for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+      ScopedNumThreads threads(num_threads);
+      options.num_shards = num_shards;
+      Rng srng(17);
+      SynthesisTelemetry telemetry;
+      Table out = Synthesize(model, constraints, 200, options, &srng,
+                             &telemetry)
+                      .TakeValue();
+      EXPECT_GT(telemetry.mcmc_resamples, 0);
+      if (num_shards > 1) {
+        EXPECT_GT(telemetry.merge_resamples, 0);
+      }
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
+      EXPECT_EQ(std::string(actual), expected)
+          << "digest drifted at num_shards=" << num_shards
+          << " num_threads=" << num_threads;
+    }
+  }
+}
+
 /// Full pipeline on a mixed hard-DC workload (FD + order DC) at the given
 /// thread and shard budget; `all_soft` flips every Adult DC soft.
 KaminoResult RunPipeline(size_t num_threads, size_t num_shards,

@@ -2,11 +2,14 @@
 // binary DC with a kComposite decomposition — !=-only, equality + !=,
 // equality + order + !=, non-strict order mixes — must be bit-identical
 // to the naive pair scan in full counts, incremental CountNew, shard
-// Merge/CountAgainst, and violation-matrix columns.
+// Merge/CountAgainst, and violation-matrix columns. The RemoveRow oracle
+// at the end covers every index class on the same random DCs and rows.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -294,6 +297,154 @@ TEST(CompositeViolationsTest, RandomizedDcsMatchNaiveEverywhere) {
   // The fuzzer must actually exercise the composite engine, not just the
   // fallback.
   EXPECT_GE(composite_seen, 10);
+}
+
+/// Randomized AddRow / RemoveRow / CountNew sequence on one index made by
+/// `make`. The rows grow past 200 (blocks of an order group split at 64
+/// rows, and with 7 distinct x values the equal-x runs straddle block
+/// boundaries), shrink to empty (every block and group is emptied), then
+/// grow again from re-added removed rows, with removals and additions
+/// interleaved throughout. After every step the index's `CountNew`
+/// matches the naive reference kept in step with it (binary DCs; a unary
+/// DC's count is `ViolatesUnary`), and its `CountNew`, `FdForcedValue` and
+/// `size` match an index rebuilt from the surviving rows by `AddRow`
+/// alone.
+void CheckRemoveRowSequence(
+    const DenialConstraint& dc,
+    const std::function<std::unique_ptr<ViolationIndex>()>& make,
+    const std::string& label, Rng* rng) {
+  auto index = make();
+  auto naive = dc.is_unary() ? nullptr : MakeNaiveViolationIndex(dc);
+  auto reference_count = [&](const Row& row) -> int64_t {
+    return naive != nullptr ? naive->CountNew(row) : dc.ViolatesUnary(row);
+  };
+  std::vector<Row> live;
+  std::vector<Row> removed;
+  const std::vector<Row> probes = RandomRows(6, rng);
+  auto add = [&](Row row) {
+    ASSERT_EQ(index->CountNew(row), reference_count(row)) << label;
+    index->AddRow(row);
+    if (naive != nullptr) naive->AddRow(row);
+    live.push_back(std::move(row));
+  };
+  auto remove = [&] {
+    const size_t k = static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+    index->RemoveRow(live[k]);
+    if (naive != nullptr) naive->RemoveRow(live[k]);
+    removed.push_back(std::move(live[k]));
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+  auto check = [&](int step) {
+    auto rebuilt = make();
+    for (const Row& row : live) rebuilt->AddRow(row);
+    ASSERT_EQ(index->size(), live.size()) << label << " step " << step;
+    ASSERT_EQ(rebuilt->size(), live.size()) << label << " step " << step;
+    for (const Row& probe : probes) {
+      ASSERT_EQ(index->CountNew(probe), reference_count(probe))
+          << label << " step " << step;
+      ASSERT_EQ(index->CountNew(probe), rebuilt->CountNew(probe))
+          << label << " step " << step;
+      const std::optional<Value> forced = index->FdForcedValue(probe);
+      const std::optional<Value> expected = rebuilt->FdForcedValue(probe);
+      ASSERT_EQ(forced.has_value(), expected.has_value())
+          << label << " step " << step;
+      if (forced.has_value()) {
+        ASSERT_TRUE(*forced == *expected) << label << " step " << step;
+      }
+    }
+  };
+  int step = 0;
+  // Grow (one removal per four additions on average).
+  while (live.size() < 220) {
+    if (!live.empty() && rng->UniformInt(0, 4) == 0) {
+      remove();
+    } else {
+      add(RandomRow(rng));
+    }
+    check(step++);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Shrink to empty, re-adding a removed row now and then.
+  while (!live.empty()) {
+    if (rng->UniformInt(0, 4) == 0) {
+      add(removed[static_cast<size_t>(rng->UniformInt(
+          0, static_cast<int64_t>(removed.size()) - 1))]);
+    } else {
+      remove();
+    }
+    check(step++);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Grow again from removed rows only.
+  for (int i = 0; i < 90; ++i) {
+    if (!live.empty() && rng->UniformInt(0, 3) == 0) {
+      remove();
+    } else {
+      add(removed[static_cast<size_t>(rng->UniformInt(
+          0, static_cast<int64_t>(removed.size()) - 1))]);
+    }
+    check(step++);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// DCs for the RemoveRow oracle, one or more per index class.
+std::vector<DenialConstraint> RemoveRowDcs(const Schema& schema) {
+  std::vector<DenialConstraint> dcs = CompositeDcs(schema);
+  for (const char* spec : {
+           // FD (categorical and numeric RHS, one- and two-attribute LHS).
+           "!(t1.a == t2.a & t1.b != t2.b)",
+           "!(t1.a == t2.a & t1.b == t2.b & t1.u != t2.u)",
+           // Order pair, plain and equality-scoped.
+           "!(t1.u > t2.u & t1.v < t2.v)",
+           "!(t1.a == t2.a & t1.u < t2.u & t1.v < t2.v)",
+           // Unary.
+           "!(t1.u > 3 & t1.a == 'q')",
+           // Never fires.
+           "!(t1.u > t2.u & t1.u < t2.u)",
+           // General: three order residuals fall back to the naive index.
+           "!(t1.u <= t2.u & t1.v > t2.v & t1.w > t2.w)",
+       }) {
+    auto dc = DenialConstraint::Parse(spec, schema);
+    EXPECT_TRUE(dc.ok()) << spec;
+    dcs.push_back(dc.value());
+  }
+  return dcs;
+}
+
+TEST(ViolationIndexRemoveRowTest, EveryIndexClassMatchesRebuiltAndNaive) {
+  Schema schema = TestSchema();
+  Rng rng(131);
+  std::vector<DenialConstraint> dcs = RemoveRowDcs(schema);
+  for (int i = 0; i < 12; ++i) dcs.push_back(RandomCompositeDc(schema, &rng));
+  for (const DenialConstraint& dc : dcs) {
+    const std::string label = dc.ToString(schema);
+    CheckRemoveRowSequence(
+        dc, [&dc] { return MakeViolationIndex(dc); }, label, &rng);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The naive class itself (the reference above), against rebuilds only.
+  for (const DenialConstraint& dc : RemoveRowDcs(schema)) {
+    if (dc.is_unary()) continue;  // the naive index is for binary DCs
+    CheckRemoveRowSequence(
+        dc, [&dc] { return MakeNaiveViolationIndex(dc); },
+        "naive " + dc.ToString(schema), &rng);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ViolationIndexRemoveRowDeathTest, RemovingARowNeverAddedIsChecked) {
+  // Re-executes the binary for each death instead of forking a process
+  // that may hold pool threads.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Schema schema = TestSchema();
+  Rng rng(137);
+  const Row row = RandomRow(&rng);
+  for (const DenialConstraint& dc : RemoveRowDcs(schema)) {
+    auto index = MakeViolationIndex(dc);
+    EXPECT_DEATH(index->RemoveRow(row), "never added") << dc.ToString(schema);
+  }
 }
 
 }  // namespace

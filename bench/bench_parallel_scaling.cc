@@ -392,6 +392,14 @@ int Main() {
       }
     }
     KAMINO_CHECK(!fd_dcs.empty()) << "tax workload lost its FDs";
+    // FD counts run through the composite plan's scope terms: hold each
+    // one to the pair scan at every size.
+    for (const WeightedConstraint& wc : fd_dcs) {
+      if (CountViolations(wc.dc, tax.table) !=
+          CountViolationsNaive(wc.dc, tax.table)) {
+        columnar_agree = false;
+      }
+    }
 
     // FD violation-index build: per-row (group_size - cell_size) columns.
     auto boxed_fd_columns = [&] {

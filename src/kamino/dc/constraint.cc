@@ -482,26 +482,10 @@ bool DenialConstraint::AsFd(std::vector<size_t>* lhs, size_t* rhs) const {
 }
 
 bool DenialConstraint::AsOrderPair(size_t* x_attr, size_t* y_attr) const {
-  if (predicates_.size() != 2) return false;
-  std::vector<size_t> group;
-  size_t x = 0, y = 0;
-  if (!AsGroupedOrderPair(&group, &x, &y, nullptr) || !group.empty()) {
-    return false;
-  }
-  if (x_attr != nullptr) *x_attr = x;
-  if (y_attr != nullptr) *y_attr = y;
-  return true;
-}
-
-bool DenialConstraint::AsGroupedOrderPair(std::vector<size_t>* group_attrs,
-                                          size_t* x_attr, size_t* y_attr,
-                                          bool* co_monotone) const {
   std::optional<GroupedOrderSpec> spec = AsGroupedOrderSpec();
-  if (!spec.has_value()) return false;
-  if (group_attrs != nullptr) *group_attrs = spec->group_attrs;
+  if (!spec.has_value() || !spec->group_attrs.empty()) return false;
   if (x_attr != nullptr) *x_attr = spec->x_attr;
   if (y_attr != nullptr) *y_attr = spec->y_attr;
-  if (co_monotone != nullptr) *co_monotone = spec->co_monotone;
   return true;
 }
 

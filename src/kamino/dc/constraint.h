@@ -45,7 +45,8 @@ struct Predicate {
 };
 
 /// Normalized description of an (equality-scoped) order DC, as matched by
-/// `DenialConstraint::AsGroupedOrderSpec`: within each group of rows that
+/// `DenialConstraint::AsGroupedOrderSpec` and as carried by every order
+/// term of the composite violation plan: within each group of rows that
 /// agree on `group_attrs`, the DC forbids X and Y moving in opposite
 /// directions (`co_monotone`, e.g. !(t1.X > t2.X & t1.Y < t2.Y)) or in the
 /// same direction (anti-monotone, e.g. !(t1.X > t2.X & t1.Y > t2.Y)).
@@ -225,8 +226,9 @@ class DenialConstraint {
 
   /// If the DC is a two-predicate co-monotonicity ("order") constraint
   ///   !(t1.X > t2.X & t1.Y < t2.Y)   (or mirrored comparison forms)
-  /// fills X and Y and returns true. Used by the repair baseline and by
-  /// the sampler's DC-aware candidate generation.
+  /// fills X and Y and returns true: the `AsGroupedOrderSpec` match with
+  /// an empty group. Used by the repair baseline and by the sampler's
+  /// DC-aware candidate generation.
   bool AsOrderPair(size_t* x_attr, size_t* y_attr) const;
 
   /// Generalization of `AsOrderPair` to order constraints scoped by
@@ -238,12 +240,7 @@ class DenialConstraint {
   /// the two order predicates point in opposite directions once normalized
   /// to the same tuple orientation (the DC forbids X and Y moving in
   /// opposite directions within a group) and false for the anti-monotone
-  /// form. Used by the shard-merge rank alignment.
-  bool AsGroupedOrderPair(std::vector<size_t>* group_attrs, size_t* x_attr,
-                          size_t* y_attr, bool* co_monotone) const;
-
-  /// Struct-valued form of `AsGroupedOrderPair`, bundling the match with
-  /// the rank/orientation helpers the sorted violation scans use.
+  /// form. Used by the shard freeze's rank alignment.
   std::optional<GroupedOrderSpec> AsGroupedOrderSpec() const;
 
   /// Canonical predicate decomposition (see `PredicateDecomposition`):

@@ -19,8 +19,9 @@ namespace {
 
 /// Bumps `kamino.dc.<what>.<kind>` and records the table size into the
 /// matching size histogram when metrics are on. `kind` names the dispatch
-/// branch (fd / order / composite / naive / ...), so the counters expose
-/// how often each specialized engine actually fires.
+/// branch (composite / naive / never for counts; unary / fd / order /
+/// composite / naive / never for indices), so the counters expose how
+/// often a DC falls back to the quadratic engine.
 void RecordDcMetric(const char* what, const char* kind, size_t rows) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   if (!reg.enabled()) return;
@@ -69,7 +70,8 @@ struct FdKeyHash {
 };
 
 /// Projects `row` onto `attrs` as a hashable group key — the one key
-/// construction every grouped index and count in this file shares.
+/// construction every grouped index in this file shares (the offline
+/// counts group through `GroupIds`).
 FdKey RowKey(const Row& row, const std::vector<size_t>& attrs) {
   FdKey key;
   key.values.reserve(attrs.size());
@@ -77,81 +79,49 @@ FdKey RowKey(const Row& row, const std::vector<size_t>& attrs) {
   return key;
 }
 
-// ---------------------------------------------------------------------------
-// Packed equality keys over the typed columns.
-//
-// The whole-table grouped counts below (FD violations, scoped pairs,
-// composite scope terms, order-DC grouping) used to project each row into
-// a vector<Value> key and hash-group those. The columnar core makes the
-// key a flat sequence of u64 words read straight from the typed arrays:
-// dictionary codes widen to u64 and numeric cells contribute their bit
-// pattern, so word equality coincides with Value equality (-0.0 is
-// canonicalized to +0.0 first, the one bit-pattern split inside a Value
-// equivalence class). NaN breaks the correspondence the other way
-// (NaN != NaN as a Value, but its bit pattern equals itself), so `Build`
-// refuses key columns containing NaN and callers fall back to the boxed
-// RowKey path.
-// ---------------------------------------------------------------------------
-
-/// Row-major packed key words: row i's key is `words_per_row()`
-/// consecutive u64s, one per key attribute.
-class PackedKeyColumns {
- public:
-  static std::optional<PackedKeyColumns> Build(
-      const Table& table, const std::vector<size_t>& attrs) {
-    PackedKeyColumns out;
-    const size_t n = table.num_rows();
-    const size_t k = attrs.size();
-    out.num_rows_ = n;
-    out.words_per_row_ = k;
-    out.words_.resize(n * k);
-    for (size_t slot = 0; slot < k; ++slot) {
-      const Column& col = table.columns().column(attrs[slot]);
-      uint64_t* dst = out.words_.data() + slot;
-      if (col.is_categorical()) {
-        const int32_t* codes = col.codes().data();
-        for (size_t i = 0; i < n; ++i, dst += k) {
-          *dst = static_cast<uint64_t>(static_cast<int64_t>(codes[i]));
-        }
-      } else {
-        const double* nums = col.nums().data();
-        for (size_t i = 0; i < n; ++i, dst += k) {
-          const double v = nums[i];
-          if (v != v) return std::nullopt;  // NaN: word != Value equality
-          const double canonical = v == 0.0 ? 0.0 : v;  // fold -0.0 in
-          uint64_t bits;
-          std::memcpy(&bits, &canonical, sizeof(bits));
-          *dst = bits;
-        }
-      }
-    }
-    return out;
-  }
-
-  size_t num_rows() const { return num_rows_; }
-  size_t words_per_row() const { return words_per_row_; }
-  const uint64_t* row(size_t i) const {
-    return words_.data() + i * words_per_row_;
-  }
-
- private:
-  size_t num_rows_ = 0;
-  size_t words_per_row_ = 0;
-  std::vector<uint64_t> words_;
-};
-
-/// Dense group ids (first-occurrence order) for every row: linear-probing
-/// insert-or-find over the packed words, the columnar replacement for
-/// `unordered_map<FdKey, ...>` grouping. An empty key (no attributes) puts
-/// every row in group 0, matching the single empty RowKey.
-std::vector<uint32_t> PackedGroupIds(const PackedKeyColumns& keys,
-                                     size_t* num_groups) {
-  const size_t n = keys.num_rows();
-  const size_t k = keys.words_per_row();
+/// Dense group ids (first-occurrence order) of `table`'s rows under
+/// equality on `attrs` — the one grouping every offline count and matrix
+/// column in this file runs on. Each row's key is a flat sequence of u64
+/// words read straight from the typed arrays: dictionary codes widen to
+/// u64 and numeric cells contribute their bit pattern, so word equality
+/// coincides with Value equality (-0.0 is canonicalized to +0.0 first, the
+/// one bit-pattern split inside a Value equivalence class). NaN breaks the
+/// correspondence the other way (NaN != NaN as a Value, but its bit
+/// pattern equals itself): a row with NaN in any key cell equals no other
+/// row, so it gets a singleton group without entering the hash table.
+/// Linear-probing insert-or-find over the words; an empty key (no
+/// attributes) puts every row in group 0, matching the single empty
+/// RowKey.
+std::vector<uint32_t> GroupIds(const Table& table,
+                               const std::vector<size_t>& attrs,
+                               size_t* num_groups) {
+  const size_t n = table.num_rows();
+  const size_t k = attrs.size();
   std::vector<uint32_t> gid(n, 0);
   if (k == 0) {
     *num_groups = n == 0 ? 0 : 1;
     return gid;
+  }
+  // Row-major key words: row i's key is k consecutive u64s.
+  std::vector<uint64_t> words(n * k);
+  std::vector<uint8_t> has_nan(n, 0);
+  for (size_t slot = 0; slot < k; ++slot) {
+    const Column& col = table.columns().column(attrs[slot]);
+    uint64_t* dst = words.data() + slot;
+    if (col.is_categorical()) {
+      const int32_t* codes = col.codes().data();
+      for (size_t i = 0; i < n; ++i, dst += k) {
+        *dst = static_cast<uint64_t>(static_cast<int64_t>(codes[i]));
+      }
+    } else {
+      const double* nums = col.nums().data();
+      for (size_t i = 0; i < n; ++i, dst += k) {
+        const double v = nums[i];
+        if (v != v) has_nan[i] = 1;
+        const double canonical = v == 0.0 ? 0.0 : v;  // fold -0.0 in
+        std::memcpy(dst, &canonical, sizeof(*dst));
+      }
+    }
   }
   size_t cap = 16;
   while (cap < 2 * n) cap *= 2;
@@ -160,7 +130,12 @@ std::vector<uint32_t> PackedGroupIds(const PackedKeyColumns& keys,
   std::vector<uint32_t> slot_group(cap, kEmpty);
   std::vector<uint32_t> reps;  // representative row of each group
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t* w = keys.row(i);
+    const uint64_t* w = words.data() + i * k;
+    if (has_nan[i]) {
+      gid[i] = static_cast<uint32_t>(reps.size());
+      reps.push_back(static_cast<uint32_t>(i));
+      continue;
+    }
     // FNV-1a over the key words, with a final fold so power-of-two
     // masking sees high-entropy low bits.
     uint64_t h = 1469598103934665603ull;
@@ -178,15 +153,7 @@ std::vector<uint32_t> PackedGroupIds(const PackedKeyColumns& keys,
         reps.push_back(static_cast<uint32_t>(i));
         break;
       }
-      const uint64_t* rep = keys.row(reps[g]);
-      bool equal = true;
-      for (size_t t = 0; t < k; ++t) {
-        if (rep[t] != w[t]) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
+      if (std::equal(w, w + k, words.data() + size_t{reps[g]} * k)) {
         gid[i] = g;
         break;
       }
@@ -208,62 +175,8 @@ const double* OrderKeySpan(const Table& table, size_t attr,
   return scratch->data();
 }
 
-/// Boxed-key fallback of `CountFdViolations` for key columns with NaN.
-int64_t CountFdViolationsRowKeyed(const std::vector<size_t>& lhs, size_t rhs,
-                                  const Table& table) {
-  std::unordered_map<FdKey, std::unordered_map<Value, int64_t, ValueHash>,
-                     FdKeyHash>
-      groups;
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    const Row& row = table.row(i);
-    ++groups[RowKey(row, lhs)][row[rhs]];
-  }
-  int64_t violations = 0;
-  for (const auto& [key, rhs_counts] : groups) {
-    int64_t group_size = 0;
-    int64_t same = 0;
-    for (const auto& [value, count] : rhs_counts) {
-      group_size += count;
-      same += PairsOf(count);
-    }
-    violations += PairsOf(group_size) - same;
-  }
-  return violations;
-}
-
-/// Counts violating unordered pairs of an FD-shaped DC by grouping: within
-/// an LHS group of size g whose RHS value multiplicities are c_v, the
-/// violating pairs are C(g,2) - sum_v C(c_v,2). Grouping runs on packed
-/// column words; (LHS, RHS) multiplicities are just a second grouping on
-/// the key extended by the RHS attribute.
-int64_t CountFdViolations(const std::vector<size_t>& lhs, size_t rhs,
-                          const Table& table) {
-  std::optional<PackedKeyColumns> lhs_keys =
-      PackedKeyColumns::Build(table, lhs);
-  std::vector<size_t> both = lhs;
-  both.push_back(rhs);
-  std::optional<PackedKeyColumns> both_keys =
-      PackedKeyColumns::Build(table, both);
-  if (!lhs_keys.has_value() || !both_keys.has_value()) {
-    return CountFdViolationsRowKeyed(lhs, rhs, table);
-  }
-  size_t num_groups = 0;
-  size_t num_cells = 0;
-  const std::vector<uint32_t> gid = PackedGroupIds(*lhs_keys, &num_groups);
-  const std::vector<uint32_t> cid = PackedGroupIds(*both_keys, &num_cells);
-  std::vector<int64_t> group_size(num_groups, 0);
-  std::vector<int64_t> cell_size(num_cells, 0);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    ++group_size[gid[i]];
-    ++cell_size[cid[i]];
-  }
-  int64_t violations = 0;
-  for (int64_t g : group_size) violations += PairsOf(g);
-  for (int64_t c : cell_size) violations -= PairsOf(c);
-  return violations;
-}
-
-/// O(1)-per-candidate index for FD-shaped DCs.
+/// O(1)-per-candidate index for scope-minus-diagonal plans: FD-shaped DCs
+/// (`lhs` the equality scope, `rhs` the one inequation).
 class FdViolationIndex : public ViolationIndex {
  public:
   FdViolationIndex(std::vector<size_t> lhs, size_t rhs)
@@ -407,9 +320,8 @@ class UnaryViolationIndex : public ViolationIndex {
   size_t num_rows_ = 0;
 };
 
-/// Fallback for general binary DCs: scans every committed row. The scan
-/// only materializes the attributes mentioned by the DC to keep the rows
-/// compact is unnecessary here since rows are shared; we store copies.
+/// Fallback for `kGeneral` binary DCs: stores a copy of every committed
+/// row and scores a candidate by testing it against each of them.
 class NaiveViolationIndex : public ViolationIndex {
  public:
   explicit NaiveViolationIndex(const DenialConstraint& dc) : dc_(dc) {}
@@ -463,13 +375,13 @@ class NaiveViolationIndex : public ViolationIndex {
 // ---------------------------------------------------------------------------
 // Sorted order-DC engine.
 //
-// A DC matching `AsGroupedOrderPair` partitions the instance into equality
-// groups, and within a group an unordered pair violates exactly when it is
-// a strict *inversion* between the context axis X and the oriented
-// dependent axis Y' (GroupedOrderSpec::OrientedKey folds the co- and
-// anti-monotone forms into one geometry; ties on either axis never
-// violate). Everything below counts inversions with rank queries instead
-// of pair enumeration.
+// An order term of the composite plan (a `GroupedOrderSpec`) partitions
+// the instance into equality groups, and within a group an unordered pair
+// violates exactly when it is a strict *inversion* between the context
+// axis X and the oriented dependent axis Y' (GroupedOrderSpec::OrientedKey
+// folds the co- and anti-monotone forms into one geometry; ties on either
+// axis never violate). Everything below counts inversions with rank
+// queries instead of pair enumeration.
 // ---------------------------------------------------------------------------
 
 /// Fenwick (binary indexed) tree counting points by rank.
@@ -533,38 +445,17 @@ std::vector<double> YUniverse(const std::vector<OrderPoint>& points) {
   return keys;
 }
 
-/// Boxed-key fallback of `GroupOrderPoints` for group columns with NaN.
-std::vector<std::vector<OrderPoint>> GroupOrderPointsRowKeyed(
-    const GroupedOrderSpec& spec, const Table& table) {
-  std::unordered_map<FdKey, std::vector<OrderPoint>, FdKeyHash> by_group;
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    const Row& row = table.row(i);
-    by_group[RowKey(row, spec.group_attrs)].push_back(
-        {spec.ContextKey(row[spec.x_attr]), spec.OrientedKey(row[spec.y_attr]),
-         i});
-  }
-  std::vector<std::vector<OrderPoint>> groups;
-  groups.reserve(by_group.size());
-  for (auto& [key, points] : by_group) {
-    std::sort(points.begin(), points.end(), OrderPointByX);
-    groups.push_back(std::move(points));
-  }
-  return groups;
-}
-
-/// Partitions `table` into the DC's equality groups, each an x-sorted
-/// point vector. Grouping runs on packed column words and the sort keys
-/// come straight from the typed x/y arrays; group order in the result is
+/// Partitions `table` into the spec's equality groups, each an x-sorted
+/// point vector. Grouping runs on `GroupIds` and the sort keys come
+/// straight from the typed x/y arrays; group order in the result is
 /// first-occurrence (consumers only sum per-group counts, so the order is
 /// immaterial).
 std::vector<std::vector<OrderPoint>> GroupOrderPoints(
     const GroupedOrderSpec& spec, const Table& table) {
-  std::optional<PackedKeyColumns> keys =
-      PackedKeyColumns::Build(table, spec.group_attrs);
-  if (!keys.has_value()) return GroupOrderPointsRowKeyed(spec, table);
   const size_t n = table.num_rows();
   size_t num_groups = 0;
-  const std::vector<uint32_t> gid = PackedGroupIds(*keys, &num_groups);
+  const std::vector<uint32_t> gid =
+      GroupIds(table, spec.group_attrs, &num_groups);
   std::vector<double> x_scratch, y_scratch;
   const double* xs = OrderKeySpan(table, spec.x_attr, &x_scratch);
   const double* ys = OrderKeySpan(table, spec.y_attr, &y_scratch);
@@ -603,37 +494,29 @@ void AscendingInversionSweep(const std::vector<OrderPoint>& points,
   }
 }
 
-/// Inversions within one x-sorted group: every violating pair is counted
-/// exactly once, at its larger-x member.
-int64_t GroupInversions(const std::vector<OrderPoint>& points) {
-  int64_t count = 0;
-  AscendingInversionSweep(points, YUniverse(points),
-                          [&](const OrderPoint&, int64_t c) { count += c; });
-  return count;
-}
-
-/// O(n log n) violation count of a grouped order DC over a table.
-int64_t CountOrderViolations(const GroupedOrderSpec& spec,
-                             const Table& table) {
+/// Count evaluator of an order term: strict inversions within every
+/// group, each violating pair counted exactly once, at its larger-x
+/// member. O(n log n).
+int64_t OrderInversions(const GroupedOrderSpec& spec, const Table& table) {
   int64_t count = 0;
   for (const auto& points : GroupOrderPoints(spec, table)) {
-    count += GroupInversions(points);
+    AscendingInversionSweep(points, YUniverse(points),
+                            [&](const OrderPoint&, int64_t c) { count += c; });
   }
   return count;
 }
 
-/// Per-row inversion counts of a grouped order DC (the DC's column of the
-/// violation matrix): two Fenwick passes per group — ascending x counts
-/// each row's partners with smaller x and larger y', descending x counts
-/// partners with larger x and smaller y'. Exact
+/// Column evaluator of an order term: adds `sign` times each row's
+/// inversion count into `column`, two Fenwick passes per group —
+/// ascending x counts each row's partners with smaller x and larger y',
+/// descending x counts partners with larger x and smaller y'. Exact
 /// integers, so the column is bit-identical to the pair scan.
-void OrderViolationColumn(const GroupedOrderSpec& spec, const Table& table,
-                          std::vector<int64_t>* column) {
-  column->assign(table.num_rows(), 0);
+void AddOrderColumn(const GroupedOrderSpec& spec, const Table& table,
+                    int sign, std::vector<int64_t>* column) {
   for (const auto& points : GroupOrderPoints(spec, table)) {
     const std::vector<double> keys = YUniverse(points);
     auto into_column = [&](const OrderPoint& p, int64_t count) {
-      (*column)[p.row] += count;
+      (*column)[p.row] += sign * count;
     };
     // Pass 1 (ascending x): partners with x_j < x_i and y_j > y_i.
     AscendingInversionSweep(points, keys, into_column);
@@ -926,6 +809,13 @@ class OrderViolationIndex : public ViolationIndex {
 // agreeing on a key, and strict-inversion counts within key groups (the
 // GroupedOrderSpec geometry above). All blocks are exact integer counters,
 // so every composite count is bit-identical to the naive pair scan.
+//
+// The plan is the only shape switch of this file: `CountViolations` sums
+// signed per-term counts, `BuildViolationMatrix` signed per-term columns,
+// and `MakeViolationIndex` picks the FD index for a scope-minus-diagonal
+// plan, the order index for a single order term, and the composite index
+// otherwise. Each term kind has one count evaluator (`TermCount`), one
+// column evaluator (`PlanViolationColumn`) and one index block.
 // ---------------------------------------------------------------------------
 
 /// One signed term of the composite plan: a scope block (pairs agreeing
@@ -1117,8 +1007,8 @@ class NeverViolationIndex : public ViolationIndex {
 /// and `AddRow`/`Merge` feed every block.
 class CompositeViolationIndex : public ViolationIndex {
  public:
-  explicit CompositeViolationIndex(const PredicateDecomposition& d) {
-    for (CompositeTerm& t : CompositeTermPlan(d)) {
+  explicit CompositeViolationIndex(std::vector<CompositeTerm> plan) {
+    for (CompositeTerm& t : plan) {
       signs_.push_back(t.sign);
       if (t.is_order) {
         blocks_.push_back(
@@ -1179,79 +1069,42 @@ class CompositeViolationIndex : public ViolationIndex {
   size_t num_rows_ = 0;
 };
 
-/// Pairs agreeing on `key_attrs` (all pairs for an empty key): the
-/// offline form of a scope block. Grouping runs on packed column words,
-/// falling back to boxed keys when a key column holds NaN.
-int64_t CountScopedPairs(const std::vector<size_t>& key_attrs,
-                         const Table& table) {
-  std::optional<PackedKeyColumns> keys =
-      PackedKeyColumns::Build(table, key_attrs);
-  if (keys.has_value()) {
-    size_t num_groups = 0;
-    const std::vector<uint32_t> gid = PackedGroupIds(*keys, &num_groups);
-    std::vector<int64_t> group_size(num_groups, 0);
-    for (uint32_t g : gid) ++group_size[g];
-    int64_t pairs = 0;
-    for (int64_t g : group_size) pairs += PairsOf(g);
-    return pairs;
-  }
-  std::unordered_map<FdKey, int64_t, FdKeyHash> counts;
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    ++counts[RowKey(table.row(i), key_attrs)];
-  }
+/// Count evaluator of one plan term: pairs agreeing on the scope key (all
+/// pairs for an empty key), or the order term's strict inversions.
+int64_t TermCount(const CompositeTerm& t, const Table& table) {
+  if (t.is_order) return OrderInversions(t.order, table);
+  size_t num_groups = 0;
+  const std::vector<uint32_t> gid = GroupIds(table, t.key_attrs, &num_groups);
+  std::vector<int64_t> group_size(num_groups, 0);
+  for (uint32_t g : gid) ++group_size[g];
   int64_t pairs = 0;
-  for (const auto& [key, count] : counts) pairs += PairsOf(count);
+  for (int64_t g : group_size) pairs += PairsOf(g);
   return pairs;
 }
 
-/// O(2^k * n log n) full violation count of a composite DC.
-int64_t CountCompositeViolations(const PredicateDecomposition& d,
-                                 const Table& table) {
-  int64_t total = 0;
-  for (const CompositeTerm& t : CompositeTermPlan(d)) {
-    total += t.sign * (t.is_order ? CountOrderViolations(t.order, table)
-                                  : CountScopedPairs(t.key_attrs, table));
-  }
-  return total;
-}
-
-/// Per-row violation counts of a composite DC (its column of the
-/// violation matrix): signed per-term columns — group size minus one
-/// (the row itself) for scope terms, the two-pass Fenwick sweep for
-/// order terms. Exact integers throughout.
-void CompositeViolationColumn(const PredicateDecomposition& d,
-                              const Table& table,
-                              std::vector<int64_t>* column) {
+/// Per-row violation counts of a plan (its DC's column of the violation
+/// matrix): the signed sum of per-term columns — group size minus one
+/// (the row itself) for scope terms, the two-pass Fenwick sweep for order
+/// terms. Exact integers throughout.
+std::vector<int64_t> PlanViolationColumn(const std::vector<CompositeTerm>& plan,
+                                         const Table& table) {
   const size_t n = table.num_rows();
-  column->assign(n, 0);
-  std::vector<int64_t> term_column;
-  for (const CompositeTerm& t : CompositeTermPlan(d)) {
+  std::vector<int64_t> column(n, 0);
+  for (const CompositeTerm& t : plan) {
     if (t.is_order) {
-      OrderViolationColumn(t.order, table, &term_column);
-      for (size_t i = 0; i < n; ++i) {
-        (*column)[i] += t.sign * term_column[i];
-      }
+      AddOrderColumn(t.order, table, t.sign, &column);
       continue;
     }
-    // Scope term: each row contributes its group size minus itself.
-    std::optional<PackedKeyColumns> keys =
-        PackedKeyColumns::Build(table, t.key_attrs);
-    if (keys.has_value()) {
-      size_t num_groups = 0;
-      const std::vector<uint32_t> gid = PackedGroupIds(*keys, &num_groups);
-      std::vector<int64_t> group_size(num_groups, 0);
-      for (uint32_t g : gid) ++group_size[g];
-      for (size_t i = 0; i < n; ++i) {
-        (*column)[i] += t.sign * (group_size[gid[i]] - 1);
-      }
-      continue;
-    }
-    std::unordered_map<FdKey, int64_t, FdKeyHash> counts;
-    for (size_t i = 0; i < n; ++i) ++counts[RowKey(table.row(i), t.key_attrs)];
+    size_t num_groups = 0;
+    const std::vector<uint32_t> gid =
+        GroupIds(table, t.key_attrs, &num_groups);
+    std::vector<int64_t> group_size(num_groups, 0);
+    for (uint32_t g : gid) ++group_size[g];
     for (size_t i = 0; i < n; ++i) {
-      (*column)[i] += t.sign * (counts[RowKey(table.row(i), t.key_attrs)] - 1);
+      column[i] += t.sign * (group_size[gid[i]] - 1);
     }
   }
+  return column;
 }
 
 }  // namespace
@@ -1303,28 +1156,22 @@ int64_t CountViolationsNaive(const DenialConstraint& dc, const Table& table) {
 
 int64_t CountViolations(const DenialConstraint& dc, const Table& table) {
   const size_t n = table.num_rows();
-  std::vector<size_t> lhs;
-  size_t rhs = 0;
-  if (dc.AsFd(&lhs, &rhs)) {
-    RecordDcMetric("count", "fd", n);
-    return CountFdViolations(lhs, rhs, table);
-  }
-  std::optional<GroupedOrderSpec> order = dc.AsGroupedOrderSpec();
-  if (order.has_value()) {
-    RecordDcMetric("count", "order", n);
-    return CountOrderViolations(*order, table);
-  }
   const PredicateDecomposition decomp = dc.Decompose();
-  if (decomp.shape == PredicateDecomposition::Shape::kNeverFires) {
+  using Shape = PredicateDecomposition::Shape;
+  if (decomp.shape == Shape::kNeverFires) {
     RecordDcMetric("count", "never", n);
     return 0;
   }
-  if (decomp.shape == PredicateDecomposition::Shape::kComposite) {
-    RecordDcMetric("count", "composite", n);
-    return CountCompositeViolations(decomp, table);
+  if (decomp.shape != Shape::kComposite) {
+    RecordDcMetric("count", "naive", n);
+    return CountViolationsNaive(dc, table);
   }
-  RecordDcMetric("count", "naive", n);
-  return CountViolationsNaive(dc, table);
+  RecordDcMetric("count", "composite", n);
+  int64_t total = 0;
+  for (const CompositeTerm& t : CompositeTermPlan(decomp)) {
+    total += t.sign * TermCount(t, table);
+  }
+  return total;
 }
 
 double ViolationRatePercent(const DenialConstraint& dc, const Table& table) {
@@ -1361,71 +1208,13 @@ std::vector<std::vector<double>> BuildViolationMatrix(
       });
       continue;
     }
-    std::vector<size_t> fd_lhs;
-    size_t fd_rhs = 0;
-    if (dc.AsFd(&fd_lhs, &fd_rhs)) {
-      // Equality-only (FD-shaped) DC: hash-partition instead of the O(n^2)
-      // pair scan. Each row's violation count is |LHS group| - |same
-      // (LHS, RHS)| — the committed row cancels itself out of both terms.
-      // Both groupings run on packed column words (see PackedKeyColumns);
-      // exact integer counts, so the column matches the pair scan bit for
-      // bit. NaN in a key column falls back to the boxed FD index.
-      std::optional<PackedKeyColumns> lhs_keys =
-          PackedKeyColumns::Build(table, fd_lhs);
-      std::vector<size_t> both = fd_lhs;
-      both.push_back(fd_rhs);
-      std::optional<PackedKeyColumns> both_keys =
-          PackedKeyColumns::Build(table, both);
-      if (lhs_keys.has_value() && both_keys.has_value()) {
-        size_t num_groups = 0;
-        size_t num_cells = 0;
-        const std::vector<uint32_t> gid =
-            PackedGroupIds(*lhs_keys, &num_groups);
-        const std::vector<uint32_t> cid =
-            PackedGroupIds(*both_keys, &num_cells);
-        std::vector<int64_t> group_size(num_groups, 0);
-        std::vector<int64_t> cell_size(num_cells, 0);
-        for (size_t i = 0; i < n; ++i) {
-          ++group_size[gid[i]];
-          ++cell_size[cid[i]];
-        }
-        runtime::ParallelForEach(0, n, kPairScanGrain, [&](size_t i) {
-          matrix[i][l] =
-              static_cast<double>(group_size[gid[i]] - cell_size[cid[i]]);
-        });
-        continue;
-      }
-      FdViolationIndex groups(fd_lhs, fd_rhs);
-      for (size_t i = 0; i < n; ++i) groups.AddRow(table.row(i));
-      runtime::ParallelForEach(0, n, kPairScanGrain, [&](size_t i) {
-        matrix[i][l] = static_cast<double>(groups.CountNew(table.row(i)));
-      });
-      continue;
-    }
-    std::optional<GroupedOrderSpec> order_spec = dc.AsGroupedOrderSpec();
-    if (order_spec.has_value()) {
-      // (Equality-scoped) order DC: sorted scan instead of the O(n^2)
-      // pair scan — per-row inversion counts via two Fenwick passes per
-      // group (O(n log n)), exact integers, so the column matches the
-      // pair scan bit for bit.
-      std::vector<int64_t> column;
-      OrderViolationColumn(*order_spec, table, &column);
-      runtime::ParallelForEach(0, n, kPairScanGrain, [&](size_t i) {
-        matrix[i][l] = static_cast<double>(column[i]);
-      });
-      continue;
-    }
     const PredicateDecomposition decomp = dc.Decompose();
     if (decomp.shape == PredicateDecomposition::Shape::kNeverFires) {
       continue;  // the conjunction is unsatisfiable: the column is zero
     }
     if (decomp.shape == PredicateDecomposition::Shape::kComposite) {
-      // Composite (mixed-shape) binary DC — equality scope, inequation
-      // residuals, optional order residual pair: signed hash-group and
-      // Fenwick sweeps instead of the O(n^2) pair scan. Exact integers,
-      // so the column matches the pair scan bit for bit.
-      std::vector<int64_t> column;
-      CompositeViolationColumn(decomp, table, &column);
+      const std::vector<int64_t> column =
+          PlanViolationColumn(CompositeTermPlan(decomp), table);
       runtime::ParallelForEach(0, n, kPairScanGrain, [&](size_t i) {
         matrix[i][l] = static_cast<double>(column[i]);
       });
@@ -1469,42 +1258,33 @@ std::unique_ptr<ViolationIndex> MakeViolationIndex(
     RecordDcIndexBuilt("unary");
     return std::make_unique<UnaryViolationIndex>(dc);
   }
-  std::vector<size_t> lhs;
-  size_t rhs = 0;
-  if (dc.AsFd(&lhs, &rhs)) {
-    RecordDcIndexBuilt("fd");
-    return std::make_unique<FdViolationIndex>(std::move(lhs), rhs);
-  }
-  std::optional<GroupedOrderSpec> order = dc.AsGroupedOrderSpec();
-  if (order.has_value()) {
-    RecordDcIndexBuilt("order");
-    return std::make_unique<OrderViolationIndex>(std::move(*order));
-  }
   const PredicateDecomposition decomp = dc.Decompose();
   using Shape = PredicateDecomposition::Shape;
   if (decomp.shape == Shape::kNeverFires) {
     RecordDcIndexBuilt("never");
     return std::make_unique<NeverViolationIndex>();
   }
-  if (decomp.shape == Shape::kComposite) {
-    if (decomp.order_residuals.empty() && decomp.ne_attrs.size() == 1) {
-      // Normalized FD / pure-inequation shape (e.g. a lone strict order
-      // turned inequation, or an FD with no syntactic equality LHS): the
-      // FD hash index computes exactly scope minus diagonal — an empty
-      // scope key is one global group.
-      RecordDcIndexBuilt("fd");
-      return std::make_unique<FdViolationIndex>(decomp.scope_attrs,
-                                                decomp.ne_attrs[0]);
-    }
-    // Everything else — including normalized grouped-order shapes the
-    // syntactic matcher missed — goes through the composite plan (for a
-    // pure two-strict-order shape that plan is a single order block, so
-    // the direction-to-co_monotone convention lives in one place).
-    RecordDcIndexBuilt("composite");
-    return std::make_unique<CompositeViolationIndex>(decomp);
+  if (decomp.shape != Shape::kComposite) {
+    RecordDcIndexBuilt("naive");
+    return std::make_unique<NaiveViolationIndex>(dc);
   }
-  RecordDcIndexBuilt("naive");
-  return std::make_unique<NaiveViolationIndex>(dc);
+  if (decomp.order_residuals.empty() && decomp.ne_attrs.size() == 1) {
+    // Scope minus diagonal: FD shapes, including normalized equivalents (a
+    // lone strict order turned inequation, a pure `!=` DC whose empty
+    // scope is one global group). The FD hash index computes exactly this
+    // count and also answers `FdForcedValue`.
+    RecordDcIndexBuilt("fd");
+    return std::make_unique<FdViolationIndex>(decomp.scope_attrs,
+                                              decomp.ne_attrs[0]);
+  }
+  std::vector<CompositeTerm> plan = CompositeTermPlan(decomp);
+  if (plan.size() == 1 && plan[0].is_order) {
+    // Two strict orders under an equality scope: one `+order` block.
+    RecordDcIndexBuilt("order");
+    return std::make_unique<OrderViolationIndex>(std::move(plan[0].order));
+  }
+  RecordDcIndexBuilt("composite");
+  return std::make_unique<CompositeViolationIndex>(std::move(plan));
 }
 
 std::unique_ptr<ViolationIndex> MakeNaiveViolationIndex(

@@ -28,11 +28,12 @@ double PairsOfDouble(int64_t m);
 /// - unary DC: the number of violating tuples;
 /// - binary DC: the number of violating *unordered* tuple pairs (a pair
 ///   violates when either binding orientation fires).
-/// Uses the FD grouping fast path for FD-shaped DCs, an O(n log n)
-/// sort + Fenwick-tree inversion count for (equality-scoped) order DCs,
-/// the inclusion–exclusion composite engine for every other DC whose
-/// decomposition is `kComposite` (mixed equality + `!=` + order shapes),
-/// zero for `kNeverFires`, and the naive O(n^2) scan otherwise.
+/// Dispatches on `dc.Decompose()`: a `kComposite` DC (FDs, order DCs and
+/// every mixed equality + `!=` + order shape) counts as the sum of its
+/// composite term plan's signed per-term counts — Σ C(g, 2) over the key
+/// groups of a scope term, an O(n log n) sort + Fenwick-tree inversion
+/// count for an order term. `kNeverFires` is zero, and unary and
+/// `kGeneral` DCs take the naive O(n^2) scan.
 int64_t CountViolations(const DenialConstraint& dc, const Table& table);
 
 /// Forces the naive scan (reference implementation; used by tests to check
@@ -54,14 +55,14 @@ int64_t CountNewViolations(const DenialConstraint& dc, const Row& row,
 /// number of violations of DC l caused by tuple i with respect to all other
 /// tuples of `table`.
 ///
-/// FD-shaped DCs hash-partition to O(n), (equality-scoped) order DCs
-/// use a sorted scan with two Fenwick-tree passes (O(n log n)), and every
-/// other DC with a `kComposite` decomposition gets signed per-term
-/// hash-group / Fenwick columns (inclusion–exclusion over its inequation
-/// residuals); only `kGeneral` binary DCs still pair-scan on the global
-/// runtime pool (kamino/runtime/): chunk-private partial columns merge in
-/// fixed order with exact integer sums, so the matrix is bit-identical to
-/// the pair scan at any thread count.
+/// Dispatches on `Decompose()` like `CountViolations`: a `kComposite` DC's
+/// column is the sum of its term plan's signed per-term columns (group
+/// size minus one for a scope term, two Fenwick-tree passes for an order
+/// term; O(n log n) per term), and a `kNeverFires` column is zero. Only
+/// `kGeneral` binary DCs pair-scan, on the global runtime pool
+/// (kamino/runtime/): chunk-private partial columns merge in fixed order
+/// with exact integer sums, so the matrix is bit-identical to the pair
+/// scan at any thread count.
 std::vector<std::vector<double>> BuildViolationMatrix(
     const Table& table, const std::vector<WeightedConstraint>& constraints);
 
@@ -70,14 +71,14 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 /// candidate rows are scored for the number of *new* violations they
 /// would introduce against the committed rows.
 ///
-/// Implementations: an O(1) hash-group index for FD-shaped DCs (including
-/// decomposition-normalized FD equivalents and pure-`!=` DCs), a trivial
-/// evaluator for unary DCs, a sorted block-list index for (equality-
-/// scoped) order DCs (sub-linear `CountNew`), a composite index for the
-/// remaining DCs with a `kComposite` decomposition (a signed
-/// inclusion–exclusion sum of hash-group and order blocks — see
-/// `PredicateDecomposition`), a zero-reporting index for `kNeverFires`
-/// conjunctions, and a prefix-scan fallback for `kGeneral` binary DCs.
+/// Implementations, chosen from `Decompose()` and its composite term plan:
+/// a trivial evaluator for unary DCs; an O(1) hash-group index for a
+/// scope-minus-diagonal plan (FDs, normalized FD equivalents, pure-`!=`
+/// DCs); a sorted block-list index for a plan that is a single order term
+/// (sub-linear `CountNew`); a composite index for every other `kComposite`
+/// plan (a signed inclusion–exclusion sum of hash-group and order blocks —
+/// see `PredicateDecomposition`); a zero-reporting index for `kNeverFires`
+/// conjunctions; and a prefix-scan fallback for `kGeneral` binary DCs.
 ///
 /// The sampler uses four operations: `AddRow`, `RemoveRow`, `CountNew`
 /// and `FdForcedValue`. The sampling loop commits each row as it is

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace kamino {
 namespace {
 
@@ -51,14 +53,12 @@ TEST(ConstraintParseTest, GroupedOrderShape) {
       TestSchema());
   ASSERT_TRUE(dc.ok());
   EXPECT_FALSE(dc.value().AsOrderPair(nullptr, nullptr));  // 3 predicates
-  std::vector<size_t> group;
-  size_t x = 0, y = 0;
-  bool co = false;
-  ASSERT_TRUE(dc.value().AsGroupedOrderPair(&group, &x, &y, &co));
-  EXPECT_EQ(group, std::vector<size_t>{0});
-  EXPECT_EQ(x, 2u);
-  EXPECT_EQ(y, 3u);
-  EXPECT_TRUE(co);
+  std::optional<GroupedOrderSpec> spec = dc.value().AsGroupedOrderSpec();
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->group_attrs, std::vector<size_t>{0});
+  EXPECT_EQ(spec->x_attr, 2u);
+  EXPECT_EQ(spec->y_attr, 3u);
+  EXPECT_TRUE(spec->co_monotone);
 }
 
 TEST(ConstraintParseTest, GroupedOrderDirectionAndPlainForm) {
@@ -67,33 +67,33 @@ TEST(ConstraintParseTest, GroupedOrderDirectionAndPlainForm) {
   auto co_dc = DenialConstraint::Parse(
       "!(t1.gain > t2.gain & t1.loss < t2.loss)", TestSchema());
   ASSERT_TRUE(co_dc.ok());
-  std::vector<size_t> group;
-  size_t x = 0, y = 0;
-  bool co = false;
-  ASSERT_TRUE(co_dc.value().AsGroupedOrderPair(&group, &x, &y, &co));
-  EXPECT_TRUE(group.empty());
-  EXPECT_TRUE(co);
+  std::optional<GroupedOrderSpec> spec = co_dc.value().AsGroupedOrderSpec();
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_TRUE(spec->group_attrs.empty());
+  EXPECT_TRUE(spec->co_monotone);
 
   // Mirrored tuple orientation on the second predicate: t2.loss > t1.loss
   // is the same co-monotone constraint.
   auto mirrored = DenialConstraint::Parse(
       "!(t1.gain > t2.gain & t2.loss > t1.loss)", TestSchema());
   ASSERT_TRUE(mirrored.ok());
-  ASSERT_TRUE(mirrored.value().AsGroupedOrderPair(&group, &x, &y, &co));
-  EXPECT_TRUE(co);
+  spec = mirrored.value().AsGroupedOrderSpec();
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_TRUE(spec->co_monotone);
 
   // Anti-monotone: both predicates point the same way.
   auto anti = DenialConstraint::Parse(
       "!(t1.gain > t2.gain & t1.loss > t2.loss)", TestSchema());
   ASSERT_TRUE(anti.ok());
-  ASSERT_TRUE(anti.value().AsGroupedOrderPair(&group, &x, &y, &co));
-  EXPECT_FALSE(co);
+  spec = anti.value().AsGroupedOrderSpec();
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_FALSE(spec->co_monotone);
 
   // FD shape is not an order constraint.
   auto fd = DenialConstraint::Parse(
       "!(t1.edu == t2.edu & t1.edu_num != t2.edu_num)", TestSchema());
   ASSERT_TRUE(fd.ok());
-  EXPECT_FALSE(fd.value().AsGroupedOrderPair(&group, &x, &y, &co));
+  EXPECT_FALSE(fd.value().AsGroupedOrderSpec().has_value());
 }
 
 TEST(ConstraintParseTest, UnaryWithConstants) {

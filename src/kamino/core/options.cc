@@ -45,9 +45,6 @@ Status KaminoOptions::Validate() const {
     return Bad("trace_capacity_events",
                "must be >= 1 when enable_tracing is set");
   }
-  if (model_registry_capacity == 0) {
-    return Bad("model_registry_capacity", "must be >= 1");
-  }
   return Status::OK();
 }
 

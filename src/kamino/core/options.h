@@ -118,32 +118,11 @@ struct KaminoOptions {
   /// set (Validate rejects the combination that could record nothing).
   size_t trace_capacity_events = size_t{1} << 20;
 
-  // --- Streaming delivery (src/kamino/data/chunk_codec.h) ---
-  /// Deliver `TableChunk`s as compressed per-column payloads (dictionary
-  /// codes bit-packed against the chunk-local range, numeric columns
-  /// frame-of-reference / run-length / raw bit patterns, smallest wins)
-  /// instead of materialized rows. Sinks decode with
-  /// `DecodeChunkColumns`; round trips are bit-exact, so the delivered
-  /// rows are unchanged — only their wire form is. Off by default.
-  bool compress_chunks = false;
-  /// Spill each frozen slice to disk (`src/kamino/store/`) at its freeze
-  /// and drop the in-memory columns, keeping only the live shards, the
-  /// merged violation-index state, and the persisted frozen FD/envelope
-  /// lookups — turning "n rows" from a RAM limit into a disk limit.
-  /// Synthesized rows stay a pure function of (seed, num_shards): a run
-  /// with this flag on is bit-identical to the in-memory run at any
-  /// num_threads. Off by default.
-  bool out_of_core = false;
-  /// Parent directory for the out-of-core spill store's private
-  /// `mkdtemp` directory. Empty (the default) means $TMPDIR, else /tmp.
+  // --- Out-of-core spill (src/kamino/store/) ---
+  /// Parent directory for the spill store's private `mkdtemp` directory
+  /// of an out-of-core run (`SampleSpec::out_of_core`). Empty (the
+  /// default) means $TMPDIR, else /tmp.
   std::string spill_dir;
-
-  // --- Model registry (src/kamino/service/engine.h) ---
-  /// Capacity of the engine's LRU registry of hot fitted models
-  /// (`KaminoEngine::RegisterModel/GetModel/LoadModel`): registering past
-  /// it evicts the least recently used model (counted in the obs metrics
-  /// as `kamino.registry.evictions`). Must be >= 1.
-  size_t model_registry_capacity = 8;
 
   /// Root seed for all randomness in the run.
   uint64_t seed = 1;

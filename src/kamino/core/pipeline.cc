@@ -139,18 +139,12 @@ Result<Table> SamplePipeline(const FitArtifacts& fitted,
                              const SynthesisHooks* hooks,
                              SynthesisTelemetry* telemetry,
                              PhaseTimings* timings) {
-  KaminoOptions options = fitted.resolved_options;
-  if (spec.num_shards != SampleSpec::kUnset) {
-    options.num_shards = spec.num_shards;
-  }
   if (spec.num_threads != SampleSpec::kUnset) {
-    options.num_threads = spec.num_threads;
     runtime::SetGlobalNumThreads(spec.num_threads);
   }
-  if (spec.compress_chunks) options.compress_chunks = true;
-  if (spec.out_of_core) options.out_of_core = true;
-  ApplyObservabilityOptions(options);
-  const size_t n = spec.num_rows == 0 ? fitted.input_rows : spec.num_rows;
+  ApplyObservabilityOptions(fitted.resolved_options);
+  SampleSpec run = spec;
+  if (run.num_rows == 0) run.num_rows = fitted.input_rows;
 
   // seed == 0 resumes the fit snapshot (the RunKamino-identical stream);
   // anything else is an independent per-request stream.
@@ -160,11 +154,12 @@ Result<Table> SamplePipeline(const FitArtifacts& fitted,
   SynthesisTelemetry local_telemetry;
   if (telemetry == nullptr) telemetry = &local_telemetry;
   obs::TraceSpan span("synthesize");
-  span.AddArg("rows", static_cast<int64_t>(n));
+  span.AddArg("rows", static_cast<int64_t>(run.num_rows));
   span.AddArg("seed", static_cast<int64_t>(spec.seed));
   KAMINO_ASSIGN_OR_RETURN(
-      Table out, Synthesize(fitted.model, fitted.weighted, n, options, &rng,
-                            telemetry, hooks));
+      Table out, Synthesize(fitted.model, fitted.weighted,
+                            fitted.resolved_options, run, &rng, telemetry,
+                            hooks));
   // The sampling phase is the synthesize span's duration; the merge
   // sub-phase is the sum of the per-freeze prefix_merge spans (surfaced
   // through telemetry by the sampler) — both derived from the span tree.

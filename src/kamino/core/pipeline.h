@@ -68,42 +68,13 @@ Result<FitArtifacts> FitPipeline(
     const Table& data, const std::vector<WeightedConstraint>& constraints,
     const KaminoConfig& config);
 
-/// One sampling run's parameters — the knobs a synthesis request may
-/// override on top of the fitted options (the service's
-/// `SynthesisRequest` extends this). The defaults reproduce the
-/// monolithic `RunKamino` sampling phase for the fit's config.
-struct SampleSpec {
-  /// Synthetic rows to generate; 0 means "as many as the fitted instance".
-  size_t num_rows = 0;
-  /// Root seed of the sampling run. 0 (the default) resumes the fit's RNG
-  /// snapshot — the `RunKamino`-identical stream; any other value seeds a
-  /// fresh independent stream, making the output a pure function of
-  /// (model, seed, resolved num_shards).
-  uint64_t seed = 0;
-  /// Shard override; kUnset keeps the fitted options' shard count. Part
-  /// of the output contract (see `KaminoOptions::num_shards`).
-  size_t num_shards = kUnset;
-  /// Thread-budget override; kUnset keeps the process-wide budget as the
-  /// fit configured it. Never changes the output, only wall clock. The
-  /// budget is global: with overlapping runs the last starter wins for
-  /// newly started parallel regions (outputs are unaffected by
-  /// construction).
-  size_t num_threads = kUnset;
-  /// Deliver streamed `TableChunk`s as compressed per-column payloads
-  /// (see `KaminoOptions::compress_chunks`). Never changes the rows,
-  /// only their wire form.
-  bool compress_chunks = false;
-  /// Spill each frozen slice to disk and drop its in-memory columns (see
-  /// `KaminoOptions::out_of_core`): bit-identical rows, bounded resident
-  /// memory.
-  bool out_of_core = false;
-
-  static constexpr size_t kUnset = static_cast<size_t>(-1);
-};
-
 /// Line 6 of Algorithm 1: constraint-aware sampling from fitted
 /// artifacts. Pure post-processing — no privacy cost, `fitted` is not
 /// mutated, and identical (spec, fitted) pairs produce identical tables.
+/// Resolves the spec's defaults against the fit — `num_rows` 0 to the
+/// fitted row count, `seed` into the run RNG (0 resumes the fit
+/// snapshot), `num_threads` into the global budget — and samples with
+/// `fitted.resolved_options` as they are.
 /// `hooks` (optional) adds cancellation, progress and streaming delivery;
 /// `timings`/`telemetry` (optional) receive the sampling-phase numbers.
 Result<Table> SamplePipeline(const FitArtifacts& fitted,

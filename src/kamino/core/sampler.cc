@@ -155,61 +155,44 @@ std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
   return out;
 }
 
-/// Installs a candidate's values into the row.
-void ApplyCandidate(const ModelUnit& unit, const Candidate& candidate,
+/// Installs a candidate's values (aligned with `unit.attrs`) into the row.
+void ApplyCandidate(const ModelUnit& unit, const std::vector<Value>& values,
                     Table* table, size_t row_index) {
   for (size_t i = 0; i < unit.attrs.size(); ++i) {
-    table->set(row_index, unit.attrs[i], candidate.values[i]);
+    table->set(row_index, unit.attrs[i], values[i]);
   }
 }
 
 /// One violation index per DC (null where a DC is not indexed).
 using IndexSet = std::vector<std::unique_ptr<ViolationIndex>>;
 
-/// sum_phi w_phi * count(phi) over the DCs in `active`, from each DC's
-/// exact violation count: the weighting every penalty below shares.
-template <typename CountFn>
-double WeightedPenalty(const std::vector<size_t>& active,
-                       const std::vector<WeightedConstraint>& constraints,
-                       const CountFn& count) {
+/// sum_phi w_phi * count(phi) over the DCs in `active`: the violations
+/// `candidate` forms with every row the `index_sets` hold (null indices
+/// skipped). With `replaced` set, the candidate replaces that row, which
+/// exactly one of the sets holds: its pair with the candidate is
+/// subtracted. The one penalty every sampling, MCMC and repair score uses.
+double ViolationPenalty(const Row& candidate, const Row* replaced,
+                        const std::vector<size_t>& active,
+                        const std::vector<WeightedConstraint>& constraints,
+                        std::initializer_list<const IndexSet*> index_sets) {
   double penalty = 0.0;
   for (size_t dc_index : active) {
-    const int64_t vio = count(dc_index);
-    if (vio > 0) {
-      penalty += constraints[dc_index].EffectiveWeight() *
-                 static_cast<double>(vio);
-    }
-  }
-  return penalty;
-}
-
-/// Penalty of the row as currently materialized against the committed
-/// prefix held by `indices` (the sampling loop's kernel).
-double ViolationPenalty(const Row& row, const std::vector<size_t>& active,
-                        const std::vector<WeightedConstraint>& constraints,
-                        const IndexSet& indices) {
-  return WeightedPenalty(active, constraints, [&](size_t dc_index) {
-    return indices[dc_index]->CountNew(row);
-  });
-}
-
-/// Penalty of `candidate` replacing `current`, a row exactly one of
-/// `index_sets` holds: its violations against every other indexed row
-/// (the indices also count its pair with `current`, which is subtracted).
-double ReplacementPenalty(const Row& candidate, const Row& current,
-                          const std::vector<size_t>& active,
-                          const std::vector<WeightedConstraint>& constraints,
-                          std::initializer_list<const IndexSet*> index_sets) {
-  return WeightedPenalty(active, constraints, [&](size_t dc_index) {
     int64_t vio = 0;
     for (const IndexSet* indices : index_sets) {
       const ViolationIndex* index = (*indices)[dc_index].get();
       if (index != nullptr) vio += index->CountNew(candidate);
     }
     const DenialConstraint& dc = constraints[dc_index].dc;
-    if (!dc.is_unary() && dc.ViolatesPair(candidate, current)) --vio;
-    return vio;
-  });
+    if (replaced != nullptr && !dc.is_unary() &&
+        dc.ViolatesPair(candidate, *replaced)) {
+      --vio;
+    }
+    if (vio > 0) {
+      penalty += constraints[dc_index].EffectiveWeight() *
+                 static_cast<double>(vio);
+    }
+  }
+  return penalty;
 }
 
 /// Indexes every row of `table` under each DC in `dcs`.
@@ -234,44 +217,50 @@ void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
   }
 }
 
-/// Writes a candidate's values into a detached scratch row (the parallel
-/// scoring paths must not touch the shared table).
-void ApplyCandidateToRow(const ModelUnit& unit, const Candidate& candidate,
-                         Row* row) {
-  for (size_t i = 0; i < unit.attrs.size(); ++i) {
-    (*row)[unit.attrs[i]] = candidate.values[i];
-  }
-}
-
-/// Fills `log_scores` with log p_{v|c} - weighted-violation penalty for
-/// every candidate, scored against the committed prefix held by `indices`
-/// (Algorithm 3 line 10 in log space). Dispatches candidates to the pool
-/// when the candidate-set x prefix product is large; scoring draws no
+/// Fills `log_scores` with log p_{v|c} - `ViolationPenalty` for every
+/// candidate written over `base_row` (Algorithm 3 line 10 in log space),
+/// and `penalties` (optional) with the penalties alone. Dispatches
+/// candidates to the pool when `allow_nested_parallel` and the
+/// candidate-set x indexed-rows product is large; scoring draws no
 /// randomness and each candidate writes its own slot, so parallel and
-/// inline execution produce the same vector bit for bit. A failed chunk
+/// inline execution produce the same vectors bit for bit. A failed chunk
 /// (the pool converts thrown exceptions to Status) fails the whole
 /// scoring — callers must not sample from a partially scored vector.
-Status ScoreCandidatesAgainstPrefix(
-    const ModelUnit& unit, const std::vector<Candidate>& candidates,
-    const Row& base_row, const std::vector<size_t>& active,
-    const std::vector<WeightedConstraint>& constraints,
-    const IndexSet& indices, bool allow_nested_parallel,
-    SynthesisTelemetry* telemetry, std::vector<double>* log_scores) {
+Status ScoreCandidates(const ModelUnit& unit,
+                       const std::vector<Candidate>& candidates,
+                       const Row& base_row, const Row* replaced,
+                       const std::vector<size_t>& active,
+                       const std::vector<WeightedConstraint>& constraints,
+                       std::initializer_list<const IndexSet*> index_sets,
+                       bool allow_nested_parallel,
+                       SynthesisTelemetry* telemetry,
+                       std::vector<double>* log_scores,
+                       std::vector<double>* penalties = nullptr) {
   log_scores->assign(candidates.size(), 0.0);
+  if (penalties != nullptr) penalties->assign(candidates.size(), 0.0);
   auto score_range = [&](size_t lo, size_t hi) {
     Row scratch = base_row;
     for (size_t c = lo; c < hi; ++c) {
-      ApplyCandidateToRow(unit, candidates[c], &scratch);
-      const double penalty =
-          ViolationPenalty(scratch, active, constraints, indices);
+      for (size_t i = 0; i < unit.attrs.size(); ++i) {
+        scratch[unit.attrs[i]] = candidates[c].values[i];
+      }
+      const double penalty = ViolationPenalty(scratch, replaced, active,
+                                              constraints, index_sets);
       (*log_scores)[c] = std::log(candidates[c].prob + 1e-300) - penalty;
+      if (penalties != nullptr) (*penalties)[c] = penalty;
     }
     return Status::OK();
   };
-  size_t prefix = 0;
-  for (size_t dc_index : active) prefix += indices[dc_index]->size();
+  size_t indexed = 0;
+  for (const IndexSet* indices : index_sets) {
+    for (size_t dc_index : active) {
+      if ((*indices)[dc_index] != nullptr) {
+        indexed += (*indices)[dc_index]->size();
+      }
+    }
+  }
   if (allow_nested_parallel && runtime::GlobalNumThreads() > 1 &&
-      candidates.size() * std::max<size_t>(prefix, 1) >=
+      candidates.size() * std::max<size_t>(indexed, 1) >=
           kMinParallelScoreWork) {
     ++telemetry->parallel_score_dispatches;
     const size_t grain = std::max<size_t>(1, candidates.size() / 16);
@@ -497,9 +486,9 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         for (size_t attempt = 0; attempt < options.ar_max_tries; ++attempt) {
           const size_t pick = rng->Discrete(proposal);
           ++telemetry->ar_proposals;
-          ApplyCandidate(unit, candidates[pick], &out, i);
-          const double penalty =
-              ViolationPenalty(out.row(i), active, constraints, indices);
+          ApplyCandidate(unit, candidates[pick].values, &out, i);
+          const double penalty = ViolationPenalty(out.row(i), nullptr, active,
+                                                  constraints, {&indices});
           if (penalty <= 0.0 || rng->Bernoulli(std::exp(-penalty))) {
             chosen = pick;
             break;
@@ -513,13 +502,14 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         // Candidates are scored on scratch rows (in parallel when the set
         // and prefix are large); only the winner touches the table.
         std::vector<double> log_scores;
-        KAMINO_RETURN_IF_ERROR(ScoreCandidatesAgainstPrefix(
-            unit, candidates, out.row(i), active, constraints, indices,
-            allow_nested_parallel, telemetry, &log_scores));
+        KAMINO_RETURN_IF_ERROR(ScoreCandidates(
+            unit, candidates, out.row(i), /*replaced=*/nullptr, active,
+            constraints, {&indices}, allow_nested_parallel, telemetry,
+            &log_scores));
         chosen = rng->Discrete(LogScoresToWeights(log_scores));
       }
 
-      ApplyCandidate(unit, candidates[chosen], &out, i);
+      ApplyCandidate(unit, candidates[chosen].values, &out, i);
       if (use_dc_factor) {
         for (size_t dc_index : active) {
           indices[dc_index]->AddRow(out.row(i));
@@ -551,8 +541,9 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
     // against full-table indices, which only the apply step writes.
     if (mcmc_resamples > 0) {
       const runtime::RngStream streams(rng->NextSeed());
-      IndexSet table_indices = IndexTable(
-          out, use_dc_factor ? active : std::vector<size_t>(), constraints);
+      const std::vector<size_t> scored =
+          use_dc_factor ? active : std::vector<size_t>();
+      IndexSet table_indices = IndexTable(out, scored, constraints);
       struct Resample {
         size_t row = 0;
         std::vector<Value> values;  // winning candidate, aligned with attrs
@@ -573,25 +564,18 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
             Rng task_rng(streams.SubSeed(done + k));
             const size_t i = resamples[k].row;
             const Row current = out.row(i);
-            Row scratch = current;
             std::vector<double> extra_values;
             if (track_prior_values) {
-              extra_values = nearest_y_values(scratch);
+              extra_values = nearest_y_values(current);
             }
             std::vector<Candidate> candidates = GenerateCandidates(
-                unit, schema, scratch, options, extra_values, &task_rng);
+                unit, schema, current, options, extra_values, &task_rng);
             if (candidates.empty()) continue;
-            std::vector<double> log_scores(candidates.size());
-            for (size_t c = 0; c < candidates.size(); ++c) {
-              ApplyCandidateToRow(unit, candidates[c], &scratch);
-              double penalty = 0.0;
-              if (use_dc_factor) {
-                penalty = ReplacementPenalty(scratch, current, active,
-                                             constraints, {&table_indices});
-              }
-              log_scores[c] =
-                  std::log(candidates[c].prob + 1e-300) - penalty;
-            }
+            std::vector<double> log_scores;
+            KAMINO_RETURN_IF_ERROR(ScoreCandidates(
+                unit, candidates, current, &current, scored, constraints,
+                {&table_indices}, /*allow_nested_parallel=*/false, telemetry,
+                &log_scores));
             const size_t pick =
                 task_rng.Discrete(LogScoresToWeights(log_scores));
             resamples[k].values = std::move(candidates[pick].values);
@@ -608,9 +592,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         for (Resample& r : resamples) {
           if (!r.accepted) continue;
           const Row old = out.row(r.row);
-          for (size_t a = 0; a < unit.attrs.size(); ++a) {
-            out.set(r.row, unit.attrs[a], r.values[a]);
-          }
+          ApplyCandidate(unit, r.values, &out, r.row);
           ReplaceIndexedRow(old, out.row(r.row), &table_indices);
           ++telemetry->mcmc_resamples;
         }
@@ -641,9 +623,8 @@ std::vector<size_t> ShardSizes(size_t n, size_t num_shards) {
 
 /// Resolves the `num_shards` knob: 0 = one shard per worker thread, and
 /// never more shards than rows.
-size_t ResolveNumShards(const KaminoOptions& options, size_t n) {
-  size_t shards = options.num_shards == 0 ? runtime::GlobalNumThreads()
-                                          : options.num_shards;
+size_t ResolveNumShards(size_t num_shards, size_t n) {
+  size_t shards = num_shards == 0 ? runtime::GlobalNumThreads() : num_shards;
   if (shards < 1) shards = 1;
   if (n > 0 && shards > n) shards = n;
   return shards;
@@ -768,15 +749,15 @@ std::vector<PrefixFdFamily> BuildFdFamilies(
 
 /// Retires one final slice of the instance and delivers it to
 /// `hooks->on_chunk`. The slice is encoded at most once: out-of-core runs
-/// seal the encoding into `spill` (and, under `compress_chunks`, pass the
+/// seal the encoding into `spill` (and, under `compress`, pass the
 /// same payload straight to the sink instead of re-encoding or re-reading
 /// it); otherwise the rows are appended to `out` when the caller keeps the
 /// table (null `out` = discard). The chunk then owns the slice, so the
 /// sink may keep it alive past the call.
 Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
-                       const KaminoOptions& options,
-                       const SynthesisHooks* hooks, store::SpillStore* spill,
-                       Table* out, SynthesisTelemetry* telemetry) {
+                       bool compress, const SynthesisHooks* hooks,
+                       store::SpillStore* spill, Table* out,
+                       SynthesisTelemetry* telemetry) {
   std::vector<uint8_t> encoded;
   if (spill != nullptr) {
     obs::TraceSpan spill_span("sampler/spill");
@@ -803,7 +784,7 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
   chunk.shard = shard;
   chunk.row_offset = offset;
   chunk.last = last;
-  if (options.compress_chunks) {
+  if (compress) {
     if (spill == nullptr) encoded = EncodeChunkColumns(live);
     chunk.encoded = std::move(encoded);
     chunk.encoded_rows = live.num_rows();
@@ -959,8 +940,9 @@ struct FrozenNeighborStore {
 Result<Table> ProgressiveShardSynthesis(
     const ProbabilisticDataModel& model,
     const std::vector<WeightedConstraint>& constraints,
-    const KaminoOptions& options, const ActivationMap& activation,
-    const std::vector<size_t>& sizes, const std::vector<size_t>& offsets,
+    const KaminoOptions& options, const SampleSpec& run,
+    const ActivationMap& activation, const std::vector<size_t>& sizes,
+    const std::vector<size_t>& offsets,
     const std::vector<size_t>& mcmc_budgets, Rng* rng,
     const SynthesisHooks* hooks, SynthesisTelemetry* telemetry) {
   const Schema& schema = model.schema();
@@ -973,17 +955,16 @@ Result<Table> ProgressiveShardSynthesis(
   const bool one_shard = num_shards == 1;
   const runtime::RngStream root(one_shard ? 0 : rng->NextSeed());
   // The assembled table, unless the caller consumes the run through chunks
-  // only (`discard_result`): then it stays schema-only.
+  // only (`collect_table` off): then it stays schema-only.
   Table out(schema);
-  Table* const keep_table =
-      hooks != nullptr && hooks->discard_result ? nullptr : &out;
+  Table* const keep_table = run.collect_table ? &out : nullptr;
 
   // Out-of-core: frozen slices leave memory for the spill store at their
   // freeze. The store lives on this stack frame, so its destructor —
   // which unlinks the spill file and temp dir — runs on every exit path:
   // completion, error, cancellation, and engine teardown (the drain
   // below unwinds through here).
-  const bool out_of_core = options.out_of_core;
+  const bool out_of_core = run.out_of_core;
   std::unique_ptr<store::SpillStore> spill;
   if (out_of_core) {
     KAMINO_ASSIGN_OR_RETURN(spill, store::SpillStore::Create(options.spill_dir));
@@ -1193,7 +1174,6 @@ Result<Table> ProgressiveShardSynthesis(
           Rng task_rng(merge_stream.Fork(row).SubSeed(u));
           const size_t local = row - begin;
           const Row current = live.row(local);
-          Row scratch = current;
 
           // Frozen-instance candidate seeding for numeric attributes: the
           // prefix's established FD value and the order-DC neighbours'
@@ -1206,7 +1186,7 @@ Result<Table> ProgressiveShardSynthesis(
               size_t rhs = 0, x = 0, y = 0;
               if (merged[l] != nullptr && constraints[l].dc.AsFd(&lhs, &rhs) &&
                   rhs == unit.attrs[0]) {
-                std::optional<Value> forced = merged[l]->FdForcedValue(scratch);
+                std::optional<Value> forced = merged[l]->FdForcedValue(current);
                 if (forced.has_value() && forced->is_numeric()) {
                   extra_values.push_back(forced->numeric());
                 }
@@ -1216,7 +1196,7 @@ Result<Table> ProgressiveShardSynthesis(
                                        : (x == unit.attrs[0] ? y : SIZE_MAX);
                 if (other != SIZE_MAX && schema.attribute(other).is_numeric() &&
                     neighbors[l] != nullptr) {
-                  const double x0 = scratch[other].numeric();
+                  const double x0 = current[other].numeric();
                   neighbors[l]->SeedNearest(x0, /*keep=*/4, begin, local, live,
                                             &extra_values);
                 }
@@ -1225,29 +1205,27 @@ Result<Table> ProgressiveShardSynthesis(
           }
 
           std::vector<Candidate> candidates = GenerateCandidates(
-              unit, schema, scratch, options, extra_values, &task_rng);
+              unit, schema, current, options, extra_values, &task_rng);
           if (candidates.empty()) continue;
-          const double penalty_before = ReplacementPenalty(
-              current, current, active, constraints, {&merged, &live_indices});
+          const double penalty_before = ViolationPenalty(
+              current, &current, active, constraints, {&merged, &live_indices});
+          std::vector<double> log_scores;
+          std::vector<double> penalties;
+          KAMINO_RETURN_IF_ERROR(ScoreCandidates(
+              unit, candidates, current, &current, active, constraints,
+              {&merged, &live_indices}, /*allow_nested_parallel=*/false,
+              telemetry, &log_scores, &penalties));
           size_t pick = 0;
           double best = -std::numeric_limits<double>::infinity();
           double best_penalty = penalty_before;
           for (size_t c = 0; c < candidates.size(); ++c) {
-            ApplyCandidateToRow(unit, candidates[c], &scratch);
-            const double penalty =
-                ReplacementPenalty(scratch, current, active, constraints,
-                                   {&merged, &live_indices});
-            const double score =
-                std::log(candidates[c].prob + 1e-300) - penalty;
-            if (score > best) {
-              best = score;
-              best_penalty = penalty;
+            if (log_scores[c] > best) {
+              best = log_scores[c];
+              best_penalty = penalties[c];
               pick = c;
             }
           }
-          for (size_t a = 0; a < unit.attrs.size(); ++a) {
-            live.set(local, unit.attrs[a], candidates[pick].values[a]);
-          }
+          ApplyCandidate(unit, candidates[pick].values, &live, local);
           ReplaceIndexedRow(current, live.row(local), &live_indices);
           ++telemetry->merge_resamples;
           --budget;
@@ -1339,8 +1317,9 @@ Result<Table> ProgressiveShardSynthesis(
 
     // Emit immediately: these rows are frozen and never rewritten. The
     // in-memory copy dies with `live` unless the caller keeps the table.
-    return EmitFrozenSlice(std::move(live), s, begin, last, options, hooks,
-                           spill.get(), keep_table, telemetry);
+    return EmitFrozenSlice(std::move(live), s, begin, last,
+                           run.compress_chunks, hooks, spill.get(), keep_table,
+                           telemetry);
   };
 
   Status status = Status::OK();
@@ -1365,9 +1344,10 @@ Result<Table> ProgressiveShardSynthesis(
     status = freeze_shard(s, span);
     telemetry->merge_seconds += span.Finish();
     if (!status.ok()) break;
-    // Out-of-core windowed dispatch: the freeze just retired a slice to
-    // disk, so there is room for the next shard's table.
-    if (!inline_shards && out_of_core && dispatched < num_shards) {
+    // Windowed dispatch (out-of-core; an in-memory run dispatched every
+    // shard up front): the freeze just retired a slice to disk, so there
+    // is room for the next shard's table.
+    if (!inline_shards && dispatched < num_shards) {
       dispatch_shard(dispatched);
       ++dispatched;
     }
@@ -1439,15 +1419,19 @@ void RecordSamplerMetrics(const SynthesisTelemetry& t, size_t rows) {
 
 Result<Table> Synthesize(const ProbabilisticDataModel& model,
                          const std::vector<WeightedConstraint>& constraints,
-                         size_t n, const KaminoOptions& options, Rng* rng,
-                         SynthesisTelemetry* telemetry,
+                         const KaminoOptions& options, const SampleSpec& run,
+                         Rng* rng, SynthesisTelemetry* telemetry,
                          const SynthesisHooks* hooks) {
   SynthesisTelemetry local_telemetry;
   if (telemetry == nullptr) telemetry = &local_telemetry;
   telemetry->num_threads = runtime::GlobalNumThreads();
 
   const ActivationMap activation = BuildActivationMap(model, constraints);
-  const size_t num_shards = ResolveNumShards(options, n);
+  const size_t n = run.num_rows;
+  const size_t num_shards = ResolveNumShards(
+      run.num_shards == SampleSpec::kUnset ? options.num_shards
+                                           : run.num_shards,
+      n);
   telemetry->num_shards = num_shards;
 
   // --- Shard plan: contiguous slices, sampled, frozen in order and emitted
@@ -1466,7 +1450,7 @@ Result<Table> Synthesize(const ProbabilisticDataModel& model,
   }
 
   KAMINO_ASSIGN_OR_RETURN(
-      Table out, ProgressiveShardSynthesis(model, constraints, options,
+      Table out, ProgressiveShardSynthesis(model, constraints, options, run,
                                            activation, sizes, offsets,
                                            mcmc_budgets, rng, hooks,
                                            telemetry));

@@ -23,7 +23,7 @@ struct TableChunk {
   /// Global row index of `rows.row(0)` in the assembled instance.
   size_t row_offset = 0;
   /// The slice's rows, in final (reconciled) form. When the run delivers
-  /// compressed payloads (`KaminoOptions::compress_chunks`) this table is
+  /// compressed payloads (`SampleSpec::compress_chunks`) this table is
   /// schema-only (zero rows) and `encoded` carries the slice instead.
   Table rows;
   /// Compressed per-column payload (`EncodeChunkColumns`), non-empty only
@@ -64,13 +64,52 @@ struct SynthesisHooks {
   /// before `Synthesize` returns. A non-OK return aborts the run with
   /// that status.
   std::function<Status(const TableChunk&)> on_chunk;
-  /// The caller consumes the run through `on_chunk` only and will drop
-  /// the returned table (the engine sets this when `collect_table` is
-  /// off). The run then returns a schema-only table in every mode:
-  /// in memory it never accumulates the frozen slices, and under
-  /// `out_of_core` it skips re-reading them from the spill store — the
-  /// truly constant-memory delivery path.
-  bool discard_result = false;
+};
+
+/// One sampling run: the one declaration of every per-run knob, carried
+/// from a synthesis request down to `Synthesize` (the service's
+/// `SynthesisRequest` extends this). The defaults reproduce the
+/// monolithic `RunKamino` sampling phase for the fit's config.
+struct SampleSpec {
+  /// Synthetic rows to generate. `SamplePipeline` resolves 0 to the fitted
+  /// instance's row count; `Synthesize` uses the value as given.
+  size_t num_rows = 0;
+  /// Root seed of the sampling run. 0 (the default) resumes the fit's RNG
+  /// snapshot — the `RunKamino`-identical stream; any other value seeds a
+  /// fresh independent stream, making the output a pure function of
+  /// (model, seed, resolved num_shards).
+  uint64_t seed = 0;
+  /// Shard override; kUnset keeps the fitted options' shard count. Part
+  /// of the output contract (see `KaminoOptions::num_shards`).
+  size_t num_shards = kUnset;
+  /// Thread-budget override; kUnset keeps the process-wide budget as the
+  /// fit configured it. Never changes the output, only wall clock. The
+  /// budget is global: with overlapping runs the last starter wins for
+  /// newly started parallel regions (outputs are unaffected by
+  /// construction).
+  size_t num_threads = kUnset;
+  /// Deliver streamed `TableChunk`s as compressed per-column payloads
+  /// (dictionary codes bit-packed against the chunk-local range, numeric
+  /// columns frame-of-reference / run-length / raw bit patterns, smallest
+  /// wins) instead of materialized rows. Sinks decode with
+  /// `DecodeChunkColumns`; round trips are bit-exact, so the delivered
+  /// rows are unchanged — only their wire form is. Ignored without an
+  /// `on_chunk` hook.
+  bool compress_chunks = false;
+  /// Spill each frozen slice to disk (`src/kamino/store/`, under
+  /// `KaminoOptions::spill_dir`) at its freeze and drop the in-memory
+  /// columns, keeping only the live shards, the merged violation-index
+  /// state, and the persisted frozen FD/envelope lookups — turning "n
+  /// rows" from a RAM limit into a disk limit. Bit-identical to the
+  /// in-memory run at any num_threads.
+  bool out_of_core = false;
+  /// When false, the run returns a schema-only table and the rows are
+  /// observable through `on_chunk` only: in memory it never accumulates
+  /// the frozen slices, and under `out_of_core` it skips re-reading them
+  /// from the spill store — the constant-memory delivery path.
+  bool collect_table = true;
+
+  static constexpr size_t kUnset = static_cast<size_t>(-1);
 };
 
 /// Counters describing one synthesis run (for the optimization
@@ -132,7 +171,7 @@ struct SynthesisTelemetry {
   int64_t merge_penalty_live_row_scans = 0;
   int64_t merge_penalty_frozen_row_scans = 0;
 
-  // --- Out-of-core spill (`KaminoOptions::out_of_core`) ---
+  // --- Out-of-core spill (`SampleSpec::out_of_core`) ---
   /// Frozen-slice blocks sealed into the spill file (one per freeze).
   int64_t spill_blocks = 0;
   /// Bytes appended to the spill file (chunk-codec payloads + framing).
@@ -154,9 +193,9 @@ struct SynthesisTelemetry {
 
 /// Algorithm 3: constraint-aware database instance sampling.
 ///
-/// Builds a synthetic instance of `n` rows column-group by column-group in
-/// schema-sequence order. For every cell it combines the learned
-/// conditional probability p_{v|c} with the DC factor
+/// Builds a synthetic instance of `run.num_rows` rows column-group by
+/// column-group in schema-sequence order. For every cell it combines the
+/// learned conditional probability p_{v|c} with the DC factor
 /// exp(-sum_phi w_phi * new_violations(v)) over the DCs whose attributes
 /// are fully sampled at this point (Phi_{A_j}), and samples from the
 /// normalized product (line 10). Honors the options' ablation switches:
@@ -165,14 +204,14 @@ struct SynthesisTelemetry {
 /// column.
 ///
 /// Every run takes one path: shard plan -> sample -> freeze -> emit. The
-/// rows are partitioned into `options.num_shards` (resolved) contiguous
-/// shards sampled concurrently (each shard drives the full per-row loop
-/// over its slice from its own RngStream sub-seed with per-shard
-/// violation indices; the one shard of a one-shard run samples from `rng`
-/// itself, the sequential paper stream). Shards then freeze in ascending
-/// order: each is reconciled against the frozen prefix before it (empty
-/// for shard 0), rewriting only the incoming shard's rows, and its chunk
-/// is emitted at once. Every DC has one reconciling mechanism: hard FDs
+/// rows are partitioned into `run.num_shards` (kUnset: `options.num_shards`;
+/// resolved) contiguous shards sampled concurrently (each shard drives the
+/// full per-row loop over its slice from its own RngStream sub-seed with
+/// per-shard violation indices; the one shard of a one-shard run samples
+/// from `rng` itself, the sequential paper stream). Shards then freeze in
+/// ascending order: each is reconciled against the frozen prefix before it
+/// (empty for shard 0), rewriting only the incoming shard's rows, and its
+/// chunk is emitted at once. Every DC has one reconciling mechanism: hard FDs
 /// are canonicalized onto the prefix's values, hard order DCs are
 /// rank-aligned into the prefix's monotone relation (both exact, and
 /// both also fixing violations inside the shard), and every other DC —
@@ -184,14 +223,17 @@ struct SynthesisTelemetry {
 /// Runs entirely on the learned model - a post-processing step with no
 /// additional privacy cost.
 ///
-/// `hooks` (optional) adds cooperative cancellation, per-shard progress
-/// callbacks and streaming chunk delivery — see `SynthesisHooks` for the
-/// delivery-order contract. Passing hooks never changes the synthesized
-/// rows: the hooks observe the run, they do not steer it.
+/// `run` also carries the delivery settings (`compress_chunks`,
+/// `out_of_core`, `collect_table`); its `seed` and `num_threads` are not
+/// read here (`SamplePipeline` resolves them). `hooks` (optional) adds
+/// cooperative cancellation, per-shard progress callbacks and streaming
+/// chunk delivery — see `SynthesisHooks` for the delivery-order contract.
+/// Passing hooks never changes the synthesized rows: the hooks observe the
+/// run, they do not steer it.
 Result<Table> Synthesize(const ProbabilisticDataModel& model,
                          const std::vector<WeightedConstraint>& constraints,
-                         size_t n, const KaminoOptions& options, Rng* rng,
-                         SynthesisTelemetry* telemetry = nullptr,
+                         const KaminoOptions& options, const SampleSpec& run,
+                         Rng* rng, SynthesisTelemetry* telemetry = nullptr,
                          const SynthesisHooks* hooks = nullptr);
 
 }  // namespace kamino

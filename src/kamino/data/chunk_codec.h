@@ -10,7 +10,7 @@
 namespace kamino {
 
 /// Compressed wire encoding of a table chunk's columns, used by the
-/// streaming delivery path when `KaminoOptions::compress_chunks` is set.
+/// streaming delivery path when `SampleSpec::compress_chunks` is set.
 ///
 /// The payload is self-contained per chunk: a fixed header (row and column
 /// counts) followed by one independently encoded block per column. Each

@@ -40,10 +40,13 @@ bool ReadBool(ByteReader* in, bool* v, bool* flag_ok) {
 
 // --- options section -------------------------------------------------------
 // Every knob, in declaration order. Bools travel as 0/1 bytes; signed
-// integers as their two's-complement u64/u32 bit patterns. Version 1 also
-// carried three shard-merge knobs after `num_shards` (a u64 resample
-// budget and two flag bytes) that no longer exist; v1 readers validate
-// and discard them.
+// integers as their two's-complement u64/u32 bit patterns. Retired knobs
+// keep their slots, which readers validate and discard:
+//  - v1 only: three shard-merge knobs after `num_shards` (a u64 resample
+//    budget and two flag bytes);
+//  - v1 and v2: a `compress_chunks` flag byte and a u64 registry capacity
+//    (>= 1) after `trace_capacity_events`, now per-request or engine
+//    settings. Written as 0 and 8.
 
 void SerializeOptions(const KaminoOptions& o, std::vector<uint8_t>* out) {
   AppendU64(out, o.embed_dim);
@@ -75,8 +78,8 @@ void SerializeOptions(const KaminoOptions& o, std::vector<uint8_t>* out) {
   AppendU8(out, o.enable_tracing ? 1 : 0);
   AppendU8(out, o.enable_metrics ? 1 : 0);
   AppendU64(out, o.trace_capacity_events);
-  AppendU8(out, o.compress_chunks ? 1 : 0);
-  AppendU64(out, o.model_registry_capacity);
+  AppendU8(out, 0);
+  AppendU64(out, 8);
   AppendU64(out, o.seed);
 }
 
@@ -84,6 +87,7 @@ Result<KaminoOptions> DeserializeOptions(ByteReader* in, uint32_t version) {
   KaminoOptions o;
   bool flags_ok = true;
   bool retired_flag = false;
+  uint64_t retired_u64 = 0;
   uint32_t quantize_bins = 0;
   uint32_t max_candidates = 0;
   uint64_t u64 = 0;
@@ -122,11 +126,14 @@ Result<KaminoOptions> DeserializeOptions(ByteReader* in, uint32_t version) {
       ReadBool(in, &o.enable_tracing, &flags_ok) &&
       ReadBool(in, &o.enable_metrics, &flags_ok) && in->ReadU64(&u64) &&
       ((o.trace_capacity_events = static_cast<size_t>(u64)), true) &&
-      ReadBool(in, &o.compress_chunks, &flags_ok) && in->ReadU64(&u64) &&
-      ((o.model_registry_capacity = static_cast<size_t>(u64)), true) &&
+      ReadBool(in, &retired_flag, &flags_ok) && in->ReadU64(&retired_u64) &&
       in->ReadU64(&o.seed);
   if (!ok) return Truncated();
   if (!flags_ok) return BadFlag();
+  if (retired_u64 == 0) {
+    return Status::InvalidArgument(
+        "artifact model registry capacity must be >= 1");
+  }
   o.quantize_bins = static_cast<int>(quantize_bins);
   o.max_candidates = static_cast<int>(max_candidates);
   KAMINO_RETURN_IF_ERROR(o.Validate());

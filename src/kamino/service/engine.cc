@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -45,6 +46,40 @@ void BumpRegistryCounter(const char* which, int64_t delta = 1) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   if (!reg.enabled()) return;
   reg.counter(std::string("kamino.registry.") + which)->Increment(delta);
+}
+
+/// The one body of every synthesis request, synchronous or queued:
+/// samples `request` from `fitted` and fills `result` — its telemetry even
+/// when the run fails. Chunks go to `hooks.on_chunk` when the caller set
+/// it (the queued job's progress-tracking wrapper), to `request.sink`
+/// otherwise; either way the first one is clocked from this call's start.
+Status RunRequest(const FitArtifacts& fitted, const SynthesisRequest& request,
+                  SynthesisHooks hooks, SynthesisResult* result) {
+  const auto start = std::chrono::steady_clock::now();
+  double first_chunk = -1.0;
+  std::function<Status(const TableChunk&)> deliver = std::move(hooks.on_chunk);
+  if (!deliver && request.sink != nullptr) {
+    RowSink* sink = request.sink;
+    deliver = [sink](const TableChunk& chunk) { return sink->OnChunk(chunk); };
+  }
+  if (deliver) {
+    // Chunks arrive serially, before SamplePipeline returns.
+    hooks.on_chunk = [&](const TableChunk& chunk) {
+      if (first_chunk < 0.0) first_chunk = SecondsSince(start);
+      return deliver(chunk);
+    };
+  }
+  PhaseTimings timings;
+  Result<Table> out = SamplePipeline(fitted, request, &hooks,
+                                     &result->telemetry, &timings);
+  if (first_chunk >= 0.0) {
+    result->telemetry.first_chunk_seconds = first_chunk;
+    RecordFirstChunkSeconds(first_chunk);
+  }
+  KAMINO_RETURN_IF_ERROR(out.status());
+  result->sampling_seconds = timings.sampling;
+  if (request.collect_table) result->synthetic = std::move(out).TakeValue();
+  return Status::OK();
 }
 
 }  // namespace
@@ -140,8 +175,7 @@ KaminoEngine::KaminoEngine(const Options& options) {
   pool_ = runtime::GlobalThreadPool();
   jobs_ = std::make_unique<runtime::JobQueue>(options.max_concurrent_jobs);
   // A constructor cannot return a Status, so an out-of-range capacity is
-  // clamped rather than rejected (KaminoOptions::Validate still rejects 0
-  // for configs that flow through the pipeline entry points).
+  // clamped rather than rejected.
   registry_capacity_ = std::max<size_t>(1, options.model_registry_capacity);
 }
 
@@ -171,30 +205,9 @@ Result<SynthesisResult> KaminoEngine::Synthesize(
   if (!model.valid()) {
     return Status::InvalidArgument("Synthesize needs a fitted model");
   }
-  SynthesisHooks hooks;
-  hooks.discard_result = !request.collect_table;
-  RowSink* sink = request.sink;
-  // First-chunk latency is clocked from run start (no queue on the
-  // synchronous path); chunks are delivered serially from this call's
-  // stack, so a plain shared double suffices.
-  const auto start = std::chrono::steady_clock::now();
-  auto first_chunk = std::make_shared<double>(-1.0);
-  if (sink != nullptr) {
-    hooks.on_chunk = [sink, start, first_chunk](const TableChunk& chunk) {
-      if (*first_chunk < 0.0) *first_chunk = SecondsSince(start);
-      return sink->OnChunk(chunk);
-    };
-  }
   SynthesisResult result;
-  KAMINO_ASSIGN_OR_RETURN(
-      Table out,
-      SamplePipeline(model.artifacts(), request, &hooks, &result.telemetry));
-  result.sampling_seconds = SecondsSince(start);
-  if (*first_chunk >= 0.0) {
-    result.telemetry.first_chunk_seconds = *first_chunk;
-    RecordFirstChunkSeconds(*first_chunk);
-  }
-  if (request.collect_table) result.synthetic = std::move(out);
+  KAMINO_RETURN_IF_ERROR(
+      RunRequest(model.artifacts(), request, SynthesisHooks(), &result));
   return result;
 }
 
@@ -230,13 +243,7 @@ std::shared_ptr<SynthesisJob> KaminoEngine::Submit(
     }
     shared->phase.store(Phase::kSampling, std::memory_order_relaxed);
 
-    // The job clock starts here — after dequeue — so first-chunk latency
-    // measures sampling + merge, not queue wait.
-    const auto start = std::chrono::steady_clock::now();
-    auto first_chunk = std::make_shared<double>(-1.0);
-
     SynthesisHooks hooks;
-    hooks.discard_result = !request.collect_table;
     hooks.keep_going = [token] { return !token.cancel_requested(); };
     hooks.on_rows_sampled = [shared](size_t rows) {
       const size_t sampled =
@@ -250,9 +257,7 @@ std::shared_ptr<SynthesisJob> KaminoEngine::Submit(
     };
     RowSink* sink = request.sink;
     if (sink != nullptr) {
-      hooks.on_chunk = [shared, sink, start,
-                        first_chunk](const TableChunk& chunk) {
-        if (*first_chunk < 0.0) *first_chunk = SecondsSince(start);
+      hooks.on_chunk = [shared, sink](const TableChunk& chunk) {
         shared->phase.store(SynthesisJob::Phase::kDelivering,
                             std::memory_order_relaxed);
         KAMINO_RETURN_IF_ERROR(sink->OnChunk(chunk));
@@ -268,31 +273,27 @@ std::shared_ptr<SynthesisJob> KaminoEngine::Submit(
       };
     }
 
-    SynthesisTelemetry telemetry;
-    Result<Table> out =
-        SamplePipeline(model.artifacts(), request, &hooks, &telemetry);
-    const double seconds = SecondsSince(start);
-    if (*first_chunk >= 0.0) {
-      telemetry.first_chunk_seconds = *first_chunk;
-      RecordFirstChunkSeconds(*first_chunk);
-      job_span.AddArg("first_chunk_ms",
-                      static_cast<int64_t>(*first_chunk * 1000.0));
+    // The job clock starts in RunRequest — after dequeue — so first-chunk
+    // latency measures sampling + merge, not queue wait.
+    SynthesisResult result;
+    const Status status =
+        RunRequest(model.artifacts(), request, std::move(hooks), &result);
+    if (result.telemetry.first_chunk_seconds > 0.0) {
+      job_span.AddArg(
+          "first_chunk_ms",
+          static_cast<int64_t>(result.telemetry.first_chunk_seconds * 1000.0));
     }
 
     std::lock_guard<std::mutex> lock(shared->mu);
-    if (!out.ok()) {
-      const bool cancelled = out.status().code() == StatusCode::kCancelled;
-      shared->status = out.status();
+    if (!status.ok()) {
+      const bool cancelled = status.code() == StatusCode::kCancelled;
+      shared->status = status;
       shared->phase.store(cancelled ? Phase::kCancelled : Phase::kFailed,
                           std::memory_order_relaxed);
       BumpServiceCounter(cancelled ? "jobs_cancelled" : "jobs_failed");
       return;
     }
-    shared->result.telemetry = telemetry;
-    shared->result.sampling_seconds = seconds;
-    if (request.collect_table) {
-      shared->result.synthetic = std::move(out).TakeValue();
-    }
+    shared->result = std::move(result);
     if (sink == nullptr) {
       // No streaming: every row commits at completion.
       shared->rows_committed.store(

@@ -140,10 +140,11 @@ class RowSink {
   virtual Status OnChunk(const TableChunk& chunk) = 0;
 };
 
-/// One synthesis request against a fitted model: the sampling knobs of
+/// One synthesis request against a fitted model: the sampling run of
 /// `SampleSpec` (rows, seed, shard and thread overrides, compressed
-/// chunks, out-of-core spill) plus delivery. Value-semantics; the
-/// defaults reproduce the fit config's sampling phase exactly.
+/// chunks, out-of-core spill, table collection) plus its sink.
+/// Value-semantics; the defaults reproduce the fit config's sampling
+/// phase exactly.
 struct SynthesisRequest : SampleSpec {
   /// Optional streaming delivery (see RowSink for the order guarantee).
   /// Must outlive the job. `compress_chunks` is ignored without a sink;
@@ -151,11 +152,6 @@ struct SynthesisRequest : SampleSpec {
   /// constant-memory delivery path: rows then exist only as chunks and
   /// spill blocks.
   RowSink* sink = nullptr;
-  /// When false, the result's `synthetic` table is left empty — rows are
-  /// observable through `sink` only. The run then never assembles the
-  /// table at all: in memory it skips accumulating the frozen slices,
-  /// and under `out_of_core` it skips re-reading them from disk.
-  bool collect_table = true;
   /// No-op, kept for source compatibility: every run streams through the
   /// prefix-frozen merge, so nothing reads this field.
   bool progressive_merge = false;
@@ -167,7 +163,8 @@ struct SynthesisResult {
   /// `collect_table = false`).
   Table synthetic;
   SynthesisTelemetry telemetry;
-  /// Wall clock of this request's sampling (merge included).
+  /// Wall clock of this request's sampling (merge included): the
+  /// `synthesize` span's duration.
   double sampling_seconds = 0.0;
 };
 
@@ -247,9 +244,8 @@ class KaminoEngine {
     /// order.
     size_t max_concurrent_jobs = 2;
     /// Capacity of the engine's LRU registry of hot models (see
-    /// RegisterModel). Values below 1 are clamped to 1. Defaults to the
-    /// KaminoOptions knob of the same name.
-    size_t model_registry_capacity = KaminoOptions().model_registry_capacity;
+    /// RegisterModel). Values below 1 are clamped to 1.
+    size_t model_registry_capacity = 8;
   };
 
   /// Default options: hardware-concurrency thread budget, 2 concurrent

@@ -1,4 +1,4 @@
-// Tests for out-of-core synthesis (KaminoOptions::out_of_core): spilling
+// Tests for out-of-core synthesis (SampleSpec::out_of_core): spilling
 // frozen slices through src/kamino/store/ must not change a single
 // sampled bit relative to the in-memory sharded run at any thread
 // or shard count, the sequential golden digest must survive the flag,
@@ -112,8 +112,6 @@ RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
   options.mcmc_resamples = 40;
   options.seed = 77;
   options.num_shards = config.num_shards;
-  options.out_of_core = config.out_of_core;
-  options.compress_chunks = config.compress_chunks;
   Rng rng(77);
   auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
                    .TakeValue();
@@ -123,9 +121,12 @@ RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
     run.chunks.push_back(chunk);
     return Status::OK();
   };
+  SampleSpec spec{n};
+  spec.out_of_core = config.out_of_core;
+  spec.compress_chunks = config.compress_chunks;
   Rng srng(17);
-  run.out = Synthesize(model, constraints, n, options, &srng, &run.telemetry,
-                       &hooks)
+  run.out = Synthesize(model, constraints, options, spec, &srng,
+                       &run.telemetry, &hooks)
                 .TakeValue();
   return run;
 }
@@ -180,14 +181,15 @@ TEST(OutOfCoreTest, GoldenDigestUnchangedAtSingleShard) {
   options.iterations = 12;
   options.mcmc_resamples = 48;
   options.seed = 31;
-  options.out_of_core = true;
   ASSERT_EQ(options.num_shards, 1u);
   Rng rng(31);
   auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
                    .TakeValue();
+  SampleSpec spec{150};
+  spec.out_of_core = true;
   Rng srng(17);
   SynthesisTelemetry telemetry;
-  Table out = Synthesize(model, constraints, 150, options, &srng, &telemetry)
+  Table out = Synthesize(model, constraints, options, spec, &srng, &telemetry)
                   .TakeValue();
   EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
       << "out_of_core changed the one-shard output";
@@ -299,7 +301,7 @@ TEST(OutOfCoreTest, CompressedChunksPassThroughTheSpilledPayload) {
 }
 
 TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
-  // With discard_result the sampler returns a schema-only table — the
+  // With collect_table off the sampler returns a schema-only table — the
   // rows exist solely as delivered chunks (the constant-memory path).
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
   ScopedNumThreads threads(1);
@@ -311,13 +313,14 @@ TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
   options.iterations = 8;
   options.seed = 77;
   options.num_shards = 4;
-  options.out_of_core = true;
   Rng rng(77);
   auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
                    .TakeValue();
   size_t delivered = 0;
+  SampleSpec spec{120};
+  spec.out_of_core = true;
+  spec.collect_table = false;
   SynthesisHooks hooks;
-  hooks.discard_result = true;
   hooks.on_chunk = [&delivered](const TableChunk& chunk) {
     delivered += chunk.num_rows();
     return Status::OK();
@@ -325,7 +328,7 @@ TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
   Rng srng(17);
   SynthesisTelemetry telemetry;
   Table out =
-      Synthesize(model, constraints, 120, options, &srng, &telemetry, &hooks)
+      Synthesize(model, constraints, options, spec, &srng, &telemetry, &hooks)
           .TakeValue();
   EXPECT_EQ(out.num_rows(), 0u);
   EXPECT_EQ(delivered, 120u);
@@ -368,7 +371,6 @@ TEST(OutOfCoreTest, CancellationMidSpillLeavesNoOrphanedFiles) {
     options.iterations = 8;
     options.seed = 77;
     options.num_shards = 4;
-    options.out_of_core = true;
     options.spill_dir = parent_dir;
     Rng rng(77);
     auto model =
@@ -383,10 +385,13 @@ TEST(OutOfCoreTest, CancellationMidSpillLeavesNoOrphanedFiles) {
       chunks.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
     };
+    SampleSpec spec{120};
+    spec.out_of_core = true;
     Rng srng(17);
     SynthesisTelemetry telemetry;
     const auto result =
-        Synthesize(model, constraints, 120, options, &srng, &telemetry, &hooks);
+        Synthesize(model, constraints, options, spec, &srng, &telemetry,
+                   &hooks);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
     EXPECT_GE(telemetry.spill_blocks, 2);  // it really was mid-spill

@@ -3,7 +3,7 @@
 // budgets, hard-DC exactness after *every* prefix freeze (checked against
 // the MakeNaiveViolationIndex oracle), frozen-prefix immutability (rows
 // already streamed are never rewritten), the one-shard golden digest,
-// chunk-only delivery (`discard_result`), and unit tests of the
+// chunk-only delivery (`collect_table` off), and unit tests of the
 // frozen-prefix FD and order lookups in core/prefix_merge.h.
 
 #include <gtest/gtest.h>
@@ -90,11 +90,11 @@ struct ProgressiveRun {
 
 /// Trains on `ds` and synthesizes `n` rows in `num_shards` shards,
 /// capturing every chunk. Model training and sampling seeds are fixed so
-/// runs are comparable across thread budgets. With `discard_result` the
-/// caller consumes the run through the chunks only.
+/// runs are comparable across thread budgets. With `collect_table` off
+/// the caller consumes the run through the chunks only.
 ProgressiveRun RunProgressive(const BenchmarkDataset& ds, size_t n,
                               size_t num_threads, size_t num_shards,
-                              bool discard_result = false) {
+                              bool collect_table = true) {
   ScopedNumThreads threads(num_threads);
   auto constraints =
       ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
@@ -109,15 +109,16 @@ ProgressiveRun RunProgressive(const BenchmarkDataset& ds, size_t n,
   auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
                    .TakeValue();
   ProgressiveRun run;
+  SampleSpec spec{n};
+  spec.collect_table = collect_table;
   SynthesisHooks hooks;
-  hooks.discard_result = discard_result;
   hooks.on_chunk = [&run](const TableChunk& chunk) {
     run.chunks.push_back(chunk);
     return Status::OK();
   };
   Rng srng(17);
-  run.out = Synthesize(model, constraints, n, options, &srng, &run.telemetry,
-                       &hooks)
+  run.out = Synthesize(model, constraints, options, spec, &srng,
+                       &run.telemetry, &hooks)
                 .TakeValue();
   return run;
 }
@@ -263,7 +264,8 @@ TEST(ProgressiveMergeTest, DefaultOffGoldenDigestUnchanged) {
                    .TakeValue();
   Rng srng(17);
   SynthesisTelemetry telemetry;
-  Table out = Synthesize(model, constraints, 150, options, &srng, &telemetry)
+  Table out = Synthesize(model, constraints, options, SampleSpec{150}, &srng,
+                         &telemetry)
                   .TakeValue();
   EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
       << "the one-shard output changed";
@@ -289,7 +291,7 @@ TEST(ProgressiveMergeTest, DefaultShardedRunFreezesEveryShard) {
 }
 
 TEST(ProgressiveMergeTest, DiscardResultDeliversChunksOnly) {
-  // discard_result behaves the same in memory as out of core: the
+  // collect_table off behaves the same in memory as out of core: the
   // sampler returns a schema-only table and never accumulates the frozen
   // slices, while the chunks still tile [0, n) and carry the same rows
   // as a run that keeps the table.
@@ -297,7 +299,7 @@ TEST(ProgressiveMergeTest, DiscardResultDeliversChunksOnly) {
   const size_t n = 120;
   const ProgressiveRun kept = RunProgressive(ds, n, 1, 4);
   const ProgressiveRun discarded =
-      RunProgressive(ds, n, 1, 4, /*discard_result=*/true);
+      RunProgressive(ds, n, 1, 4, /*collect_table=*/false);
   EXPECT_EQ(discarded.out.num_rows(), 0u);
   EXPECT_EQ(discarded.out.num_columns(), kept.out.num_columns());
   ASSERT_EQ(discarded.chunks.size(), 4u);

@@ -61,7 +61,7 @@ TEST(SamplerTest, ConstraintAwareKeepsHardFdClean) {
   KaminoOptions options = NonPrivateOptions();
   ProbabilisticDataModel model = TrainFor(w, options);
   Rng rng(11);
-  auto out = Synthesize(model, w.constraints, 200, options, &rng);
+  auto out = Synthesize(model, w.constraints, options, SampleSpec{200}, &rng);
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out.value().num_rows(), 200u);
   EXPECT_EQ(CountViolations(w.constraints[0].dc, out.value()), 0);
@@ -77,10 +77,12 @@ TEST(SamplerTest, RandSamplingAblationViolatesMore) {
 
   Rng rng_aware(7), rng_iid(7);
   KaminoOptions aware = options;
-  auto constrained = Synthesize(model, w.constraints, 300, aware, &rng_aware);
+  auto constrained =
+      Synthesize(model, w.constraints, aware, SampleSpec{300}, &rng_aware);
   KaminoOptions iid = options;
   iid.constraint_aware_sampling = false;
-  auto unconstrained = Synthesize(model, w.constraints, 300, iid, &rng_iid);
+  auto unconstrained =
+      Synthesize(model, w.constraints, iid, SampleSpec{300}, &rng_iid);
   ASSERT_TRUE(constrained.ok());
   ASSERT_TRUE(unconstrained.ok());
   EXPECT_LT(CountViolations(w.constraints[0].dc, constrained.value()),
@@ -94,7 +96,8 @@ TEST(SamplerTest, RowsStayInsideDomains) {
   options.iterations = 20;
   ProbabilisticDataModel model = TrainFor(w, options);
   Rng rng(5);
-  Table out = Synthesize(model, w.constraints, 150, options, &rng).TakeValue();
+  Table out = Synthesize(model, w.constraints, options, SampleSpec{150}, &rng)
+                  .TakeValue();
   for (size_t r = 0; r < out.num_rows(); ++r) {
     for (size_t c = 0; c < out.num_columns(); ++c) {
       EXPECT_TRUE(out.schema().attribute(c).Contains(out.at(r, c)));
@@ -111,7 +114,8 @@ TEST(SamplerTest, FdFastPathMatchesScoring) {
   fast.enable_fd_fast_path = true;
   Rng rng(9);
   SynthesisTelemetry telemetry;
-  auto out = Synthesize(model, w.constraints, 200, fast, &rng, &telemetry);
+  auto out = Synthesize(model, w.constraints, fast, SampleSpec{200}, &rng,
+                        &telemetry);
   ASSERT_TRUE(out.ok());
   EXPECT_GT(telemetry.fd_fast_path_hits, 0);
   EXPECT_EQ(CountViolations(w.constraints[0].dc, out.value()), 0);
@@ -127,7 +131,8 @@ TEST(SamplerTest, AcceptRejectModeRuns) {
   ar.ar_max_tries = 50;
   Rng rng(13);
   SynthesisTelemetry telemetry;
-  auto out = Synthesize(model, w.constraints, 150, ar, &rng, &telemetry);
+  auto out = Synthesize(model, w.constraints, ar, SampleSpec{150}, &rng,
+                        &telemetry);
   ASSERT_TRUE(out.ok());
   EXPECT_GT(telemetry.ar_proposals, 0);
   EXPECT_EQ(out.value().num_rows(), 150u);
@@ -141,7 +146,8 @@ TEST(SamplerTest, McmcResamplingRunsAndKeepsConsistency) {
   mcmc.mcmc_resamples = 60;
   Rng rng(15);
   SynthesisTelemetry telemetry;
-  auto out = Synthesize(model, w.constraints, 120, mcmc, &rng, &telemetry);
+  auto out = Synthesize(model, w.constraints, mcmc, SampleSpec{120}, &rng,
+                        &telemetry);
   ASSERT_TRUE(out.ok());
   EXPECT_GT(telemetry.mcmc_resamples, 0);
   EXPECT_EQ(CountViolations(w.constraints[0].dc, out.value()), 0);
@@ -161,7 +167,8 @@ TEST(SamplerTest, SoftDcWeightControlsViolations) {
     constraints[0].weight = weight;
     Rng rng(21);
     Table out =
-        Synthesize(model, constraints, 300, options, &rng).TakeValue();
+        Synthesize(model, constraints, options, SampleSpec{300}, &rng)
+            .TakeValue();
     return CountViolations(constraints[0].dc, out);
   };
   const int64_t loose = violations_with_weight(0.0);

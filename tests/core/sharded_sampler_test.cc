@@ -92,7 +92,8 @@ TEST(ShardedSamplerTest, NumShardsOneMatchesPreRefactorSequentialSampler) {
           .TakeValue();
   Rng srng(17);
   SynthesisTelemetry telemetry;
-  Table out = Synthesize(model, constraints, 150, options, &srng, &telemetry)
+  Table out = Synthesize(model, constraints, options, SampleSpec{150}, &srng,
+                         &telemetry)
                   .TakeValue();
   EXPECT_EQ(telemetry.num_shards, 1u);
   EXPECT_EQ(telemetry.merge_resamples, 0);
@@ -126,7 +127,8 @@ TEST(ShardedSamplerTest, GoldenDigestUnchangedWithTracingOn) {
         ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
             .TakeValue();
     Rng srng(17);
-    Table out = Synthesize(model, constraints, 150, options, &srng).TakeValue();
+    Table out = Synthesize(model, constraints, options, SampleSpec{150}, &srng)
+                    .TakeValue();
     char actual[32];
     std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
     EXPECT_EQ(std::string(actual), "0x214d31f811dbdd0f")
@@ -178,7 +180,8 @@ TEST(ShardedSamplerTest, GoldenDigestGridAcrossThreadsAndShards) {
               .TakeValue();
       Rng srng(17);
       Table out =
-          Synthesize(model, constraints, 150, options, &srng).TakeValue();
+          Synthesize(model, constraints, options, SampleSpec{150}, &srng)
+              .TakeValue();
       char actual[32];
       std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
       EXPECT_EQ(std::string(actual), expected)
@@ -216,8 +219,8 @@ TEST(ShardedSamplerTest, Br2000McmcAndRepairDigestsPinned) {
       options.num_shards = num_shards;
       Rng srng(17);
       SynthesisTelemetry telemetry;
-      Table out = Synthesize(model, constraints, 200, options, &srng,
-                             &telemetry)
+      Table out = Synthesize(model, constraints, options, SampleSpec{200},
+                             &srng, &telemetry)
                       .TakeValue();
       EXPECT_GT(telemetry.mcmc_resamples, 0);
       if (num_shards > 1) {

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -192,26 +194,29 @@ TEST(ArtifactTest, SaveLoadSynthesizeReproducesGoldenDigest) {
       << "loaded model diverged from the golden sequential run";
 }
 
-/// Re-frames a current (v2) artifact as format version 1: re-inserts the
-/// three retired shard-merge knobs into the options section right after
-/// `num_shards` — a u64 resample budget and two flag bytes, here the old
-/// defaults 64 / true / true unless `flag_byte` overrides the first flag —
-/// then rebuilds the section and payload lengths, the version and the
-/// digest.
-std::vector<uint8_t> ReframeAsV1(const std::vector<uint8_t>& v2,
-                                 uint8_t flag_byte = 1) {
-  // Options-section offset just past `num_shards`: eleven u64/double
-  // fields, two u32s (quantize_bins, max_candidates), the non_private
-  // flag, mcmc_resamples and the two domain thresholds, six flag bytes,
-  // then ar_max_tries / num_threads / num_shards.
-  constexpr size_t kAfterNumShards = 11 * 8 + 2 * 4 + 1 + 3 * 8 + 6 + 3 * 8;
+// Options-section offset just past `num_shards`: eleven u64/double
+// fields, two u32s (quantize_bins, max_candidates), the non_private flag,
+// mcmc_resamples and the two domain thresholds, six flag bytes, then
+// ar_max_tries / num_threads / num_shards.
+constexpr size_t kAfterNumShards = 11 * 8 + 2 * 4 + 1 + 3 * 8 + 6 + 3 * 8;
+// The retired `compress_chunks` flag byte of a v2 options section: after
+// the two trace/metrics flags and trace_capacity_events. The retired u64
+// registry capacity follows it.
+constexpr size_t kRetiredCompressFlag = kAfterNumShards + 2 + 8;
+
+/// Rebuilds a current (v2) artifact as format `version` after `edit`
+/// rewrote its options section: the section and payload lengths, the
+/// version and the digest are recomputed.
+std::vector<uint8_t> ReframeOptions(
+    const std::vector<uint8_t>& v2, uint32_t version,
+    const std::function<void(std::vector<uint8_t>*)>& edit) {
   io::ByteReader in(v2.data(), v2.size());
   const uint8_t* magic = nullptr;
-  uint32_t version = 0;
+  uint32_t current = 0;
   uint64_t payload_len = 0;
-  EXPECT_TRUE(in.ReadBytes(&magic, 8) && in.ReadU32(&version) &&
+  EXPECT_TRUE(in.ReadBytes(&magic, 8) && in.ReadU32(&current) &&
               in.ReadU64(&payload_len));
-  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(current, 2u);
   std::vector<uint8_t> payload;
   for (bool first = true; in.remaining() > 8; first = false) {
     uint32_t id = 0;
@@ -221,28 +226,55 @@ std::vector<uint8_t> ReframeAsV1(const std::vector<uint8_t>& v2,
                 in.ReadBytes(&body, static_cast<size_t>(len)));
     std::vector<uint8_t> section(body, body + len);
     if (first) {
-      // Guard the offset: the u64 just before it is num_shards (1).
+      // Guard the offsets: the u64 just before kAfterNumShards is
+      // num_shards (1).
       io::ByteReader shards(section.data() + kAfterNumShards - 8, 8);
       uint64_t num_shards = 0;
       EXPECT_TRUE(shards.ReadU64(&num_shards));
       EXPECT_EQ(num_shards, 1u);
-      std::vector<uint8_t> retired;
-      io::AppendU64(&retired, 64);
-      io::AppendU8(&retired, flag_byte);
-      io::AppendU8(&retired, 1);
-      section.insert(section.begin() + kAfterNumShards, retired.begin(),
-                     retired.end());
+      edit(&section);
     }
     io::AppendU32(&payload, id);
     io::AppendU64(&payload, section.size());
     payload.insert(payload.end(), section.begin(), section.end());
   }
-  std::vector<uint8_t> v1(io::kArtifactMagic, io::kArtifactMagic + 8);
-  io::AppendU32(&v1, 1);
-  io::AppendU64(&v1, payload.size());
-  v1.insert(v1.end(), payload.begin(), payload.end());
-  io::AppendU64(&v1, io::DigestBytes(payload.data(), payload.size()));
-  return v1;
+  std::vector<uint8_t> out(io::kArtifactMagic, io::kArtifactMagic + 8);
+  io::AppendU32(&out, version);
+  io::AppendU64(&out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  io::AppendU64(&out, io::DigestBytes(payload.data(), payload.size()));
+  return out;
+}
+
+/// Re-frames a current (v2) artifact as format version 1: re-inserts the
+/// three retired shard-merge knobs into the options section right after
+/// `num_shards` — a u64 resample budget and two flag bytes, here the old
+/// defaults 64 / true / true unless `flag_byte` overrides the first flag.
+std::vector<uint8_t> ReframeAsV1(const std::vector<uint8_t>& v2,
+                                 uint8_t flag_byte = 1) {
+  return ReframeOptions(v2, 1, [flag_byte](std::vector<uint8_t>* section) {
+    std::vector<uint8_t> retired;
+    io::AppendU64(&retired, 64);
+    io::AppendU8(&retired, flag_byte);
+    io::AppendU8(&retired, 1);
+    section->insert(section->begin() + kAfterNumShards, retired.begin(),
+                    retired.end());
+  });
+}
+
+/// Re-seals a v2 artifact with its two retired option slots set to
+/// `compress_flag` and `capacity` (canonically 0 and 8).
+std::vector<uint8_t> WithRetiredV2Slots(const std::vector<uint8_t>& v2,
+                                        uint8_t compress_flag,
+                                        uint64_t capacity) {
+  return ReframeOptions(v2, 2, [&](std::vector<uint8_t>* section) {
+    EXPECT_EQ((*section)[kRetiredCompressFlag], 0u);
+    (*section)[kRetiredCompressFlag] = compress_flag;
+    std::vector<uint8_t> slot;
+    io::AppendU64(&slot, capacity);
+    std::copy(slot.begin(), slot.end(),
+              section->begin() + kRetiredCompressFlag + 1);
+  });
 }
 
 TEST(ArtifactTest, LoadsVersionOneArtifacts) {
@@ -278,6 +310,41 @@ TEST(ArtifactTest, LoadsVersionOneArtifacts) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_NE(rejected.status().message().find("flag"), std::string::npos)
       << rejected.status().ToString();
+}
+
+TEST(ArtifactTest, VersionTwoRetiredOptionSlotsAreValidatedAndDiscarded) {
+  // A v2 artifact written while `compress_chunks` and the registry
+  // capacity were fit options: the slots are validated, then dropped — it
+  // loads, samples the golden digest and re-serializes canonically.
+  ScopedNumThreads threads(1);
+  const std::vector<uint8_t> canonical =
+      io::SerializeFitArtifacts(MakeGoldenArtifacts());
+  auto loaded = FittedModel::Deserialize(
+      WithRetiredV2Slots(canonical, /*compress_flag=*/1, /*capacity=*/3));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  KaminoEngine engine;
+  SynthesisRequest request;
+  request.num_rows = 150;
+  request.seed = 0;  // resume the fit RNG snapshot
+  auto result = engine.Synthesize(loaded.value(), request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  char actual[32];
+  std::snprintf(actual, sizeof(actual), "0x%016" PRIx64,
+                TableDigest(result.value().synthetic));
+  EXPECT_EQ(std::string(actual), "0x214d31f811dbdd0f");
+  auto bytes = loaded.value().Serialize();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes.value(), canonical);
+
+  auto rejected = io::DeserializeFitArtifacts(
+      WithRetiredV2Slots(canonical, /*compress_flag=*/2, /*capacity=*/8));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("flag"), std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_FALSE(io::DeserializeFitArtifacts(
+                   WithRetiredV2Slots(canonical, /*compress_flag=*/0,
+                                      /*capacity=*/0))
+                   .ok());
 }
 
 TEST(ArtifactTest, LoadedModelOwnsAllState) {

@@ -302,6 +302,46 @@ TEST(EngineJobTest, AsyncJobMatchesSynchronousRun) {
   auto again = job->Wait();
   ASSERT_TRUE(again.ok());
   ExpectSameTable(result.value().synthetic, again.value().synthetic);
+
+  // Every delivery setting through both entry points: spilled, compressed
+  // chunks to a sink, no table collected. Both deliver the same payloads.
+  RecordingSink sync_sink;
+  RecordingSink async_sink;
+  SynthesisRequest streamed;
+  streamed.num_shards = 4;
+  streamed.out_of_core = true;
+  streamed.compress_chunks = true;
+  streamed.collect_table = false;
+  streamed.sink = &sync_sink;
+  auto sync_run = engine.Synthesize(model.value(), streamed);
+  ASSERT_TRUE(sync_run.ok()) << sync_run.status();
+  streamed.sink = &async_sink;
+  auto async_run = engine.Submit(model.value(), streamed)->Wait();
+  ASSERT_TRUE(async_run.ok()) << async_run.status();
+  const std::vector<TableChunk> sync_chunks = sync_sink.chunks();
+  const std::vector<TableChunk> async_chunks = async_sink.chunks();
+  ASSERT_EQ(sync_chunks.size(), 4u);
+  ASSERT_EQ(async_chunks.size(), sync_chunks.size());
+  for (size_t k = 0; k < sync_chunks.size(); ++k) {
+    EXPECT_TRUE(sync_chunks[k].compressed());
+    EXPECT_EQ(async_chunks[k].row_offset, sync_chunks[k].row_offset);
+    EXPECT_EQ(async_chunks[k].encoded_rows, sync_chunks[k].encoded_rows);
+    EXPECT_EQ(async_chunks[k].last, sync_chunks[k].last);
+    EXPECT_EQ(async_chunks[k].encoded, sync_chunks[k].encoded)
+        << "chunk " << k << " payload differs between Synthesize and Submit";
+  }
+  for (const SynthesisResult* run : {&sync_run.value(), &async_run.value()}) {
+    EXPECT_EQ(run->synthetic.num_rows(), 0u);
+    EXPECT_GT(run->telemetry.first_chunk_seconds, 0.0);
+  }
+  const SynthesisTelemetry& a = sync_run.value().telemetry;
+  const SynthesisTelemetry& b = async_run.value().telemetry;
+  EXPECT_EQ(a.spill_blocks, b.spill_blocks);
+  EXPECT_EQ(a.spilled_rows, b.spilled_rows);
+  EXPECT_EQ(a.merge_prefix_freezes, b.merge_prefix_freezes);
+  EXPECT_EQ(a.merge_cross_violations, b.merge_cross_violations);
+  EXPECT_EQ(a.spill_blocks, 4);
+  EXPECT_EQ(a.spilled_rows, static_cast<int64_t>(ds.table.num_rows()));
 }
 
 TEST(EngineJobTest, StreamingSinkDeliversBeforeJobCompletion) {

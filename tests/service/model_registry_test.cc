@@ -99,12 +99,8 @@ TEST(ModelRegistryTest, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(ModelRegistryTest, CapacityKnobValidated) {
-  KaminoOptions options;
-  options.model_registry_capacity = 0;
-  const Status s = options.Validate();
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("model_registry_capacity"), std::string::npos);
-  // The engine clamps instead (a constructor cannot return a Status).
+  // The engine clamps a zero capacity to 1 (a constructor cannot return a
+  // Status).
   KaminoEngine::Options engine_options;
   engine_options.model_registry_capacity = 0;
   KaminoEngine engine(engine_options);

@@ -4,7 +4,8 @@
 // the generated 600-row Adult workload, plus a cross-thread-count
 // determinism check, the 1/2/4/8 shard sweep, the constrained MCMC pass
 // at 1 and 4 shards, the sorted order-DC and composite mixed-DC engines vs
-// the naive pair scan at growing n, and the columnar core (packed-key
+// the naive pair scan at growing n, per-candidate vs batched order-DC
+// candidate scoring, and the columnar core (packed-key
 // index build, block shard merge, chunk codec) vs the boxed row-oriented
 // equivalents. Emits BENCH_parallel.json for the perf trajectory.
 
@@ -268,6 +269,67 @@ int Main() {
   }
   std::printf("\norder-DC sorted vs naive counts: %s\n",
               order_counts_agree ? "IDENTICAL (exact)" : "MISMATCH");
+
+  // --- Hot path 5b: scoring a candidate set against the order index. ---
+  // The sampler's shape on Adult's cap_gain/cap_loss DC: each committed
+  // row is preceded by ~30 cap_gain candidates sharing its cap_loss (the
+  // unit sets the DC's x). Per-candidate scoring calls CountNew on a
+  // scratch row for each; batched scoring makes one CountNewBatch call per
+  // row. Single-threaded; the two must agree on every count.
+  std::printf("\n%-28s %8s %12s %12s %9s\n", "method", "rows", "single-sec",
+              "batched-sec", "speedup");
+  bool scoring_counts_agree = true;
+  for (size_t n : {size_t{600}, size_t{2400}, size_t{9600}}) {
+    const BenchmarkDataset adult = MakeAdultLike(n, kSeed);
+    const std::vector<WeightedConstraint> adult_dcs = Constraints(adult);
+    const DenialConstraint* order_dc = nullptr;
+    for (const WeightedConstraint& wc : adult_dcs) {
+      if (wc.dc.AsGroupedOrderSpec().has_value()) order_dc = &wc.dc;
+    }
+    KAMINO_CHECK(order_dc != nullptr) << "adult workload lost its order DC";
+    const std::vector<size_t> attrs = {
+        adult.table.schema().IndexOf("cap_gain").value()};
+    constexpr size_t kCandidates = 30;
+    // Candidate cap_gain values per row: drawn from the table's column,
+    // so the zero-heavy x ties and the spread tail both appear.
+    Rng pick(kSeed);
+    std::vector<Value> values(n * kCandidates);
+    for (Value& v : values) {
+      v = adult.table.at(
+          static_cast<size_t>(pick.UniformInt(0, static_cast<int64_t>(n) - 1)),
+          attrs[0]);
+    }
+    std::vector<int64_t> single_counts(n * kCandidates);
+    std::vector<int64_t> batched_counts(n * kCandidates);
+    const double single = TimeBest(2, [&] {
+      auto index = MakeViolationIndex(*order_dc);
+      for (size_t i = 0; i < n; ++i) {
+        Row scratch = adult.table.row(i);
+        for (size_t c = 0; c < kCandidates; ++c) {
+          scratch[attrs[0]] = values[i * kCandidates + c];
+          single_counts[i * kCandidates + c] = index->CountNew(scratch);
+        }
+        index->AddRow(adult.table.row(i));
+      }
+    });
+    const double batched = TimeBest(2, [&] {
+      auto index = MakeViolationIndex(*order_dc);
+      for (size_t i = 0; i < n; ++i) {
+        const Row row = adult.table.row(i);
+        index->CountNewBatch(row, attrs, values.data() + i * kCandidates,
+                             kCandidates,
+                             batched_counts.data() + i * kCandidates);
+        index->AddRow(row);
+      }
+    });
+    if (single_counts != batched_counts) scoring_counts_agree = false;
+    records.push_back({"order_scoring_per_candidate", n, 1, single});
+    records.push_back({"order_scoring_batched", n, 1, batched});
+    std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "order_scoring", n,
+                single, batched, single / batched);
+  }
+  std::printf("\norder-DC batched vs per-candidate counts: %s\n",
+              scoring_counts_agree ? "IDENTICAL (exact)" : "MISMATCH");
 
   // --- Hot path 6: composite violation engine for mixed-shape DCs. ---
   // Binary DCs combining equality scope, strict/non-strict order
@@ -718,7 +780,8 @@ int Main() {
 
   WriteBenchJson("BENCH_parallel.json", records);
   return deterministic && shards_deterministic && mcmc_deterministic &&
-                 order_counts_agree && mixed_counts_agree && columnar_agree &&
+                 order_counts_agree && scoring_counts_agree &&
+                 mixed_counts_agree && columnar_agree &&
                  service_deterministic && obs_output_identical &&
                  ooc_resident_bounded
              ? 0

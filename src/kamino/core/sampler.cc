@@ -166,11 +166,24 @@ void ApplyCandidate(const ModelUnit& unit, const std::vector<Value>& values,
 /// One violation index per DC (null where a DC is not indexed).
 using IndexSet = std::vector<std::unique_ptr<ViolationIndex>>;
 
+/// One DC's term of a penalty: w_phi times the `vio` new violations of
+/// `candidate`, less its pair with `replaced` (when set; the row it
+/// replaces, which the indices still hold).
+double DcPenalty(const WeightedConstraint& wc, int64_t vio,
+                 const Row& candidate, const Row* replaced) {
+  if (replaced != nullptr && !wc.dc.is_unary() &&
+      wc.dc.ViolatesPair(candidate, *replaced)) {
+    --vio;
+  }
+  return vio > 0 ? wc.EffectiveWeight() * static_cast<double>(vio) : 0.0;
+}
+
 /// sum_phi w_phi * count(phi) over the DCs in `active`: the violations
 /// `candidate` forms with every row the `index_sets` hold (null indices
 /// skipped). With `replaced` set, the candidate replaces that row, which
 /// exactly one of the sets holds: its pair with the candidate is
-/// subtracted. The one penalty every sampling, MCMC and repair score uses.
+/// subtracted. `ScoreCandidates` computes the same sum for a whole
+/// candidate set.
 double ViolationPenalty(const Row& candidate, const Row* replaced,
                         const std::vector<size_t>& active,
                         const std::vector<WeightedConstraint>& constraints,
@@ -182,15 +195,7 @@ double ViolationPenalty(const Row& candidate, const Row* replaced,
       const ViolationIndex* index = (*indices)[dc_index].get();
       if (index != nullptr) vio += index->CountNew(candidate);
     }
-    const DenialConstraint& dc = constraints[dc_index].dc;
-    if (replaced != nullptr && !dc.is_unary() &&
-        dc.ViolatesPair(candidate, *replaced)) {
-      --vio;
-    }
-    if (vio > 0) {
-      penalty += constraints[dc_index].EffectiveWeight() *
-                 static_cast<double>(vio);
-    }
+    penalty += DcPenalty(constraints[dc_index], vio, candidate, replaced);
   }
   return penalty;
 }
@@ -219,8 +224,11 @@ void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
 
 /// Fills `log_scores` with log p_{v|c} - `ViolationPenalty` for every
 /// candidate written over `base_row` (Algorithm 3 line 10 in log space),
-/// and `penalties` (optional) with the penalties alone. Dispatches
-/// candidates to the pool when `allow_nested_parallel` and the
+/// and `penalties` (optional) with the penalties alone. Scoring is
+/// DC-major: one `CountNewBatch` per active DC and index set scores the
+/// whole candidate range, then each candidate's penalty adds its DC terms
+/// in `active` order, exactly as `ViolationPenalty` would. Dispatches
+/// candidate ranges to the pool when `allow_nested_parallel` and the
 /// candidate-set x indexed-rows product is large; scoring draws no
 /// randomness and each candidate writes its own slot, so parallel and
 /// inline execution produce the same vectors bit for bit. A failed chunk
@@ -238,14 +246,41 @@ Status ScoreCandidates(const ModelUnit& unit,
                        std::vector<double>* penalties = nullptr) {
   log_scores->assign(candidates.size(), 0.0);
   if (penalties != nullptr) penalties->assign(candidates.size(), 0.0);
+  // The candidates' values, flat and aligned with unit.attrs.
+  const size_t width = unit.attrs.size();
+  std::vector<Value> values;
+  values.reserve(candidates.size() * width);
+  for (const Candidate& c : candidates) {
+    values.insert(values.end(), c.values.begin(), c.values.end());
+  }
   auto score_range = [&](size_t lo, size_t hi) {
-    Row scratch = base_row;
-    for (size_t c = lo; c < hi; ++c) {
-      for (size_t i = 0; i < unit.attrs.size(); ++i) {
-        scratch[unit.attrs[i]] = candidates[c].values[i];
+    const size_t m = hi - lo;
+    // counts[d * m + c]: new violations of candidate lo + c under DC
+    // active[d], summed over the index sets.
+    std::vector<int64_t> counts(active.size() * m, 0);
+    std::vector<int64_t> part(m);
+    for (size_t d = 0; d < active.size(); ++d) {
+      for (const IndexSet* indices : index_sets) {
+        const ViolationIndex* index = (*indices)[active[d]].get();
+        if (index == nullptr) continue;
+        index->CountNewBatch(base_row, unit.attrs, values.data() + lo * width,
+                             m, part.data());
+        for (size_t c = 0; c < m; ++c) counts[d * m + c] += part[c];
       }
-      const double penalty = ViolationPenalty(scratch, replaced, active,
-                                              constraints, index_sets);
+    }
+    // The candidate row itself is only needed for the replaced-row pair.
+    Row scratch = replaced != nullptr ? base_row : Row();
+    for (size_t c = lo; c < hi; ++c) {
+      if (replaced != nullptr) {
+        for (size_t i = 0; i < width; ++i) {
+          scratch[unit.attrs[i]] = candidates[c].values[i];
+        }
+      }
+      double penalty = 0.0;
+      for (size_t d = 0; d < active.size(); ++d) {
+        penalty += DcPenalty(constraints[active[d]], counts[d * m + c - lo],
+                             scratch, replaced);
+      }
       (*log_scores)[c] = std::log(candidates[c].prob + 1e-300) - penalty;
       if (penalties != nullptr) (*penalties)[c] = penalty;
     }
@@ -259,11 +294,13 @@ Status ScoreCandidates(const ModelUnit& unit,
       }
     }
   }
-  if (allow_nested_parallel && runtime::GlobalNumThreads() > 1 &&
+  const size_t threads = runtime::GlobalNumThreads();
+  if (allow_nested_parallel && threads > 1 &&
       candidates.size() * std::max<size_t>(indexed, 1) >=
           kMinParallelScoreWork) {
     ++telemetry->parallel_score_dispatches;
-    const size_t grain = std::max<size_t>(1, candidates.size() / 16);
+    // One range per thread: each range walks the order blocks once.
+    const size_t grain = (candidates.size() + threads - 1) / threads;
     return runtime::ParallelFor(0, candidates.size(), grain, score_range);
   }
   return score_range(0, candidates.size());

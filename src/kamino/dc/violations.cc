@@ -539,11 +539,29 @@ void AddOrderColumn(const GroupedOrderSpec& spec, const Table& table,
 ///
 /// Per equality group the committed rows live in an x-sorted list of
 /// blocks of ~2*sqrt(m) rows, each block carrying its oriented-y values
-/// both in x order and sorted. `CountNew` resolves whole blocks strictly
-/// left/right of the candidate's x with one binary search each (the rows
-/// above/below the candidate's y), and scans only the <= 2 blocks the
-/// candidate's x falls into — O(sqrt(m) * log) per candidate instead of
-/// O(m). `RemoveRow` erases the entry from its block in O(cap) and drops
+/// both in x order and sorted. A block's x bounds are its first and last
+/// x; consecutive blocks' bounds never overlap except at a shared x, so a
+/// run of equal x may span several blocks.
+///
+/// `CountNew` resolves whole blocks strictly left/right of the
+/// candidate's x with one binary search each (the rows above/below the
+/// candidate's y), and scans only the <= 2 blocks the candidate's x falls
+/// into — O(sqrt(m) * log) per candidate instead of O(m).
+///
+/// `CountNewBatch` scores a candidate set in one walk when the unit sets
+/// x but neither y nor a group attribute (decided from the unit's
+/// attribute list alone), so every candidate shares the group and y. The
+/// walk prefix-sums each block's rows above/below y once and copies the
+/// block bounds into contiguous arrays; each candidate is then two binary
+/// searches over the bounds (the blocks wholly left of x, the blocks
+/// wholly right of x) plus a branch-free count inside the first and last
+/// block of the straddle range — the blocks between are all x ties. The
+/// walk's scratch lives on the stack, so the query stays read-only and
+/// allocates nothing but the group key of a grouped DC. Units that set y
+/// or a group attribute, groups of <= 2 blocks, and groups past the
+/// walk's stack bound take the per-candidate loop.
+///
+/// `RemoveRow` erases the entry from its block in O(cap) and drops
 /// emptied blocks and groups. `Merge` rebuilds each group from the two
 /// x-sorted sequences in linear-log time, and `CountAgainst` runs a merged
 /// ascending-x sweep with one Fenwick tree per side, O((m_a + m_b) log)
@@ -557,31 +575,45 @@ class OrderViolationIndex : public ViolationIndex {
   int64_t CountNew(const Row& row) const override {
     auto it = groups_.find(KeyOf(row));
     if (it == groups_.end()) return 0;
-    const double x = spec_.ContextKey(row[spec_.x_attr]);
-    const double y = spec_.OrientedKey(row[spec_.y_attr]);
-    int64_t count = 0;
-    for (const Block& b : it->second.blocks) {
-      if (b.xs.back() < x) {
-        // Entirely left of the candidate in x: its rows with larger
-        // oriented y are inversions.
-        count += b.ys_sorted.end() -
-                 std::upper_bound(b.ys_sorted.begin(), b.ys_sorted.end(), y);
-      } else if (b.xs.front() > x) {
-        count += std::lower_bound(b.ys_sorted.begin(), b.ys_sorted.end(), y) -
-                 b.ys_sorted.begin();
-      } else if (b.xs.front() == x && b.xs.back() == x) {
-        // x ties never violate a strict order predicate.
-      } else {
-        // A block straddling the candidate's x (at most two per query):
-        // test its rows individually.
-        for (size_t k = 0; k < b.xs.size(); ++k) {
-          if ((b.xs[k] < x && b.ys[k] > y) || (b.xs[k] > x && b.ys[k] < y)) {
-            ++count;
-          }
-        }
+    return it->second.Count(spec_.ContextKey(row[spec_.x_attr]),
+                            spec_.OrientedKey(row[spec_.y_attr]));
+  }
+
+  void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
+                     const Value* values, size_t num_candidates,
+                     int64_t* counts) const override {
+    size_t x_slot = attrs.size();
+    bool shared = true;  // every candidate keeps base's group key and y
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      if (attrs[i] == spec_.x_attr) x_slot = i;
+      if (attrs[i] == spec_.y_attr ||
+          std::find(spec_.group_attrs.begin(), spec_.group_attrs.end(),
+                    attrs[i]) != spec_.group_attrs.end()) {
+        shared = false;
       }
     }
-    return count;
+    if (x_slot == attrs.size() || !shared) {
+      ViolationIndex::CountNewBatch(base, attrs, values, num_candidates,
+                                    counts);
+      return;
+    }
+    auto it = groups_.find(KeyOf(base));
+    if (it == groups_.end()) {
+      std::fill(counts, counts + num_candidates, int64_t{0});
+      return;
+    }
+    const Group& g = it->second;
+    const double y = spec_.OrientedKey(base[spec_.y_attr]);
+    auto x_of = [&](size_t c) {
+      return spec_.ContextKey(values[c * attrs.size() + x_slot]);
+    };
+    if (g.blocks.size() <= 2 || g.blocks.size() > kMaxWalkBlocks) {
+      for (size_t c = 0; c < num_candidates; ++c) {
+        counts[c] = g.Count(x_of(c), y);
+      }
+      return;
+    }
+    g.CountWalk(y, num_candidates, x_of, counts);
   }
 
   void AddRow(const Row& row) override {
@@ -634,6 +666,10 @@ class OrderViolationIndex : public ViolationIndex {
     std::vector<double> ys_sorted;
   };
 
+  /// Stack bound of `Group::CountWalk`'s per-block arrays; larger groups
+  /// (hundreds of thousands of rows) take the per-candidate loop.
+  static constexpr size_t kMaxWalkBlocks = 512;
+
   /// The block list of one equality group, globally sorted by x.
   struct Group {
     std::vector<Block> blocks;
@@ -645,6 +681,89 @@ class OrderViolationIndex : public ViolationIndex {
       size_t cap = 64;
       while (cap * cap < 4 * m) cap *= 2;
       return cap;
+    }
+
+    /// Committed rows violating against a row at (x, y): those with
+    /// smaller x and larger y, plus those with larger x and smaller y.
+    int64_t Count(double x, double y) const {
+      int64_t count = 0;
+      for (const Block& b : blocks) {
+        if (b.xs.back() < x) {
+          // Entirely left of the candidate in x: its rows with larger
+          // oriented y are inversions.
+          count += b.ys_sorted.end() -
+                   std::upper_bound(b.ys_sorted.begin(), b.ys_sorted.end(), y);
+        } else if (b.xs.front() > x) {
+          count += std::lower_bound(b.ys_sorted.begin(), b.ys_sorted.end(),
+                                    y) -
+                   b.ys_sorted.begin();
+        } else if (b.xs.front() != x || b.xs.back() != x) {
+          // A block straddling the candidate's x (at most two per query;
+          // blocks of x ties never violate a strict order predicate).
+          count += StraddleCount(b, x, y);
+        }
+      }
+      return count;
+    }
+
+    /// Rows of a block holding x that violate against (x, y): the rows
+    /// before the x run with larger y plus the rows after it with smaller
+    /// y. Zero for a block of x ties.
+    static int64_t StraddleCount(const Block& b, double x, double y) {
+      const size_t lo = static_cast<size_t>(
+          std::lower_bound(b.xs.begin(), b.xs.end(), x) - b.xs.begin());
+      const size_t hi = static_cast<size_t>(
+          std::upper_bound(b.xs.begin() + lo, b.xs.end(), x) - b.xs.begin());
+      int64_t count = 0;
+      for (size_t k = 0; k < lo; ++k) count += b.ys[k] > y;
+      for (size_t k = hi; k < b.ys.size(); ++k) count += b.ys[k] < y;
+      return count;
+    }
+
+    /// `Count(x_of(c), y)` into `counts[c]` for every candidate c, in one
+    /// walk over the blocks (see the class comment). Needs
+    /// blocks.size() <= kMaxWalkBlocks.
+    template <typename XOf>
+    void CountWalk(double y, size_t num_candidates, const XOf& x_of,
+                   int64_t* counts) const {
+      const size_t nb = blocks.size();
+      double fronts[kMaxWalkBlocks];
+      double backs[kMaxWalkBlocks];
+      // Rows above / below y in the blocks before b.
+      int64_t above_before[kMaxWalkBlocks + 1];
+      int64_t below_before[kMaxWalkBlocks + 1];
+      above_before[0] = below_before[0] = 0;
+      for (size_t b = 0; b < nb; ++b) {
+        const Block& blk = blocks[b];
+        fronts[b] = blk.xs.front();
+        backs[b] = blk.xs.back();
+        const auto& ys = blk.ys_sorted;
+        above_before[b + 1] =
+            above_before[b] +
+            (ys.end() - std::upper_bound(ys.begin(), ys.end(), y));
+        below_before[b + 1] =
+            below_before[b] +
+            (std::lower_bound(ys.begin(), ys.end(), y) - ys.begin());
+      }
+      for (size_t c = 0; c < num_candidates; ++c) {
+        const double x = x_of(c);
+        // Blocks [0, left) lie wholly left of x, [right, nb) wholly right.
+        const size_t left = static_cast<size_t>(
+            std::lower_bound(backs, backs + nb, x) - backs);
+        const size_t right = static_cast<size_t>(
+            std::upper_bound(fronts, fronts + nb, x) - fronts);
+        int64_t count = above_before[left] +
+                        (below_before[nb] - below_before[right]);
+        // Blocks [left, right) hold x; only the first and the last can
+        // straddle it (the ones between are all x ties).
+        if (left < right) {
+          count += StraddleCount(blocks[left], x, y);
+          if (right - 1 > left) {
+            count += StraddleCount(blocks[right - 1], x, y);
+          }
+        }
+        counts[c] = count;
+      }
     }
 
     void Insert(double x, double y) {
@@ -1028,6 +1147,24 @@ class CompositeViolationIndex : public ViolationIndex {
     return count;
   }
 
+  /// Forwards the batch to every block (the order blocks walk once per
+  /// set), a stack-sized chunk of candidates at a time.
+  void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
+                     const Value* values, size_t num_candidates,
+                     int64_t* counts) const override {
+    constexpr size_t kChunk = 256;
+    int64_t part[kChunk];
+    for (size_t lo = 0; lo < num_candidates; lo += kChunk) {
+      const size_t m = std::min(kChunk, num_candidates - lo);
+      std::fill(counts + lo, counts + lo + m, int64_t{0});
+      for (size_t i = 0; i < blocks_.size(); ++i) {
+        blocks_[i]->CountNewBatch(base, attrs, values + lo * attrs.size(), m,
+                                  part);
+        for (size_t c = 0; c < m; ++c) counts[lo + c] += signs_[i] * part[c];
+      }
+    }
+  }
+
   void AddRow(const Row& row) override {
     for (auto& block : blocks_) block->AddRow(row);
     ++num_rows_;
@@ -1108,6 +1245,18 @@ std::vector<int64_t> PlanViolationColumn(const std::vector<CompositeTerm>& plan,
 }
 
 }  // namespace
+
+void ViolationIndex::CountNewBatch(const Row& base,
+                                   const std::vector<size_t>& attrs,
+                                   const Value* values, size_t num_candidates,
+                                   int64_t* counts) const {
+  Row scratch = base;
+  for (size_t c = 0; c < num_candidates; ++c) {
+    const Value* candidate = values + c * attrs.size();
+    for (size_t i = 0; i < attrs.size(); ++i) scratch[attrs[i]] = candidate[i];
+    counts[c] = CountNew(scratch);
+  }
+}
 
 int64_t PairsOf(int64_t m) {
   if (m < 2) return 0;

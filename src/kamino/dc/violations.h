@@ -68,24 +68,32 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 
 /// Incremental per-DC index: the one violation-penalty kernel of the
 /// sampler. Rows are added as their relevant attributes get filled, and
-/// candidate rows are scored for the number of *new* violations they
-/// would introduce against the committed rows.
+/// the candidate values of one (row, unit) are scored for the number of
+/// *new* violations each would introduce against the committed rows.
 ///
 /// Implementations, chosen from `Decompose()` and its composite term plan:
 /// a trivial evaluator for unary DCs; an O(1) hash-group index for a
 /// scope-minus-diagonal plan (FDs, normalized FD equivalents, pure-`!=`
 /// DCs); a sorted block-list index for a plan that is a single order term
-/// (sub-linear `CountNew`); a composite index for every other `kComposite`
-/// plan (a signed inclusion–exclusion sum of hash-group and order blocks —
-/// see `PredicateDecomposition`); a zero-reporting index for `kNeverFires`
+/// (sub-linear `CountNew`, and one block walk per candidate set); a
+/// composite index for every other `kComposite` plan (a signed
+/// inclusion–exclusion sum of hash-group and order blocks — see
+/// `PredicateDecomposition`); a zero-reporting index for `kNeverFires`
 /// conjunctions; and a prefix-scan fallback for `kGeneral` binary DCs.
 ///
-/// The sampler uses four operations: `AddRow`, `RemoveRow`, `CountNew`
-/// and `FdForcedValue`. The sampling loop commits each row as it is
-/// drawn; the MCMC pass keeps a full-table index and the freeze repair a
-/// live-slice index, and both replace a rewritten row with `RemoveRow`
-/// then `AddRow`. `CountNew` is an exact integer count for every class,
-/// so no caller ever pair-scans a table. `Merge` and `CountAgainst` have
+/// The sampler uses five operations:
+/// - `CountNewBatch` scores a unit's whole candidate set over one base
+///   row (sampling, MCMC and freeze-repair scoring);
+/// - `CountNew` scores one complete row (freeze conflict detection);
+/// - `AddRow` commits a row: the sampling loop as each row is drawn;
+/// - `RemoveRow` retracts one: the MCMC pass keeps a full-table index and
+///   the freeze repair a live-slice index, and both replace a rewritten
+///   row with `RemoveRow` then `AddRow`;
+/// - `FdForcedValue` feeds the hard-FD fast path.
+/// Counts are exact integers for every class, so no caller ever
+/// pair-scans a table, and a batch count equals the per-row `CountNew`
+/// of each candidate. Queries are read-only: several threads may query
+/// one index while no thread writes it. `Merge` and `CountAgainst` have
 /// no production caller; they remain for tests and the service
 /// benchmark's probe.
 class ViolationIndex {
@@ -95,6 +103,17 @@ class ViolationIndex {
   /// New violations that `row` (with all attributes of the DC filled)
   /// would introduce against the rows added so far.
   virtual int64_t CountNew(const Row& row) const = 0;
+
+  /// Scores one candidate set: for each c in [0, num_candidates),
+  /// `counts[c]` is `CountNew` of `base` with `attrs[i]` set to
+  /// `values[c * attrs.size() + i]` for every i. `base` fills every DC
+  /// attribute that `attrs` does not set. The default runs `CountNew` on
+  /// one scratch copy of `base`; the order index overrides it with one
+  /// block walk for the whole set when the candidates share its group
+  /// key and y.
+  virtual void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
+                             const Value* values, size_t num_candidates,
+                             int64_t* counts) const;
 
   /// Commits `row` to the index.
   virtual void AddRow(const Row& row) = 0;

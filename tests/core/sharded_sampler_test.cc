@@ -235,6 +235,49 @@ TEST(ShardedSamplerTest, Br2000McmcAndRepairDigestsPinned) {
   }
 }
 
+TEST(ShardedSamplerTest, MultiBlockAdultDigestsPinned) {
+  // The goldens above sample 150 rows, under 3 order-index blocks per
+  // group. At 2400 rows the cap_gain/cap_loss order DC's one group holds
+  // tens of blocks in the sampling index, the MCMC full-table index and
+  // the freeze's merged index, so candidate scoring runs the batched
+  // one-walk count. Pinned per shard count, at every thread budget. If
+  // one fails after an *intentional* sampler change, re-capture from the
+  // failure message.
+  const BenchmarkDataset ds = MakeAdultLike(120, 7);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.mcmc_resamples = 256;
+  options.seed = 31;
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  const std::pair<size_t, const char*> pinned[] = {
+      {1, "0x4e8e18a6ff45f04a"},
+      {4, "0xe1437c8a0de35fd3"},
+  };
+  for (const auto& [num_shards, expected] : pinned) {
+    for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+      ScopedNumThreads threads(num_threads);
+      options.num_shards = num_shards;
+      Rng srng(17);
+      SynthesisTelemetry telemetry;
+      Table out = Synthesize(model, constraints, options, SampleSpec{2400},
+                             &srng, &telemetry)
+                      .TakeValue();
+      EXPECT_GT(telemetry.mcmc_resamples, 0);
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
+      EXPECT_EQ(std::string(actual), expected)
+          << "digest drifted at num_shards=" << num_shards
+          << " num_threads=" << num_threads;
+    }
+  }
+}
+
 /// Full pipeline on a mixed hard-DC workload (FD + order DC) at the given
 /// thread and shard budget; `all_soft` flips every Adult DC soft.
 KaminoResult RunPipeline(size_t num_threads, size_t num_shards,

@@ -2,11 +2,13 @@
 // binary DC with a kComposite decomposition — !=-only, equality + !=,
 // equality + order + !=, non-strict order mixes — must be bit-identical
 // to the naive pair scan in full counts, incremental CountNew, shard
-// Merge/CountAgainst, and violation-matrix columns. The RemoveRow oracle
-// at the end covers every index class on the same random DCs and rows.
+// Merge/CountAgainst, and violation-matrix columns. The RemoveRow and
+// batched-count oracles at the end cover every index class on the same
+// random DCs and rows.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -431,6 +433,191 @@ TEST(ViolationIndexRemoveRowTest, EveryIndexClassMatchesRebuiltAndNaive) {
         dc, [&dc] { return MakeNaiveViolationIndex(dc); },
         "naive " + dc.ToString(schema), &rng);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// A tie-heavy row: `a` is 'p' four times in five (one big group),
+/// and u, v take one of six values three times in five, so equal-x runs
+/// of a large table span several order-index blocks.
+Row TieHeavyRow(Rng* rng) {
+  auto tie_heavy = [rng] {
+    return Value::Numeric(static_cast<double>(
+        rng->UniformInt(0, 4) < 3 ? rng->UniformInt(0, 5)
+                                  : rng->UniformInt(0, 100)));
+  };
+  const int a = rng->UniformInt(0, 4) < 4
+                    ? 0
+                    : static_cast<int>(rng->UniformInt(1, 2));
+  return {Value::Categorical(a),
+          Value::Categorical(static_cast<int>(rng->UniformInt(0, 2))),
+          tie_heavy(), tie_heavy(),
+          Value::Numeric(static_cast<double>(rng->UniformInt(0, 6)))};
+}
+
+/// Candidate values for `attrs`, `n` candidates flat: taken from
+/// tie-heavy rows, with -0.0 and values outside the committed range mixed
+/// into the numeric attributes.
+std::vector<Value> CandidateValues(const Schema& schema,
+                                   const std::vector<size_t>& attrs, size_t n,
+                                   Rng* rng) {
+  std::vector<Value> values;
+  values.reserve(n * attrs.size());
+  for (size_t c = 0; c < n; ++c) {
+    const Row row = TieHeavyRow(rng);
+    for (size_t a : attrs) {
+      Value v = row[a];
+      if (schema.attribute(a).is_numeric()) {
+        const int64_t special = rng->UniformInt(0, 19);
+        if (special == 0) v = Value::Numeric(-0.0);
+        if (special == 1) v = Value::Numeric(-1.0);
+        if (special == 2) v = Value::Numeric(1000.0);
+      }
+      values.push_back(v);
+    }
+  }
+  return values;
+}
+
+/// Scores candidate sets over `base` for every unit attribute list in
+/// `units`, at batch sizes 1, 3 and 1100: each batched count must equal
+/// the index's own per-row `CountNew` of the candidate row, and the
+/// reference count (the naive index; `ViolatesUnary` for a unary DC) for
+/// the small batches and every 25th candidate of the large one.
+void CheckBatches(const DenialConstraint& dc, const Schema& schema,
+                  const ViolationIndex& index, const ViolationIndex* naive,
+                  const Row& base,
+                  const std::vector<std::vector<size_t>>& units,
+                  const std::string& label, Rng* rng) {
+  for (const std::vector<size_t>& attrs : units) {
+    for (const size_t n : {size_t{1}, size_t{3}, size_t{1100}}) {
+      const std::vector<Value> values = CandidateValues(schema, attrs, n, rng);
+      std::vector<int64_t> counts(n, -1);
+      index.CountNewBatch(base, attrs, values.data(), n, counts.data());
+      Row candidate = base;
+      for (size_t c = 0; c < n; ++c) {
+        for (size_t i = 0; i < attrs.size(); ++i) {
+          candidate[attrs[i]] = values[c * attrs.size() + i];
+        }
+        ASSERT_EQ(counts[c], index.CountNew(candidate))
+            << label << ", " << attrs.size() << " unit attrs from "
+            << attrs[0] << ", batch " << n << ", candidate " << c;
+        if (n > 3 && c % 25 != 0) continue;
+        const int64_t reference = naive != nullptr
+                                      ? naive->CountNew(candidate)
+                                      : dc.ViolatesUnary(candidate);
+        ASSERT_EQ(counts[c], reference)
+            << label << ", batch " << n << ", candidate " << c;
+      }
+    }
+  }
+}
+
+TEST(ViolationIndexBatchTest, OrderGroupsPastBlockCapMatchPerRowAndNaive) {
+  // Order indices (all four orientations, plain and grouped) and
+  // composite plans with order terms, grown on tie-heavy rows past 4096
+  // rows in one group (block capacity 256, equal-x runs spanning several
+  // blocks) with removals interleaved, then thinned by removals. Unit
+  // attribute lists cover x only, y only, the group attribute, x with y,
+  // x with the group, and x with an attribute outside the DC.
+  Schema schema = TestSchema();
+  Rng rng(149);
+  std::vector<std::string> specs = {
+      "!(t1.u > t2.u & t1.v < t2.v)",
+      "!(t1.u < t2.u & t1.v > t2.v)",
+      "!(t1.u > t2.u & t1.v > t2.v)",
+      "!(t1.u < t2.u & t1.v < t2.v)",
+      "!(t1.a == t2.a & t1.u > t2.u & t1.v < t2.v)",
+      "!(t1.a == t2.a & t1.u < t2.u & t1.v > t2.v)",
+      "!(t1.a == t2.a & t1.u > t2.u & t1.v > t2.v)",
+      "!(t1.a == t2.a & t1.u < t2.u & t1.v < t2.v)",
+      "!(t1.a == t2.a & t1.u > t2.u & t1.v < t2.v & t1.b != t2.b)",
+      "!(t1.u >= t2.u & t1.v >= t2.v & t1.b != t2.b)",
+  };
+  const std::vector<std::vector<size_t>> units = {{2}, {3}, {0},
+                                                  {2, 3}, {0, 2}, {2, 4}};
+  for (const std::string& spec : specs) {
+    const DenialConstraint dc =
+        DenialConstraint::Parse(spec, schema).TakeValue();
+    auto index = MakeViolationIndex(dc);
+    auto naive = MakeNaiveViolationIndex(dc);
+    std::vector<Row> live;
+    auto remove_one = [&] {
+      const size_t k = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      index->RemoveRow(live[k]);
+      naive->RemoveRow(live[k]);
+      live[k] = std::move(live.back());
+      live.pop_back();
+    };
+    auto check = [&] {
+      ASSERT_EQ(index->size(), live.size()) << spec;
+      CheckBatches(dc, schema, *index, naive.get(), TieHeavyRow(&rng), units,
+                   spec + " at " + std::to_string(live.size()) + " rows",
+                   &rng);
+    };
+    for (const size_t target : {size_t{150}, size_t{1500}, size_t{5300}}) {
+      while (live.size() < target) {
+        if (!live.empty() && rng.UniformInt(0, 4) == 0) {
+          remove_one();
+        } else {
+          live.push_back(TieHeavyRow(&rng));
+          index->AddRow(live.back());
+          naive->AddRow(live.back());
+        }
+      }
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (live.size() > 2500) remove_one();
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ViolationIndexBatchTest, EveryIndexClassMatchesPerRowAndNaive) {
+  // Every index class — FD, unary, never-fires, naive, order and
+  // composite, plus random composite shapes — on a few hundred rows with
+  // removals interleaved. Unit attribute lists: each DC attribute alone,
+  // all of them, and the first with an attribute outside the DC.
+  Schema schema = TestSchema();
+  Rng rng(151);
+  std::vector<DenialConstraint> dcs = RemoveRowDcs(schema);
+  for (int i = 0; i < 12; ++i) dcs.push_back(RandomCompositeDc(schema, &rng));
+  for (const DenialConstraint& dc : dcs) {
+    const std::string label = dc.ToString(schema);
+    const std::vector<size_t>& dc_attrs = dc.attributes();
+    std::vector<std::vector<size_t>> units;
+    for (size_t a : dc_attrs) units.push_back({a});
+    units.push_back(dc_attrs);
+    for (size_t a = 0; a < schema.size(); ++a) {
+      if (std::find(dc_attrs.begin(), dc_attrs.end(), a) == dc_attrs.end()) {
+        units.push_back({dc_attrs[0], a});
+        break;
+      }
+    }
+    auto index = MakeViolationIndex(dc);
+    auto naive = dc.is_unary() ? nullptr : MakeNaiveViolationIndex(dc);
+    std::vector<Row> live;
+    for (const size_t target : {size_t{60}, size_t{250}, size_t{400}}) {
+      while (live.size() < target) {
+        if (!live.empty() && rng.UniformInt(0, 4) == 0) {
+          const size_t k = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+          index->RemoveRow(live[k]);
+          if (naive != nullptr) naive->RemoveRow(live[k]);
+          live[k] = std::move(live.back());
+          live.pop_back();
+        } else {
+          live.push_back(RandomRow(&rng));
+          index->AddRow(live.back());
+          if (naive != nullptr) naive->AddRow(live.back());
+        }
+      }
+      CheckBatches(dc, schema, *index, naive.get(), RandomRow(&rng), units,
+                   label + " at " + std::to_string(live.size()) + " rows",
+                   &rng);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -47,6 +47,34 @@ double TimeBest(int reps, const Fn& fn) {
   return best;
 }
 
+/// `RunKamino` `reps` times with one config, hence one output: the last
+/// result, with its training, sampling and shard-merge timings each the
+/// best over the runs, and `*total` (optional) the best wall clock of the
+/// call.
+KaminoResult RunKaminoBest(int reps, const Table& data,
+                           const std::vector<WeightedConstraint>& constraints,
+                           const KaminoConfig& config,
+                           double* total = nullptr) {
+  KaminoResult last;
+  PhaseTimings best;
+  double best_total = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const double start = Now();
+    auto result = RunKamino(data, constraints, config);
+    best_total = std::min(best_total, Now() - start);
+    KAMINO_CHECK(result.ok()) << result.status().ToString();
+    last = std::move(result).TakeValue();
+    const PhaseTimings& ph = last.timings;
+    if (r == 0) best = ph;
+    best.training = std::min(best.training, ph.training);
+    best.sampling = std::min(best.sampling, ph.sampling);
+    best.shard_merge = std::min(best.shard_merge, ph.shard_merge);
+  }
+  last.timings = best;
+  if (total != nullptr) *total = best_total;
+  return last;
+}
+
 std::vector<size_t> ThreadCounts() {
   std::vector<size_t> counts = {1, 2, 4};
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
@@ -108,7 +136,8 @@ int Main() {
   }
 
   // --- Hot paths 2+3: full pipeline (DP-SGD training + sampling), with
-  // per-phase timings and the determinism guarantee checked for real. ---
+  // per-phase timings (best of 3) and the determinism guarantee checked
+  // for real. ---
   PhaseTimings serial_timings;
   Table serial_output;
   bool deterministic = true;
@@ -116,15 +145,14 @@ int Main() {
     KaminoConfig config = BenchKaminoConfig(1.0, kSeed);
     config.options.num_threads = t;
     config.options.mcmc_resamples = 64;  // exercise the batched MCMC pass
-    const double start = Now();
-    auto result = RunKamino(ds.table, constraints, config);
-    const double total = Now() - start;
-    KAMINO_CHECK(result.ok()) << result.status().ToString();
-    const PhaseTimings& ph = result.value().timings;
+    double total = 0.0;
+    const KaminoResult result =
+        RunKaminoBest(3, ds.table, constraints, config, &total);
+    const PhaseTimings& ph = result.timings;
     if (t == 1) {
       serial_timings = ph;
-      serial_output = result.value().synthetic;
-    } else if (!SameTable(serial_output, result.value().synthetic)) {
+      serial_output = result.synthetic;
+    } else if (!SameTable(serial_output, result.synthetic)) {
       deterministic = false;
     }
     records.push_back({"pipeline_training", rows, t, ph.training});
@@ -141,8 +169,8 @@ int Main() {
   // --- Hot path 4: shard-parallel synthesis (shard-count sweep). ---
   // Each shard count is its own output contract — (seed, num_shards)
   // determines the instance — so the sweep reports per-configuration
-  // sampling time plus the cross-thread-count determinism check at every
-  // shard count.
+  // sampling time (best of 3) plus the cross-thread-count determinism
+  // check at every shard count.
   std::printf("\n%-28s %8s %12s %12s\n", "method", "shards", "seconds",
               "merge-sec");
   bool shards_deterministic = true;
@@ -153,14 +181,14 @@ int Main() {
       config.options.num_threads = t;
       config.options.num_shards = shards;
       config.options.mcmc_resamples = 64;
-      auto result = RunKamino(ds.table, constraints, config);
-      KAMINO_CHECK(result.ok()) << result.status();
+      const KaminoResult result =
+          RunKaminoBest(3, ds.table, constraints, config);
       if (t == 1) {
-        reference = result.value().synthetic;
-      } else if (!SameTable(reference, result.value().synthetic)) {
+        reference = result.synthetic;
+      } else if (!SameTable(reference, result.synthetic)) {
         shards_deterministic = false;
       }
-      const PhaseTimings& ph = result.value().timings;
+      const PhaseTimings& ph = result.timings;
       records.push_back({"sampling_shards" + std::to_string(shards), rows, t,
                          ph.sampling});
       records.push_back({"shard_merge_shards" + std::to_string(shards), rows,
@@ -176,10 +204,11 @@ int Main() {
 
   // --- Hot path 4b: constrained MCMC (Algorithm 3 line 12). ---
   // One fit with 1000 re-samples per unit, synthesized at 2400 and 9600
-  // rows at 1 and 4 shards. The timed run uses 1 thread; each output is
-  // checked bit-identical against the same request at 4 threads.
-  std::printf("\n%-28s %8s %8s %12s\n", "method", "rows", "shards",
-              "seconds");
+  // rows at 1 and 4 shards, each at 1 and 4 threads (both timed); the
+  // 4-thread output is checked bit-identical against the 1-thread one. At
+  // 1 shard the 4-thread row times the parallel MCMC batches.
+  std::printf("\n%-28s %8s %8s %12s %12s\n", "method", "rows", "shards",
+              "1t-seconds", "4t-seconds");
   bool mcmc_deterministic = true;
   {
     KaminoEngine engine;
@@ -206,9 +235,11 @@ int Main() {
         const std::string method =
             "mcmc_sampling_shards" + std::to_string(shards);
         const double secs = serial.value().sampling_seconds;
+        const double secs4 = parallel.value().sampling_seconds;
         records.push_back({method, mcmc_rows, 1, secs});
-        std::printf("%-28s %8zu %8zu %12.4f\n", method.c_str(), mcmc_rows,
-                    shards, secs);
+        records.push_back({method, mcmc_rows, 4, secs4});
+        std::printf("%-28s %8zu %8zu %12.4f %12.4f\n", method.c_str(),
+                    mcmc_rows, shards, secs, secs4);
       }
     }
   }

@@ -76,8 +76,8 @@ struct KaminoOptions {
   size_t ar_max_tries = 300;
 
   // --- Execution runtime ---
-  /// Worker threads for the parallel runtime (violation matrix, candidate
-  /// scoring, batched MCMC, per-example DP-SGD gradients). 0 means "use
+  /// Worker threads for the parallel runtime (violation matrix, shard
+  /// sampling, batched MCMC, per-example DP-SGD gradients). 0 means "use
   /// hardware concurrency". Synthetic output is bit-identical for every
   /// value: parallel regions draw randomness from per-task `RngStream`
   /// sub-seeds and reduce in a fixed order, never from thread timing.

@@ -31,12 +31,6 @@ namespace {
 /// scores against — are identical at any `num_threads`.
 constexpr size_t kMcmcBatchRows = 32;
 
-/// Minimum candidates x committed-prefix product before candidate scoring
-/// is dispatched to the pool; below it the loop runs inline. Affects only
-/// scheduling: scores are RNG-free and land in per-candidate slots, so the
-/// choice never changes the output.
-constexpr size_t kMinParallelScoreWork = 4096;
-
 /// True unless the hooks carry a cancellation predicate that fired.
 bool KeepGoing(const SynthesisHooks* hooks) {
   return hooks == nullptr || !hooks->keep_going || hooks->keep_going();
@@ -46,11 +40,17 @@ Status CancelledStatus() {
   return Status::Cancelled("synthesis cancelled by caller");
 }
 
-/// One joint assignment for a unit's attributes, with its model
-/// probability p_{v|c}.
-struct Candidate {
-  std::vector<Value> values;  // aligned with unit.attrs
-  double prob = 0.0;
+/// The candidate set D(S[j]) of one (row, unit): joint assignments for
+/// the unit's attributes, flat, each aligned with unit.attrs, with their
+/// model probabilities p_{v|c}.
+struct CandidateSet {
+  size_t width = 0;           // unit.attrs.size()
+  std::vector<Value> values;  // candidate c at [c * width, (c + 1) * width)
+  std::vector<double> probs;  // one per candidate
+
+  size_t size() const { return probs.size(); }
+  bool empty() const { return probs.empty(); }
+  const Value* at(size_t c) const { return values.data() + c * width; }
 };
 
 double GaussianPdf(double x, double mu, double sigma) {
@@ -80,31 +80,33 @@ std::vector<double> LogScoresToWeights(const std::vector<double>& log_scores) {
 
 /// Enumerates the candidate set D(S[j]) with conditional probabilities
 /// (Algorithm 3 line 6, plus the continuous-domain candidate sampling).
-std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
-                                          const Schema& schema, const Row& row,
-                                          const KaminoOptions& options,
-                                          const std::vector<double>& prior_values,
-                                          Rng* rng) {
-  std::vector<Candidate> out;
+CandidateSet GenerateCandidates(const ModelUnit& unit, const Schema& schema,
+                                const Row& row, const KaminoOptions& options,
+                                const std::vector<double>& prior_values,
+                                Rng* rng) {
+  CandidateSet out;
+  out.width = unit.attrs.size();
+  // Categorical joint assignments, decoded index by index.
+  auto add_joint = [&](std::vector<double> probs) {
+    std::vector<Value> joint;
+    out.values.reserve(probs.size() * out.width);
+    for (size_t idx = 0; idx < probs.size(); ++idx) {
+      unit.DecodeJointIndex(idx, &joint);
+      out.values.insert(out.values.end(), joint.begin(), joint.end());
+    }
+    out.probs = std::move(probs);
+  };
   if (unit.kind == ModelUnit::Kind::kHistogram) {
     if (unit.quantizer.has_value()) {
       // Numeric histogram: one candidate per bin, valued uniformly within.
-      out.reserve(unit.distribution.size());
+      out.values.reserve(unit.distribution.size());
       for (size_t b = 0; b < unit.distribution.size(); ++b) {
-        Candidate c;
-        c.values = {Value::Numeric(
-            unit.quantizer->SampleWithin(static_cast<int>(b), rng))};
-        c.prob = unit.distribution[b];
-        out.push_back(std::move(c));
+        out.values.push_back(Value::Numeric(
+            unit.quantizer->SampleWithin(static_cast<int>(b), rng)));
       }
+      out.probs = unit.distribution;
     } else {
-      out.reserve(unit.distribution.size());
-      for (size_t idx = 0; idx < unit.distribution.size(); ++idx) {
-        Candidate c;
-        unit.DecodeJointIndex(idx, &c.values);
-        c.prob = unit.distribution[idx];
-        out.push_back(std::move(c));
-      }
+      add_joint(unit.distribution);
     }
     return out;
   }
@@ -112,14 +114,7 @@ std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
   // Discriminative unit.
   const DiscriminativeModel& model = *unit.model;
   if (model.target_is_categorical()) {
-    std::vector<double> probs = model.PredictCategorical(row);
-    out.reserve(probs.size());
-    for (size_t idx = 0; idx < probs.size(); ++idx) {
-      Candidate c;
-      unit.DecodeJointIndex(idx, &c.values);
-      c.prob = probs[idx];
-      out.push_back(std::move(c));
-    }
+    add_joint(model.PredictCategorical(row));
     return out;
   }
 
@@ -133,12 +128,12 @@ std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
   if (sigma <= 0.0) sigma = 1e-3;
   auto add_candidate = [&](double v) {
     v = std::min(attr.max_value(), std::max(attr.min_value(), v));
-    Candidate cand;
-    cand.values = {Value::Numeric(v)};
-    cand.prob = GaussianPdf(v, mu, sigma);
-    out.push_back(std::move(cand));
+    out.values.push_back(Value::Numeric(v));
+    out.probs.push_back(GaussianPdf(v, mu, sigma));
   };
-  out.reserve(options.max_candidates + 13);
+  const size_t expected = options.max_candidates + 7 + prior_values.size();
+  out.values.reserve(expected);
+  out.probs.reserve(expected);
   for (double offset : {0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0}) {
     add_candidate(mu + offset * sigma);
   }
@@ -156,8 +151,8 @@ std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
 }
 
 /// Installs a candidate's values (aligned with `unit.attrs`) into the row.
-void ApplyCandidate(const ModelUnit& unit, const std::vector<Value>& values,
-                    Table* table, size_t row_index) {
+void ApplyCandidate(const ModelUnit& unit, const Value* values, Table* table,
+                    size_t row_index) {
   for (size_t i = 0; i < unit.attrs.size(); ++i) {
     table->set(row_index, unit.attrs[i], values[i]);
   }
@@ -226,84 +221,49 @@ void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
 /// candidate written over `base_row` (Algorithm 3 line 10 in log space),
 /// and `penalties` (optional) with the penalties alone. Scoring is
 /// DC-major: one `CountNewBatch` per active DC and index set scores the
-/// whole candidate range, then each candidate's penalty adds its DC terms
-/// in `active` order, exactly as `ViolationPenalty` would. Dispatches
-/// candidate ranges to the pool when `allow_nested_parallel` and the
-/// candidate-set x indexed-rows product is large; scoring draws no
-/// randomness and each candidate writes its own slot, so parallel and
-/// inline execution produce the same vectors bit for bit. A failed chunk
-/// (the pool converts thrown exceptions to Status) fails the whole
-/// scoring — callers must not sample from a partially scored vector.
-Status ScoreCandidates(const ModelUnit& unit,
-                       const std::vector<Candidate>& candidates,
-                       const Row& base_row, const Row* replaced,
-                       const std::vector<size_t>& active,
-                       const std::vector<WeightedConstraint>& constraints,
-                       std::initializer_list<const IndexSet*> index_sets,
-                       bool allow_nested_parallel,
-                       SynthesisTelemetry* telemetry,
-                       std::vector<double>* log_scores,
-                       std::vector<double>* penalties = nullptr) {
-  log_scores->assign(candidates.size(), 0.0);
-  if (penalties != nullptr) penalties->assign(candidates.size(), 0.0);
-  // The candidates' values, flat and aligned with unit.attrs.
-  const size_t width = unit.attrs.size();
-  std::vector<Value> values;
-  values.reserve(candidates.size() * width);
-  for (const Candidate& c : candidates) {
-    values.insert(values.end(), c.values.begin(), c.values.end());
+/// whole candidate set, then each candidate's penalty adds its DC terms
+/// in `active` order, exactly as `ViolationPenalty` would. Runs inline: a
+/// whole set costs one index walk per DC, too little to ship to the pool.
+void ScoreCandidates(const ModelUnit& unit, const CandidateSet& candidates,
+                     const Row& base_row, const Row* replaced,
+                     const std::vector<size_t>& active,
+                     const std::vector<WeightedConstraint>& constraints,
+                     std::initializer_list<const IndexSet*> index_sets,
+                     std::vector<double>* log_scores,
+                     std::vector<double>* penalties = nullptr) {
+  const size_t m = candidates.size();
+  log_scores->assign(m, 0.0);
+  if (penalties != nullptr) penalties->assign(m, 0.0);
+  // counts[d * m + c]: new violations of candidate c under DC active[d],
+  // summed over the index sets.
+  std::vector<int64_t> counts(active.size() * m, 0);
+  std::vector<int64_t> part(m);
+  for (size_t d = 0; d < active.size(); ++d) {
+    for (const IndexSet* indices : index_sets) {
+      const ViolationIndex* index = (*indices)[active[d]].get();
+      if (index == nullptr) continue;
+      index->CountNewBatch(base_row, unit.attrs, candidates.values.data(), m,
+                           part.data());
+      for (size_t c = 0; c < m; ++c) counts[d * m + c] += part[c];
+    }
   }
-  auto score_range = [&](size_t lo, size_t hi) {
-    const size_t m = hi - lo;
-    // counts[d * m + c]: new violations of candidate lo + c under DC
-    // active[d], summed over the index sets.
-    std::vector<int64_t> counts(active.size() * m, 0);
-    std::vector<int64_t> part(m);
+  // The candidate row itself is only needed for the replaced-row pair.
+  Row scratch = replaced != nullptr ? base_row : Row();
+  for (size_t c = 0; c < m; ++c) {
+    if (replaced != nullptr) {
+      const Value* values = candidates.at(c);
+      for (size_t i = 0; i < candidates.width; ++i) {
+        scratch[unit.attrs[i]] = values[i];
+      }
+    }
+    double penalty = 0.0;
     for (size_t d = 0; d < active.size(); ++d) {
-      for (const IndexSet* indices : index_sets) {
-        const ViolationIndex* index = (*indices)[active[d]].get();
-        if (index == nullptr) continue;
-        index->CountNewBatch(base_row, unit.attrs, values.data() + lo * width,
-                             m, part.data());
-        for (size_t c = 0; c < m; ++c) counts[d * m + c] += part[c];
-      }
+      penalty += DcPenalty(constraints[active[d]], counts[d * m + c], scratch,
+                           replaced);
     }
-    // The candidate row itself is only needed for the replaced-row pair.
-    Row scratch = replaced != nullptr ? base_row : Row();
-    for (size_t c = lo; c < hi; ++c) {
-      if (replaced != nullptr) {
-        for (size_t i = 0; i < width; ++i) {
-          scratch[unit.attrs[i]] = candidates[c].values[i];
-        }
-      }
-      double penalty = 0.0;
-      for (size_t d = 0; d < active.size(); ++d) {
-        penalty += DcPenalty(constraints[active[d]], counts[d * m + c - lo],
-                             scratch, replaced);
-      }
-      (*log_scores)[c] = std::log(candidates[c].prob + 1e-300) - penalty;
-      if (penalties != nullptr) (*penalties)[c] = penalty;
-    }
-    return Status::OK();
-  };
-  size_t indexed = 0;
-  for (const IndexSet* indices : index_sets) {
-    for (size_t dc_index : active) {
-      if ((*indices)[dc_index] != nullptr) {
-        indexed += (*indices)[dc_index]->size();
-      }
-    }
+    (*log_scores)[c] = std::log(candidates.probs[c] + 1e-300) - penalty;
+    if (penalties != nullptr) (*penalties)[c] = penalty;
   }
-  const size_t threads = runtime::GlobalNumThreads();
-  if (allow_nested_parallel && threads > 1 &&
-      candidates.size() * std::max<size_t>(indexed, 1) >=
-          kMinParallelScoreWork) {
-    ++telemetry->parallel_score_dispatches;
-    // One range per thread: each range walks the order blocks once.
-    const size_t grain = (candidates.size() + threads - 1) / threads;
-    return runtime::ParallelFor(0, candidates.size(), grain, score_range);
-  }
-  return score_range(0, candidates.size());
 }
 
 /// True when the FD fast path may resolve this unit: single attribute and
@@ -355,11 +315,11 @@ ActivationMap BuildActivationMap(
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
 /// `n` rows, writing into `out` (resized here). Its sampling indices are
 /// local and hold each unit's rows as first drawn; the MCMC pass scores
-/// against a full-table index of its own and leaves them untouched. With
-/// `allow_nested_parallel` the candidate scoring and MCMC batches may fan
-/// out onto the pool (the one-shard configuration); shard-parallel
-/// callers pass false so each shard stays a serial unit of work and the
-/// pool is fed whole shards instead. `mcmc_resamples` is this shard's
+/// against a full-table index of its own and leaves them untouched.
+/// Candidate scoring runs inline; only the MCMC batches go through
+/// `runtime::ParallelFor`, which fans out when the one shard of a run
+/// samples on the caller's thread and runs inline when the shard is itself
+/// a pool task or the budget is one thread. `mcmc_resamples` is this shard's
 /// slice of the run-wide `options.mcmc_resamples` budget, so total MCMC
 /// work stays the same at every shard count. `hooks` cancellation is
 /// polled at every column-group boundary; the per-shard progress callback
@@ -368,9 +328,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
                        const std::vector<WeightedConstraint>& constraints,
                        const ActivationMap& activation, size_t n,
                        const KaminoOptions& options, size_t mcmc_resamples,
-                       bool allow_nested_parallel, const SynthesisHooks* hooks,
-                       Rng* rng, SynthesisTelemetry* telemetry,
-                       Table* out_table) {
+                       const SynthesisHooks* hooks, Rng* rng,
+                       SynthesisTelemetry* telemetry, Table* out_table) {
   const Schema& schema = model.schema();
   Table& out = *out_table;
   out.ResizeRows(n);
@@ -498,7 +457,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
               rng->UniformInt(0, static_cast<int64_t>(prior_values.size()) - 1))]);
         }
       }
-      std::vector<Candidate> candidates = GenerateCandidates(
+      const CandidateSet candidates = GenerateCandidates(
           unit, schema, out.row(i), options, extra_values, rng);
       if (candidates.empty()) {
         return Status::Internal("no candidates generated for attribute unit");
@@ -507,23 +466,15 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
       size_t chosen;
       if (!use_dc_factor) {
         // RandSampling ablation / no active DCs: i.i.d. tuple sampling.
-        std::vector<double> weights(candidates.size());
-        for (size_t c = 0; c < candidates.size(); ++c) {
-          weights[c] = candidates[c].prob;
-        }
-        chosen = rng->Discrete(weights);
+        chosen = rng->Discrete(candidates.probs);
       } else if (options.accept_reject) {
         // Experiment 6: accept-reject sampling. Draw from p_{v|c}; accept
         // with probability exp(-penalty); keep the last draw on exhaustion.
-        std::vector<double> proposal(candidates.size());
-        for (size_t c = 0; c < candidates.size(); ++c) {
-          proposal[c] = candidates[c].prob;
-        }
         chosen = candidates.size() - 1;
         for (size_t attempt = 0; attempt < options.ar_max_tries; ++attempt) {
-          const size_t pick = rng->Discrete(proposal);
+          const size_t pick = rng->Discrete(candidates.probs);
           ++telemetry->ar_proposals;
-          ApplyCandidate(unit, candidates[pick].values, &out, i);
+          ApplyCandidate(unit, candidates.at(pick), &out, i);
           const double penalty = ViolationPenalty(out.row(i), nullptr, active,
                                                   constraints, {&indices});
           if (penalty <= 0.0 || rng->Bernoulli(std::exp(-penalty))) {
@@ -536,17 +487,15 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         // Constraint-aware direct sampling (Algorithm 3 line 10):
         // P[v] proportional to p_{v|c} * exp(-sum w_phi * new_violations),
         // computed in log space so hard-DC penalties stay comparable.
-        // Candidates are scored on scratch rows (in parallel when the set
-        // and prefix are large); only the winner touches the table.
+        // Candidates are scored through the indices, off the table; only
+        // the winner touches it.
         std::vector<double> log_scores;
-        KAMINO_RETURN_IF_ERROR(ScoreCandidates(
-            unit, candidates, out.row(i), /*replaced=*/nullptr, active,
-            constraints, {&indices}, allow_nested_parallel, telemetry,
-            &log_scores));
+        ScoreCandidates(unit, candidates, out.row(i), /*replaced=*/nullptr,
+                        active, constraints, {&indices}, &log_scores);
         chosen = rng->Discrete(LogScoresToWeights(log_scores));
       }
 
-      ApplyCandidate(unit, candidates[chosen].values, &out, i);
+      ApplyCandidate(unit, candidates.at(chosen), &out, i);
       if (use_dc_factor) {
         for (size_t dc_index : active) {
           indices[dc_index]->AddRow(out.row(i));
@@ -572,8 +521,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
     // batch, re-samples condition on the pre-batch snapshot instead of on
     // each other (the price of parallelism); across thread counts the
     // output is bit-identical because randomness is keyed by index, never
-    // by thread or schedule. In shard-parallel mode the batch runs inline
-    // (the shard itself is the unit of parallelism) — same result, since
+    // by thread or schedule. When the shard is itself a pool task the
+    // batch runs inline (`ParallelFor` never nests) — same result, since
     // randomness is keyed by resample index either way. Candidates score
     // against full-table indices, which only the apply step writes.
     if (mcmc_resamples > 0) {
@@ -605,31 +554,26 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
             if (track_prior_values) {
               extra_values = nearest_y_values(current);
             }
-            std::vector<Candidate> candidates = GenerateCandidates(
+            const CandidateSet candidates = GenerateCandidates(
                 unit, schema, current, options, extra_values, &task_rng);
             if (candidates.empty()) continue;
             std::vector<double> log_scores;
-            KAMINO_RETURN_IF_ERROR(ScoreCandidates(
-                unit, candidates, current, &current, scored, constraints,
-                {&table_indices}, /*allow_nested_parallel=*/false, telemetry,
-                &log_scores));
+            ScoreCandidates(unit, candidates, current, &current, scored,
+                            constraints, {&table_indices}, &log_scores);
             const size_t pick =
                 task_rng.Discrete(LogScoresToWeights(log_scores));
-            resamples[k].values = std::move(candidates[pick].values);
+            resamples[k].values.assign(candidates.at(pick),
+                                       candidates.at(pick) + candidates.width);
             resamples[k].accepted = true;
           }
           return Status::OK();
         };
-        if (allow_nested_parallel) {
-          KAMINO_RETURN_IF_ERROR(
-              runtime::ParallelFor(0, batch, 1, resample_range));
-        } else {
-          KAMINO_RETURN_IF_ERROR(resample_range(0, batch));
-        }
+        KAMINO_RETURN_IF_ERROR(
+            runtime::ParallelFor(0, batch, 1, resample_range));
         for (Resample& r : resamples) {
           if (!r.accepted) continue;
           const Row old = out.row(r.row);
-          ApplyCandidate(unit, r.values, &out, r.row);
+          ApplyCandidate(unit, r.values.data(), &out, r.row);
           ReplaceIndexedRow(old, out.row(r.row), &table_indices);
           ++telemetry->mcmc_resamples;
         }
@@ -1015,19 +959,16 @@ Result<Table> ProgressiveShardSynthesis(
     obs::TraceSpan span("sampler/shard");
     span.AddArg("shard", static_cast<int64_t>(s));
     span.AddArg("rows", static_cast<int64_t>(sizes[s]));
-    // The one shard of a one-shard run is the whole run: its candidate
-    // scoring and MCMC batches fan out onto the pool instead.
     Rng shard_rng(root.SubSeed(s));
     return SampleShardRows(model, constraints, activation, sizes[s], options,
-                           mcmc_budgets[s], /*allow_nested_parallel=*/one_shard,
-                           hooks, one_shard ? rng : &shard_rng,
+                           mcmc_budgets[s], hooks, one_shard ? rng : &shard_rng,
                            &shards[s].telemetry, &shards[s].table);
   };
 
   // Scheduling: shards go onto the pool as independent tasks while this
   // (coordinator) thread freezes them strictly in ascending order. With one
-  // shard (nothing to overlap, and its nested parallelism needs the pool),
-  // a single-thread budget, or a caller that is itself a pool worker and
+  // shard (nothing to overlap, and its MCMC batches need the pool), a
+  // single-thread budget, or a caller that is itself a pool worker and
   // must not block on pool tasks, shards run inline between freezes
   // instead: the same sample -> freeze -> emit order, so the same output
   // and the same early first chunk, just without sampling/freeze overlap.
@@ -1156,8 +1097,6 @@ Result<Table> ProgressiveShardSynthesis(
     telemetry->ar_proposals += shards[s].telemetry.ar_proposals;
     telemetry->fd_fast_path_hits += shards[s].telemetry.fd_fast_path_hits;
     telemetry->mcmc_resamples += shards[s].telemetry.mcmc_resamples;
-    telemetry->parallel_score_dispatches +=
-        shards[s].telemetry.parallel_score_dispatches;
     telemetry->mcmc_batches += shards[s].telemetry.mcmc_batches;
 
     // Conflict detection against the frozen prefix, recounted from the
@@ -1241,17 +1180,16 @@ Result<Table> ProgressiveShardSynthesis(
             }
           }
 
-          std::vector<Candidate> candidates = GenerateCandidates(
+          const CandidateSet candidates = GenerateCandidates(
               unit, schema, current, options, extra_values, &task_rng);
           if (candidates.empty()) continue;
           const double penalty_before = ViolationPenalty(
               current, &current, active, constraints, {&merged, &live_indices});
           std::vector<double> log_scores;
           std::vector<double> penalties;
-          KAMINO_RETURN_IF_ERROR(ScoreCandidates(
-              unit, candidates, current, &current, active, constraints,
-              {&merged, &live_indices}, /*allow_nested_parallel=*/false,
-              telemetry, &log_scores, &penalties));
+          ScoreCandidates(unit, candidates, current, &current, active,
+                          constraints, {&merged, &live_indices}, &log_scores,
+                          &penalties);
           size_t pick = 0;
           double best = -std::numeric_limits<double>::infinity();
           double best_penalty = penalty_before;
@@ -1262,7 +1200,7 @@ Result<Table> ProgressiveShardSynthesis(
               pick = c;
             }
           }
-          ApplyCandidate(unit, candidates[pick].values, &live, local);
+          ApplyCandidate(unit, candidates.at(pick), &live, local);
           ReplaceIndexedRow(current, live.row(local), &live_indices);
           ++telemetry->merge_resamples;
           --budget;

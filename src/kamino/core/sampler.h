@@ -123,10 +123,13 @@ struct SynthesisTelemetry {
   int64_t mcmc_resamples = 0;
   /// Thread budget the run executed with (resolved; >= 1).
   size_t num_threads = 1;
-  /// Candidate-set scorings dispatched through the parallel runtime (the
-  /// rest ran inline because the set or the committed prefix was small).
+  /// Always 0: candidate scoring runs inline and never dispatches to the
+  /// parallel runtime. Kept only for the service benchmark, which still
+  /// reads it; it goes with that benchmark's next change.
   int64_t parallel_score_dispatches = 0;
-  /// Row batches executed by the parallel MCMC pass.
+  /// Row batches of the MCMC pass, each `runtime::ParallelFor` over up to
+  /// 32 re-samples (inline when the shard is a pool task or the budget is
+  /// one thread).
   int64_t mcmc_batches = 0;
 
   // --- Shard plan and prefix freezes (every run) ---

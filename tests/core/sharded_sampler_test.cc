@@ -15,6 +15,7 @@
 
 #include "kamino/common/logging.h"
 #include "kamino/core/kamino.h"
+#include "kamino/core/pipeline.h"
 #include "kamino/core/sequencing.h"
 #include "kamino/data/generators.h"
 #include "kamino/dc/violations.h"
@@ -276,6 +277,54 @@ TEST(ShardedSamplerTest, MultiBlockAdultDigestsPinned) {
           << " num_threads=" << num_threads;
     }
   }
+}
+
+/// Samples recorded by the pool's per-task latency histogram so far (0
+/// before any task ran).
+int64_t PoolTaskCount() {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  const auto it = snap.histograms.find("kamino.runtime.task_seconds");
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+TEST(ShardedSamplerTest, OneShardScoringSubmitsNoPoolTask) {
+  // Candidate scoring runs inline: without MCMC, a one-shard run at four
+  // threads submits no pool task at all, and samples the 1-thread rows.
+  // The fit runs at one thread, so none of its tasks can land late.
+  ScopedNumThreads threads(1);
+  const BenchmarkDataset ds = MakeAdultLike(120, 7);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  KaminoConfig config;
+  config.options.non_private = true;
+  config.options.iterations = 12;
+  config.options.mcmc_resamples = 0;
+  config.options.seed = 31;
+  config.options.num_threads = 1;
+  const FitArtifacts fitted =
+      FitPipeline(ds.table, constraints, config).TakeValue();
+  SampleSpec spec;
+  spec.num_rows = 1200;
+  spec.seed = 17;
+  spec.num_shards = 1;
+  spec.num_threads = 1;
+  const Table serial = SamplePipeline(fitted, spec).TakeValue();
+
+  obs::MetricsRegistry::Global().SetEnabled(true);
+  const int64_t tasks_before = PoolTaskCount();
+  spec.num_threads = 4;
+  SynthesisTelemetry telemetry;
+  const Table parallel =
+      SamplePipeline(fitted, spec, nullptr, &telemetry).TakeValue();
+  const int64_t tasks_after = PoolTaskCount();
+  obs::MetricsRegistry::Global().SetEnabled(false);
+  obs::MetricsRegistry::Global().Reset();
+
+  EXPECT_EQ(telemetry.num_threads, 4u);
+  EXPECT_EQ(telemetry.num_shards, 1u);
+  EXPECT_EQ(tasks_after, tasks_before)
+      << "one-shard sampling submitted pool tasks";
+  ExpectSameTable(serial, parallel);
 }
 
 /// Full pipeline on a mixed hard-DC workload (FD + order DC) at the given

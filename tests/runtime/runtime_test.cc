@@ -177,8 +177,8 @@ TEST(RngStreamTest, StreamsYieldIndependentDrawSequences) {
 }
 
 /// Runs the full pipeline on a soft-DC workload (exercising the parallel
-/// violation matrix, DP-SGD gradients, candidate scoring and batched MCMC)
-/// at the given thread budget.
+/// violation matrix, DP-SGD gradients and batched MCMC) at the given
+/// thread budget.
 KaminoResult RunPipelineWithThreads(size_t num_threads) {
   BenchmarkDataset ds = MakeBr2000Like(80, 11);
   auto constraints =

@@ -37,8 +37,9 @@ struct PrefixFdFamily {
   std::vector<std::vector<size_t>> lhs_sets;
 };
 
-/// One equality-scoped hard order DC in alignment form (the shape
-/// `DenialConstraint::AsGroupedOrderSpec` recognizes): within each
+/// One equality-scoped hard order DC in alignment form (the grouped-order
+/// view of `DenialConstraint::Decompose()`, so every equivalent spelling
+/// of the DC aligns the same way): within each
 /// `group_attrs` value group, `dep_attr` must be weakly monotone in
 /// `ctx_attr` — co-monotone or anti-monotone; ties never violate.
 struct PrefixAlignSpec {

@@ -266,29 +266,36 @@ void ScoreCandidates(const ModelUnit& unit, const CandidateSet& candidates,
   }
 }
 
-/// True when the FD fast path may resolve this unit: single attribute and
-/// every active DC is a hard FD whose right-hand side is that attribute.
-bool FdFastPathApplies(const ModelUnit& unit, const std::vector<size_t>& active,
-                       const std::vector<WeightedConstraint>& constraints) {
-  if (unit.attrs.size() != 1 || active.empty()) return false;
-  for (size_t dc_index : active) {
-    const WeightedConstraint& wc = constraints[dc_index];
-    std::vector<size_t> lhs;
-    size_t rhs = 0;
-    if (!wc.hard || !wc.dc.AsFd(&lhs, &rhs) || rhs != unit.attrs[0]) {
-      return false;
-    }
+/// One DC's shape: the two views of its `Decompose()`, the same ones
+/// `MakeViolationIndex` picks the DC's index from. At most one is set.
+struct DcShape {
+  std::optional<FdSpec> fd;
+  std::optional<GroupedOrderSpec> order;
+
+  /// True when the FD view's right-hand side is `attr`.
+  bool FdDetermines(size_t attr) const {
+    return fd.has_value() && fd->rhs == attr;
   }
-  return true;
-}
+
+  /// For an order pair (the grouped-order view with an empty scope) over
+  /// `attr`, the pair's other attribute; SIZE_MAX otherwise.
+  size_t OrderPartner(size_t attr) const {
+    if (!order.has_value() || !order->group_attrs.empty()) return SIZE_MAX;
+    if (order->y_attr == attr) return order->x_attr;
+    if (order->x_attr == attr) return order->y_attr;
+    return SIZE_MAX;
+  }
+};
 
 /// Maps every DC to the model unit at which it activates (the unit whose
-/// attributes complete it) and every unit to its active DC set Phi_{A_j}.
-/// Computed once per run; the per-shard sampling loop and the merge pass
-/// must agree on this mapping.
+/// attributes complete it) and to its shape, and every unit to its active
+/// DC set Phi_{A_j}. Computed once per run; the per-shard sampling loop
+/// and the merge pass must agree on this mapping, and read every DC shape
+/// from it.
 struct ActivationMap {
   std::vector<std::vector<size_t>> unit_active;  // unit -> active DC indices
   std::vector<size_t> dc_unit;                   // DC -> unit (or SIZE_MAX)
+  std::vector<DcShape> dc_shape;                 // DC -> Decompose() views
 };
 
 ActivationMap BuildActivationMap(
@@ -299,6 +306,10 @@ ActivationMap BuildActivationMap(
       ActivationPositions(model.sequence(), constraints);
   map.unit_active.resize(model.units().size());
   map.dc_unit.assign(constraints.size(), SIZE_MAX);
+  for (const WeightedConstraint& wc : constraints) {
+    const PredicateDecomposition d = wc.dc.Decompose();
+    map.dc_shape.push_back(DcShape{d.Fd(), d.GroupedOrder()});
+  }
   for (size_t u = 0; u < model.units().size(); ++u) {
     const ModelUnit& unit = model.units()[u];
     for (size_t p = unit.start_position;
@@ -310,6 +321,18 @@ ActivationMap BuildActivationMap(
     }
   }
   return map;
+}
+
+/// True when the FD fast path may resolve this unit: single attribute and
+/// every active DC is a hard FD whose right-hand side is that attribute.
+bool FdFastPathApplies(const ModelUnit& unit, const std::vector<size_t>& active,
+                       const std::vector<WeightedConstraint>& constraints,
+                       const ActivationMap& activation) {
+  if (unit.attrs.size() != 1 || active.empty()) return false;
+  return std::all_of(active.begin(), active.end(), [&](size_t l) {
+    return constraints[l].hard &&
+           activation.dc_shape[l].FdDetermines(unit.attrs[0]);
+  });
 }
 
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
@@ -349,7 +372,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
       }
     }
     const bool fast_path = options.enable_fd_fast_path && use_dc_factor &&
-                           FdFastPathApplies(unit, active, constraints);
+                           FdFastPathApplies(unit, active, constraints,
+                                             activation);
 
     // Previously synthesized values of a DC-constrained numeric attribute
     // are recycled as candidates (see GenerateCandidates).
@@ -367,36 +391,22 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
       std::vector<std::pair<double, double>> points;  // sorted by x
     };
     std::vector<OrderDcTracker> order_trackers;
+    // For active FDs whose right-hand side is this *numeric* attribute,
+    // the group's established value is the only feasible candidate;
+    // surface it through the FD index.
+    std::vector<size_t> numeric_fd_dcs;
     if (track_prior_values) {
       for (size_t dc_index : active) {
-        size_t x = 0, y = 0;
-        if (!constraints[dc_index].dc.AsOrderPair(&x, &y)) continue;
-        // Either side of the co-monotone pair may be the attribute being
+        const DcShape& shape = activation.dc_shape[dc_index];
+        // Either side of the order pair may be the attribute being
         // sampled; track against the other (already filled) side.
-        size_t other;
-        if (y == unit.attrs[0]) {
-          other = x;
-        } else if (x == unit.attrs[0]) {
-          other = y;
-        } else {
-          continue;
-        }
-        if (schema.attribute(other).is_numeric()) {
+        const size_t other = shape.OrderPartner(unit.attrs[0]);
+        if (other != SIZE_MAX && schema.attribute(other).is_numeric()) {
           OrderDcTracker tracker;
           tracker.x_attr = other;
           order_trackers.push_back(tracker);
         }
-      }
-    }
-    // For active hard FDs whose right-hand side is this *numeric*
-    // attribute, the group's established value is the only feasible
-    // candidate; surface it through the FD index.
-    std::vector<size_t> numeric_fd_dcs;
-    if (track_prior_values) {
-      for (size_t dc_index : active) {
-        std::vector<size_t> lhs;
-        size_t rhs = 0;
-        if (constraints[dc_index].dc.AsFd(&lhs, &rhs) && rhs == unit.attrs[0]) {
+        if (shape.FdDetermines(unit.attrs[0])) {
           numeric_fd_dcs.push_back(dc_index);
         }
       }
@@ -664,8 +674,8 @@ std::vector<AlignTask> BuildAlignTasks(
   std::vector<size_t> locked_attrs;
   for (size_t l = 0; l < constraints.size(); ++l) {
     if ((*owner)[l] != DcOwner::kRepair || !constraints[l].hard) continue;
-    std::optional<GroupedOrderSpec> spec =
-        constraints[l].dc.AsGroupedOrderSpec();
+    const std::optional<GroupedOrderSpec>& spec =
+        activation.dc_shape[l].order;
     if (!spec.has_value()) continue;
     AlignTask task;
     task.dc = l;
@@ -707,17 +717,16 @@ std::vector<AlignTask> BuildAlignTasks(
 /// Claims each of them (`DcOwner::kCanonicalize`).
 std::vector<PrefixFdFamily> BuildFdFamilies(
     const std::vector<WeightedConstraint>& constraints,
-    std::vector<DcOwner>* owner) {
+    const ActivationMap& activation, std::vector<DcOwner>* owner) {
   std::map<size_t, PrefixFdFamily> by_rhs;
   for (size_t l = 0; l < constraints.size(); ++l) {
     if ((*owner)[l] != DcOwner::kRepair || !constraints[l].hard) continue;
-    std::vector<size_t> lhs;
-    size_t rhs = 0;
-    if (!constraints[l].dc.AsFd(&lhs, &rhs)) continue;
+    const std::optional<FdSpec>& fd = activation.dc_shape[l].fd;
+    if (!fd.has_value()) continue;
     (*owner)[l] = DcOwner::kCanonicalize;
-    PrefixFdFamily& family = by_rhs[rhs];
-    family.rhs = rhs;
-    family.lhs_sets.push_back(std::move(lhs));
+    PrefixFdFamily& family = by_rhs[fd->rhs];
+    family.rhs = fd->rhs;
+    family.lhs_sets.push_back(fd->lhs);
   }
   std::vector<PrefixFdFamily> families;
   families.reserve(by_rhs.size());
@@ -1014,7 +1023,7 @@ Result<Table> ProgressiveShardSynthesis(
   // of every DC with cross-shard pairs, growing at each freeze.
   std::vector<DcOwner> owner = RepairOwners(constraints, activation, options);
   const std::vector<PrefixFdFamily> families =
-      BuildFdFamilies(constraints, &owner);
+      BuildFdFamilies(constraints, activation, &owner);
   const std::vector<AlignTask> alignments =
       BuildAlignTasks(model, constraints, activation, &owner);
   IndexSet merged(constraints.size());
@@ -1053,13 +1062,11 @@ Result<Table> ProgressiveShardSynthesis(
   std::vector<std::unique_ptr<FrozenNeighborStore>> neighbors(
       constraints.size());
   for (size_t l : repair_scored) {
-    size_t x = 0, y = 0;
-    if (!constraints[l].dc.AsOrderPair(&x, &y)) continue;
     const size_t u = activation.dc_unit[l];
     if (model.units()[u].attrs.size() != 1) continue;
     const size_t unit_attr = model.units()[u].attrs[0];
     if (!schema.attribute(unit_attr).is_numeric()) continue;
-    const size_t other = y == unit_attr ? x : (x == unit_attr ? y : SIZE_MAX);
+    const size_t other = activation.dc_shape[l].OrderPartner(unit_attr);
     if (other == SIZE_MAX || !schema.attribute(other).is_numeric()) continue;
     neighbors[l] = std::make_unique<FrozenNeighborStore>(other, unit_attr);
   }
@@ -1158,24 +1165,18 @@ Result<Table> ProgressiveShardSynthesis(
           if (unit.attrs.size() == 1 &&
               schema.attribute(unit.attrs[0]).is_numeric()) {
             for (size_t l : active) {
-              std::vector<size_t> lhs;
-              size_t rhs = 0, x = 0, y = 0;
-              if (merged[l] != nullptr && constraints[l].dc.AsFd(&lhs, &rhs) &&
-                  rhs == unit.attrs[0]) {
+              if (merged[l] != nullptr &&
+                  activation.dc_shape[l].FdDetermines(unit.attrs[0])) {
                 std::optional<Value> forced = merged[l]->FdForcedValue(current);
                 if (forced.has_value() && forced->is_numeric()) {
                   extra_values.push_back(forced->numeric());
                 }
-              } else if (constraints[l].dc.AsOrderPair(&x, &y)) {
-                const size_t other =
-                    y == unit.attrs[0] ? x
-                                       : (x == unit.attrs[0] ? y : SIZE_MAX);
-                if (other != SIZE_MAX && schema.attribute(other).is_numeric() &&
-                    neighbors[l] != nullptr) {
-                  const double x0 = current[other].numeric();
-                  neighbors[l]->SeedNearest(x0, /*keep=*/4, begin, local, live,
-                                            &extra_values);
-                }
+              } else if (neighbors[l] != nullptr) {
+                // The store exists only for an order pair over this
+                // numeric unit attribute and a numeric partner.
+                const double x0 = current[neighbors[l]->other_attr].numeric();
+                neighbors[l]->SeedNearest(x0, /*keep=*/4, begin, local, live,
+                                          &extra_values);
               }
             }
           }

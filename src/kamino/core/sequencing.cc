@@ -9,12 +9,7 @@
 namespace kamino {
 namespace {
 
-struct Fd {
-  std::vector<size_t> lhs;
-  size_t rhs;
-};
-
-int64_t MinLhsDomain(const Schema& schema, const Fd& fd) {
+int64_t MinLhsDomain(const Schema& schema, const FdSpec& fd) {
   int64_t best = std::numeric_limits<int64_t>::max();
   for (size_t a : fd.lhs) {
     best = std::min(best, schema.attribute(a).DomainSize());
@@ -26,13 +21,12 @@ int64_t MinLhsDomain(const Schema& schema, const Fd& fd) {
 
 std::vector<size_t> SequenceSchema(
     const Schema& schema, const std::vector<WeightedConstraint>& constraints) {
-  // Line 2: collect FD-shaped DCs, sorted by increasing minimal LHS domain.
-  std::vector<Fd> fds;
+  // Line 2: collect FD views, sorted by increasing minimal LHS domain.
+  std::vector<FdSpec> fds;
   for (const WeightedConstraint& wc : constraints) {
-    Fd fd;
-    if (wc.dc.AsFd(&fd.lhs, &fd.rhs)) fds.push_back(std::move(fd));
+    if (auto fd = wc.dc.Decompose().Fd()) fds.push_back(std::move(*fd));
   }
-  std::stable_sort(fds.begin(), fds.end(), [&](const Fd& a, const Fd& b) {
+  std::stable_sort(fds.begin(), fds.end(), [&](const auto& a, const auto& b) {
     return MinLhsDomain(schema, a) < MinLhsDomain(schema, b);
   });
 
@@ -46,7 +40,7 @@ std::vector<size_t> SequenceSchema(
   };
 
   // Lines 4-7: for each FD append its LHS (sorted by domain size) then RHS.
-  for (const Fd& fd : fds) {
+  for (const FdSpec& fd : fds) {
     std::vector<size_t> lhs = fd.lhs;
     std::stable_sort(lhs.begin(), lhs.end(), [&](size_t a, size_t b) {
       return schema.attribute(a).DomainSize() < schema.attribute(b).DomainSize();

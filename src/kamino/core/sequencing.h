@@ -12,9 +12,10 @@ namespace kamino {
 
 /// Algorithm 4: constraint-aware attribute sequencing.
 ///
-/// Returns a permutation of attribute indices such that for every
-/// FD-shaped DC X -> Y in `constraints`, the attributes of X appear before
-/// Y; FDs are processed by increasing minimal LHS domain size and their
+/// Returns a permutation of attribute indices such that for every DC in
+/// `constraints` whose decomposition has an FD view X -> Y
+/// (`PredicateDecomposition::Fd`, whatever the spelling), the attributes
+/// of X appear before Y; FDs are processed by increasing minimal LHS domain size and their
 /// attributes appended LHS (sorted by domain size) before RHS. Attributes
 /// not touched by any FD are appended by ascending domain size. The true
 /// instance is never consulted, so sequencing costs no privacy budget.

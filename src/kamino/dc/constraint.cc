@@ -456,28 +456,32 @@ bool DenialConstraint::ViolatesUnaryAt(const Table& table, size_t i) const {
   return FiresOrderedOn(predicates_, get, get);
 }
 
-bool DenialConstraint::AsFd(std::vector<size_t>* lhs, size_t* rhs) const {
-  if (is_unary_) return false;
-  std::vector<size_t> eq_attrs;
-  std::vector<size_t> ne_attrs;
-  for (const Predicate& p : predicates_) {
-    // FD shape requires every predicate to compare the same attribute
-    // across the two tuples.
-    if (p.rhs_is_constant || p.lhs_attr != p.rhs_attr ||
-        p.lhs_tuple == p.rhs_tuple) {
-      return false;
-    }
-    if (p.op == CompareOp::kEq) {
-      eq_attrs.push_back(p.lhs_attr);
-    } else if (p.op == CompareOp::kNe) {
-      ne_attrs.push_back(p.lhs_attr);
-    } else {
-      return false;
-    }
+std::optional<FdSpec> PredicateDecomposition::Fd() const {
+  if (shape != Shape::kComposite || !order_residuals.empty() ||
+      ne_attrs.size() != 1) {
+    return std::nullopt;
   }
-  if (eq_attrs.empty() || ne_attrs.size() != 1) return false;
-  if (lhs != nullptr) *lhs = eq_attrs;
-  if (rhs != nullptr) *rhs = ne_attrs[0];
+  return FdSpec{scope_attrs, ne_attrs[0]};
+}
+
+std::optional<GroupedOrderSpec> PredicateDecomposition::GroupedOrder() const {
+  if (shape != Shape::kComposite || !ne_attrs.empty() ||
+      order_residuals.size() != 2 ||
+      order_residuals[0].kind != ResidualKind::kStrictOrder ||
+      order_residuals[1].kind != ResidualKind::kStrictOrder) {
+    return std::nullopt;
+  }
+  const OrderResidual& x = order_residuals[0];
+  const OrderResidual& y = order_residuals[1];
+  return GroupedOrderSpec{scope_attrs, x.attr, y.attr,
+                          x.direction != y.direction};
+}
+
+bool DenialConstraint::AsFd(std::vector<size_t>* lhs, size_t* rhs) const {
+  std::optional<FdSpec> fd = Decompose().Fd();
+  if (!fd.has_value()) return false;
+  if (lhs != nullptr) *lhs = std::move(fd->lhs);
+  if (rhs != nullptr) *rhs = fd->rhs;
   return true;
 }
 
@@ -490,37 +494,7 @@ bool DenialConstraint::AsOrderPair(size_t* x_attr, size_t* y_attr) const {
 }
 
 std::optional<GroupedOrderSpec> DenialConstraint::AsGroupedOrderSpec() const {
-  if (is_unary_) return std::nullopt;
-  GroupedOrderSpec spec;
-  std::vector<const Predicate*> order;
-  for (const Predicate& p : predicates_) {
-    // Every predicate must compare the same attribute across the two
-    // tuples (no constants, no mixed-attribute comparisons).
-    if (p.rhs_is_constant || p.lhs_attr != p.rhs_attr ||
-        p.lhs_tuple == p.rhs_tuple) {
-      return std::nullopt;
-    }
-    if (p.op == CompareOp::kEq) {
-      spec.group_attrs.push_back(p.lhs_attr);
-    } else if (p.op == CompareOp::kLt || p.op == CompareOp::kGt) {
-      order.push_back(&p);
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (order.size() != 2 || order[0]->lhs_attr == order[1]->lhs_attr) {
-    return std::nullopt;
-  }
-  // Normalize each order predicate to the (t1, t2) orientation; opposite
-  // normalized directions = the co-monotone form !(X up & Y down).
-  auto normalized_gt = [](const Predicate& p) {
-    const bool gt = p.op == CompareOp::kGt;
-    return p.lhs_tuple == 0 ? gt : !gt;
-  };
-  spec.x_attr = order[0]->lhs_attr;
-  spec.y_attr = order[1]->lhs_attr;
-  spec.co_monotone = normalized_gt(*order[0]) != normalized_gt(*order[1]);
-  return spec;
+  return Decompose().GroupedOrder();
 }
 
 PredicateDecomposition DenialConstraint::Decompose() const {

@@ -44,8 +44,19 @@ struct Predicate {
   }
 };
 
-/// Normalized description of an (equality-scoped) order DC, as matched by
-/// `DenialConstraint::AsGroupedOrderSpec` and as carried by every order
+/// Functional-dependency view of a DC (`PredicateDecomposition::Fd`): rows
+/// agreeing on every `lhs` attribute must agree on `rhs`.
+struct FdSpec {
+  std::vector<size_t> lhs;  // equality scope, sorted ascending; may be empty
+  size_t rhs = 0;
+
+  bool operator==(const FdSpec& o) const {
+    return lhs == o.lhs && rhs == o.rhs;
+  }
+};
+
+/// Normalized description of an (equality-scoped) order DC, as produced by
+/// `PredicateDecomposition::GroupedOrder` and as carried by every order
 /// term of the composite violation plan: within each group of rows that
 /// agree on `group_attrs`, the DC forbids X and Y moving in opposite
 /// directions (`co_monotone`, e.g. !(t1.X > t2.X & t1.Y < t2.Y)) or in the
@@ -63,6 +74,11 @@ struct GroupedOrderSpec {
   size_t x_attr = 0;
   size_t y_attr = 0;
   bool co_monotone = true;
+
+  bool operator==(const GroupedOrderSpec& o) const {
+    return group_attrs == o.group_attrs && x_attr == o.x_attr &&
+           y_attr == o.y_attr && co_monotone == o.co_monotone;
+  }
 
   /// Sort key of the context axis (plain Value order).
   double ContextKey(const Value& x) const { return x.OrderKey(); }
@@ -147,6 +163,19 @@ struct PredicateDecomposition {
   bool subquadratic() const {
     return shape == Shape::kComposite || shape == Shape::kNeverFires;
   }
+
+  /// FD view: a `kComposite` scope with exactly one `!=` residual and no
+  /// order residual ("scope minus diagonal"), read as `scope_attrs ->
+  /// ne_attrs[0]`. An empty scope is one global group.
+  std::optional<FdSpec> Fd() const;
+
+  /// Grouped-order view: a `kComposite` scope with no `!=` residual and
+  /// two strict order residuals (the composite plan's lone `+order`
+  /// term). `group_attrs` is the scope, x and y are the residuals in
+  /// first-mention order, and `co_monotone` holds when their normalized
+  /// directions differ (the DC forbids X and Y moving in opposite
+  /// directions within a group).
+  std::optional<GroupedOrderSpec> GroupedOrder() const;
 };
 
 /// Plain serializable mirror of a `Predicate` (artifact serde). Tuple
@@ -217,30 +246,20 @@ class DenialConstraint {
   /// Columnar form of `ViolatesUnary`.
   bool ViolatesUnaryAt(const Table& table, size_t i) const;
 
-  /// If the DC has functional-dependency shape
+  /// The FD view of `Decompose()`: for a DC equivalent to
   ///   !(t1.X1 == t2.X1 & ... & t1.Xm == t2.Xm & t1.Y != t2.Y)
-  /// fills `lhs` with the X attribute indices and `rhs` with Y and returns
-  /// true. Used by the sequencing heuristic (Algorithm 4) and the FD fast
-  /// path in sampling.
+  /// fills `lhs` with the X attributes (sorted; empty for a pure `!=` DC)
+  /// and `rhs` with Y and returns true. Equivalent spellings (mirrored
+  /// tuples, a lone strict order for `!=`, repeated predicates) agree.
   bool AsFd(std::vector<size_t>* lhs, size_t* rhs) const;
 
-  /// If the DC is a two-predicate co-monotonicity ("order") constraint
-  ///   !(t1.X > t2.X & t1.Y < t2.Y)   (or mirrored comparison forms)
-  /// fills X and Y and returns true: the `AsGroupedOrderSpec` match with
-  /// an empty group. Used by the repair baseline and by the sampler's
-  /// DC-aware candidate generation.
+  /// `AsGroupedOrderSpec` with an empty group, e.g.
+  ///   !(t1.X > t2.X & t1.Y < t2.Y): fills X and Y and returns true.
   bool AsOrderPair(size_t* x_attr, size_t* y_attr) const;
 
-  /// Generalization of `AsOrderPair` to order constraints scoped by
-  /// equality predicates, e.g. the per-state salary/rate dependency
-  ///   !(t1.S == t2.S & t1.X > t2.X & t1.Y < t2.Y).
-  /// Matches any number of cross-tuple equality predicates (the group;
-  /// empty for the plain pair form) plus exactly two strict cross-tuple
-  /// order predicates over distinct attributes. `co_monotone` is true when
-  /// the two order predicates point in opposite directions once normalized
-  /// to the same tuple orientation (the DC forbids X and Y moving in
-  /// opposite directions within a group) and false for the anti-monotone
-  /// form. Used by the shard freeze's rank alignment.
+  /// The grouped-order view of `Decompose()`, e.g. the per-state
+  /// salary/rate dependency !(t1.S == t2.S & t1.X > t2.X & t1.Y < t2.Y).
+  /// Equivalent spellings agree; the predicate order fixes x and y.
   std::optional<GroupedOrderSpec> AsGroupedOrderSpec() const;
 
   /// Canonical predicate decomposition (see `PredicateDecomposition`):

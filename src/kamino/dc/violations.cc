@@ -931,8 +931,9 @@ class OrderViolationIndex : public ViolationIndex {
 //
 // The plan is the only shape switch of this file: `CountViolations` sums
 // signed per-term counts, `BuildViolationMatrix` signed per-term columns,
-// and `MakeViolationIndex` picks the FD index for a scope-minus-diagonal
-// plan, the order index for a single order term, and the composite index
+// and `MakeViolationIndex` picks the FD index for the decomposition's FD
+// view (a scope-minus-diagonal plan), the order index for its
+// grouped-order view (a single order term), and the composite index
 // otherwise. Each term kind has one count evaluator (`TermCount`), one
 // column evaluator (`PlanViolationColumn`) and one index block.
 // ---------------------------------------------------------------------------
@@ -1417,23 +1418,21 @@ std::unique_ptr<ViolationIndex> MakeViolationIndex(
     RecordDcIndexBuilt("naive");
     return std::make_unique<NaiveViolationIndex>(dc);
   }
-  if (decomp.order_residuals.empty() && decomp.ne_attrs.size() == 1) {
-    // Scope minus diagonal: FD shapes, including normalized equivalents (a
-    // lone strict order turned inequation, a pure `!=` DC whose empty
-    // scope is one global group). The FD hash index computes exactly this
-    // count and also answers `FdForcedValue`.
+  // The index follows the decomposition's views, the same ones the
+  // sampler's exact passes read. The FD view is scope minus diagonal (the
+  // FD hash index computes exactly this count and also answers
+  // `FdForcedValue`); the grouped-order view is the plan's one `+order`
+  // block.
+  if (std::optional<FdSpec> fd = decomp.Fd()) {
     RecordDcIndexBuilt("fd");
-    return std::make_unique<FdViolationIndex>(decomp.scope_attrs,
-                                              decomp.ne_attrs[0]);
+    return std::make_unique<FdViolationIndex>(std::move(fd->lhs), fd->rhs);
   }
-  std::vector<CompositeTerm> plan = CompositeTermPlan(decomp);
-  if (plan.size() == 1 && plan[0].is_order) {
-    // Two strict orders under an equality scope: one `+order` block.
+  if (std::optional<GroupedOrderSpec> order = decomp.GroupedOrder()) {
     RecordDcIndexBuilt("order");
-    return std::make_unique<OrderViolationIndex>(std::move(plan[0].order));
+    return std::make_unique<OrderViolationIndex>(std::move(*order));
   }
   RecordDcIndexBuilt("composite");
-  return std::make_unique<CompositeViolationIndex>(std::move(plan));
+  return std::make_unique<CompositeViolationIndex>(CompositeTermPlan(decomp));
 }
 
 std::unique_ptr<ViolationIndex> MakeNaiveViolationIndex(

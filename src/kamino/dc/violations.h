@@ -71,10 +71,13 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 /// the candidate values of one (row, unit) are scored for the number of
 /// *new* violations each would introduce against the committed rows.
 ///
-/// Implementations, chosen from `Decompose()` and its composite term plan:
-/// a trivial evaluator for unary DCs; an O(1) hash-group index for a
-/// scope-minus-diagonal plan (FDs, normalized FD equivalents, pure-`!=`
-/// DCs); a sorted block-list index for a plan that is a single order term
+/// Implementations, chosen from `Decompose()` and its two views — the
+/// same views `AsFd` and `AsGroupedOrderSpec` return, so equivalent
+/// spellings of a DC get the same index and the sampler's exact passes
+/// own exactly the DCs these indices serve: a trivial evaluator for unary
+/// DCs; an O(1) hash-group index for the FD view (scope minus diagonal:
+/// FDs, normalized FD equivalents, pure-`!=` DCs); a sorted block-list
+/// index for the grouped-order view, a plan that is a single order term
 /// (sub-linear `CountNew`, and one block walk per candidate set); a
 /// composite index for every other `kComposite` plan (a signed
 /// inclusion–exclusion sum of hash-group and order blocks — see

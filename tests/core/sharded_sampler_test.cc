@@ -157,37 +157,58 @@ TEST(ShardedSamplerTest, GoldenDigestGridAcrossThreadsAndShards) {
   // since become the only sharded path, which must not change its rows).
   // If one fails after an *intentional* sampler change, re-capture from
   // the failure message.
+  //
+  // The grid runs twice: with the Adult DCs as generated, and respelled —
+  // the FD's `!=` as a lone strict order, the order DC mirrored with a
+  // repeated, weakened predicate. The DC shape comes from `Decompose()`
+  // alone, so the respelling sequences, indexes and reconciles exactly as
+  // the original: same digests, and both hard DCs hold at every grid
+  // point.
   BenchmarkDataset ds = MakeAdultLike(120, 7);
-  auto constraints =
-      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
-  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  const std::vector<std::string> respelled = {
+      "!(t1.edu == t2.edu & t1.edu_num > t2.edu_num)",
+      "!(t2.cap_loss > t1.cap_loss & t1.cap_gain > t2.cap_gain & "
+      "t1.cap_gain >= t2.cap_gain)",
+  };
   const std::pair<size_t, const char*> pinned[] = {
       {1, "0x214d31f811dbdd0f"},
       {2, "0x3c8e7b81d508b22b"},
       {4, "0xd6d3abdd6252121d"},
   };
-  for (const auto& [num_shards, expected] : pinned) {
-    for (const size_t num_threads : {size_t{1}, size_t{4}}) {
-      ScopedNumThreads threads(num_threads);
-      KaminoOptions options;
-      options.non_private = true;
-      options.iterations = 12;
-      options.mcmc_resamples = 48;
-      options.seed = 31;
-      options.num_shards = num_shards;
-      Rng rng(31);
-      auto model =
-          ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
-              .TakeValue();
-      Rng srng(17);
-      Table out =
-          Synthesize(model, constraints, options, SampleSpec{150}, &srng)
-              .TakeValue();
-      char actual[32];
-      std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
-      EXPECT_EQ(std::string(actual), expected)
-          << "digest drifted at num_shards=" << num_shards
-          << " num_threads=" << num_threads;
+  for (const std::vector<std::string>& specs : {ds.dc_specs, respelled}) {
+    auto constraints =
+        ParseConstraints(specs, ds.hardness, ds.table.schema()).TakeValue();
+    auto sequence = SequenceSchema(ds.table.schema(), constraints);
+    for (const auto& [num_shards, expected] : pinned) {
+      for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+        ScopedNumThreads threads(num_threads);
+        KaminoOptions options;
+        options.non_private = true;
+        options.iterations = 12;
+        options.mcmc_resamples = 48;
+        options.seed = 31;
+        options.num_shards = num_shards;
+        Rng rng(31);
+        auto model =
+            ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                .TakeValue();
+        Rng srng(17);
+        Table out =
+            Synthesize(model, constraints, options, SampleSpec{150}, &srng)
+                .TakeValue();
+        char actual[32];
+        std::snprintf(actual, sizeof(actual), "0x%016" PRIx64,
+                      TableDigest(out));
+        EXPECT_EQ(std::string(actual), expected)
+            << "digest drifted at num_shards=" << num_shards
+            << " num_threads=" << num_threads << " for " << specs[1];
+        for (const WeightedConstraint& wc : constraints) {
+          EXPECT_EQ(CountViolations(wc.dc, out), 0)
+              << wc.dc.ToString(ds.table.schema())
+              << " at num_shards=" << num_shards
+              << " num_threads=" << num_threads;
+        }
+      }
     }
   }
 }

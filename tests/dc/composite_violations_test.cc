@@ -58,9 +58,10 @@ int64_t CrossPairs(const DenialConstraint& dc, const std::vector<Row>& a,
   return count;
 }
 
-/// The mixed-shape DC zoo: every spec must decompose to kComposite (and
-/// none is caught by the FD / grouped-order syntactic matchers, except
-/// where noted — the point is exercising the composite plans).
+/// The mixed-shape DC zoo: every spec must decompose to kComposite. Most
+/// have neither an FD nor a grouped-order view — the point is exercising
+/// the composite plans; a `!=` alone or beside a vacuous lone order is an
+/// FD view with an empty scope.
 std::vector<const char*> CompositeSpecs() {
   return {
       // !=-only (single and multiple residuals, with and without scope).
@@ -270,29 +271,87 @@ DenialConstraint RandomCompositeDc(const Schema& schema, Rng* rng) {
   }
 }
 
+/// `dc` respelled: every predicate mirrored (`t1.A < t2.A` written as
+/// `t2.A > t1.A`) and predicate `repeat % size` repeated at the end. The
+/// predicate order is kept, so first mentions — and with them the order
+/// view's x and y — stay put.
+DenialConstraint Respell(const DenialConstraint& dc, const Schema& schema,
+                         size_t repeat) {
+  auto mirrored = [&schema](const Predicate& p) {
+    CompareOp op = p.op;
+    switch (p.op) {
+      case CompareOp::kLt:
+        op = CompareOp::kGt;
+        break;
+      case CompareOp::kGt:
+        op = CompareOp::kLt;
+        break;
+      case CompareOp::kLe:
+        op = CompareOp::kGe;
+        break;
+      case CompareOp::kGe:
+        op = CompareOp::kLe;
+        break;
+      default:
+        break;
+    }
+    return "t" + std::to_string(p.rhs_tuple + 1) + "." +
+           schema.attribute(p.rhs_attr).name() + " " + CompareOpToString(op) +
+           " t" + std::to_string(p.lhs_tuple + 1) + "." +
+           schema.attribute(p.lhs_attr).name();
+  };
+  const std::vector<Predicate>& preds = dc.predicates();
+  std::string body;
+  for (const Predicate& p : preds) body += mirrored(p) + " & ";
+  body += mirrored(preds[repeat % preds.size()]);
+  return DenialConstraint::Parse("!(" + body + ")", schema).TakeValue();
+}
+
 TEST(CompositeViolationsTest, RandomizedDcsMatchNaiveEverywhere) {
   // Fuzz over randomized DC shapes: whatever the decomposition decides
   // (composite, never-fires, or general fallback), full counts and the
-  // incremental index must agree with the naive reference.
+  // incremental index must agree with the naive reference. A respelling
+  // of each DC (mirrored predicates, one repeated) must decompose to the
+  // same shape and views and count the same violations.
   Schema schema = TestSchema();
   Rng rng(127);
   int composite_seen = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const DenialConstraint dc = RandomCompositeDc(schema, &rng);
-    if (dc.Decompose().shape == PredicateDecomposition::Shape::kComposite) {
+    const DenialConstraint respelled =
+        Respell(dc, schema, static_cast<size_t>(trial));
+    const std::string label = "trial " + std::to_string(trial) + ": " +
+                              dc.ToString(schema) + " respelled " +
+                              respelled.ToString(schema);
+    const PredicateDecomposition d = dc.Decompose();
+    const PredicateDecomposition rd = respelled.Decompose();
+    if (d.shape == PredicateDecomposition::Shape::kComposite) {
       ++composite_seen;
+    }
+    ASSERT_EQ(rd.shape, d.shape) << label;
+    ASSERT_EQ(rd.Fd(), d.Fd()) << label;
+    ASSERT_EQ(rd.GroupedOrder(), d.GroupedOrder()) << label;
+    for (const DenialConstraint* spelling : {&dc, &respelled}) {
+      ASSERT_EQ(spelling->AsFd(nullptr, nullptr), d.Fd().has_value())
+          << label;
+      ASSERT_EQ(spelling->AsGroupedOrderSpec(), d.GroupedOrder()) << label;
     }
     Table t(schema);
     for (const Row& r : RandomRows(60, &rng)) t.AppendRowUnchecked(r);
-    ASSERT_EQ(CountViolations(dc, t), CountViolationsNaive(dc, t))
-        << "trial " << trial << ": " << dc.ToString(schema);
+    const int64_t count = CountViolations(dc, t);
+    ASSERT_EQ(count, CountViolationsNaive(dc, t)) << label;
+    ASSERT_EQ(CountViolations(respelled, t), count) << label;
     auto fast = MakeViolationIndex(dc);
+    auto fast_respelled = MakeViolationIndex(respelled);
     auto naive = MakeNaiveViolationIndex(dc);
     for (size_t i = 0; i < t.num_rows(); ++i) {
-      ASSERT_EQ(fast->CountNew(t.row(i)), naive->CountNew(t.row(i)))
-          << "trial " << trial << " row " << i << ": "
-          << dc.ToString(schema);
+      const int64_t expected = naive->CountNew(t.row(i));
+      ASSERT_EQ(fast->CountNew(t.row(i)), expected)
+          << label << " row " << i;
+      ASSERT_EQ(fast_respelled->CountNew(t.row(i)), expected)
+          << label << " row " << i;
       fast->AddRow(t.row(i));
+      fast_respelled->AddRow(t.row(i));
       naive->AddRow(t.row(i));
     }
   }

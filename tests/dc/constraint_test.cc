@@ -362,6 +362,74 @@ TEST(ConstraintTest, AsFdRejectsNonFdShapes) {
   auto dc2 =
       DenialConstraint::Parse("!(t1.age > 10 & t1.gain > 5)", schema).TakeValue();
   EXPECT_FALSE(dc2.AsFd(nullptr, nullptr));
+  // `==` with `!=` on one attribute never fires: not an FD edu -> edu.
+  auto dc3 = DenialConstraint::Parse("!(t1.edu == t2.edu & t1.edu != t2.edu)",
+                                     schema)
+                 .TakeValue();
+  EXPECT_FALSE(dc3.AsFd(nullptr, nullptr));
+}
+
+TEST(ConstraintTest, EquivalentSpellingsShareOneShape) {
+  // Each respelling mirrors tuple orientations, trades a `!=` for a lone
+  // strict order, or repeats a predicate, keeping the first mention of
+  // every attribute in place. The FD and grouped-order views must equal
+  // the canonical spelling's, and every canonical spelling has one.
+  struct Case {
+    const char* canonical;
+    const char* respelled;
+  };
+  const Case cases[] = {
+      // FD: a lone strict order for the `!=`.
+      {"!(t1.edu == t2.edu & t1.edu_num != t2.edu_num)",
+       "!(t1.edu == t2.edu & t1.edu_num > t2.edu_num)"},
+      // FD: mirrored tuple orientation.
+      {"!(t1.edu == t2.edu & t1.edu_num != t2.edu_num)",
+       "!(t2.edu == t1.edu & t2.edu_num != t1.edu_num)"},
+      // FD: duplicated `!=` and duplicated `==`.
+      {"!(t1.edu == t2.edu & t1.edu_num != t2.edu_num)",
+       "!(t1.edu == t2.edu & t1.edu_num != t2.edu_num & "
+       "t2.edu_num != t1.edu_num & t1.edu == t2.edu)"},
+      // FD with an empty scope: `!=` alone, or a lone strict order.
+      {"!(t1.age != t2.age)", "!(t2.age < t1.age)"},
+      // Order pair: mirrored tuple orientation, per predicate and whole.
+      {"!(t1.gain > t2.gain & t1.loss < t2.loss)",
+       "!(t2.gain < t1.gain & t2.loss > t1.loss)"},
+      {"!(t1.gain > t2.gain & t1.loss < t2.loss)",
+       "!(t2.gain > t1.gain & t2.loss < t1.loss)"},
+      // Order pair: a duplicated order predicate (strict, and a weaker
+      // non-strict copy) and a redundant `!=`.
+      {"!(t1.gain > t2.gain & t1.loss < t2.loss)",
+       "!(t1.gain > t2.gain & t1.loss < t2.loss & t1.gain >= t2.gain)"},
+      {"!(t1.gain > t2.gain & t1.loss < t2.loss)",
+       "!(t1.gain > t2.gain & t1.gain != t2.gain & t2.loss > t1.loss & "
+       "t1.loss < t2.loss)"},
+      // Anti-monotone order pair, mirrored.
+      {"!(t1.gain > t2.gain & t1.loss > t2.loss)",
+       "!(t2.gain < t1.gain & t2.loss < t1.loss)"},
+      // Grouped order: mirrored scope and order, repeated scope.
+      {"!(t1.edu == t2.edu & t1.gain > t2.gain & t1.loss < t2.loss)",
+       "!(t2.edu == t1.edu & t1.gain > t2.gain & t2.loss > t1.loss & "
+       "t1.edu == t2.edu)"},
+  };
+  const Schema schema = TestSchema();
+  for (const Case& c : cases) {
+    const DenialConstraint canonical =
+        DenialConstraint::Parse(c.canonical, schema).TakeValue();
+    const DenialConstraint respelled =
+        DenialConstraint::Parse(c.respelled, schema).TakeValue();
+    std::vector<size_t> lhs_c, lhs_r;
+    size_t rhs_c = SIZE_MAX, rhs_r = SIZE_MAX;
+    const bool fd = canonical.AsFd(&lhs_c, &rhs_c);
+    EXPECT_EQ(respelled.AsFd(&lhs_r, &rhs_r), fd) << c.respelled;
+    EXPECT_EQ(lhs_r, lhs_c) << c.respelled;
+    EXPECT_EQ(rhs_r, rhs_c) << c.respelled;
+    const std::optional<GroupedOrderSpec> order =
+        canonical.AsGroupedOrderSpec();
+    EXPECT_EQ(respelled.AsGroupedOrderSpec(), order) << c.respelled;
+    EXPECT_TRUE(fd || order.has_value()) << c.canonical;
+    EXPECT_EQ(respelled.Decompose().Fd(), canonical.Decompose().Fd())
+        << c.respelled;
+  }
 }
 
 }  // namespace

@@ -42,15 +42,35 @@ Status CancelledStatus() {
 
 /// The candidate set D(S[j]) of one (row, unit): joint assignments for
 /// the unit's attributes, flat, each aligned with unit.attrs, with their
-/// model probabilities p_{v|c}.
+/// model probabilities p_{v|c}. A categorical unit's candidates are its
+/// whole joint domain in index order, so `values` points into the unit's
+/// run-wide joint table (`ActivationMap::unit_joint`); numeric candidates
+/// are drawn per row into `owned`.
 struct CandidateSet {
-  size_t width = 0;           // unit.attrs.size()
-  std::vector<Value> values;  // candidate c at [c * width, (c + 1) * width)
-  std::vector<double> probs;  // one per candidate
+  size_t width = 0;               // unit.attrs.size()
+  const Value* values = nullptr;  // candidate c at [c * width, (c + 1) * width)
+  std::vector<Value> owned;       // numeric candidates' storage
+  std::vector<double> probs;      // one per candidate
 
   size_t size() const { return probs.size(); }
   bool empty() const { return probs.empty(); }
-  const Value* at(size_t c) const { return values.data() + c * width; }
+  const Value* at(size_t c) const { return values + c * width; }
+};
+
+/// Working memory of one sampling context — a shard's row loop, one MCMC
+/// batch slot, one freeze repair — reused for every (row, unit) it
+/// draws, so the steady-state loop allocates nothing.
+struct SampleScratch {
+  Row row;            // the row being drawn, kept in step with its table
+  Row candidate_row;  // `row` with one candidate written in
+  CandidateSet candidates;
+  std::vector<double> extra_values;  // recycled numeric candidates
+  std::vector<int64_t> counts;  // [d * m + c]: candidate c under active[d]
+  std::vector<int64_t> part;    // one index's batch counts
+  std::vector<double> log_scores;
+  std::vector<double> penalties;
+  std::vector<double> weights;
+  InferenceScratch inference;
 };
 
 double GaussianPdf(double x, double mu, double sigma) {
@@ -58,64 +78,58 @@ double GaussianPdf(double x, double mu, double sigma) {
   return std::exp(-0.5 * z * z) / (sigma * std::sqrt(2.0 * M_PI));
 }
 
-/// Converts per-candidate log-scores into sampling weights, shifting by
-/// the max so that large DC penalties (hard weights * many violations)
-/// never underflow every weight to zero at once - the *relative* penalty
-/// is what matters for line 10 of Algorithm 3.
-std::vector<double> LogScoresToWeights(const std::vector<double>& log_scores) {
+/// Converts per-candidate log-scores into sampling weights in `weights`,
+/// shifting by the max so that large DC penalties (hard weights * many
+/// violations) never underflow every weight to zero at once - the
+/// *relative* penalty is what matters for line 10 of Algorithm 3.
+void LogScoresToWeights(const std::vector<double>& log_scores,
+                        std::vector<double>* weights) {
   double mx = -std::numeric_limits<double>::infinity();
   for (double s : log_scores) mx = std::max(mx, s);
   if (!std::isfinite(mx)) {
     // Every candidate collapsed to zero mass (all log-scores -inf, e.g.
     // hard-DC penalties on every value): make the uniform fallback
     // explicit instead of handing a zero-mass distribution to Rng.
-    return std::vector<double>(log_scores.size(), 1.0);
+    weights->assign(log_scores.size(), 1.0);
+    return;
   }
-  std::vector<double> weights(log_scores.size(), 0.0);
+  weights->resize(log_scores.size());
   for (size_t i = 0; i < log_scores.size(); ++i) {
-    weights[i] = std::exp(log_scores[i] - mx);
+    (*weights)[i] = std::exp(log_scores[i] - mx);
   }
-  return weights;
 }
 
 /// Enumerates the candidate set D(S[j]) with conditional probabilities
-/// (Algorithm 3 line 6, plus the continuous-domain candidate sampling).
-CandidateSet GenerateCandidates(const ModelUnit& unit, const Schema& schema,
-                                const Row& row, const KaminoOptions& options,
-                                const std::vector<double>& prior_values,
-                                Rng* rng) {
-  CandidateSet out;
-  out.width = unit.attrs.size();
-  // Categorical joint assignments, decoded index by index.
-  auto add_joint = [&](std::vector<double> probs) {
-    std::vector<Value> joint;
-    out.values.reserve(probs.size() * out.width);
-    for (size_t idx = 0; idx < probs.size(); ++idx) {
-      unit.DecodeJointIndex(idx, &joint);
-      out.values.insert(out.values.end(), joint.begin(), joint.end());
-    }
-    out.probs = std::move(probs);
-  };
+/// (Algorithm 3 line 6, plus the continuous-domain candidate sampling)
+/// into `out`. `joint` is the unit's joint table (empty for a numeric
+/// unit); `inference` is the model's working memory.
+void GenerateCandidates(const ModelUnit& unit, const Schema& schema,
+                        const Row& row, const KaminoOptions& options,
+                        const std::vector<double>& prior_values,
+                        const std::vector<Value>& joint, Rng* rng,
+                        InferenceScratch* inference, CandidateSet* out) {
+  out->width = unit.attrs.size();
+  out->values = joint.data();
+  out->owned.clear();
+  out->probs.clear();
   if (unit.kind == ModelUnit::Kind::kHistogram) {
     if (unit.quantizer.has_value()) {
       // Numeric histogram: one candidate per bin, valued uniformly within.
-      out.values.reserve(unit.distribution.size());
       for (size_t b = 0; b < unit.distribution.size(); ++b) {
-        out.values.push_back(Value::Numeric(
+        out->owned.push_back(Value::Numeric(
             unit.quantizer->SampleWithin(static_cast<int>(b), rng)));
       }
-      out.probs = unit.distribution;
-    } else {
-      add_joint(unit.distribution);
+      out->values = out->owned.data();
     }
-    return out;
+    out->probs.assign(unit.distribution.begin(), unit.distribution.end());
+    return;
   }
 
   // Discriminative unit.
   const DiscriminativeModel& model = *unit.model;
   if (model.target_is_categorical()) {
-    add_joint(model.PredictCategorical(row));
-    return out;
+    model.PredictCategorical(row, inference, &out->probs);
+    return;
   }
 
   // Numeric target: draw d candidates from the predicted Gaussian, each
@@ -123,17 +137,14 @@ CandidateSet GenerateCandidates(const ModelUnit& unit, const Schema& schema,
   // points (mu, mu +- {0.5, 1, 2} sigma) are added so that at least some
   // candidates cover the distribution's bulk even for small d, which gives
   // the DC factor feasible values to choose from.
-  auto [mu, sigma] = model.PredictGaussian(row);
+  auto [mu, sigma] = model.PredictGaussian(row, inference);
   const Attribute& attr = schema.attribute(unit.attrs[0]);
   if (sigma <= 0.0) sigma = 1e-3;
   auto add_candidate = [&](double v) {
     v = std::min(attr.max_value(), std::max(attr.min_value(), v));
-    out.values.push_back(Value::Numeric(v));
-    out.probs.push_back(GaussianPdf(v, mu, sigma));
+    out->owned.push_back(Value::Numeric(v));
+    out->probs.push_back(GaussianPdf(v, mu, sigma));
   };
-  const size_t expected = options.max_candidates + 7 + prior_values.size();
-  out.values.reserve(expected);
-  out.probs.reserve(expected);
   for (double offset : {0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0}) {
     add_candidate(mu + offset * sigma);
   }
@@ -147,14 +158,16 @@ CandidateSet GenerateCandidates(const ModelUnit& unit, const Schema& schema,
   // reuse stays improbable. The caller curates this list (nearest
   // neighbours under active order DCs plus a few random recycled values).
   for (double v : prior_values) add_candidate(v);
-  return out;
+  out->values = out->owned.data();
 }
 
-/// Installs a candidate's values (aligned with `unit.attrs`) into the row.
+/// Installs a candidate's values (aligned with `unit.attrs`) into table
+/// row `row_index` and into `row`, its materialized copy.
 void ApplyCandidate(const ModelUnit& unit, const Value* values, Table* table,
-                    size_t row_index) {
+                    size_t row_index, Row* row) {
   for (size_t i = 0; i < unit.attrs.size(); ++i) {
     table->set(row_index, unit.attrs[i], values[i]);
+    (*row)[unit.attrs[i]] = values[i];
   }
 }
 
@@ -201,8 +214,9 @@ IndexSet IndexTable(const Table& table, const std::vector<size_t>& dcs,
   IndexSet indices(constraints.size());
   if (dcs.empty()) return indices;
   for (size_t l : dcs) indices[l] = MakeViolationIndex(constraints[l].dc);
+  Row row;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    const Row row = table.row(r);
+    table.CopyRowInto(r, &row);
     for (size_t l : dcs) indices[l]->AddRow(row);
   }
   return indices;
@@ -217,52 +231,52 @@ void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
   }
 }
 
-/// Fills `log_scores` with log p_{v|c} - `ViolationPenalty` for every
-/// candidate written over `base_row` (Algorithm 3 line 10 in log space),
-/// and `penalties` (optional) with the penalties alone. Scoring is
+/// Fills `s->log_scores` with log p_{v|c} - `ViolationPenalty` for every
+/// candidate of `s->candidates` written over `s->row` (Algorithm 3 line 10
+/// in log space), and `s->penalties` with the penalties alone. Scoring is
 /// DC-major: one `CountNewBatch` per active DC and index set scores the
 /// whole candidate set, then each candidate's penalty adds its DC terms
 /// in `active` order, exactly as `ViolationPenalty` would. Runs inline: a
 /// whole set costs one index walk per DC, too little to ship to the pool.
-void ScoreCandidates(const ModelUnit& unit, const CandidateSet& candidates,
-                     const Row& base_row, const Row* replaced,
+/// Every buffer is `s`'s own, so scoring allocates nothing once they have
+/// grown.
+void ScoreCandidates(const ModelUnit& unit, const Row* replaced,
                      const std::vector<size_t>& active,
                      const std::vector<WeightedConstraint>& constraints,
                      std::initializer_list<const IndexSet*> index_sets,
-                     std::vector<double>* log_scores,
-                     std::vector<double>* penalties = nullptr) {
+                     SampleScratch* s) {
+  const CandidateSet& candidates = s->candidates;
   const size_t m = candidates.size();
-  log_scores->assign(m, 0.0);
-  if (penalties != nullptr) penalties->assign(m, 0.0);
-  // counts[d * m + c]: new violations of candidate c under DC active[d],
-  // summed over the index sets.
-  std::vector<int64_t> counts(active.size() * m, 0);
-  std::vector<int64_t> part(m);
+  s->log_scores.resize(m);
+  s->penalties.resize(m);
+  s->counts.assign(active.size() * m, 0);
+  s->part.resize(m);
   for (size_t d = 0; d < active.size(); ++d) {
+    int64_t* counts = s->counts.data() + d * m;
     for (const IndexSet* indices : index_sets) {
       const ViolationIndex* index = (*indices)[active[d]].get();
       if (index == nullptr) continue;
-      index->CountNewBatch(base_row, unit.attrs, candidates.values.data(), m,
-                           part.data());
-      for (size_t c = 0; c < m; ++c) counts[d * m + c] += part[c];
+      index->CountNewBatch(s->row, unit.attrs, candidates.values, m,
+                           s->part.data());
+      for (size_t c = 0; c < m; ++c) counts[c] += s->part[c];
     }
   }
   // The candidate row itself is only needed for the replaced-row pair.
-  Row scratch = replaced != nullptr ? base_row : Row();
+  if (replaced != nullptr) s->candidate_row = s->row;
   for (size_t c = 0; c < m; ++c) {
     if (replaced != nullptr) {
       const Value* values = candidates.at(c);
       for (size_t i = 0; i < candidates.width; ++i) {
-        scratch[unit.attrs[i]] = values[i];
+        s->candidate_row[unit.attrs[i]] = values[i];
       }
     }
     double penalty = 0.0;
     for (size_t d = 0; d < active.size(); ++d) {
-      penalty += DcPenalty(constraints[active[d]], counts[d * m + c], scratch,
-                           replaced);
+      penalty += DcPenalty(constraints[active[d]], s->counts[d * m + c],
+                           s->candidate_row, replaced);
     }
-    (*log_scores)[c] = std::log(candidates.probs[c] + 1e-300) - penalty;
-    if (penalties != nullptr) (*penalties)[c] = penalty;
+    s->log_scores[c] = std::log(candidates.probs[c] + 1e-300) - penalty;
+    s->penalties[c] = penalty;
   }
 }
 
@@ -289,13 +303,18 @@ struct DcShape {
 
 /// Maps every DC to the model unit at which it activates (the unit whose
 /// attributes complete it) and to its shape, and every unit to its active
-/// DC set Phi_{A_j}. Computed once per run; the per-shard sampling loop
-/// and the merge pass must agree on this mapping, and read every DC shape
-/// from it.
+/// DC set Phi_{A_j} and, for a categorical unit, its candidate table.
+/// Computed once per run; the per-shard sampling loop and the merge pass
+/// must agree on this mapping, and read every DC shape from it.
 struct ActivationMap {
   std::vector<std::vector<size_t>> unit_active;  // unit -> active DC indices
   std::vector<size_t> dc_unit;                   // DC -> unit (or SIZE_MAX)
   std::vector<DcShape> dc_shape;                 // DC -> Decompose() views
+  /// unit -> its joint categorical domain decoded in index order, flat
+  /// (`DecodeJointIndex` of index k at [k * width, (k + 1) * width));
+  /// empty for a numeric unit. Every categorical `CandidateSet` points
+  /// here instead of decoding its candidates per row.
+  std::vector<std::vector<Value>> unit_joint;
 };
 
 ActivationMap BuildActivationMap(
@@ -318,6 +337,23 @@ ActivationMap BuildActivationMap(
         map.unit_active[u].push_back(dc_index);
         map.dc_unit[dc_index] = u;
       }
+    }
+  }
+  map.unit_joint.resize(model.units().size());
+  std::vector<Value> joint;
+  for (size_t u = 0; u < model.units().size(); ++u) {
+    const ModelUnit& unit = model.units()[u];
+    size_t domain = 0;
+    if (unit.kind == ModelUnit::Kind::kHistogram) {
+      if (!unit.quantizer.has_value()) domain = unit.distribution.size();
+    } else if (unit.model->target_is_categorical()) {
+      domain = unit.model->joint_domain_size();
+    }
+    std::vector<Value>& table = map.unit_joint[u];
+    table.reserve(domain * unit.attrs.size());
+    for (size_t idx = 0; idx < domain; ++idx) {
+      unit.DecodeJointIndex(idx, &joint);
+      table.insert(table.end(), joint.begin(), joint.end());
     }
   }
   return map;
@@ -347,6 +383,13 @@ bool FdFastPathApplies(const ModelUnit& unit, const std::vector<size_t>& active,
 /// work stays the same at every shard count. `hooks` cancellation is
 /// polled at every column-group boundary; the per-shard progress callback
 /// fires once all rows of the shard are sampled.
+///
+/// Memory: the row loop draws every (row, unit) through one
+/// `SampleScratch` — the row is materialized once per (row, unit) and
+/// kept in step with the table as the winner is written — and each slot
+/// of an MCMC batch (one `ParallelFor` range) owns a scratch of its own.
+/// Categorical candidates are read from the run's joint tables. In steady
+/// state the loop allocates only what the indices' `AddRow` needs.
 Status SampleShardRows(const ProbabilisticDataModel& model,
                        const std::vector<WeightedConstraint>& constraints,
                        const ActivationMap& activation, size_t n,
@@ -358,10 +401,13 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
   out.ResizeRows(n);
 
   IndexSet indices(constraints.size());
+  SampleScratch scratch;
+  Row& row = scratch.row;
 
   for (size_t unit_index = 0; unit_index < model.units().size(); ++unit_index) {
     if (!KeepGoing(hooks)) return CancelledStatus();
     const ModelUnit& unit = model.units()[unit_index];
+    const std::vector<Value>& joint = activation.unit_joint[unit_index];
     // Phi_{A_j}: the DCs whose attributes complete within this unit.
     const std::vector<size_t>& active = activation.unit_active[unit_index];
     const bool use_dc_factor =
@@ -411,64 +457,65 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         }
       }
     }
-    auto nearest_y_values = [&](const Row& row) {
-      std::vector<double> values;
+    // Appends the forced FD values and order-DC neighbours of `base` to
+    // `values`.
+    auto nearest_y_values = [&](const Row& base, std::vector<double>* values) {
       for (size_t dc_index : numeric_fd_dcs) {
         if (indices[dc_index] == nullptr) continue;
-        std::optional<Value> forced = indices[dc_index]->FdForcedValue(row);
+        std::optional<Value> forced = indices[dc_index]->FdForcedValue(base);
         if (forced.has_value() && forced->is_numeric()) {
-          values.push_back(forced->numeric());
+          values->push_back(forced->numeric());
         }
       }
       for (const OrderDcTracker& tracker : order_trackers) {
-        const double x = row[tracker.x_attr].numeric();
+        const double x = base[tracker.x_attr].numeric();
         auto it = std::lower_bound(
             tracker.points.begin(), tracker.points.end(),
             std::make_pair(x, -std::numeric_limits<double>::infinity()));
         // Index arithmetic: `it + step` would be UB for out-of-range
         // steps (and on the null iterator of an empty vector).
-        const ptrdiff_t base = it - tracker.points.begin();
+        const ptrdiff_t base_pos = it - tracker.points.begin();
         const ptrdiff_t size =
             static_cast<ptrdiff_t>(tracker.points.size());
         for (ptrdiff_t step = -2; step <= 2; ++step) {
-          const ptrdiff_t j = base + step;
+          const ptrdiff_t j = base_pos + step;
           if (j >= 0 && j < size) {
-            values.push_back(tracker.points[static_cast<size_t>(j)].second);
+            values->push_back(tracker.points[static_cast<size_t>(j)].second);
           }
         }
       }
-      return values;
     };
 
     for (size_t i = 0; i < n; ++i) {
+      out.CopyRowInto(i, &row);
       // Hard-FD fast path (section 7.3.6): copy the forced value from the
       // previously synthesized rows of the same group, if one exists.
       if (fast_path) {
         std::optional<Value> forced;
         for (size_t dc_index : active) {
-          forced = indices[dc_index]->FdForcedValue(out.row(i));
+          forced = indices[dc_index]->FdForcedValue(row);
           if (forced.has_value()) break;
         }
         if (forced.has_value()) {
-          out.set(i, unit.attrs[0], *forced);
+          ApplyCandidate(unit, &*forced, &out, i, &row);
           ++telemetry->fd_fast_path_hits;
-          for (size_t dc_index : active) {
-            indices[dc_index]->AddRow(out.row(i));
-          }
+          for (size_t dc_index : active) indices[dc_index]->AddRow(row);
           continue;
         }
       }
 
-      std::vector<double> extra_values;
+      std::vector<double>& extra_values = scratch.extra_values;
+      extra_values.clear();
       if (track_prior_values) {
-        extra_values = nearest_y_values(out.row(i));
+        nearest_y_values(row, &extra_values);
         for (int c = 0; c < 4 && !prior_values.empty(); ++c) {
           extra_values.push_back(prior_values[static_cast<size_t>(
               rng->UniformInt(0, static_cast<int64_t>(prior_values.size()) - 1))]);
         }
       }
-      const CandidateSet candidates = GenerateCandidates(
-          unit, schema, out.row(i), options, extra_values, rng);
+      CandidateSet& candidates = scratch.candidates;
+      GenerateCandidates(unit, schema, row, options, extra_values, joint, rng,
+                         &scratch.inference, &candidates);
       if (candidates.empty()) {
         return Status::Internal("no candidates generated for attribute unit");
       }
@@ -484,9 +531,9 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         for (size_t attempt = 0; attempt < options.ar_max_tries; ++attempt) {
           const size_t pick = rng->Discrete(candidates.probs);
           ++telemetry->ar_proposals;
-          ApplyCandidate(unit, candidates.at(pick), &out, i);
-          const double penalty = ViolationPenalty(out.row(i), nullptr, active,
-                                                  constraints, {&indices});
+          ApplyCandidate(unit, candidates.at(pick), &out, i, &row);
+          const double penalty =
+              ViolationPenalty(row, nullptr, active, constraints, {&indices});
           if (penalty <= 0.0 || rng->Bernoulli(std::exp(-penalty))) {
             chosen = pick;
             break;
@@ -499,23 +546,21 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         // computed in log space so hard-DC penalties stay comparable.
         // Candidates are scored through the indices, off the table; only
         // the winner touches it.
-        std::vector<double> log_scores;
-        ScoreCandidates(unit, candidates, out.row(i), /*replaced=*/nullptr,
-                        active, constraints, {&indices}, &log_scores);
-        chosen = rng->Discrete(LogScoresToWeights(log_scores));
+        ScoreCandidates(unit, /*replaced=*/nullptr, active, constraints,
+                        {&indices}, &scratch);
+        LogScoresToWeights(scratch.log_scores, &scratch.weights);
+        chosen = rng->Discrete(scratch.weights);
       }
 
-      ApplyCandidate(unit, candidates.at(chosen), &out, i);
+      ApplyCandidate(unit, candidates.at(chosen), &out, i, &row);
       if (use_dc_factor) {
-        for (size_t dc_index : active) {
-          indices[dc_index]->AddRow(out.row(i));
-        }
+        for (size_t dc_index : active) indices[dc_index]->AddRow(row);
       }
       if (track_prior_values) {
-        const double y = out.at(i, unit.attrs[0]).numeric();
+        const double y = row[unit.attrs[0]].numeric();
         prior_values.push_back(y);
         for (OrderDcTracker& tracker : order_trackers) {
-          const double x = out.at(i, tracker.x_attr).numeric();
+          const double x = row[tracker.x_attr].numeric();
           tracker.points.insert(
               std::lower_bound(tracker.points.begin(), tracker.points.end(),
                                std::make_pair(x, y)),
@@ -540,51 +585,58 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
       const std::vector<size_t> scored =
           use_dc_factor ? active : std::vector<size_t>();
       IndexSet table_indices = IndexTable(out, scored, constraints);
+      // Batch slot k re-samples through its own scratch (ParallelFor
+      // chunks are single indices), reused batch after batch.
       struct Resample {
         size_t row = 0;
-        std::vector<Value> values;  // winning candidate, aligned with attrs
         bool accepted = false;
+        size_t pick = 0;  // winner in scratch.candidates
+        SampleScratch scratch;
       };
+      std::vector<Resample> resamples(
+          std::min(kMcmcBatchRows, mcmc_resamples));
+      Row old_row;
       size_t done = 0;
       while (done < mcmc_resamples) {
         const size_t batch = std::min(kMcmcBatchRows, mcmc_resamples - done);
-        std::vector<Resample> resamples(batch);
         // Row picks come from the sequential run RNG, before the batch
         // executes, so they are schedule-independent.
         for (size_t k = 0; k < batch; ++k) {
           resamples[k].row = static_cast<size_t>(
               rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+          resamples[k].accepted = false;
         }
         auto resample_range = [&](size_t lo, size_t hi) {
           for (size_t k = lo; k < hi; ++k) {
             Rng task_rng(streams.SubSeed(done + k));
-            const size_t i = resamples[k].row;
-            const Row current = out.row(i);
-            std::vector<double> extra_values;
+            SampleScratch& slot = resamples[k].scratch;
+            out.CopyRowInto(resamples[k].row, &slot.row);
+            slot.extra_values.clear();
             if (track_prior_values) {
-              extra_values = nearest_y_values(current);
+              nearest_y_values(slot.row, &slot.extra_values);
             }
-            const CandidateSet candidates = GenerateCandidates(
-                unit, schema, current, options, extra_values, &task_rng);
-            if (candidates.empty()) continue;
-            std::vector<double> log_scores;
-            ScoreCandidates(unit, candidates, current, &current, scored,
-                            constraints, {&table_indices}, &log_scores);
-            const size_t pick =
-                task_rng.Discrete(LogScoresToWeights(log_scores));
-            resamples[k].values.assign(candidates.at(pick),
-                                       candidates.at(pick) + candidates.width);
+            GenerateCandidates(unit, schema, slot.row, options,
+                               slot.extra_values, joint, &task_rng,
+                               &slot.inference, &slot.candidates);
+            if (slot.candidates.empty()) continue;
+            ScoreCandidates(unit, &slot.row, scored, constraints,
+                            {&table_indices}, &slot);
+            LogScoresToWeights(slot.log_scores, &slot.weights);
+            resamples[k].pick = task_rng.Discrete(slot.weights);
             resamples[k].accepted = true;
           }
           return Status::OK();
         };
         KAMINO_RETURN_IF_ERROR(
             runtime::ParallelFor(0, batch, 1, resample_range));
-        for (Resample& r : resamples) {
+        for (size_t k = 0; k < batch; ++k) {
+          const Resample& r = resamples[k];
           if (!r.accepted) continue;
-          const Row old = out.row(r.row);
-          ApplyCandidate(unit, r.values.data(), &out, r.row);
-          ReplaceIndexedRow(old, out.row(r.row), &table_indices);
+          out.CopyRowInto(r.row, &old_row);
+          row = old_row;
+          ApplyCandidate(unit, r.scratch.candidates.at(r.pick), &out, r.row,
+                         &row);
+          ReplaceIndexedRow(old_row, row, &table_indices);
           ++telemetry->mcmc_resamples;
         }
         ++telemetry->mcmc_batches;
@@ -1113,11 +1165,12 @@ Result<Table> ProgressiveShardSynthesis(
     // the other DCs' conflicts wholesale.
     std::map<size_t, std::vector<size_t>> offenders;
     int64_t freeze_cross = 0;
+    Row live_row;
     for (size_t r = 0; r < live.num_rows(); ++r) {
-      const Row row = live.row(r);
+      live.CopyRowInto(r, &live_row);
       for (size_t l = 0; l < constraints.size(); ++l) {
         if (merged[l] == nullptr) continue;
-        const int64_t cross = merged[l]->CountNew(row);
+        const int64_t cross = merged[l]->CountNew(live_row);
         if (cross == 0) continue;
         freeze_cross += cross;
         if (owner[l] == DcOwner::kRepair) offenders[begin + r].push_back(l);
@@ -1133,6 +1186,8 @@ Result<Table> ProgressiveShardSynthesis(
     // full-table penalty over [0, end) without touching a frozen row.
     if (!offenders.empty()) {
       IndexSet live_indices = IndexTable(live, repair_scored, constraints);
+      SampleScratch repair;
+      Row& current = repair.row;
       size_t budget = 16 + 2 * offenders.size();
       telemetry->merge_budget += static_cast<int64_t>(budget);
       size_t no_gain_streak = 0;
@@ -1156,12 +1211,13 @@ Result<Table> ProgressiveShardSynthesis(
           // depend on where the shard's rows are held.
           Rng task_rng(merge_stream.Fork(row).SubSeed(u));
           const size_t local = row - begin;
-          const Row current = live.row(local);
+          live.CopyRowInto(local, &current);
 
           // Frozen-instance candidate seeding for numeric attributes: the
           // prefix's established FD value and the order-DC neighbours'
           // values are often the only feasible points.
-          std::vector<double> extra_values;
+          std::vector<double>& extra_values = repair.extra_values;
+          extra_values.clear();
           if (unit.attrs.size() == 1 &&
               schema.attribute(unit.attrs[0]).is_numeric()) {
             for (size_t l : active) {
@@ -1181,28 +1237,29 @@ Result<Table> ProgressiveShardSynthesis(
             }
           }
 
-          const CandidateSet candidates = GenerateCandidates(
-              unit, schema, current, options, extra_values, &task_rng);
+          const CandidateSet& candidates = repair.candidates;
+          GenerateCandidates(unit, schema, current, options, extra_values,
+                             activation.unit_joint[u], &task_rng,
+                             &repair.inference, &repair.candidates);
           if (candidates.empty()) continue;
           const double penalty_before = ViolationPenalty(
               current, &current, active, constraints, {&merged, &live_indices});
-          std::vector<double> log_scores;
-          std::vector<double> penalties;
-          ScoreCandidates(unit, candidates, current, &current, active,
-                          constraints, {&merged, &live_indices}, &log_scores,
-                          &penalties);
+          ScoreCandidates(unit, &current, active, constraints,
+                          {&merged, &live_indices}, &repair);
           size_t pick = 0;
           double best = -std::numeric_limits<double>::infinity();
           double best_penalty = penalty_before;
           for (size_t c = 0; c < candidates.size(); ++c) {
-            if (log_scores[c] > best) {
-              best = log_scores[c];
-              best_penalty = penalties[c];
+            if (repair.log_scores[c] > best) {
+              best = repair.log_scores[c];
+              best_penalty = repair.penalties[c];
               pick = c;
             }
           }
-          ApplyCandidate(unit, candidates.at(pick), &live, local);
-          ReplaceIndexedRow(current, live.row(local), &live_indices);
+          Row& now = repair.candidate_row;
+          now = current;
+          ApplyCandidate(unit, candidates.at(pick), &live, local, &now);
+          ReplaceIndexedRow(current, now, &live_indices);
           ++telemetry->merge_resamples;
           --budget;
           // Early stop: a run of repairs that leave the weighted penalty
@@ -1270,10 +1327,11 @@ Result<Table> ProgressiveShardSynthesis(
       for (size_t l = 0; l < constraints.size(); ++l) {
         if (merged[l] == nullptr) continue;
         for (size_t r = 0; r < live.num_rows(); ++r) {
+          live.CopyRowInto(r, &live_row);
           if (owner[l] == DcOwner::kAlign) {
-            frozen_violations[l] += merged[l]->CountNew(live.row(r));
+            frozen_violations[l] += merged[l]->CountNew(live_row);
           }
-          merged[l]->AddRow(live.row(r));
+          merged[l]->AddRow(live_row);
         }
       }
       // Absorb the now-final slice into the persistent frozen lookups —

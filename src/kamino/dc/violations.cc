@@ -44,14 +44,24 @@ void RecordDcIndexBuilt(const char* kind) {
 /// buffers merged below — are identical at any `num_threads`.
 constexpr size_t kPairScanGrain = 64;
 
-/// Hash key for the left-hand-side attribute values of an FD group.
+/// Hash key for the left-hand-side attribute values of an FD group. Keys
+/// of up to `kInline` values (every grouped DC of the benchmark datasets)
+/// live inline, so building one to look a group up allocates nothing;
+/// longer keys keep the rest in `tail`.
 struct FdKey {
-  std::vector<Value> values;
+  static constexpr size_t kInline = 3;
+  size_t size = 0;
+  Value head[kInline];
+  std::vector<Value> tail;  // values [kInline, size)
+
+  const Value& operator[](size_t i) const {
+    return i < kInline ? head[i] : tail[i - kInline];
+  }
 
   bool operator==(const FdKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (!(values[i] == other.values[i])) return false;
+    if (size != other.size) return false;
+    for (size_t i = 0; i < size; ++i) {
+      if (!((*this)[i] == other[i])) return false;
     }
     return true;
   }
@@ -61,8 +71,8 @@ struct FdKeyHash {
   size_t operator()(const FdKey& k) const {
     size_t h = 1469598103934665603ull;
     ValueHash vh;
-    for (const Value& v : k.values) {
-      h ^= vh(v);
+    for (size_t i = 0; i < k.size; ++i) {
+      h ^= vh(k[i]);
       h *= 1099511628211ull;
     }
     return h;
@@ -74,9 +84,31 @@ struct FdKeyHash {
 /// counts group through `GroupIds`).
 FdKey RowKey(const Row& row, const std::vector<size_t>& attrs) {
   FdKey key;
-  key.values.reserve(attrs.size());
-  for (size_t a : attrs) key.values.push_back(row[a]);
+  key.size = attrs.size();
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    if (i < FdKey::kInline) {
+      key.head[i] = row[attrs[i]];
+    } else {
+      key.tail.push_back(row[attrs[i]]);
+    }
+  }
   return key;
+}
+
+/// True when the unit attribute list `attrs` sets some attribute of `of`.
+bool SetsAnyOf(const std::vector<size_t>& attrs,
+               const std::vector<size_t>& of) {
+  for (size_t a : attrs) {
+    if (std::find(of.begin(), of.end(), a) != of.end()) return true;
+  }
+  return false;
+}
+
+/// Position of `attr` in the unit attribute list `attrs`; attrs.size()
+/// when the unit does not set it.
+size_t SlotOf(const std::vector<size_t>& attrs, size_t attr) {
+  return static_cast<size_t>(std::find(attrs.begin(), attrs.end(), attr) -
+                             attrs.begin());
 }
 
 /// Dense group ids (first-occurrence order) of `table`'s rows under
@@ -185,10 +217,35 @@ class FdViolationIndex : public ViolationIndex {
   int64_t CountNew(const Row& row) const override {
     auto it = groups_.find(KeyOf(row));
     if (it == groups_.end()) return 0;
+    return it->second.Mismatching(row[rhs_]);
+  }
+
+  /// When the unit sets no LHS attribute, every candidate shares base's
+  /// group: one lookup serves the whole set, and each candidate costs one
+  /// RHS-count probe (none when the unit does not set the RHS either).
+  /// Units that set an LHS attribute take the per-candidate default.
+  void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
+                     const Value* values, size_t num_candidates,
+                     int64_t* counts) const override {
+    if (SetsAnyOf(attrs, lhs_)) {
+      ViolationIndex::CountNewBatch(base, attrs, values, num_candidates,
+                                    counts);
+      return;
+    }
+    auto it = groups_.find(KeyOf(base));
+    if (it == groups_.end()) {
+      std::fill(counts, counts + num_candidates, int64_t{0});
+      return;
+    }
     const GroupStats& g = it->second;
-    auto same = g.rhs_counts.find(row[rhs_]);
-    int64_t matching = same == g.rhs_counts.end() ? 0 : same->second;
-    return g.size - matching;
+    const size_t rhs_slot = SlotOf(attrs, rhs_);
+    if (rhs_slot == attrs.size()) {
+      std::fill(counts, counts + num_candidates, g.Mismatching(base[rhs_]));
+      return;
+    }
+    for (size_t c = 0; c < num_candidates; ++c) {
+      counts[c] = g.Mismatching(values[c * attrs.size() + rhs_slot]);
+    }
   }
 
   void AddRow(const Row& row) override {
@@ -272,6 +329,13 @@ class FdViolationIndex : public ViolationIndex {
   struct GroupStats {
     int64_t size = 0;
     std::unordered_map<Value, int64_t, ValueHash> rhs_counts;
+
+    /// Rows of the group whose RHS differs from `rhs`: the violations a
+    /// row of this group with that RHS would add.
+    int64_t Mismatching(const Value& rhs) const {
+      auto same = rhs_counts.find(rhs);
+      return size - (same == rhs_counts.end() ? 0 : same->second);
+    }
   };
 
   FdKey KeyOf(const Row& row) const { return RowKey(row, lhs_); }
@@ -548,18 +612,22 @@ void AddOrderColumn(const GroupedOrderSpec& spec, const Table& table,
 /// candidate's y), and scans only the <= 2 blocks the candidate's x falls
 /// into — O(sqrt(m) * log) per candidate instead of O(m).
 ///
-/// `CountNewBatch` scores a candidate set in one walk when the unit sets
-/// x but neither y nor a group attribute (decided from the unit's
-/// attribute list alone), so every candidate shares the group and y. The
-/// walk prefix-sums each block's rows above/below y once and copies the
-/// block bounds into contiguous arrays; each candidate is then two binary
-/// searches over the bounds (the blocks wholly left of x, the blocks
-/// wholly right of x) plus a branch-free count inside the first and last
-/// block of the straddle range — the blocks between are all x ties. The
-/// walk's scratch lives on the stack, so the query stays read-only and
-/// allocates nothing but the group key of a grouped DC. Units that set y
-/// or a group attribute, groups of <= 2 blocks, and groups past the
-/// walk's stack bound take the per-candidate loop.
+/// `CountNewBatch` looks the group up once per candidate set when the
+/// unit sets no group attribute (decided from the unit's attribute list
+/// alone), so every candidate shares base's group. When the unit sets x
+/// but not y, the set is scored in one walk: the walk prefix-sums each
+/// block's rows above/below y once and copies the block bounds into
+/// contiguous arrays; each candidate is then two binary searches over the
+/// bounds (the blocks wholly left of x, the blocks wholly right of x) plus
+/// a count inside the first and last block of the straddle range — the
+/// blocks between are all x ties. A straddled block is counted once per
+/// set: its first straddle prefix-sums the block's rows above/below y in x
+/// order, and every straddle of it is then two binary searches over its
+/// xs. The walk's scratch lives on the stack, so the query stays
+/// read-only and allocates nothing. Units that set y or not x, groups of
+/// <= 2 blocks and groups past the walk's stack bound count each candidate
+/// in the one group; units that set a group attribute take the default
+/// per-candidate `CountNew`.
 ///
 /// `RemoveRow` erases the entry from its block in O(cap) and drops
 /// emptied blocks and groups. `Merge` rebuilds each group from the two
@@ -582,38 +650,39 @@ class OrderViolationIndex : public ViolationIndex {
   void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
                      const Value* values, size_t num_candidates,
                      int64_t* counts) const override {
-    size_t x_slot = attrs.size();
-    bool shared = true;  // every candidate keeps base's group key and y
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      if (attrs[i] == spec_.x_attr) x_slot = i;
-      if (attrs[i] == spec_.y_attr ||
-          std::find(spec_.group_attrs.begin(), spec_.group_attrs.end(),
-                    attrs[i]) != spec_.group_attrs.end()) {
-        shared = false;
-      }
-    }
-    if (x_slot == attrs.size() || !shared) {
+    if (SetsAnyOf(attrs, spec_.group_attrs)) {
       ViolationIndex::CountNewBatch(base, attrs, values, num_candidates,
                                     counts);
       return;
     }
+    // Every candidate keeps base's group key: one lookup serves the set.
     auto it = groups_.find(KeyOf(base));
     if (it == groups_.end()) {
       std::fill(counts, counts + num_candidates, int64_t{0});
       return;
     }
     const Group& g = it->second;
-    const double y = spec_.OrientedKey(base[spec_.y_attr]);
-    auto x_of = [&](size_t c) {
-      return spec_.ContextKey(values[c * attrs.size() + x_slot]);
+    const size_t width = attrs.size();
+    const size_t x_slot = SlotOf(attrs, spec_.x_attr);
+    const size_t y_slot = SlotOf(attrs, spec_.y_attr);
+    auto key_of = [&](size_t c, size_t slot, size_t attr) -> const Value& {
+      return slot == width ? base[attr] : values[c * width + slot];
     };
-    if (g.blocks.size() <= 2 || g.blocks.size() > kMaxWalkBlocks) {
+    auto x_of = [&](size_t c) {
+      return spec_.ContextKey(key_of(c, x_slot, spec_.x_attr));
+    };
+    auto y_of = [&](size_t c) {
+      return spec_.OrientedKey(key_of(c, y_slot, spec_.y_attr));
+    };
+    if (x_slot == width || y_slot != width || g.blocks.size() <= 2 ||
+        g.blocks.size() > kMaxWalkBlocks) {
       for (size_t c = 0; c < num_candidates; ++c) {
-        counts[c] = g.Count(x_of(c), y);
+        counts[c] = g.Count(x_of(c), y_of(c));
       }
       return;
     }
-    g.CountWalk(y, num_candidates, x_of, counts);
+    // Only x varies: y_of reads base alone.
+    g.CountWalk(y_of(0), num_candidates, x_of, counts);
   }
 
   void AddRow(const Row& row) override {
@@ -669,6 +738,11 @@ class OrderViolationIndex : public ViolationIndex {
   /// Stack bound of `Group::CountWalk`'s per-block arrays; larger groups
   /// (hundreds of thousands of rows) take the per-candidate loop.
   static constexpr size_t kMaxWalkBlocks = 512;
+  /// Stack bound of `Group::CountWalk`'s straddle prefix counts, in rows
+  /// (plus one slot per block): the straddled blocks of one set usually
+  /// fit many times over; a block that no longer fits is scanned per
+  /// straddle instead.
+  static constexpr size_t kWalkPrefixSlots = 4096;
 
   /// The block list of one equality group, globally sorted by x.
   struct Group {
@@ -706,14 +780,20 @@ class OrderViolationIndex : public ViolationIndex {
       return count;
     }
 
-    /// Rows of a block holding x that violate against (x, y): the rows
-    /// before the x run with larger y plus the rows after it with smaller
-    /// y. Zero for a block of x ties.
-    static int64_t StraddleCount(const Block& b, double x, double y) {
+    /// The positions [lo, hi) of the rows of a block whose x equals `x`.
+    static std::pair<size_t, size_t> XRun(const Block& b, double x) {
       const size_t lo = static_cast<size_t>(
           std::lower_bound(b.xs.begin(), b.xs.end(), x) - b.xs.begin());
       const size_t hi = static_cast<size_t>(
           std::upper_bound(b.xs.begin() + lo, b.xs.end(), x) - b.xs.begin());
+      return {lo, hi};
+    }
+
+    /// Rows of a block holding x that violate against (x, y): the rows
+    /// before the x run with larger y plus the rows after it with smaller
+    /// y. Zero for a block of x ties.
+    static int64_t StraddleCount(const Block& b, double x, double y) {
+      const auto [lo, hi] = XRun(b, x);
       int64_t count = 0;
       for (size_t k = 0; k < lo; ++k) count += b.ys[k] > y;
       for (size_t k = hi; k < b.ys.size(); ++k) count += b.ys[k] < y;
@@ -732,11 +812,16 @@ class OrderViolationIndex : public ViolationIndex {
       // Rows above / below y in the blocks before b.
       int64_t above_before[kMaxWalkBlocks + 1];
       int64_t below_before[kMaxWalkBlocks + 1];
+      // Where block b's straddle prefixes start in the slot buffers, or
+      // kUntouched before its first straddle.
+      constexpr uint32_t kUntouched = 0xffffffffu;
+      uint32_t prefix_at[kMaxWalkBlocks];
       above_before[0] = below_before[0] = 0;
       for (size_t b = 0; b < nb; ++b) {
         const Block& blk = blocks[b];
         fronts[b] = blk.xs.front();
         backs[b] = blk.xs.back();
+        prefix_at[b] = kUntouched;
         const auto& ys = blk.ys_sorted;
         above_before[b + 1] =
             above_before[b] +
@@ -745,6 +830,35 @@ class OrderViolationIndex : public ViolationIndex {
             below_before[b] +
             (std::lower_bound(ys.begin(), ys.end(), y) - ys.begin());
       }
+      // Straddle prefix counts: slot k of a block's run holds its rows
+      // before x-position k with y' > y (`above`) and y' < y (`below`).
+      uint32_t above[kWalkPrefixSlots];
+      uint32_t below[kWalkPrefixSlots];
+      size_t used = 0;
+      // `StraddleCount(blocks[b], x, y)`, each block prefix-summed once on
+      // its first straddle; past the slot budget it scans as is.
+      auto straddle = [&](size_t b, double x) -> int64_t {
+        const Block& blk = blocks[b];
+        const size_t rows = blk.xs.size();
+        if (prefix_at[b] == kUntouched) {
+          if (used + rows + 1 > kWalkPrefixSlots) {
+            return StraddleCount(blk, x, y);
+          }
+          prefix_at[b] = static_cast<uint32_t>(used);
+          uint32_t* a = above + used;
+          uint32_t* l = below + used;
+          a[0] = l[0] = 0;
+          for (size_t k = 0; k < rows; ++k) {
+            a[k + 1] = a[k] + (blk.ys[k] > y);
+            l[k + 1] = l[k] + (blk.ys[k] < y);
+          }
+          used += rows + 1;
+        }
+        const auto [lo, hi] = XRun(blk, x);
+        const uint32_t* a = above + prefix_at[b];
+        const uint32_t* l = below + prefix_at[b];
+        return int64_t{a[lo]} + (int64_t{l[rows]} - int64_t{l[hi]});
+      };
       for (size_t c = 0; c < num_candidates; ++c) {
         const double x = x_of(c);
         // Blocks [0, left) lie wholly left of x, [right, nb) wholly right.
@@ -757,10 +871,8 @@ class OrderViolationIndex : public ViolationIndex {
         // Blocks [left, right) hold x; only the first and the last can
         // straddle it (the ones between are all x ties).
         if (left < right) {
-          count += StraddleCount(blocks[left], x, y);
-          if (right - 1 > left) {
-            count += StraddleCount(blocks[right - 1], x, y);
-          }
+          count += straddle(left, x);
+          if (right - 1 > left) count += straddle(right - 1, x);
         }
         counts[c] = count;
       }

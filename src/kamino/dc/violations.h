@@ -76,9 +76,10 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 /// spellings of a DC get the same index and the sampler's exact passes
 /// own exactly the DCs these indices serve: a trivial evaluator for unary
 /// DCs; an O(1) hash-group index for the FD view (scope minus diagonal:
-/// FDs, normalized FD equivalents, pure-`!=` DCs); a sorted block-list
-/// index for the grouped-order view, a plan that is a single order term
-/// (sub-linear `CountNew`, and one block walk per candidate set); a
+/// FDs, normalized FD equivalents, pure-`!=` DCs; one group lookup per
+/// candidate set); a sorted block-list index for the grouped-order view,
+/// a plan that is a single order term (sub-linear `CountNew`, and one
+/// block walk per candidate set); a
 /// composite index for every other `kComposite` plan (a signed
 /// inclusion–exclusion sum of hash-group and order blocks — see
 /// `PredicateDecomposition`); a zero-reporting index for `kNeverFires`
@@ -111,9 +112,13 @@ class ViolationIndex {
   /// `counts[c]` is `CountNew` of `base` with `attrs[i]` set to
   /// `values[c * attrs.size() + i]` for every i. `base` fills every DC
   /// attribute that `attrs` does not set. The default runs `CountNew` on
-  /// one scratch copy of `base`; the order index overrides it with one
-  /// block walk for the whole set when the candidates share its group
-  /// key and y.
+  /// one scratch copy of `base`. The FD and order indices override it:
+  /// when `attrs` sets no attribute of their group key, every candidate
+  /// shares base's group, which they look up once per set. The FD index
+  /// then costs one RHS-count probe per candidate (none when `attrs`
+  /// misses the RHS too); the order index scores the set in one block
+  /// walk when `attrs` sets x but not y, counting each straddled block
+  /// once. The composite index forwards the set to its blocks.
   virtual void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
                              const Value* values, size_t num_candidates,
                              int64_t* counts) const;

@@ -164,18 +164,21 @@ Var DiscriminativeModel::Loss(const Row& row, ForwardContext* ctx) const {
   return GaussianNll(out, enc->Standardize(row[targets_[0]].numeric()));
 }
 
-void DiscriminativeModel::Forward(const Row& row, double* out) const {
+void DiscriminativeModel::Forward(const Row& row, InferenceScratch* scratch,
+                                  double* out) const {
   const size_t m = context_.size();
   const size_t d = store_->embed_dim();
-  std::vector<double> buffer(m * d + m + 3 * d);
+  // Zeroed in full: `scores` accumulates into its slots.
+  std::vector<double>& buffer = scratch->buffer;
+  buffer.assign(m * d + m + 3 * d, 0.0);
   double* keys = buffer.data();       // m x d
   double* scores = keys + m * d;      // 1 x m, then alpha
   double* context_vec = scores + m;   // 1 x d
   double* h = context_vec + d;        // 1 x d
-  double* scratch = h + d;            // 1 x d, numeric encoder hidden layer
+  double* hidden = h + d;             // 1 x d, numeric encoder hidden layer
   for (size_t i = 0; i < m; ++i) {
     store_->encoder(context_[i])
-        ->EncodeInto(row[context_[i]], scratch, keys + i * d);
+        ->EncodeInto(row[context_[i]], hidden, keys + i * d);
   }
   // scores = q keys^T, accumulated as MatMul(q, Transpose(keys)).
   const Tensor& q = query_->value;
@@ -197,18 +200,32 @@ void DiscriminativeModel::Forward(const Row& row, double* out) const {
 
 std::vector<double> DiscriminativeModel::PredictCategorical(
     const Row& row) const {
-  KAMINO_CHECK(target_is_categorical_) << "target is numeric";
-  std::vector<double> probs(w2_->value.cols());
-  Forward(row, probs.data());
-  SoftmaxInPlace(probs.data(), probs.size());
+  InferenceScratch scratch;
+  std::vector<double> probs;
+  PredictCategorical(row, &scratch, &probs);
   return probs;
+}
+
+void DiscriminativeModel::PredictCategorical(const Row& row,
+                                             InferenceScratch* scratch,
+                                             std::vector<double>* probs) const {
+  KAMINO_CHECK(target_is_categorical_) << "target is numeric";
+  probs->resize(w2_->value.cols());
+  Forward(row, scratch, probs->data());
+  SoftmaxInPlace(probs->data(), probs->size());
 }
 
 std::pair<double, double> DiscriminativeModel::PredictGaussian(
     const Row& row) const {
+  InferenceScratch scratch;
+  return PredictGaussian(row, &scratch);
+}
+
+std::pair<double, double> DiscriminativeModel::PredictGaussian(
+    const Row& row, InferenceScratch* scratch) const {
   KAMINO_CHECK(!target_is_categorical_) << "target is categorical";
   double out[2] = {0.0, 0.0};
-  Forward(row, out);
+  Forward(row, scratch, out);
   const double mu = out[0];
   const double s = out[1];
   const double sigma = (s > 30.0 ? s : std::log1p(std::exp(s))) + 1e-3;

@@ -11,6 +11,14 @@
 
 namespace kamino {
 
+/// Working memory of tape-free inference: one buffer, regrown to the
+/// largest forward pass it served and zeroed per use, so a caller that
+/// predicts row after row (from any mix of models) allocates nothing once
+/// it has grown. Belongs to one thread at a time.
+struct InferenceScratch {
+  std::vector<double> buffer;
+};
+
 /// The AimNet-style sub-model M_{X,y} (section 2.3 / 4.1): predicts the
 /// target attribute(s) from the context attributes X = S_{:j}.
 ///
@@ -24,7 +32,7 @@ namespace kamino {
 ///
 /// Training builds this as an autograd graph (`Loss`). Inference
 /// (`PredictCategorical` / `PredictGaussian`) computes the same forward
-/// pass straight from the live parameter tensors into local buffers, with
+/// pass straight from the live parameter tensors into scratch buffers, with
 /// the same floating-point operations in the same order, so predictions
 /// are bit-identical to the graph's and never read a stale weight copy.
 ///
@@ -60,9 +68,20 @@ class DiscriminativeModel {
   /// Tape-free and reentrant: one model may predict from many threads.
   std::vector<double> PredictCategorical(const Row& row) const;
 
+  /// `PredictCategorical` into `probs` (resized to the joint domain size),
+  /// with `scratch` as the forward pass's working memory: bit-identical,
+  /// and allocation-free once both buffers have grown.
+  void PredictCategorical(const Row& row, InferenceScratch* scratch,
+                          std::vector<double>* probs) const;
+
   /// Gaussian (mean, stddev) for a numeric target in the original value
   /// space. Requires a numeric target. Tape-free and reentrant.
   std::pair<double, double> PredictGaussian(const Row& row) const;
+
+  /// `PredictGaussian` with `scratch` as the forward pass's working
+  /// memory: bit-identical, and allocation-free once it has grown.
+  std::pair<double, double> PredictGaussian(const Row& row,
+                                            InferenceScratch* scratch) const;
 
   /// Every trainable parameter: shared context encoders plus the
   /// model-private attention query and head weights.
@@ -90,8 +109,9 @@ class DiscriminativeModel {
   Var Output(const Row& row, ForwardContext* ctx) const;
 
   /// The head output without a graph: writes w2's column count of values
-  /// (logits, or (mu, s)) to `out`, op for op as `Output` computes them.
-  void Forward(const Row& row, double* out) const;
+  /// (logits, or (mu, s)) to `out`, op for op as `Output` computes them,
+  /// with `scratch` (zeroed here) as working memory.
+  void Forward(const Row& row, InferenceScratch* scratch, double* out) const;
 
   const Schema* schema_;
   std::vector<size_t> context_;

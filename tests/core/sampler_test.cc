@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+
 #include "kamino/core/sequencing.h"
 #include "kamino/dc/violations.h"
+#include "kamino/runtime/thread_pool.h"
 
 namespace kamino {
 namespace {
@@ -54,6 +59,49 @@ KaminoOptions NonPrivateOptions() {
   options.enable_grouping = false;
   options.seed = 3;
   return options;
+}
+
+/// FNV-1a over an exact textual rendering of every cell, as 0x%016x:
+/// equal digests mean bit-identical tables.
+std::string TableDigest(const Table& t) {
+  uint64_t h = 1469598103934665603ull;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const Value v = t.at(r, c);
+      char buf[64];
+      if (v.is_numeric()) {
+        std::snprintf(buf, sizeof(buf), "n:%.17g;", v.numeric());
+      } else {
+        std::snprintf(buf, sizeof(buf), "c:%d;", v.category());
+      }
+      for (const char* p = buf; *p; ++p) {
+        h ^= static_cast<unsigned char>(*p);
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  char out[32];
+  std::snprintf(out, sizeof(out), "0x%016" PRIx64, h);
+  return out;
+}
+
+/// Samples `num_rows` rows from `model` with a fresh Rng(`seed`) at each
+/// thread budget in {1, 4}, and expects every run's digest to be `pin`.
+void ExpectPinnedAtOneAndFourThreads(const ProbabilisticDataModel& model,
+                                     const Workload& w,
+                                     const KaminoOptions& options,
+                                     size_t num_rows, uint64_t seed,
+                                     const std::string& pin) {
+  for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+    runtime::SetGlobalNumThreads(num_threads);
+    Rng rng(seed);
+    auto out =
+        Synthesize(model, w.constraints, options, SampleSpec{num_rows}, &rng);
+    runtime::SetGlobalNumThreads(0);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(TableDigest(out.value()), pin)
+        << "digest drifted at num_threads=" << num_threads;
+  }
 }
 
 TEST(SamplerTest, ConstraintAwareKeepsHardFdClean) {
@@ -121,6 +169,20 @@ TEST(SamplerTest, FdFastPathMatchesScoring) {
   EXPECT_EQ(CountViolations(w.constraints[0].dc, out.value()), 0);
 }
 
+TEST(SamplerTest, FdFastPathDigestPinned) {
+  // The fast path copies forced values and scores only the rows of groups
+  // it has not seen; its output is pinned at every thread budget. If this
+  // fails after an *intentional* sampler change, re-capture from the
+  // failure message.
+  Workload w = MakeFdWorkload(150, 4);
+  KaminoOptions options = NonPrivateOptions();
+  ProbabilisticDataModel model = TrainFor(w, options);
+  options.enable_fd_fast_path = true;
+  options.mcmc_resamples = 40;
+  ExpectPinnedAtOneAndFourThreads(model, w, options, 200, 9,
+                                  "0x77a06b0e6caf62d7");
+}
+
 TEST(SamplerTest, AcceptRejectModeRuns) {
   Workload w = MakeFdWorkload(120, 5);
   KaminoOptions options = NonPrivateOptions();
@@ -136,6 +198,21 @@ TEST(SamplerTest, AcceptRejectModeRuns) {
   ASSERT_TRUE(out.ok());
   EXPECT_GT(telemetry.ar_proposals, 0);
   EXPECT_EQ(out.value().num_rows(), 150u);
+}
+
+TEST(SamplerTest, AcceptRejectDigestPinned) {
+  // Accept-reject draws score one proposal at a time through
+  // `ViolationPenalty`, a path no other digest covers. Pinned at every
+  // thread budget; re-capture from the failure message after an
+  // *intentional* sampler change.
+  Workload w = MakeFdWorkload(120, 5);
+  KaminoOptions options = NonPrivateOptions();
+  options.iterations = 40;
+  ProbabilisticDataModel model = TrainFor(w, options);
+  options.accept_reject = true;
+  options.ar_max_tries = 50;
+  ExpectPinnedAtOneAndFourThreads(model, w, options, 150, 13,
+                                  "0x881f8e4ad27a2163");
 }
 
 TEST(SamplerTest, McmcResamplingRunsAndKeepsConsistency) {

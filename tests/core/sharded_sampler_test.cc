@@ -300,6 +300,53 @@ TEST(ShardedSamplerTest, MultiBlockAdultDigestsPinned) {
   }
 }
 
+TEST(ShardedSamplerTest, TaxDigestsPinned) {
+  // Tax's five hard FDs score their candidate sets through the FD index
+  // (numeric and categorical right-hand sides, FD groups keyed on earlier
+  // attributes), beside its per-state order DC, in the sampling loop and
+  // the MCMC pass; at 4 shards each freeze also canonicalizes and aligns.
+  // Pinned per shard count, at every thread budget. If one fails after an
+  // *intentional* sampler change, re-capture from the failure message.
+  const BenchmarkDataset ds = MakeTaxLike(200, 13);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.mcmc_resamples = 64;
+  options.seed = 31;
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  const std::pair<size_t, const char*> pinned[] = {
+      {1, "0x447bc3e681b89084"},
+      {4, "0xde84fd438cf309c6"},
+  };
+  for (const auto& [num_shards, expected] : pinned) {
+    for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+      ScopedNumThreads threads(num_threads);
+      options.num_shards = num_shards;
+      Rng srng(17);
+      SynthesisTelemetry telemetry;
+      Table out = Synthesize(model, constraints, options, SampleSpec{800},
+                             &srng, &telemetry)
+                      .TakeValue();
+      EXPECT_GT(telemetry.mcmc_resamples, 0);
+      for (const WeightedConstraint& wc : constraints) {
+        if (!wc.hard) continue;
+        EXPECT_EQ(CountViolations(wc.dc, out), 0)
+            << wc.dc.ToString(ds.table.schema());
+      }
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
+      EXPECT_EQ(std::string(actual), expected)
+          << "digest drifted at num_shards=" << num_shards
+          << " num_threads=" << num_threads;
+    }
+  }
+}
+
 /// Samples recorded by the pool's per-task latency histogram so far (0
 /// before any task ran).
 int64_t PoolTaskCount() {

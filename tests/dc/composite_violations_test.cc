@@ -513,12 +513,32 @@ Row TieHeavyRow(Rng* rng) {
           Value::Numeric(static_cast<double>(rng->UniformInt(0, 6)))};
 }
 
+/// A value of attribute `a` that no `RandomRow` / `TieHeavyRow` carries:
+/// category code 3 (past the test categories) or a half-integer numeric
+/// inside the committed range. The indices never check domains, so it
+/// keys a group, or names an RHS value, that no committed row has.
+Value UnseenValue(const Schema& schema, size_t a, Rng* rng) {
+  if (schema.attribute(a).is_categorical()) return Value::Categorical(3);
+  return Value::Numeric(static_cast<double>(rng->UniformInt(0, 99)) + 0.5);
+}
+
+/// A row of unseen values only: every group key of it is absent from an
+/// index built on `RandomRow` or `TieHeavyRow` rows.
+Row UnseenRow(const Schema& schema, Rng* rng) {
+  Row row;
+  for (size_t a = 0; a < schema.size(); ++a) {
+    row.push_back(UnseenValue(schema, a, rng));
+  }
+  return row;
+}
+
 /// Candidate values for `attrs`, `n` candidates flat: taken from
 /// tie-heavy rows, with -0.0 and values outside the committed range mixed
-/// into the numeric attributes.
+/// into the numeric attributes. With `unseen`, about half the values are
+/// replaced by `UnseenValue`s.
 std::vector<Value> CandidateValues(const Schema& schema,
                                    const std::vector<size_t>& attrs, size_t n,
-                                   Rng* rng) {
+                                   Rng* rng, bool unseen = false) {
   std::vector<Value> values;
   values.reserve(n * attrs.size());
   for (size_t c = 0; c < n; ++c) {
@@ -531,42 +551,58 @@ std::vector<Value> CandidateValues(const Schema& schema,
         if (special == 1) v = Value::Numeric(-1.0);
         if (special == 2) v = Value::Numeric(1000.0);
       }
+      if (unseen && rng->UniformInt(0, 1) == 0) v = UnseenValue(schema, a, rng);
       values.push_back(v);
     }
   }
   return values;
 }
 
-/// Scores candidate sets over `base` for every unit attribute list in
-/// `units`, at batch sizes 1, 3 and 1100: each batched count must equal
-/// the index's own per-row `CountNew` of the candidate row, and the
-/// reference count (the naive index; `ViolatesUnary` for a unary DC) for
-/// the small batches and every 25th candidate of the large one.
+/// Scores the `n` candidates `values` for unit `attrs` over `base` in one
+/// batch: each count must equal the index's own per-row `CountNew` of the
+/// candidate row, and the reference count (the naive index;
+/// `ViolatesUnary` for a unary DC) for every candidate when
+/// `all_reference`, else for every 25th.
+void CheckBatch(const DenialConstraint& dc, const ViolationIndex& index,
+                const ViolationIndex* naive, const Row& base,
+                const std::vector<size_t>& attrs,
+                const std::vector<Value>& values, bool all_reference,
+                const std::string& label) {
+  const size_t n = values.size() / attrs.size();
+  std::vector<int64_t> counts(n, -1);
+  index.CountNewBatch(base, attrs, values.data(), n, counts.data());
+  Row candidate = base;
+  for (size_t c = 0; c < n; ++c) {
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      candidate[attrs[i]] = values[c * attrs.size() + i];
+    }
+    ASSERT_EQ(counts[c], index.CountNew(candidate))
+        << label << ", " << attrs.size() << " unit attrs from " << attrs[0]
+        << ", batch " << n << ", candidate " << c;
+    if (!all_reference && c % 25 != 0) continue;
+    const int64_t reference = naive != nullptr ? naive->CountNew(candidate)
+                                               : dc.ViolatesUnary(candidate);
+    ASSERT_EQ(counts[c], reference)
+        << label << ", batch " << n << ", candidate " << c;
+  }
+}
+
+/// `CheckBatch` over `base` for every unit attribute list in `units`, at
+/// batch sizes 1, 3 and `max_batch` of `CandidateValues` (with `unseen`
+/// values mixed in when set); the small batches check every candidate
+/// against the reference.
 void CheckBatches(const DenialConstraint& dc, const Schema& schema,
                   const ViolationIndex& index, const ViolationIndex* naive,
                   const Row& base,
                   const std::vector<std::vector<size_t>>& units,
-                  const std::string& label, Rng* rng) {
+                  const std::string& label, Rng* rng, bool unseen = false,
+                  size_t max_batch = 1100) {
   for (const std::vector<size_t>& attrs : units) {
-    for (const size_t n : {size_t{1}, size_t{3}, size_t{1100}}) {
-      const std::vector<Value> values = CandidateValues(schema, attrs, n, rng);
-      std::vector<int64_t> counts(n, -1);
-      index.CountNewBatch(base, attrs, values.data(), n, counts.data());
-      Row candidate = base;
-      for (size_t c = 0; c < n; ++c) {
-        for (size_t i = 0; i < attrs.size(); ++i) {
-          candidate[attrs[i]] = values[c * attrs.size() + i];
-        }
-        ASSERT_EQ(counts[c], index.CountNew(candidate))
-            << label << ", " << attrs.size() << " unit attrs from "
-            << attrs[0] << ", batch " << n << ", candidate " << c;
-        if (n > 3 && c % 25 != 0) continue;
-        const int64_t reference = naive != nullptr
-                                      ? naive->CountNew(candidate)
-                                      : dc.ViolatesUnary(candidate);
-        ASSERT_EQ(counts[c], reference)
-            << label << ", batch " << n << ", candidate " << c;
-      }
+    for (const size_t n : {size_t{1}, size_t{3}, max_batch}) {
+      CheckBatch(dc, index, naive, base, attrs,
+                 CandidateValues(schema, attrs, n, rng, unseen), n <= 3,
+                 label);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -577,7 +613,12 @@ TEST(ViolationIndexBatchTest, OrderGroupsPastBlockCapMatchPerRowAndNaive) {
   // rows in one group (block capacity 256, equal-x runs spanning several
   // blocks) with removals interleaved, then thinned by removals. Unit
   // attribute lists cover x only, y only, the group attribute, x with y,
-  // x with the group, and x with an attribute outside the DC.
+  // x with the group, and x with an attribute outside the DC. Two more
+  // batches per unit attribute u and v aim at the walk's once-per-set
+  // straddle counts: every candidate inside one block (x in [50, 51], a
+  // sparse stretch where one block spans several integers), and every
+  // candidate on the x = 2 tie run (about a tenth of the rows, so it
+  // spans blocks).
   Schema schema = TestSchema();
   Rng rng(149);
   std::vector<std::string> specs = {
@@ -610,9 +651,23 @@ TEST(ViolationIndexBatchTest, OrderGroupsPastBlockCapMatchPerRowAndNaive) {
     };
     auto check = [&] {
       ASSERT_EQ(index->size(), live.size()) << spec;
+      const std::string label =
+          spec + " at " + std::to_string(live.size()) + " rows";
       CheckBatches(dc, schema, *index, naive.get(), TieHeavyRow(&rng), units,
-                   spec + " at " + std::to_string(live.size()) + " rows",
-                   &rng);
+                   label, &rng);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (const size_t attr : {size_t{2}, size_t{3}}) {
+        std::vector<Value> inside, tie;
+        for (size_t c = 0; c < 20; ++c) {
+          inside.push_back(Value::Numeric(50.0 + 0.05 * c));
+          tie.push_back(Value::Numeric(2.0));
+        }
+        CheckBatch(dc, *index, naive.get(), TieHeavyRow(&rng), {attr}, inside,
+                   true, label + ", inside one block");
+        CheckBatch(dc, *index, naive.get(), TieHeavyRow(&rng), {attr}, tie,
+                   true, label + ", on a tie run");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     };
     for (const size_t target : {size_t{150}, size_t{1500}, size_t{5300}}) {
       while (live.size() < target) {
@@ -637,7 +692,11 @@ TEST(ViolationIndexBatchTest, EveryIndexClassMatchesPerRowAndNaive) {
   // Every index class — FD, unary, never-fires, naive, order and
   // composite, plus random composite shapes — on a few hundred rows with
   // removals interleaved. Unit attribute lists: each DC attribute alone,
-  // all of them, and the first with an attribute outside the DC.
+  // all of them, the first with an attribute outside the DC, the RHS (of
+  // the FD view; else the last DC attribute) with it, and the outside
+  // attribute alone. Each size is scored over a committed-like base row,
+  // over a base whose every group is absent from the index, and with
+  // candidate values (RHS values among them) no committed row carries.
   Schema schema = TestSchema();
   Rng rng(151);
   std::vector<DenialConstraint> dcs = RemoveRowDcs(schema);
@@ -648,9 +707,13 @@ TEST(ViolationIndexBatchTest, EveryIndexClassMatchesPerRowAndNaive) {
     std::vector<std::vector<size_t>> units;
     for (size_t a : dc_attrs) units.push_back({a});
     units.push_back(dc_attrs);
+    const std::optional<FdSpec> fd = dc.Decompose().Fd();
+    const size_t rhs = fd.has_value() ? fd->rhs : dc_attrs.back();
     for (size_t a = 0; a < schema.size(); ++a) {
       if (std::find(dc_attrs.begin(), dc_attrs.end(), a) == dc_attrs.end()) {
         units.push_back({dc_attrs[0], a});
+        units.push_back({rhs, a});
+        units.push_back({a});
         break;
       }
     }
@@ -672,9 +735,19 @@ TEST(ViolationIndexBatchTest, EveryIndexClassMatchesPerRowAndNaive) {
           if (naive != nullptr) naive->AddRow(live.back());
         }
       }
+      const std::string at = label + " at " + std::to_string(live.size());
       CheckBatches(dc, schema, *index, naive.get(), RandomRow(&rng), units,
-                   label + " at " + std::to_string(live.size()) + " rows",
-                   &rng);
+                   at + " rows", &rng);
+      if (::testing::Test::HasFatalFailure()) return;
+      // The unseen cases need no large batch (the 1100 above covers the
+      // walks and the composite chunking).
+      CheckBatches(dc, schema, *index, naive.get(), UnseenRow(schema, &rng),
+                   units, at + " rows, unseen base", &rng, /*unseen=*/false,
+                   /*max_batch=*/40);
+      if (::testing::Test::HasFatalFailure()) return;
+      CheckBatches(dc, schema, *index, naive.get(), RandomRow(&rng), units,
+                   at + " rows, unseen candidates", &rng, /*unseen=*/true,
+                   /*max_batch=*/40);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

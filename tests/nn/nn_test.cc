@@ -439,6 +439,30 @@ TEST(DiscriminativeInferenceTest, FurtherTrainingIsReadLive) {
   }
 }
 
+TEST(DiscriminativeInferenceTest, ReusedScratchMatchesFreshBuffers) {
+  // One scratch (and one probability vector) alternates between a joint
+  // categorical model and a Gaussian model of different context widths,
+  // embedding sizes and output sizes, so every call inherits the other
+  // model's leftovers. `Forward` accumulates the attention scores into
+  // its buffer: a reused buffer that is not zeroed shows up here.
+  Schema schema = InferenceSchema();
+  Rng rng(18);
+  EncoderStore wide(schema, 8, &rng);
+  EncoderStore narrow(schema, 6, &rng);
+  DiscriminativeModel cat(schema, {0, 1, 4}, {2, 3}, &wide, &rng);
+  DiscriminativeModel gauss(schema, {0, 1, 2, 3}, {4}, &narrow, &rng);
+  const std::vector<Row> rows = RandomRows(schema, 48, &rng);
+  InferenceScratch scratch;
+  std::vector<double> probs;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    cat.PredictCategorical(rows[r], &scratch, &probs);
+    EXPECT_EQ(probs, cat.PredictCategorical(rows[r])) << "row " << r;
+    const std::pair<double, double> g =
+        gauss.PredictGaussian(rows[r], &scratch);
+    EXPECT_EQ(g, gauss.PredictGaussian(rows[r])) << "row " << r;
+  }
+}
+
 TEST(DiscriminativeInferenceTest, SharedModelPredictsIdenticallyFromFourThreads) {
   Schema schema = InferenceSchema();
   Rng rng(17);

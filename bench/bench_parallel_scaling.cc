@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -361,6 +362,82 @@ int Main() {
   }
   std::printf("\norder-DC batched vs per-candidate counts: %s\n",
               scoring_counts_agree ? "IDENTICAL (exact)" : "MISMATCH");
+
+  // --- Hot path 5c: scoring a histogram unit's whole domain against an
+  // FD index. --- Tax's zip is a histogram unit and the single LHS of
+  // zip -> state, so each committed row is preceded by a score of every
+  // zip code, in index order, over the row (its state is the RHS).
+  // Per-candidate scoring calls CountNew on a scratch row for each code;
+  // batched scoring makes one CountNewBatch call per row. Single-threaded;
+  // the two must agree on every count. Each row's counts fold into an
+  // FNV-1a digest per method rather than being stored (n x 300 counts
+  // would make both loops memory-bound).
+  auto fold_counts = [](uint64_t digest, const std::vector<int64_t>& counts) {
+    for (int64_t c : counts) {
+      digest ^= static_cast<uint64_t>(c);
+      digest *= 1099511628211ull;
+    }
+    return digest;
+  };
+  std::printf("\n%-28s %8s %12s %12s %9s\n", "method", "rows", "single-sec",
+              "batched-sec", "speedup");
+  bool fd_scoring_counts_agree = true;
+  for (size_t n : {size_t{600}, size_t{2400}, size_t{9600}}) {
+    const BenchmarkDataset tax = MakeTaxLike(n, kSeed);
+    const std::vector<WeightedConstraint> tax_dcs = Constraints(tax);
+    const Schema& schema = tax.table.schema();
+    const size_t zip = schema.IndexOf("zip").value();
+    const size_t state = schema.IndexOf("state").value();
+    const DenialConstraint* fd_dc = nullptr;
+    for (const WeightedConstraint& wc : tax_dcs) {
+      const std::optional<FdSpec> fd = wc.dc.Decompose().Fd();
+      if (fd.has_value() && fd->lhs == std::vector<size_t>{zip} &&
+          fd->rhs == state) {
+        fd_dc = &wc.dc;
+      }
+    }
+    KAMINO_CHECK(fd_dc != nullptr) << "tax workload lost zip -> state";
+    const std::vector<size_t> attrs = {zip};
+    const size_t domain = schema.attribute(zip).categories().size();
+    std::vector<Value> values;
+    for (size_t k = 0; k < domain; ++k) {
+      values.push_back(Value::Categorical(static_cast<int32_t>(k)));
+    }
+    std::vector<int64_t> counts(domain);
+    uint64_t single_digest = 0;
+    uint64_t batched_digest = 0;
+    const double single = TimeBest(2, [&] {
+      auto index = MakeViolationIndex(*fd_dc);
+      single_digest = 1469598103934665603ull;
+      for (size_t i = 0; i < n; ++i) {
+        Row scratch = tax.table.row(i);
+        for (size_t c = 0; c < domain; ++c) {
+          scratch[zip] = values[c];
+          counts[c] = index->CountNew(scratch);
+        }
+        single_digest = fold_counts(single_digest, counts);
+        index->AddRow(tax.table.row(i));
+      }
+    });
+    const double batched = TimeBest(2, [&] {
+      auto index = MakeViolationIndex(*fd_dc);
+      batched_digest = 1469598103934665603ull;
+      for (size_t i = 0; i < n; ++i) {
+        const Row row = tax.table.row(i);
+        index->CountNewBatch(row, attrs, values.data(), domain,
+                             counts.data());
+        batched_digest = fold_counts(batched_digest, counts);
+        index->AddRow(row);
+      }
+    });
+    if (single_digest != batched_digest) fd_scoring_counts_agree = false;
+    records.push_back({"fd_scoring_per_candidate", n, 1, single});
+    records.push_back({"fd_scoring_batched", n, 1, batched});
+    std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "fd_scoring", n,
+                single, batched, single / batched);
+  }
+  std::printf("\nFD batched vs per-candidate counts: %s\n",
+              fd_scoring_counts_agree ? "IDENTICAL (exact)" : "MISMATCH");
 
   // --- Hot path 6: composite violation engine for mixed-shape DCs. ---
   // Binary DCs combining equality scope, strict/non-strict order
@@ -812,7 +889,7 @@ int Main() {
   WriteBenchJson("BENCH_parallel.json", records);
   return deterministic && shards_deterministic && mcmc_deterministic &&
                  order_counts_agree && scoring_counts_agree &&
-                 mixed_counts_agree && columnar_agree &&
+                 fd_scoring_counts_agree && mixed_counts_agree && columnar_agree &&
                  service_deterministic && obs_output_identical &&
                  ooc_resident_bounded
              ? 0

@@ -45,12 +45,15 @@ Status CancelledStatus() {
 /// model probabilities p_{v|c}. A categorical unit's candidates are its
 /// whole joint domain in index order, so `values` points into the unit's
 /// run-wide joint table (`ActivationMap::unit_joint`); numeric candidates
-/// are drawn per row into `owned`.
+/// are drawn per row into `owned`. A histogram unit's probabilities are
+/// the same every row, so `log_probs` points at their logs in the run's
+/// `ActivationMap::unit_log_prior`; other units leave it null.
 struct CandidateSet {
   size_t width = 0;               // unit.attrs.size()
   const Value* values = nullptr;  // candidate c at [c * width, (c + 1) * width)
   std::vector<Value> owned;       // numeric candidates' storage
   std::vector<double> probs;      // one per candidate
+  const double* log_probs = nullptr;  // LogProb(probs[c]), or null
 
   size_t size() const { return probs.size(); }
   bool empty() const { return probs.empty(); }
@@ -67,11 +70,15 @@ struct SampleScratch {
   std::vector<double> extra_values;  // recycled numeric candidates
   std::vector<int64_t> counts;  // [d * m + c]: candidate c under active[d]
   std::vector<int64_t> part;    // one index's batch counts
+  std::vector<double> dc_weights;  // EffectiveWeight of each active DC
   std::vector<double> log_scores;
   std::vector<double> penalties;
   std::vector<double> weights;
   InferenceScratch inference;
 };
+
+/// A candidate's log prior log p_{v|c}, floored so p = 0 stays finite.
+double LogProb(double p) { return std::log(p + 1e-300); }
 
 double GaussianPdf(double x, double mu, double sigma) {
   const double z = (x - mu) / sigma;
@@ -102,17 +109,21 @@ void LogScoresToWeights(const std::vector<double>& log_scores,
 /// Enumerates the candidate set D(S[j]) with conditional probabilities
 /// (Algorithm 3 line 6, plus the continuous-domain candidate sampling)
 /// into `out`. `joint` is the unit's joint table (empty for a numeric
-/// unit); `inference` is the model's working memory.
+/// unit) and `log_prior` its histogram's log probabilities (empty for a
+/// discriminative unit); `inference` is the model's working memory.
 void GenerateCandidates(const ModelUnit& unit, const Schema& schema,
                         const Row& row, const KaminoOptions& options,
                         const std::vector<double>& prior_values,
-                        const std::vector<Value>& joint, Rng* rng,
+                        const std::vector<Value>& joint,
+                        const std::vector<double>& log_prior, Rng* rng,
                         InferenceScratch* inference, CandidateSet* out) {
   out->width = unit.attrs.size();
   out->values = joint.data();
   out->owned.clear();
   out->probs.clear();
+  out->log_probs = nullptr;
   if (unit.kind == ModelUnit::Kind::kHistogram) {
+    out->log_probs = log_prior.data();
     if (unit.quantizer.has_value()) {
       // Numeric histogram: one candidate per bin, valued uniformly within.
       for (size_t b = 0; b < unit.distribution.size(); ++b) {
@@ -174,16 +185,17 @@ void ApplyCandidate(const ModelUnit& unit, const Value* values, Table* table,
 /// One violation index per DC (null where a DC is not indexed).
 using IndexSet = std::vector<std::unique_ptr<ViolationIndex>>;
 
-/// One DC's term of a penalty: w_phi times the `vio` new violations of
-/// `candidate`, less its pair with `replaced` (when set; the row it
-/// replaces, which the indices still hold).
-double DcPenalty(const WeightedConstraint& wc, int64_t vio,
+/// One DC's term of a penalty: w_phi (`weight`, the DC's
+/// `EffectiveWeight()`) times the `vio` new violations of `candidate`,
+/// less its pair with `replaced` (when set; the row it replaces, which
+/// the indices still hold).
+double DcPenalty(const WeightedConstraint& wc, double weight, int64_t vio,
                  const Row& candidate, const Row* replaced) {
   if (replaced != nullptr && !wc.dc.is_unary() &&
       wc.dc.ViolatesPair(candidate, *replaced)) {
     --vio;
   }
-  return vio > 0 ? wc.EffectiveWeight() * static_cast<double>(vio) : 0.0;
+  return vio > 0 ? weight * static_cast<double>(vio) : 0.0;
 }
 
 /// sum_phi w_phi * count(phi) over the DCs in `active`: the violations
@@ -203,7 +215,8 @@ double ViolationPenalty(const Row& candidate, const Row* replaced,
       const ViolationIndex* index = (*indices)[dc_index].get();
       if (index != nullptr) vio += index->CountNew(candidate);
     }
-    penalty += DcPenalty(constraints[dc_index], vio, candidate, replaced);
+    const WeightedConstraint& wc = constraints[dc_index];
+    penalty += DcPenalty(wc, wc.EffectiveWeight(), vio, candidate, replaced);
   }
   return penalty;
 }
@@ -236,10 +249,10 @@ void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
 /// in log space), and `s->penalties` with the penalties alone. Scoring is
 /// DC-major: one `CountNewBatch` per active DC and index set scores the
 /// whole candidate set, then each candidate's penalty adds its DC terms
-/// in `active` order, exactly as `ViolationPenalty` would. Runs inline: a
-/// whole set costs one index walk per DC, too little to ship to the pool.
-/// Every buffer is `s`'s own, so scoring allocates nothing once they have
-/// grown.
+/// in `active` order, exactly as `ViolationPenalty` would, with each DC's
+/// weight read once per set. Runs inline: a whole set costs one index walk
+/// per DC, too little to ship to the pool. Every buffer is `s`'s own, so
+/// scoring allocates nothing once they have grown.
 void ScoreCandidates(const ModelUnit& unit, const Row* replaced,
                      const std::vector<size_t>& active,
                      const std::vector<WeightedConstraint>& constraints,
@@ -251,7 +264,9 @@ void ScoreCandidates(const ModelUnit& unit, const Row* replaced,
   s->penalties.resize(m);
   s->counts.assign(active.size() * m, 0);
   s->part.resize(m);
+  s->dc_weights.resize(active.size());
   for (size_t d = 0; d < active.size(); ++d) {
+    s->dc_weights[d] = constraints[active[d]].EffectiveWeight();
     int64_t* counts = s->counts.data() + d * m;
     for (const IndexSet* indices : index_sets) {
       const ViolationIndex* index = (*indices)[active[d]].get();
@@ -272,10 +287,13 @@ void ScoreCandidates(const ModelUnit& unit, const Row* replaced,
     }
     double penalty = 0.0;
     for (size_t d = 0; d < active.size(); ++d) {
-      penalty += DcPenalty(constraints[active[d]], s->counts[d * m + c],
-                           s->candidate_row, replaced);
+      penalty += DcPenalty(constraints[active[d]], s->dc_weights[d],
+                           s->counts[d * m + c], s->candidate_row, replaced);
     }
-    s->log_scores[c] = std::log(candidates.probs[c] + 1e-300) - penalty;
+    const double log_p = candidates.log_probs != nullptr
+                             ? candidates.log_probs[c]
+                             : LogProb(candidates.probs[c]);
+    s->log_scores[c] = log_p - penalty;
     s->penalties[c] = penalty;
   }
 }
@@ -315,6 +333,10 @@ struct ActivationMap {
   /// empty for a numeric unit. Every categorical `CandidateSet` points
   /// here instead of decoding its candidates per row.
   std::vector<std::vector<Value>> unit_joint;
+  /// unit -> `LogProb` of each histogram probability, the log prior
+  /// `ScoreCandidates` adds to every candidate's score; empty for a
+  /// discriminative unit.
+  std::vector<std::vector<double>> unit_log_prior;
 };
 
 ActivationMap BuildActivationMap(
@@ -340,12 +362,16 @@ ActivationMap BuildActivationMap(
     }
   }
   map.unit_joint.resize(model.units().size());
+  map.unit_log_prior.resize(model.units().size());
   std::vector<Value> joint;
   for (size_t u = 0; u < model.units().size(); ++u) {
     const ModelUnit& unit = model.units()[u];
     size_t domain = 0;
     if (unit.kind == ModelUnit::Kind::kHistogram) {
       if (!unit.quantizer.has_value()) domain = unit.distribution.size();
+      for (double p : unit.distribution) {
+        map.unit_log_prior[u].push_back(LogProb(p));
+      }
     } else if (unit.model->target_is_categorical()) {
       domain = unit.model->joint_domain_size();
     }
@@ -408,6 +434,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
     if (!KeepGoing(hooks)) return CancelledStatus();
     const ModelUnit& unit = model.units()[unit_index];
     const std::vector<Value>& joint = activation.unit_joint[unit_index];
+    const std::vector<double>& log_prior =
+        activation.unit_log_prior[unit_index];
     // Phi_{A_j}: the DCs whose attributes complete within this unit.
     const std::vector<size_t>& active = activation.unit_active[unit_index];
     const bool use_dc_factor =
@@ -514,8 +542,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         }
       }
       CandidateSet& candidates = scratch.candidates;
-      GenerateCandidates(unit, schema, row, options, extra_values, joint, rng,
-                         &scratch.inference, &candidates);
+      GenerateCandidates(unit, schema, row, options, extra_values, joint,
+                         log_prior, rng, &scratch.inference, &candidates);
       if (candidates.empty()) {
         return Status::Internal("no candidates generated for attribute unit");
       }
@@ -616,7 +644,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
               nearest_y_values(slot.row, &slot.extra_values);
             }
             GenerateCandidates(unit, schema, slot.row, options,
-                               slot.extra_values, joint, &task_rng,
+                               slot.extra_values, joint, log_prior, &task_rng,
                                &slot.inference, &slot.candidates);
             if (slot.candidates.empty()) continue;
             ScoreCandidates(unit, &slot.row, scored, constraints,
@@ -1239,7 +1267,8 @@ Result<Table> ProgressiveShardSynthesis(
 
           const CandidateSet& candidates = repair.candidates;
           GenerateCandidates(unit, schema, current, options, extra_values,
-                             activation.unit_joint[u], &task_rng,
+                             activation.unit_joint[u],
+                             activation.unit_log_prior[u], &task_rng,
                              &repair.inference, &repair.candidates);
           if (candidates.empty()) continue;
           const double penalty_before = ViolationPenalty(

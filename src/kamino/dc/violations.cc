@@ -209,76 +209,90 @@ const double* OrderKeySpan(const Table& table, size_t attr,
 
 /// O(1)-per-candidate index for scope-minus-diagonal plans: FD-shaped DCs
 /// (`lhs` the equality scope, `rhs` the one inequation).
+///
+/// Groups live in one of two places. When the LHS is one attribute and a
+/// row's value there is a category code in [0, kMaxDenseCode), its group
+/// is slot `code` of `dense_`, a table grown to the largest code seen;
+/// every other key (several LHS attributes, a numeric LHS, an empty scope)
+/// hashes into `groups_`. A value never equals one of the other kind, so
+/// the split is exact. `GroupOf` is the one lookup over both.
 class FdViolationIndex : public ViolationIndex {
  public:
   FdViolationIndex(std::vector<size_t> lhs, size_t rhs)
       : lhs_(std::move(lhs)), rhs_(rhs) {}
 
   int64_t CountNew(const Row& row) const override {
-    auto it = groups_.find(KeyOf(row));
-    if (it == groups_.end()) return 0;
-    return it->second.Mismatching(row[rhs_]);
+    const GroupStats* g = GroupOf(row);
+    return g == nullptr ? 0 : g->Mismatching(row[rhs_]);
   }
 
-  /// When the unit sets no LHS attribute, every candidate shares base's
-  /// group: one lookup serves the whole set, and each candidate costs one
-  /// RHS-count probe (none when the unit does not set the RHS either).
-  /// Units that set an LHS attribute take the per-candidate default.
+  /// When the unit is the single LHS attribute alone, each candidate
+  /// names its own group: one slot read and one RHS compare per
+  /// candidate on a dense LHS. When the unit sets no LHS attribute, every
+  /// candidate shares base's group: one lookup serves the whole set, and
+  /// each candidate costs one `Mismatching` (none when the unit does not
+  /// set the RHS either). Other units take the per-candidate default.
   void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
                      const Value* values, size_t num_candidates,
                      int64_t* counts) const override {
+    if (lhs_.size() == 1 && attrs.size() == 1 && attrs[0] == lhs_[0]) {
+      const Value& rhs = base[rhs_];
+      for (size_t c = 0; c < num_candidates; ++c) {
+        const GroupStats* g = GroupOf(values[c]);
+        counts[c] = g == nullptr ? 0 : g->Mismatching(rhs);
+      }
+      return;
+    }
     if (SetsAnyOf(attrs, lhs_)) {
       ViolationIndex::CountNewBatch(base, attrs, values, num_candidates,
                                     counts);
       return;
     }
-    auto it = groups_.find(KeyOf(base));
-    if (it == groups_.end()) {
+    const GroupStats* g = GroupOf(base);
+    if (g == nullptr) {
       std::fill(counts, counts + num_candidates, int64_t{0});
       return;
     }
-    const GroupStats& g = it->second;
     const size_t rhs_slot = SlotOf(attrs, rhs_);
     if (rhs_slot == attrs.size()) {
-      std::fill(counts, counts + num_candidates, g.Mismatching(base[rhs_]));
+      std::fill(counts, counts + num_candidates, g->Mismatching(base[rhs_]));
       return;
     }
     for (size_t c = 0; c < num_candidates; ++c) {
-      counts[c] = g.Mismatching(values[c * attrs.size() + rhs_slot]);
+      counts[c] = g->Mismatching(values[c * attrs.size() + rhs_slot]);
     }
   }
 
   void AddRow(const Row& row) override {
-    GroupStats& g = groups_[KeyOf(row)];
-    ++g.size;
-    ++g.rhs_counts[row[rhs_]];
+    InsertGroup(row).Add(row[rhs_]);
     ++num_rows_;
   }
 
   void RemoveRow(const Row& row) override {
-    auto it = groups_.find(KeyOf(row));
-    KAMINO_CHECK(it != groups_.end()) << "RemoveRow of a row never added";
-    GroupStats& g = it->second;
-    auto same = g.rhs_counts.find(row[rhs_]);
-    KAMINO_CHECK(same != g.rhs_counts.end())
+    GroupStats* g = GroupOf(row);
+    KAMINO_CHECK(g != nullptr) << "RemoveRow of a row never added";
+    auto same = g->rhs_counts.find(row[rhs_]);
+    KAMINO_CHECK(same != g->rhs_counts.end())
         << "RemoveRow of a row never added";
-    // Zero counts and empty groups are erased, so the majority vote of
-    // FdForcedValue sees exactly the surviving rows.
-    if (--same->second == 0) g.rhs_counts.erase(same);
-    if (--g.size == 0) groups_.erase(it);
+    // Zero counts are erased, so the majority vote of FdForcedValue sees
+    // exactly the surviving rows. An emptied dense slot reads as absent
+    // (size 0); an emptied hashed group is erased.
+    if (--same->second == 0) g->rhs_counts.erase(same);
+    g->Settle();
+    if (--g->size == 0 && DenseSlotOf(row) == kHashed) {
+      groups_.erase(KeyOf(row));
+    }
     --num_rows_;
   }
 
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const FdViolationIndex*>(&other);
     KAMINO_CHECK(peer != nullptr) << "Merge across index types";
-    for (const auto& [key, stats] : peer->groups_) {
-      GroupStats& g = groups_[key];
-      g.size += stats.size;
-      for (const auto& [value, count] : stats.rhs_counts) {
-        g.rhs_counts[value] += count;
-      }
+    if (dense_.size() < peer->dense_.size()) dense_.resize(peer->dense_.size());
+    for (size_t code = 0; code < peer->dense_.size(); ++code) {
+      dense_[code].Absorb(peer->dense_[code]);
     }
+    for (const auto& [key, stats] : peer->groups_) groups_[key].Absorb(stats);
     num_rows_ += peer->num_rows_;
   }
 
@@ -287,31 +301,36 @@ class FdViolationIndex : public ViolationIndex {
     KAMINO_CHECK(peer != nullptr) << "CountAgainst across index types";
     // Cross pairs of a shared LHS group violate unless both sides carry the
     // same RHS value: |A| * |B| - sum_v cA(v) * cB(v).
+    auto cross = [](const GroupStats& a, const GroupStats& b) {
+      int64_t same = 0;
+      for (const auto& [value, count] : a.rhs_counts) {
+        auto jt = b.rhs_counts.find(value);
+        if (jt != b.rhs_counts.end()) same += count * jt->second;
+      }
+      return a.size * b.size - same;
+    };
     int64_t violations = 0;
+    const size_t shared = std::min(dense_.size(), peer->dense_.size());
+    for (size_t code = 0; code < shared; ++code) {
+      violations += cross(dense_[code], peer->dense_[code]);
+    }
     for (const auto& [key, stats] : groups_) {
       auto it = peer->groups_.find(key);
-      if (it == peer->groups_.end()) continue;
-      int64_t same = 0;
-      for (const auto& [value, count] : stats.rhs_counts) {
-        auto jt = it->second.rhs_counts.find(value);
-        if (jt != it->second.rhs_counts.end()) same += count * jt->second;
-      }
-      violations += stats.size * it->second.size - same;
+      if (it != peer->groups_.end()) violations += cross(stats, it->second);
     }
     return violations;
   }
 
   std::optional<Value> FdForcedValue(const Row& row) const override {
-    auto it = groups_.find(KeyOf(row));
-    if (it == groups_.end() || it->second.rhs_counts.empty()) {
-      return std::nullopt;
-    }
+    const GroupStats* g = GroupOf(row);
+    if (g == nullptr) return std::nullopt;
+    if (g->rhs_counts.size() == 1) return g->only_rhs;
     // Report the majority RHS value of the group (in a violation-free
     // instance the group has exactly one value). Equal counts tie-break
     // toward the smallest value under the Value ordering — never toward
     // unordered_map iteration order, which differs across standard-library
     // implementations and would make forced-value repair non-portable.
-    const auto& counts = it->second.rhs_counts;
+    const auto& counts = g->rhs_counts;
     auto best = counts.begin();
     for (auto jt = counts.begin(); jt != counts.end(); ++jt) {
       if (jt->second > best->second ||
@@ -326,24 +345,102 @@ class FdViolationIndex : public ViolationIndex {
   size_t size() const override { return num_rows_; }
 
  private:
+  /// Category codes below this read dense slots; a larger code hashes
+  /// (the table grows to the largest code seen, so this bounds it).
+  static constexpr int32_t kMaxDenseCode = int32_t{1} << 16;
+
   struct GroupStats {
     int64_t size = 0;
     std::unordered_map<Value, int64_t, ValueHash> rhs_counts;
+    /// The group's one RHS value while it is pure (`rhs_counts` has one
+    /// entry); stale otherwise.
+    Value only_rhs;
+
+    /// Re-reads `only_rhs` after `rhs_counts` changed.
+    void Settle() {
+      if (rhs_counts.size() == 1) only_rhs = rhs_counts.begin()->first;
+    }
+
+    void Add(const Value& rhs) {
+      ++size;
+      ++rhs_counts[rhs];
+      Settle();
+    }
+
+    void Absorb(const GroupStats& other) {
+      if (other.size == 0) return;
+      size += other.size;
+      for (const auto& [value, count] : other.rhs_counts) {
+        rhs_counts[value] += count;
+      }
+      Settle();
+    }
 
     /// Rows of the group whose RHS differs from `rhs`: the violations a
-    /// row of this group with that RHS would add.
+    /// row of this group with that RHS would add. A pure group answers
+    /// with one compare.
     int64_t Mismatching(const Value& rhs) const {
+      if (rhs_counts.size() == 1) return rhs == only_rhs ? 0 : size;
       auto same = rhs_counts.find(rhs);
       return size - (same == rhs_counts.end() ? 0 : same->second);
     }
   };
+
+  /// The dense slot of single-attribute LHS value `lhs`, or kHashed when
+  /// its group lives in `groups_`.
+  static constexpr size_t kHashed = SIZE_MAX;
+  static size_t DenseSlot(const Value& lhs) {
+    return lhs.is_categorical() && lhs.category() >= 0 &&
+                   lhs.category() < kMaxDenseCode
+               ? static_cast<size_t>(lhs.category())
+               : kHashed;
+  }
+  size_t DenseSlotOf(const Row& row) const {
+    return lhs_.size() == 1 ? DenseSlot(row[lhs_[0]]) : kHashed;
+  }
+
+  /// The one group lookup, for a single-attribute LHS keyed by its value
+  /// (the batch path reads each candidate this way): the committed group,
+  /// or nullptr when it has no row. A dense slot emptied by `RemoveRow`
+  /// reads as absent.
+  const GroupStats* GroupOf(const Value& lhs) const {
+    const size_t slot = DenseSlot(lhs);
+    if (slot != kHashed) {
+      return slot < dense_.size() && dense_[slot].size > 0 ? &dense_[slot]
+                                                           : nullptr;
+    }
+    FdKey key;
+    key.size = 1;
+    key.head[0] = lhs;
+    auto it = groups_.find(key);
+    return it == groups_.end() ? nullptr : &it->second;
+  }
+
+  /// The committed group of `row`'s LHS, or nullptr.
+  const GroupStats* GroupOf(const Row& row) const {
+    if (lhs_.size() == 1) return GroupOf(row[lhs_[0]]);
+    auto it = groups_.find(KeyOf(row));
+    return it == groups_.end() ? nullptr : &it->second;
+  }
+  GroupStats* GroupOf(const Row& row) {
+    return const_cast<GroupStats*>(std::as_const(*this).GroupOf(row));
+  }
+
+  /// The group of `row`'s LHS, inserted empty when absent.
+  GroupStats& InsertGroup(const Row& row) {
+    const size_t slot = DenseSlotOf(row);
+    if (slot == kHashed) return groups_[KeyOf(row)];
+    if (slot >= dense_.size()) dense_.resize(slot + 1);
+    return dense_[slot];
+  }
 
   FdKey KeyOf(const Row& row) const { return RowKey(row, lhs_); }
 
   std::vector<size_t> lhs_;
   size_t rhs_;
   size_t num_rows_ = 0;
-  std::unordered_map<FdKey, GroupStats, FdKeyHash> groups_;
+  std::vector<GroupStats> dense_;  // dense category-code groups
+  std::unordered_map<FdKey, GroupStats, FdKeyHash> groups_;  // every other
 };
 
 /// Unary DCs need no stored state: a tuple either violates or not.
@@ -1532,7 +1629,7 @@ std::unique_ptr<ViolationIndex> MakeViolationIndex(
   }
   // The index follows the decomposition's views, the same ones the
   // sampler's exact passes read. The FD view is scope minus diagonal (the
-  // FD hash index computes exactly this count and also answers
+  // FD group index computes exactly this count and also answers
   // `FdForcedValue`); the grouped-order view is the plan's one `+order`
   // block.
   if (std::optional<FdSpec> fd = decomp.Fd()) {

@@ -75,9 +75,10 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 /// same views `AsFd` and `AsGroupedOrderSpec` return, so equivalent
 /// spellings of a DC get the same index and the sampler's exact passes
 /// own exactly the DCs these indices serve: a trivial evaluator for unary
-/// DCs; an O(1) hash-group index for the FD view (scope minus diagonal:
-/// FDs, normalized FD equivalents, pure-`!=` DCs; one group lookup per
-/// candidate set); a sorted block-list index for the grouped-order view,
+/// DCs; an O(1) group index for the FD view (scope minus diagonal: FDs,
+/// normalized FD equivalents, pure-`!=` DCs; groups of a single
+/// categorical LHS in a dense per-code table, every other key hashed; one
+/// group lookup per candidate set); a sorted block-list index for the grouped-order view,
 /// a plan that is a single order term (sub-linear `CountNew`, and one
 /// block walk per candidate set); a
 /// composite index for every other `kComposite` plan (a signed
@@ -115,10 +116,14 @@ class ViolationIndex {
   /// one scratch copy of `base`. The FD and order indices override it:
   /// when `attrs` sets no attribute of their group key, every candidate
   /// shares base's group, which they look up once per set. The FD index
-  /// then costs one RHS-count probe per candidate (none when `attrs`
-  /// misses the RHS too); the order index scores the set in one block
-  /// walk when `attrs` sets x but not y, counting each straddled block
-  /// once. The composite index forwards the set to its blocks.
+  /// then costs one RHS check per candidate (a single compare while the
+  /// group is pure; none when `attrs` misses the RHS too). When `attrs`
+  /// is the FD's single LHS attribute alone — a histogram unit scoring
+  /// its whole domain — each candidate is one group lookup (one dense
+  /// slot read for a category code) plus that RHS check. The order index
+  /// scores the set in one block walk when `attrs` sets x but not y,
+  /// counting each straddled block once. The composite index forwards the
+  /// set to its blocks.
   virtual void CountNewBatch(const Row& base, const std::vector<size_t>& attrs,
                              const Value* values, size_t num_candidates,
                              int64_t* counts) const;

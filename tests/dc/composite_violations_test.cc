@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -750,6 +752,142 @@ TEST(ViolationIndexBatchTest, EveryIndexClassMatchesPerRowAndNaive) {
                    /*max_batch=*/40);
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+TEST(ViolationIndexBatchTest, SingleLhsUnitScoresWholeDomain) {
+  // A histogram unit that is an FD's single LHS attribute scores the
+  // attribute's whole domain in index order, one candidate per value.
+  // Committed rows use LHS values [0, 24); the domain runs to 40, past
+  // every committed code. A group goes pure -> mixed -> pure on the other
+  // RHS value, two are drained to empty by RemoveRow (one the highest
+  // committed code) and re-added, and a third index is built by Merge,
+  // which turns a group mixed and adds a code past the merged-into
+  // index's table. Every state is scored against per-row CountNew and the
+  // naive index over bases carrying each RHS value and one that no row
+  // carries, and `FdForcedValue` of every domain value is checked against
+  // the live rows' majority. The numeric LHS takes the hashed groups
+  // through the same path.
+  Schema schema = TestSchema();
+  Rng rng(157);
+  for (const std::string spec :
+       {"!(t1.a == t2.a & t1.b != t2.b)", "!(t1.a == t2.a & t1.u != t2.u)",
+        "!(t1.u == t2.u & t1.b != t2.b)"}) {
+    const DenialConstraint dc =
+        DenialConstraint::Parse(spec, schema).TakeValue();
+    const FdSpec fd = dc.Decompose().Fd().value();
+    ASSERT_EQ(fd.lhs.size(), 1u) << spec;
+    const size_t lhs = fd.lhs[0];
+    auto value_of = [&schema](size_t attr, int k) {
+      return schema.attribute(attr).is_categorical()
+                 ? Value::Categorical(k)
+                 : Value::Numeric(static_cast<double>(k));
+    };
+    std::vector<Value> domain;
+    for (int k = 0; k < 40; ++k) domain.push_back(value_of(lhs, k));
+
+    std::vector<Row> live;
+    auto row_of = [&](int key, int rhs) {
+      Row row = RandomRow(&rng);
+      row[lhs] = value_of(lhs, key);
+      row[fd.rhs] = value_of(fd.rhs, rhs);
+      return row;
+    };
+    auto check = [&](const ViolationIndex& index,
+                     const ViolationIndex& naive, const std::string& stage) {
+      const std::string label = spec + ", " + stage;
+      ASSERT_EQ(index.size(), live.size()) << label;
+      for (const int rhs : {0, 1, 2, 3}) {
+        Row base = RandomRow(&rng);
+        base[fd.rhs] = value_of(fd.rhs, rhs);
+        CheckBatch(dc, index, &naive, base, {lhs}, domain, true, label);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      for (const Value& key : domain) {
+        std::map<double, int64_t> counts;  // RHS order key -> rows
+        for (const Row& row : live) {
+          if (row[lhs] == key) ++counts[row[fd.rhs].OrderKey()];
+        }
+        Row probe = RandomRow(&rng);
+        probe[lhs] = key;
+        const std::optional<Value> forced = index.FdForcedValue(probe);
+        ASSERT_EQ(forced.has_value(), !counts.empty()) << label;
+        if (counts.empty()) continue;
+        auto best = counts.begin();  // majority; ties to the smallest
+        for (auto it = counts.begin(); it != counts.end(); ++it) {
+          if (it->second > best->second) best = it;
+        }
+        ASSERT_EQ(forced->OrderKey(), best->first) << label;
+      }
+    };
+
+    auto index = MakeViolationIndex(dc);
+    auto naive = MakeNaiveViolationIndex(dc);
+    auto add = [&](int key, int rhs) {
+      live.push_back(row_of(key, rhs));
+      index->AddRow(live.back());
+      naive->AddRow(live.back());
+    };
+    // Retracts every live row of group `key` (with RHS `rhs`, when >= 0).
+    auto remove_rows = [&](int key, int rhs) {
+      for (size_t k = live.size(); k-- > 0;) {
+        if (!(live[k][lhs] == value_of(lhs, key)) ||
+            (rhs >= 0 && !(live[k][fd.rhs] == value_of(fd.rhs, rhs)))) {
+          continue;
+        }
+        index->RemoveRow(live[k]);
+        naive->RemoveRow(live[k]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+    };
+    for (int key = 0; key < 24; ++key) {
+      for (int r = 0; r <= key % 3; ++r) add(key, key % 3);
+    }
+    check(*index, *naive, "pure groups");
+    if (::testing::Test::HasFatalFailure()) return;
+    add(5, 0);  // group 5 carried RHS 2 only
+    check(*index, *naive, "group 5 mixed");
+    if (::testing::Test::HasFatalFailure()) return;
+    remove_rows(5, 2);  // pure again, now on RHS 0
+    check(*index, *naive, "group 5 pure again");
+    if (::testing::Test::HasFatalFailure()) return;
+    remove_rows(7, -1);
+    remove_rows(23, -1);
+    check(*index, *naive, "groups 7 and 23 drained");
+    if (::testing::Test::HasFatalFailure()) return;
+    add(7, 2);
+    add(7, 2);
+    add(23, 0);
+    check(*index, *naive, "groups 7 and 23 re-added");
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Merge: the first half into one index, the second half plus a row
+    // that mixes group 3 and one of code 30 into another, folded.
+    live.push_back(row_of(3, 1));
+    live.push_back(row_of(30, 1));
+    auto merged = MakeViolationIndex(dc);
+    auto other = MakeViolationIndex(dc);
+    auto merged_naive = MakeNaiveViolationIndex(dc);
+    for (size_t k = 0; k < live.size(); ++k) {
+      (k < live.size() / 2 ? merged : other)->AddRow(live[k]);
+      merged_naive->AddRow(live[k]);
+    }
+    merged->Merge(*other);
+    check(*merged, *merged_naive, "merged, group 3 mixed");
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const int key : {3, 30}) {
+      // Retract the rows added for the merge: group 3 turns pure again
+      // and group 30 empties.
+      auto it = std::find_if(live.rbegin(), live.rend(), [&](const Row& r) {
+        return r[lhs] == value_of(lhs, key) &&
+               r[fd.rhs] == value_of(fd.rhs, 1);
+      });
+      merged->RemoveRow(*it);
+      merged_naive->RemoveRow(*it);
+      live.erase(std::next(it).base());
+    }
+    check(*merged, *merged_naive, "merged, group 3 pure again");
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

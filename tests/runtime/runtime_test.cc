@@ -41,10 +41,12 @@ class ScopedNumThreads {
 };
 
 TEST(ThreadPoolTest, ExecutesEverySubmittedTask) {
-  ThreadPool pool(4);
   std::atomic<int> done{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after what the tasks notify, so its workers are joined before
+  // `cv` and `mu` are destroyed.
+  ThreadPool pool(4);
   const int kTasks = 200;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {

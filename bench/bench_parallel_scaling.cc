@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -247,6 +248,51 @@ int Main() {
   runtime::SetGlobalNumThreads(0);
   std::printf("\nMCMC output across thread counts: %s\n",
               mcmc_deterministic ? "IDENTICAL (bit-exact)" : "MISMATCH");
+
+  // --- Hot path 4c: the shard freeze on Tax. ---
+  // One Tax fit, synthesized at 4 shards at 600, 2400 and 9600 rows, each
+  // at 1 and 4 threads. The row is the run's summed freeze wall time
+  // (`telemetry.merge_seconds`: conflict detection, repair, FD
+  // canonicalization, rank alignment, the index fold and emit), best of
+  // 3. The 4-thread output must equal the 1-thread one.
+  std::printf("\n%-28s %8s %12s %12s\n", "method", "rows", "1t-seconds",
+              "4t-seconds");
+  bool freeze_deterministic = true;
+  {
+    const BenchmarkDataset tax = MakeTaxLike(kDefaultRows, kSeed);
+    KaminoEngine engine;
+    auto model =
+        engine.Fit(tax.table, Constraints(tax), BenchKaminoConfig(1.0, kSeed));
+    KAMINO_CHECK(model.ok()) << model.status();
+    for (size_t freeze_rows : {size_t{600}, size_t{2400}, size_t{9600}}) {
+      const size_t threads[2] = {1, 4};
+      double secs[2];
+      Table outputs[2];
+      for (size_t k = 0; k < 2; ++k) {
+        SynthesisRequest request;
+        request.seed = 7;
+        request.num_rows = freeze_rows;
+        request.num_shards = 4;
+        request.num_threads = threads[k];
+        secs[k] = std::numeric_limits<double>::infinity();
+        for (int rep = 0; rep < 3; ++rep) {
+          auto result = engine.Synthesize(model.value(), request);
+          KAMINO_CHECK(result.ok()) << result.status();
+          secs[k] =
+              std::min(secs[k], result.value().telemetry.merge_seconds);
+          outputs[k] = std::move(result.value().synthetic);
+        }
+        records.push_back(
+            {"freeze_tax_shards4", freeze_rows, threads[k], secs[k]});
+      }
+      if (!SameTable(outputs[0], outputs[1])) freeze_deterministic = false;
+      std::printf("%-28s %8zu %12.4f %12.4f\n", "freeze_tax_shards4",
+                  freeze_rows, secs[0], secs[1]);
+    }
+  }
+  runtime::SetGlobalNumThreads(0);
+  std::printf("\nTax freeze output across thread counts: %s\n",
+              freeze_deterministic ? "IDENTICAL (bit-exact)" : "MISMATCH");
 
   // --- Hot path 5: sorted order-DC violation engine. ---
   // Naive pair scan vs the sorted Fenwick/block-list engine on the Tax
@@ -888,8 +934,9 @@ int Main() {
 
   WriteBenchJson("BENCH_parallel.json", records);
   return deterministic && shards_deterministic && mcmc_deterministic &&
-                 order_counts_agree && scoring_counts_agree &&
-                 fd_scoring_counts_agree && mixed_counts_agree && columnar_agree &&
+                 freeze_deterministic && order_counts_agree &&
+                 scoring_counts_agree && fd_scoring_counts_agree &&
+                 mixed_counts_agree && columnar_agree &&
                  service_deterministic && obs_output_identical &&
                  ooc_resident_bounded
              ? 0

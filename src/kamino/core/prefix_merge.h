@@ -3,10 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "kamino/data/table.h"
+#include "kamino/dc/grouping.h"
 
 namespace kamino {
 
@@ -23,8 +24,9 @@ namespace kamino {
 /// memory. How the prefix was sliced never changes the result.
 ///
 /// Both passes are pure deterministic functions of the absorbed rows and
-/// the live table: no RNG, no iteration-order dependence (groups and
-/// components are walked in value / smallest-row order).
+/// the live table: no RNG, and no dependence on hash iteration order
+/// (each group or component reads and writes only its own rows, and a
+/// component adopts the value of its smallest representative or member).
 
 /// All hard FDs sharing one right-hand-side attribute. FDs with a common
 /// RHS must be canonicalized jointly — fixing them one at a time lets a
@@ -49,13 +51,6 @@ struct PrefixAlignSpec {
   bool co_monotone = true;
 };
 
-/// Strict weak order over value vectors (group / FD keys) for the lookup
-/// maps below.
-struct PrefixKeyLess {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const;
-};
-
 /// Forces live rows onto the frozen prefix's canonical FD values.
 ///
 /// Live rows that any family FD transitively forces to agree are unioned
@@ -71,9 +66,26 @@ struct PrefixKeyLess {
 /// other families' keys settle. If the absorbed prefix was FD-exact, the
 /// prefix plus the canonicalized live rows is too.
 ///
-/// Per (family, FD) the state keeps each frozen key's first RHS value and
-/// smallest holding row; the representative's LHS values needed for a
-/// re-point are captured at absorb time (frozen rows are immutable).
+/// Grouping is hashed throughout (dc/grouping.h). Per (family, FD) the
+/// state maps each frozen LHS key (`FdKey`) to its first RHS value and
+/// its smallest holding row; that row's values of the family's LHS
+/// attributes, needed for a re-point, are captured flat at absorb time
+/// (frozen rows are immutable). A family pass groups the live rows by
+/// `GroupIds` over each FD's LHS, unions each row with its group's first
+/// row, lists each component by its root, and looks each live group's
+/// key up once — expected O(rows) work per family per round.
+///
+/// Round skip: a family is not run again in a round when nothing it
+/// reads — its LHS attributes or its RHS — was written since its last
+/// pass, other than by that pass's own RHS writes (its own LHS writes
+/// count). After such a pass the components are unchanged and each
+/// already holds one value, so the repeat would rewrite nothing: rounds,
+/// rewrite counts and `attr_modified` are those of running every family
+/// every round.
+///
+/// NaN rule: two keys match when every cell is equal as a `Value`, so a
+/// key with a NaN cell matches no other key, live or frozen. Such a row
+/// is its own group under that FD; a frozen NaN key is never stored.
 class FrozenFdLookups {
  public:
   explicit FrozenFdLookups(std::vector<PrefixFdFamily> families);
@@ -89,22 +101,31 @@ class FrozenFdLookups {
 
  private:
   struct FrozenEntry {
-    Value canonical;       // the key's frozen RHS value (first row wins)
-    size_t rep_row = 0;    // smallest global frozen row holding the key
+    Value canonical;     // the key's frozen RHS value (first row wins)
+    size_t rep_row = 0;  // smallest global frozen row holding the key
+    size_t rep = 0;      // that row's slot in `Family::rep_values`
   };
-  using KeyMap = std::map<std::vector<Value>, FrozenEntry, PrefixKeyLess>;
+  using KeyMap = std::unordered_map<FdKey, FrozenEntry, FdKeyHash>;
 
-  std::vector<PrefixFdFamily> families_;
-  /// keys_[f][d]: lookup for family f's FD d.
-  std::vector<std::vector<KeyMap>> keys_;
-  /// lhs_union_[f]: sorted distinct LHS attributes across family f's FDs.
-  std::vector<std::vector<size_t>> lhs_union_;
-  /// lhs_pos_[f][d][k]: index of lhs_sets[d][k] within lhs_union_[f].
-  std::vector<std::vector<std::vector<size_t>>> lhs_pos_;
-  /// rep_values_[f]: global row -> captured values of lhs_union_[f], for
-  /// every frozen row that first-inserted a key (the only best_rep
-  /// candidates).
-  std::vector<std::map<size_t, std::vector<Value>>> rep_values_;
+  struct Family {
+    size_t rhs = 0;
+    std::vector<std::vector<size_t>> lhs_sets;
+    /// keys[d]: frozen lookup for FD d.
+    std::vector<KeyMap> keys;
+    /// Sorted distinct LHS attributes across the family's FDs.
+    std::vector<size_t> lhs_union;
+    /// lhs_pos[d][k]: index of lhs_sets[d][k] within lhs_union.
+    std::vector<std::vector<size_t>> lhs_pos;
+    /// True when the RHS is also an LHS attribute (a trivial FD).
+    bool rhs_in_lhs = false;
+    /// Captured lhs_union values of every frozen row that first-inserted
+    /// a key (the only representative candidates): slot k holds
+    /// [k * lhs_union.size(), (k + 1) * lhs_union.size()).
+    std::vector<Value> rep_values;
+    size_t num_reps = 0;
+  };
+
+  std::vector<Family> families_;
 };
 
 /// Slots the live rows of each group into the frozen rows' monotone
@@ -127,9 +148,18 @@ class FrozenFdLookups {
 /// broke an earlier alignment) the envelope can invert; the upper bound
 /// wins, deterministically.
 ///
-/// Per group key the state keeps the distinct frozen contexts with their
-/// oriented dependent extrema and running envelopes, so `Align` answers
-/// `lo` / `hi` by binary search.
+/// Per group key (`FdKey`, hashed) the state keeps the distinct frozen
+/// contexts with their oriented dependent extrema and running envelopes,
+/// so `Align` answers `lo` / `hi` by binary search. `Absorb` groups a
+/// slice by `GroupIds`, stably sorts each group's (context, dependent)
+/// pairs into per-context runs and merges them into the envelope in one
+/// linear pass; `Align` groups the live rows by `GroupIds` too.
+///
+/// NaN rule: a group key with a NaN cell matches no other key (the row
+/// is a group of its own and meets no frozen envelope). A NaN context or
+/// dependent compares false both ways, so such a row can violate nothing:
+/// it is neither absorbed into an envelope nor rank-aligned, and keeps
+/// its values.
 class FrozenAlignLookups {
  public:
   explicit FrozenAlignLookups(PrefixAlignSpec spec);
@@ -150,8 +180,12 @@ class FrozenAlignLookups {
     std::vector<Value> smin;  // running suffix min of mn
   };
 
+  bool OrientedLt(const Value& a, const Value& b) const {
+    return spec_.co_monotone ? a < b : b < a;
+  }
+
   PrefixAlignSpec spec_;
-  std::map<std::vector<Value>, Envelope, PrefixKeyLess> groups_;
+  std::unordered_map<FdKey, Envelope, FdKeyHash> groups_;
 };
 
 }  // namespace kamino

@@ -1185,6 +1185,16 @@ Result<Table> ProgressiveShardSynthesis(
     telemetry->fd_fast_path_hits += shards[s].telemetry.fd_fast_path_hits;
     telemetry->mcmc_resamples += shards[s].telemetry.mcmc_resamples;
     telemetry->mcmc_batches += shards[s].telemetry.mcmc_batches;
+    // Wall time per freeze phase, attached to the span as integer
+    // microsecond args (args, not child spans, so the span's self time
+    // stays the whole freeze).
+    double lap_start = span.elapsed_seconds();
+    auto lap_us = [&] {
+      const double now = span.elapsed_seconds();
+      const double us = (now - lap_start) * 1e6;
+      lap_start = now;
+      return static_cast<int64_t>(us);
+    };
 
     // Conflict detection against the frozen prefix, recounted from the
     // final shard rows: each row's delta against the merged indices is
@@ -1206,6 +1216,7 @@ Result<Table> ProgressiveShardSynthesis(
     }
     telemetry->merge_cross_violations += freeze_cross;
     telemetry->merge_conflict_rows += static_cast<int64_t>(offenders.size());
+    const int64_t detect_us = lap_us();
 
     // Bounded greedy repair, restricted to shard s's rows. Candidates are
     // scored through the indices only: the merged indices (exactly the
@@ -1305,11 +1316,14 @@ Result<Table> ProgressiveShardSynthesis(
       }
     }
 
+    const int64_t repair_us = lap_us();
+
     // Exact hard-DC passes against the persistent frozen lookups; frozen
     // rows are neither written nor read.
     std::vector<bool> attr_modified(schema.size(), false);
     telemetry->merge_fd_rewrites +=
         fd_lookups.Canonicalize(&live, &attr_modified);
+    int64_t canonicalize_us = lap_us();
 
     bool realigned_fd_attr = false;
     for (size_t k = 0; k < alignments.size(); ++k) {
@@ -1323,7 +1337,8 @@ Result<Table> ProgressiveShardSynthesis(
                       CountViolations(constraints[task.dc].dc, live);
       if (merged[task.dc] != nullptr) {
         for (size_t r = 0; r < live.num_rows(); ++r) {
-          total += merged[task.dc]->CountNew(live.row(r));
+          live.CopyRowInto(r, &live_row);
+          total += merged[task.dc]->CountNew(live_row);
         }
       }
       if (total == 0) continue;
@@ -1340,9 +1355,11 @@ Result<Table> ProgressiveShardSynthesis(
         }
       }
     }
+    const int64_t align_us = lap_us();
     if (realigned_fd_attr) {
       telemetry->merge_fd_rewrites +=
           fd_lookups.Canonicalize(&live, &attr_modified);
+      canonicalize_us += lap_us();
     }
 
     // Freeze: fold the shard's *final* rows into the frozen-prefix state
@@ -1350,13 +1367,14 @@ Result<Table> ProgressiveShardSynthesis(
     // skips the fold.
     const bool last = s + 1 == num_shards;
     if (!last) {
-      // Index the rows into the running merged indices. For alignment
+      // Index the rows into the running merged indices, each row copied
+      // once; every index still sees the rows in row order. For alignment
       // DCs, fold the new intra-prefix pairs into the running count first
       // — CountNew before AddRow sees each pair exactly once.
-      for (size_t l = 0; l < constraints.size(); ++l) {
-        if (merged[l] == nullptr) continue;
-        for (size_t r = 0; r < live.num_rows(); ++r) {
-          live.CopyRowInto(r, &live_row);
+      for (size_t r = 0; r < live.num_rows(); ++r) {
+        live.CopyRowInto(r, &live_row);
+        for (size_t l = 0; l < constraints.size(); ++l) {
+          if (merged[l] == nullptr) continue;
           if (owner[l] == DcOwner::kAlign) {
             frozen_violations[l] += merged[l]->CountNew(live_row);
           }
@@ -1377,12 +1395,20 @@ Result<Table> ProgressiveShardSynthesis(
     telemetry->merge_frozen_rows += static_cast<int64_t>(sizes[s]);
     span.AddArg("cross_violations", freeze_cross);
     span.AddArg("conflict_rows", static_cast<int64_t>(offenders.size()));
+    const int64_t fold_us = lap_us();
 
     // Emit immediately: these rows are frozen and never rewritten. The
     // in-memory copy dies with `live` unless the caller keeps the table.
-    return EmitFrozenSlice(std::move(live), s, begin, last,
-                           run.compress_chunks, hooks, spill.get(), keep_table,
-                           telemetry);
+    Status emitted = EmitFrozenSlice(std::move(live), s, begin, last,
+                                     run.compress_chunks, hooks, spill.get(),
+                                     keep_table, telemetry);
+    span.AddArg("detect_us", detect_us);
+    span.AddArg("repair_us", repair_us);
+    span.AddArg("canonicalize_us", canonicalize_us);
+    span.AddArg("align_us", align_us);
+    span.AddArg("fold_us", fold_us);
+    span.AddArg("emit_us", lap_us());
+    return emitted;
   };
 
   Status status = Status::OK();

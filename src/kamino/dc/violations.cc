@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "kamino/common/logging.h"
+#include "kamino/dc/grouping.h"
 #include "kamino/obs/metrics.h"
 #include "kamino/runtime/parallel_for.h"
 
@@ -44,57 +44,6 @@ void RecordDcIndexBuilt(const char* kind) {
 /// buffers merged below — are identical at any `num_threads`.
 constexpr size_t kPairScanGrain = 64;
 
-/// Hash key for the left-hand-side attribute values of an FD group. Keys
-/// of up to `kInline` values (every grouped DC of the benchmark datasets)
-/// live inline, so building one to look a group up allocates nothing;
-/// longer keys keep the rest in `tail`.
-struct FdKey {
-  static constexpr size_t kInline = 3;
-  size_t size = 0;
-  Value head[kInline];
-  std::vector<Value> tail;  // values [kInline, size)
-
-  const Value& operator[](size_t i) const {
-    return i < kInline ? head[i] : tail[i - kInline];
-  }
-
-  bool operator==(const FdKey& other) const {
-    if (size != other.size) return false;
-    for (size_t i = 0; i < size; ++i) {
-      if (!((*this)[i] == other[i])) return false;
-    }
-    return true;
-  }
-};
-
-struct FdKeyHash {
-  size_t operator()(const FdKey& k) const {
-    size_t h = 1469598103934665603ull;
-    ValueHash vh;
-    for (size_t i = 0; i < k.size; ++i) {
-      h ^= vh(k[i]);
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
-/// Projects `row` onto `attrs` as a hashable group key — the one key
-/// construction every grouped index in this file shares (the offline
-/// counts group through `GroupIds`).
-FdKey RowKey(const Row& row, const std::vector<size_t>& attrs) {
-  FdKey key;
-  key.size = attrs.size();
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    if (i < FdKey::kInline) {
-      key.head[i] = row[attrs[i]];
-    } else {
-      key.tail.push_back(row[attrs[i]]);
-    }
-  }
-  return key;
-}
-
 /// True when the unit attribute list `attrs` sets some attribute of `of`.
 bool SetsAnyOf(const std::vector<size_t>& attrs,
                const std::vector<size_t>& of) {
@@ -109,91 +58,6 @@ bool SetsAnyOf(const std::vector<size_t>& attrs,
 size_t SlotOf(const std::vector<size_t>& attrs, size_t attr) {
   return static_cast<size_t>(std::find(attrs.begin(), attrs.end(), attr) -
                              attrs.begin());
-}
-
-/// Dense group ids (first-occurrence order) of `table`'s rows under
-/// equality on `attrs` — the one grouping every offline count and matrix
-/// column in this file runs on. Each row's key is a flat sequence of u64
-/// words read straight from the typed arrays: dictionary codes widen to
-/// u64 and numeric cells contribute their bit pattern, so word equality
-/// coincides with Value equality (-0.0 is canonicalized to +0.0 first, the
-/// one bit-pattern split inside a Value equivalence class). NaN breaks the
-/// correspondence the other way (NaN != NaN as a Value, but its bit
-/// pattern equals itself): a row with NaN in any key cell equals no other
-/// row, so it gets a singleton group without entering the hash table.
-/// Linear-probing insert-or-find over the words; an empty key (no
-/// attributes) puts every row in group 0, matching the single empty
-/// RowKey.
-std::vector<uint32_t> GroupIds(const Table& table,
-                               const std::vector<size_t>& attrs,
-                               size_t* num_groups) {
-  const size_t n = table.num_rows();
-  const size_t k = attrs.size();
-  std::vector<uint32_t> gid(n, 0);
-  if (k == 0) {
-    *num_groups = n == 0 ? 0 : 1;
-    return gid;
-  }
-  // Row-major key words: row i's key is k consecutive u64s.
-  std::vector<uint64_t> words(n * k);
-  std::vector<uint8_t> has_nan(n, 0);
-  for (size_t slot = 0; slot < k; ++slot) {
-    const Column& col = table.columns().column(attrs[slot]);
-    uint64_t* dst = words.data() + slot;
-    if (col.is_categorical()) {
-      const int32_t* codes = col.codes().data();
-      for (size_t i = 0; i < n; ++i, dst += k) {
-        *dst = static_cast<uint64_t>(static_cast<int64_t>(codes[i]));
-      }
-    } else {
-      const double* nums = col.nums().data();
-      for (size_t i = 0; i < n; ++i, dst += k) {
-        const double v = nums[i];
-        if (v != v) has_nan[i] = 1;
-        const double canonical = v == 0.0 ? 0.0 : v;  // fold -0.0 in
-        std::memcpy(dst, &canonical, sizeof(*dst));
-      }
-    }
-  }
-  size_t cap = 16;
-  while (cap < 2 * n) cap *= 2;
-  const size_t mask = cap - 1;
-  constexpr uint32_t kEmpty = 0xffffffffu;
-  std::vector<uint32_t> slot_group(cap, kEmpty);
-  std::vector<uint32_t> reps;  // representative row of each group
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t* w = words.data() + i * k;
-    if (has_nan[i]) {
-      gid[i] = static_cast<uint32_t>(reps.size());
-      reps.push_back(static_cast<uint32_t>(i));
-      continue;
-    }
-    // FNV-1a over the key words, with a final fold so power-of-two
-    // masking sees high-entropy low bits.
-    uint64_t h = 1469598103934665603ull;
-    for (size_t t = 0; t < k; ++t) {
-      h ^= w[t];
-      h *= 1099511628211ull;
-    }
-    h ^= h >> 32;
-    size_t slot = static_cast<size_t>(h) & mask;
-    while (true) {
-      const uint32_t g = slot_group[slot];
-      if (g == kEmpty) {
-        gid[i] = static_cast<uint32_t>(reps.size());
-        slot_group[slot] = gid[i];
-        reps.push_back(static_cast<uint32_t>(i));
-        break;
-      }
-      if (std::equal(w, w + k, words.data() + size_t{reps[g]} * k)) {
-        gid[i] = g;
-        break;
-      }
-      slot = (slot + 1) & mask;
-    }
-  }
-  *num_groups = reps.size();
-  return gid;
 }
 
 /// One attribute's OrderKey sequence as a contiguous double span: numeric

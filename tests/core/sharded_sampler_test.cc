@@ -300,13 +300,57 @@ TEST(ShardedSamplerTest, MultiBlockAdultDigestsPinned) {
   }
 }
 
+/// One pinned run: the output digest and the freeze's rewrite counts at
+/// `num_shards`.
+struct FreezePin {
+  size_t num_shards;
+  const char* digest;
+  int64_t fd_rewrites;
+  int64_t order_alignments;
+};
+
+/// Synthesizes 800 rows (sampling seed 17) at each pin's shard count and
+/// at 1 and 4 threads; checks the hard DCs hold and the digest and
+/// `merge_fd_rewrites` / `merge_order_alignments` match the pin.
+void ExpectFreezePins(const ProbabilisticDataModel& model,
+                      const std::vector<WeightedConstraint>& constraints,
+                      const Schema& schema, KaminoOptions options,
+                      const std::vector<FreezePin>& pinned) {
+  for (const FreezePin& pin : pinned) {
+    for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+      ScopedNumThreads threads(num_threads);
+      options.num_shards = pin.num_shards;
+      Rng srng(17);
+      SynthesisTelemetry telemetry;
+      Table out = Synthesize(model, constraints, options, SampleSpec{800},
+                             &srng, &telemetry)
+                      .TakeValue();
+      EXPECT_GT(telemetry.mcmc_resamples, 0);
+      for (const WeightedConstraint& wc : constraints) {
+        if (!wc.hard) continue;
+        EXPECT_EQ(CountViolations(wc.dc, out), 0) << wc.dc.ToString(schema);
+      }
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
+      EXPECT_EQ(std::string(actual), pin.digest)
+          << "digest drifted at num_shards=" << pin.num_shards
+          << " num_threads=" << num_threads;
+      EXPECT_EQ(telemetry.merge_fd_rewrites, pin.fd_rewrites)
+          << "num_shards=" << pin.num_shards << " num_threads=" << num_threads;
+      EXPECT_EQ(telemetry.merge_order_alignments, pin.order_alignments)
+          << "num_shards=" << pin.num_shards << " num_threads=" << num_threads;
+    }
+  }
+}
+
 TEST(ShardedSamplerTest, TaxDigestsPinned) {
   // Tax's five hard FDs score their candidate sets through the FD index
   // (numeric and categorical right-hand sides, FD groups keyed on earlier
   // attributes), beside its per-state order DC, in the sampling loop and
   // the MCMC pass; at 4 shards each freeze also canonicalizes and aligns.
-  // Pinned per shard count, at every thread budget. If one fails after an
-  // *intentional* sampler change, re-capture from the failure message.
+  // Pinned per shard count, at every thread budget, with the freeze's
+  // rewrite counts. If one fails after an *intentional* sampler change,
+  // re-capture from the failure message.
   const BenchmarkDataset ds = MakeTaxLike(200, 13);
   auto constraints =
       ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
@@ -319,32 +363,34 @@ TEST(ShardedSamplerTest, TaxDigestsPinned) {
   Rng rng(31);
   auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
                    .TakeValue();
-  const std::pair<size_t, const char*> pinned[] = {
-      {1, "0x447bc3e681b89084"},
-      {4, "0xde84fd438cf309c6"},
-  };
-  for (const auto& [num_shards, expected] : pinned) {
-    for (const size_t num_threads : {size_t{1}, size_t{4}}) {
-      ScopedNumThreads threads(num_threads);
-      options.num_shards = num_shards;
-      Rng srng(17);
-      SynthesisTelemetry telemetry;
-      Table out = Synthesize(model, constraints, options, SampleSpec{800},
-                             &srng, &telemetry)
-                      .TakeValue();
-      EXPECT_GT(telemetry.mcmc_resamples, 0);
-      for (const WeightedConstraint& wc : constraints) {
-        if (!wc.hard) continue;
-        EXPECT_EQ(CountViolations(wc.dc, out), 0)
-            << wc.dc.ToString(ds.table.schema());
-      }
-      char actual[32];
-      std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, TableDigest(out));
-      EXPECT_EQ(std::string(actual), expected)
-          << "digest drifted at num_shards=" << num_shards
-          << " num_threads=" << num_threads;
-    }
-  }
+  ExpectFreezePins(model, constraints, ds.table.schema(), options,
+                   {{1, "0x447bc3e681b89084", 1510, 653},
+                    {4, "0xde84fd438cf309c6", 3637, 584}});
+}
+
+TEST(ShardedSamplerTest, TpchDigestsPinned) {
+  // TPC-H's four hard FDs form three families keyed on c_custkey plus
+  // `n_name -> n_regionkey`, whose LHS is the RHS of the `c_custkey ->
+  // n_name` family: a rewrite there cascades into the next family in the
+  // same round, the chain the canonicalization's round skip must follow.
+  // Pinned per shard count, at every thread budget, with the freeze's
+  // rewrite counts. If one fails after an *intentional* sampler change,
+  // re-capture from the failure message.
+  const BenchmarkDataset ds = MakeTpchLike(300, 13);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.mcmc_resamples = 64;
+  options.seed = 31;
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  ExpectFreezePins(model, constraints, ds.table.schema(), options,
+                   {{1, "0x682c759774f5d844", 5, 0},
+                    {4, "0x6a56edcda904d5dd", 2064, 0}});
 }
 
 /// Samples recorded by the pool's per-task latency histogram so far (0

@@ -1,6 +1,9 @@
 #include "kamino/core/prefix_merge.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -418,6 +421,45 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
     }
   }
   return rewrites;
+}
+
+void NeighborSeeds::Insert(double key, double value) {
+  if (std::isnan(key) || std::isnan(value)) return;
+  const std::pair<double, double> pair(key, value);
+  pairs_.insert(std::lower_bound(pairs_.begin(), pairs_.end(), pair), pair);
+}
+
+void NeighborSeeds::Absorb(const Table& slice) {
+  // Inserting rows one by one puts each before its equal pairs, so among
+  // equal pairs the later row comes first, and before every stored one:
+  // collect the slice last row first, sort it stably, and merge it ahead
+  // of the stored pairs (std::merge takes ties from its first range).
+  std::vector<std::pair<double, double>> fresh;
+  fresh.reserve(slice.num_rows());
+  for (size_t r = slice.num_rows(); r-- > 0;) {
+    const double key = slice.at(r, key_attr_).numeric();
+    const double value = slice.at(r, value_attr_).numeric();
+    if (!std::isnan(key) && !std::isnan(value)) fresh.emplace_back(key, value);
+  }
+  std::stable_sort(fresh.begin(), fresh.end());
+  std::vector<std::pair<double, double>> merged;
+  merged.reserve(pairs_.size() + fresh.size());
+  std::merge(fresh.begin(), fresh.end(), pairs_.begin(), pairs_.end(),
+             std::back_inserter(merged));
+  pairs_ = std::move(merged);
+}
+
+void NeighborSeeds::Seed(double key, std::vector<double>* out) const {
+  if (std::isnan(key)) return;
+  const size_t p = static_cast<size_t>(
+      std::lower_bound(
+          pairs_.begin(), pairs_.end(),
+          std::make_pair(key, -std::numeric_limits<double>::infinity())) -
+      pairs_.begin());
+  const size_t hi = std::min(pairs_.size(), p + 3);
+  for (size_t j = p < 2 ? 0 : p - 2; j < hi; ++j) {
+    out->push_back(pairs_[j].second);
+  }
 }
 
 }  // namespace kamino

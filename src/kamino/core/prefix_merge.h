@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "kamino/data/table.h"
@@ -13,7 +14,8 @@ namespace kamino {
 
 /// Prefix-frozen reconciliation state for synthesis (core/sampler.cc) at
 /// every shard count: the two exact passes a shard freeze runs, one for
-/// hard FDs and one for hard order DCs.
+/// hard FDs and one for hard order DCs, and the numeric-candidate seeds
+/// the sampling loop and the freeze repair draw from (`NeighborSeeds`).
 ///
 /// Each pass is a lookup class over the frozen prefix. `Absorb` folds in
 /// each newly frozen slice, in ascending global row order, at its freeze;
@@ -186,6 +188,37 @@ class FrozenAlignLookups {
 
   PrefixAlignSpec spec_;
   std::unordered_map<FdKey, Envelope, FdKeyHash> groups_;
+};
+
+/// Numeric candidate seeds under one ungrouped order pair: one
+/// (partner value, unit value) pair per row, sorted ascending. The
+/// sampling loop inserts each row as it is drawn; the freeze repair's
+/// seeds absorb each frozen slice, so the repair seeds from the frozen
+/// prefix without reading a frozen row again.
+///
+/// Ties: `Insert` places a pair before every stored pair equal to it,
+/// and `Absorb` yields exactly the sequence of inserting the slice's rows
+/// one by one, also where equal pairs differ in bits (-0.0 and +0.0).
+/// NaN rule: a pair with a NaN is never stored, and a NaN key seeds
+/// nothing.
+class NeighborSeeds {
+ public:
+  /// Seeds `value_attr` from rows keyed by their `key_attr` value.
+  NeighborSeeds(size_t key_attr, size_t value_attr)
+      : key_attr_(key_attr), value_attr_(value_attr) {}
+
+  size_t key_attr() const { return key_attr_; }
+  void Insert(double key, double value);
+  /// Inserts every row of a newly frozen slice, in row order.
+  void Absorb(const Table& slice);
+  /// Appends the unit values of the stored pairs at positions p - 2 to
+  /// p + 2, p = the first pair not below (key, -inf), in position order.
+  void Seed(double key, std::vector<double>* out) const;
+
+ private:
+  size_t key_attr_ = 0;
+  size_t value_attr_ = 0;
+  std::vector<std::pair<double, double>> pairs_;  // sorted ascending
 };
 
 }  // namespace kamino

@@ -166,8 +166,8 @@ void GenerateCandidates(const ModelUnit& unit, const Schema& schema,
   // are strong candidates: order DCs treat equal values as consistent, so
   // reusing them keeps the feasible set reachable even when it collapses
   // to exact points. They still carry their model density, so improbable
-  // reuse stays improbable. The caller curates this list (nearest
-  // neighbours under active order DCs plus a few random recycled values).
+  // reuse stays improbable. The caller curates this list (`AppendSeeds`
+  // plus, while sampling, a few random recycled values).
   for (double v : prior_values) add_candidate(v);
   out->values = out->owned.data();
 }
@@ -319,15 +319,28 @@ struct DcShape {
   }
 };
 
+/// Where the numeric candidate seeds of a unit that samples one numeric
+/// attribute come from (`AppendSeeds`), in activation order; empty for
+/// any other unit.
+struct SeedPlan {
+  size_t attr = SIZE_MAX;      // the unit's attribute; SIZE_MAX = no plan
+  std::vector<size_t> fd_dcs;  // active DCs whose FD view determines attr
+  /// One empty seeder per active ungrouped order pair over `attr` with a
+  /// numeric partner; each sampling context fills a copy of its own.
+  std::vector<NeighborSeeds> seeds;
+};
+
 /// Maps every DC to the model unit at which it activates (the unit whose
 /// attributes complete it) and to its shape, and every unit to its active
-/// DC set Phi_{A_j} and, for a categorical unit, its candidate table.
-/// Computed once per run; the per-shard sampling loop and the merge pass
-/// must agree on this mapping, and read every DC shape from it.
+/// DC set Phi_{A_j}, its seed plan and, for a categorical unit, its
+/// candidate table. Computed once per run; the per-shard sampling loop
+/// and the merge pass must agree on this mapping, and read every DC shape
+/// from it.
 struct ActivationMap {
   std::vector<std::vector<size_t>> unit_active;  // unit -> active DC indices
   std::vector<size_t> dc_unit;                   // DC -> unit (or SIZE_MAX)
   std::vector<DcShape> dc_shape;                 // DC -> Decompose() views
+  std::vector<SeedPlan> unit_seeds;              // unit -> its seed plan
   /// unit -> its joint categorical domain decoded in index order, flat
   /// (`DecodeJointIndex` of index k at [k * width, (k + 1) * width));
   /// empty for a numeric unit. Every categorical `CandidateSet` points
@@ -361,11 +374,28 @@ ActivationMap BuildActivationMap(
       }
     }
   }
+  const Schema& schema = model.schema();
+  map.unit_seeds.resize(model.units().size());
   map.unit_joint.resize(model.units().size());
   map.unit_log_prior.resize(model.units().size());
   std::vector<Value> joint;
   for (size_t u = 0; u < model.units().size(); ++u) {
     const ModelUnit& unit = model.units()[u];
+    if (unit.attrs.size() == 1 &&
+        schema.attribute(unit.attrs[0]).is_numeric()) {
+      SeedPlan& plan = map.unit_seeds[u];
+      plan.attr = unit.attrs[0];
+      for (size_t dc_index : map.unit_active[u]) {
+        const DcShape& shape = map.dc_shape[dc_index];
+        // Either side of the order pair may be the attribute being
+        // sampled; seed against the other (already filled) side.
+        const size_t partner = shape.OrderPartner(plan.attr);
+        if (partner != SIZE_MAX && schema.attribute(partner).is_numeric()) {
+          plan.seeds.emplace_back(partner, plan.attr);
+        }
+        if (shape.FdDetermines(plan.attr)) plan.fd_dcs.push_back(dc_index);
+      }
+    }
     size_t domain = 0;
     if (unit.kind == ModelUnit::Kind::kHistogram) {
       if (!unit.quantizer.has_value()) domain = unit.distribution.size();
@@ -395,6 +425,26 @@ bool FdFastPathApplies(const ModelUnit& unit, const std::vector<size_t>& active,
     return constraints[l].hard &&
            activation.dc_shape[l].FdDetermines(unit.attrs[0]);
   });
+}
+
+/// Appends `row`'s numeric candidate seeds under `plan` to `out`: the
+/// value each plan FD forces through `indices` (the group's established
+/// value, the only feasible one), then each seeder's `Seed` at the row's
+/// partner value (the nearest rows' values, usually feasible for a
+/// co-monotone pair). `seeds` is a filled copy of `plan.seeds`.
+void AppendSeeds(const SeedPlan& plan, const Row& row, const IndexSet& indices,
+                 const std::vector<NeighborSeeds>& seeds,
+                 std::vector<double>* out) {
+  for (size_t dc_index : plan.fd_dcs) {
+    if (indices[dc_index] == nullptr) continue;
+    std::optional<Value> forced = indices[dc_index]->FdForcedValue(row);
+    if (forced.has_value() && forced->is_numeric()) {
+      out->push_back(forced->numeric());
+    }
+  }
+  for (const NeighborSeeds& pair_seeds : seeds) {
+    pair_seeds.Seed(row[pair_seeds.key_attr()].numeric(), out);
+  }
 }
 
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
@@ -450,69 +500,12 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
                                              activation);
 
     // Previously synthesized values of a DC-constrained numeric attribute
-    // are recycled as candidates (see GenerateCandidates).
-    const bool track_prior_values =
-        use_dc_factor && unit.attrs.size() == 1 &&
-        schema.attribute(unit.attrs[0]).is_numeric();
+    // are recycled as candidates (see GenerateCandidates), beside the
+    // plan's seeds from this shard's rows.
+    const SeedPlan& plan = activation.unit_seeds[unit_index];
+    const bool track_prior_values = use_dc_factor && plan.attr != SIZE_MAX;
     std::vector<double> prior_values;
-
-    // For active order DCs !(t1.X > t2.X & t1.Y < t2.Y) whose Y is this
-    // unit's attribute, keep (x, y) pairs of the prefix rows sorted by x:
-    // the y values of the x-nearest neighbours are (usually) feasible for
-    // a co-monotone relation and make excellent candidates.
-    struct OrderDcTracker {
-      size_t x_attr = 0;
-      std::vector<std::pair<double, double>> points;  // sorted by x
-    };
-    std::vector<OrderDcTracker> order_trackers;
-    // For active FDs whose right-hand side is this *numeric* attribute,
-    // the group's established value is the only feasible candidate;
-    // surface it through the FD index.
-    std::vector<size_t> numeric_fd_dcs;
-    if (track_prior_values) {
-      for (size_t dc_index : active) {
-        const DcShape& shape = activation.dc_shape[dc_index];
-        // Either side of the order pair may be the attribute being
-        // sampled; track against the other (already filled) side.
-        const size_t other = shape.OrderPartner(unit.attrs[0]);
-        if (other != SIZE_MAX && schema.attribute(other).is_numeric()) {
-          OrderDcTracker tracker;
-          tracker.x_attr = other;
-          order_trackers.push_back(tracker);
-        }
-        if (shape.FdDetermines(unit.attrs[0])) {
-          numeric_fd_dcs.push_back(dc_index);
-        }
-      }
-    }
-    // Appends the forced FD values and order-DC neighbours of `base` to
-    // `values`.
-    auto nearest_y_values = [&](const Row& base, std::vector<double>* values) {
-      for (size_t dc_index : numeric_fd_dcs) {
-        if (indices[dc_index] == nullptr) continue;
-        std::optional<Value> forced = indices[dc_index]->FdForcedValue(base);
-        if (forced.has_value() && forced->is_numeric()) {
-          values->push_back(forced->numeric());
-        }
-      }
-      for (const OrderDcTracker& tracker : order_trackers) {
-        const double x = base[tracker.x_attr].numeric();
-        auto it = std::lower_bound(
-            tracker.points.begin(), tracker.points.end(),
-            std::make_pair(x, -std::numeric_limits<double>::infinity()));
-        // Index arithmetic: `it + step` would be UB for out-of-range
-        // steps (and on the null iterator of an empty vector).
-        const ptrdiff_t base_pos = it - tracker.points.begin();
-        const ptrdiff_t size =
-            static_cast<ptrdiff_t>(tracker.points.size());
-        for (ptrdiff_t step = -2; step <= 2; ++step) {
-          const ptrdiff_t j = base_pos + step;
-          if (j >= 0 && j < size) {
-            values->push_back(tracker.points[static_cast<size_t>(j)].second);
-          }
-        }
-      }
-    };
+    std::vector<NeighborSeeds> seeds = plan.seeds;
 
     for (size_t i = 0; i < n; ++i) {
       out.CopyRowInto(i, &row);
@@ -535,7 +528,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
       std::vector<double>& extra_values = scratch.extra_values;
       extra_values.clear();
       if (track_prior_values) {
-        nearest_y_values(row, &extra_values);
+        AppendSeeds(plan, row, indices, seeds, &extra_values);
         for (int c = 0; c < 4 && !prior_values.empty(); ++c) {
           extra_values.push_back(prior_values[static_cast<size_t>(
               rng->UniformInt(0, static_cast<int64_t>(prior_values.size()) - 1))]);
@@ -585,14 +578,10 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         for (size_t dc_index : active) indices[dc_index]->AddRow(row);
       }
       if (track_prior_values) {
-        const double y = row[unit.attrs[0]].numeric();
+        const double y = row[plan.attr].numeric();
         prior_values.push_back(y);
-        for (OrderDcTracker& tracker : order_trackers) {
-          const double x = row[tracker.x_attr].numeric();
-          tracker.points.insert(
-              std::lower_bound(tracker.points.begin(), tracker.points.end(),
-                               std::make_pair(x, y)),
-              {x, y});
+        for (NeighborSeeds& pair_seeds : seeds) {
+          pair_seeds.Insert(row[pair_seeds.key_attr()].numeric(), y);
         }
       }
     }
@@ -641,7 +630,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
             out.CopyRowInto(resamples[k].row, &slot.row);
             slot.extra_values.clear();
             if (track_prior_values) {
-              nearest_y_values(slot.row, &slot.extra_values);
+              AppendSeeds(plan, slot.row, indices, seeds, &slot.extra_values);
             }
             GenerateCandidates(unit, schema, slot.row, options,
                                slot.extra_values, joint, log_prior, &task_rng,
@@ -866,111 +855,6 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
   return hooks->on_chunk(chunk);
 }
 
-/// Frozen-side source for the freeze repair's order-DC nearest-neighbour
-/// candidate seeding. Per order-pair constraint it keeps one
-/// (context value, unit value, global row) triple per frozen row, sorted
-/// by (value, row); `SeedNearest` merges the frozen candidates with a
-/// scan of the live rows, reproducing a partial_sort over the whole
-/// prefix-plus-shard range — nearest `keep` by (|value - x0|, global
-/// row), ascending — without re-reading a frozen row. The values are
-/// captured at freeze time; frozen rows are immutable, so the copies
-/// never go stale.
-struct FrozenNeighborStore {
-  struct Entry {
-    double other = 0.0;  // the scanned (non-unit) attribute's value
-    double unit = 0.0;   // the repaired unit attribute's value
-    size_t row = 0;      // global row, the distance tie-break
-  };
-
-  FrozenNeighborStore(size_t other_attr, size_t unit_attr)
-      : other_attr(other_attr), unit_attr(unit_attr) {}
-
-  void Absorb(const Table& slice, size_t global_begin) {
-    const size_t n = slice.num_rows();
-    entries.reserve(entries.size() + n);
-    for (size_t r = 0; r < n; ++r) {
-      entries.push_back(Entry{slice.at(r, other_attr).numeric(),
-                              slice.at(r, unit_attr).numeric(),
-                              global_begin + r});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) {
-                if (a.other != b.other) return a.other < b.other;
-                return a.row < b.row;
-              });
-  }
-
-  /// Appends the unit values of the `keep` nearest rows to `x0` — over
-  /// frozen and live rows jointly, excluding live row `self` — in
-  /// (distance, global row) order.
-  void SeedNearest(double x0, size_t keep, size_t global_begin, size_t self,
-                   const Table& live, std::vector<double>* out_values) const {
-    struct Cand {
-      double dist = 0.0;
-      size_t row = 0;
-      double unit = 0.0;
-    };
-    std::vector<Cand> cands;
-    // Frozen side: walk equal-value runs outward from x0. Successive runs
-    // on one side have strictly increasing distance, so once a side has
-    // contributed `keep` candidates no farther run can reach the top-k;
-    // within a run (equal distance) the smallest `keep` rows suffice.
-    const auto mid = std::lower_bound(
-        entries.begin(), entries.end(), x0,
-        [](const Entry& e, double v) { return e.other < v; });
-    size_t taken = 0;
-    for (auto it = mid; it != entries.end() && taken < keep;) {
-      auto run_end = it;
-      size_t in_run = 0;
-      while (run_end != entries.end() && run_end->other == it->other) {
-        if (in_run < keep) {
-          cands.push_back(Cand{std::abs(run_end->other - x0), run_end->row,
-                               run_end->unit});
-          ++in_run;
-        }
-        ++run_end;
-      }
-      taken += in_run;
-      it = run_end;
-    }
-    taken = 0;
-    for (auto it = mid; it != entries.begin() && taken < keep;) {
-      auto run_last = std::prev(it);
-      auto run_first = run_last;
-      while (run_first != entries.begin() &&
-             std::prev(run_first)->other == run_last->other) {
-        --run_first;
-      }
-      size_t in_run = 0;
-      for (auto e = run_first; in_run < keep; ++e) {
-        cands.push_back(Cand{std::abs(e->other - x0), e->row, e->unit});
-        ++in_run;
-        if (e == run_last) break;
-      }
-      taken += in_run;
-      it = run_first;
-    }
-    // Live side: every row is a candidate, read directly (their values
-    // can still change under repair).
-    for (size_t j = 0; j < live.num_rows(); ++j) {
-      if (j == self) continue;
-      cands.push_back(Cand{
-          std::abs(live.at(j, other_attr).numeric() - x0), global_begin + j,
-          live.at(j, unit_attr).numeric()});
-    }
-    std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-      if (a.dist != b.dist) return a.dist < b.dist;
-      return a.row < b.row;
-    });
-    const size_t take = std::min(keep, cands.size());
-    for (size_t k = 0; k < take; ++k) out_values->push_back(cands[k].unit);
-  }
-
-  size_t other_attr = 0;
-  size_t unit_attr = 0;
-  std::vector<Entry> entries;
-};
-
 /// Synthesis at every shard count, with prefix-frozen reconciliation:
 /// shard s is reconciled against the already-frozen prefix [0, s) as soon
 /// as its sampling completes, the grown prefix freezes, and shard s's
@@ -1126,29 +1010,20 @@ Result<Table> ProgressiveShardSynthesis(
     spec.co_monotone = task.co_monotone;
     align_lookups.emplace_back(std::move(spec));
   }
-  // The DCs repair candidates are scored on: every DC active at a unit
-  // the repair re-samples (the activation unit of a repair-owned DC).
+  // The units the repair re-samples (the activation unit of a
+  // repair-owned DC), with the DCs its candidates are scored on — every
+  // DC active at such a unit — and each one's seeders over the frozen
+  // prefix, empty until the first fold.
   std::vector<size_t> repair_scored;
-  for (const std::vector<size_t>& active : activation.unit_active) {
+  std::vector<std::vector<NeighborSeeds>> repair_seeds(model.units().size());
+  for (size_t u = 0; u < model.units().size(); ++u) {
+    const std::vector<size_t>& active = activation.unit_active[u];
     if (std::any_of(active.begin(), active.end(), [&](size_t l) {
           return owner[l] == DcOwner::kRepair;
         })) {
       repair_scored.insert(repair_scored.end(), active.begin(), active.end());
+      repair_seeds[u] = activation.unit_seeds[u].seeds;
     }
-  }
-  // Frozen-neighbour stores for the repair's order-DC candidate seeding:
-  // one per order-pair DC among those, when its unit is a single numeric
-  // attribute on one side of the pair.
-  std::vector<std::unique_ptr<FrozenNeighborStore>> neighbors(
-      constraints.size());
-  for (size_t l : repair_scored) {
-    const size_t u = activation.dc_unit[l];
-    if (model.units()[u].attrs.size() != 1) continue;
-    const size_t unit_attr = model.units()[u].attrs[0];
-    if (!schema.attribute(unit_attr).is_numeric()) continue;
-    const size_t other = activation.dc_shape[l].OrderPartner(unit_attr);
-    if (other == SIZE_MAX || !schema.attribute(other).is_numeric()) continue;
-    neighbors[l] = std::make_unique<FrozenNeighborStore>(other, unit_attr);
   }
   // Running count of violating pairs wholly inside the frozen prefix,
   // per alignment DC — the frozen-side term of the align-pass gate.
@@ -1252,33 +1127,14 @@ Result<Table> ProgressiveShardSynthesis(
           const size_t local = row - begin;
           live.CopyRowInto(local, &current);
 
-          // Frozen-instance candidate seeding for numeric attributes: the
-          // prefix's established FD value and the order-DC neighbours'
-          // values are often the only feasible points.
-          std::vector<double>& extra_values = repair.extra_values;
-          extra_values.clear();
-          if (unit.attrs.size() == 1 &&
-              schema.attribute(unit.attrs[0]).is_numeric()) {
-            for (size_t l : active) {
-              if (merged[l] != nullptr &&
-                  activation.dc_shape[l].FdDetermines(unit.attrs[0])) {
-                std::optional<Value> forced = merged[l]->FdForcedValue(current);
-                if (forced.has_value() && forced->is_numeric()) {
-                  extra_values.push_back(forced->numeric());
-                }
-              } else if (neighbors[l] != nullptr) {
-                // The store exists only for an order pair over this
-                // numeric unit attribute and a numeric partner.
-                const double x0 = current[neighbors[l]->other_attr].numeric();
-                neighbors[l]->SeedNearest(x0, /*keep=*/4, begin, local, live,
-                                          &extra_values);
-              }
-            }
-          }
-
+          // Seeds from the frozen prefix, the rows whose pairs with this
+          // one the repair is fixing.
+          repair.extra_values.clear();
+          AppendSeeds(activation.unit_seeds[u], current, merged,
+                      repair_seeds[u], &repair.extra_values);
           const CandidateSet& candidates = repair.candidates;
-          GenerateCandidates(unit, schema, current, options, extra_values,
-                             activation.unit_joint[u],
+          GenerateCandidates(unit, schema, current, options,
+                             repair.extra_values, activation.unit_joint[u],
                              activation.unit_log_prior[u], &task_rng,
                              &repair.inference, &repair.candidates);
           if (candidates.empty()) continue;
@@ -1387,8 +1243,8 @@ Result<Table> ProgressiveShardSynthesis(
       for (size_t k = 0; k < alignments.size(); ++k) {
         align_lookups[k].Absorb(live);
       }
-      for (size_t l = 0; l < constraints.size(); ++l) {
-        if (neighbors[l] != nullptr) neighbors[l]->Absorb(live, begin);
+      for (std::vector<NeighborSeeds>& seeds : repair_seeds) {
+        for (NeighborSeeds& pair_seeds : seeds) pair_seeds.Absorb(live);
       }
     }
     ++telemetry->merge_prefix_freezes;
@@ -1489,6 +1345,10 @@ void RecordSamplerMetrics(const SynthesisTelemetry& t, size_t rows) {
   reg.counter("kamino.sampler.merge_conflict_rows")
       ->Increment(t.merge_conflict_rows);
   reg.counter("kamino.sampler.merge_resamples")->Increment(t.merge_resamples);
+  reg.counter("kamino.sampler.merge_fd_rewrites")
+      ->Increment(t.merge_fd_rewrites);
+  reg.counter("kamino.sampler.merge_order_alignments")
+      ->Increment(t.merge_order_alignments);
   reg.counter("kamino.sampler.merge_prefix_freezes")
       ->Increment(t.merge_prefix_freezes);
   reg.counter("kamino.sampler.merge_frozen_rows")

@@ -12,13 +12,15 @@ namespace kamino {
 
 /// Algorithm 4: constraint-aware attribute sequencing.
 ///
-/// Returns a permutation of attribute indices such that for every DC in
+/// Returns a permutation of attribute indices built from every DC in
 /// `constraints` whose decomposition has an FD view X -> Y
-/// (`PredicateDecomposition::Fd`, whatever the spelling), the attributes
-/// of X appear before Y; FDs are processed by increasing minimal LHS domain size and their
-/// attributes appended LHS (sorted by domain size) before RHS. Attributes
-/// not touched by any FD are appended by ascending domain size. The true
-/// instance is never consulted, so sequencing costs no privacy budget.
+/// (`PredicateDecomposition::Fd`, whatever the spelling). FDs are
+/// processed by increasing minimal LHS domain size, each appending its
+/// unplaced attributes, X (sorted by domain size) before Y. So X precedes
+/// Y unless an FD processed earlier already placed Y (on Tax, `state`
+/// precedes `zip` and `areacode`). Attributes not touched by any FD are
+/// appended by ascending domain size. The true instance is never
+/// consulted, so sequencing costs no privacy budget.
 std::vector<size_t> SequenceSchema(
     const Schema& schema, const std::vector<WeightedConstraint>& constraints);
 

@@ -3,7 +3,9 @@
 // replaced, kept here verbatim in behaviour. Random families, align specs,
 // frozen prefixes, frozen slicings and live tables must give bit-identical
 // tables (the sign of a zero included), rewrite counts and
-// `attr_modified`. Also the NaN key rule of both passes.
+// `attr_modified`. Also the NaN key rule of both passes. `NeighborSeeds`
+// is held to the sampling loop's order-DC tracker it replaced, and its
+// `Absorb` to one-by-one `Insert`.
 
 #include <gtest/gtest.h>
 
@@ -312,6 +314,36 @@ class RefAlignLookups {
 };
 
 // ---------------------------------------------------------------------
+// Reference for `NeighborSeeds`: the sampling loop's order-DC tracker,
+// (x, y) points kept sorted by a sorted-vector insert, seeding the y
+// values at the +-2 positions around the query's lower bound.
+// ---------------------------------------------------------------------
+
+struct RefOrderTracker {
+  std::vector<std::pair<double, double>> points;  // sorted by x
+
+  void Insert(double x, double y) {
+    points.insert(std::lower_bound(points.begin(), points.end(),
+                                   std::make_pair(x, y)),
+                  {x, y});
+  }
+
+  void Seed(double x, std::vector<double>* values) const {
+    auto it = std::lower_bound(
+        points.begin(), points.end(),
+        std::make_pair(x, -std::numeric_limits<double>::infinity()));
+    const ptrdiff_t base_pos = it - points.begin();
+    const ptrdiff_t size = static_cast<ptrdiff_t>(points.size());
+    for (ptrdiff_t step = -2; step <= 2; ++step) {
+      const ptrdiff_t j = base_pos + step;
+      if (j >= 0 && j < size) {
+        values->push_back(points[static_cast<size_t>(j)].second);
+      }
+    }
+  }
+};
+
+// ---------------------------------------------------------------------
 // Random inputs.
 // ---------------------------------------------------------------------
 
@@ -549,6 +581,124 @@ TEST(PrefixMergeOracleTest, AlignMatchesOrderedMapReference) {
 // ---------------------------------------------------------------------
 // NaN keys: a key cell holding NaN matches no other key.
 // ---------------------------------------------------------------------
+
+/// Seed keys and values: ties, both zeros, and the infinities (a value of
+/// -inf ties the lookup's own bound).
+double RandomSeedNumber(Rng* rng) {
+  static const double kNums[] = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 2.0,
+                                 -1.0,
+                                 3.0,
+                                 0.5,
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::infinity()};
+  return kNums[rng->UniformInt(0, 8)];
+}
+
+/// Every stored key plus points before the first and past the last.
+std::vector<double> SeedQueries() {
+  return {-5.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0,
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::infinity()};
+}
+
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
+                    const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(0, std::memcmp(&a[i], &b[i], sizeof(double)))
+        << context << " seed " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+TEST(NeighborSeedsTest, SeedMatchesOrderTrackerReference) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Sizes 0 to 5 in most trials, up to 40 in the rest.
+    const int64_t max_size = trial % 4 == 0 ? 40 : 5;
+    const size_t size = static_cast<size_t>(rng.UniformInt(0, max_size));
+    NeighborSeeds seeds(0, 1);
+    RefOrderTracker ref;
+    for (size_t i = 0; i <= size; ++i) {
+      for (double query : SeedQueries()) {
+        std::vector<double> got;
+        std::vector<double> want;
+        seeds.Seed(query, &got);
+        ref.Seed(query, &want);
+        ExpectSameBits(got, want,
+                       "trial " + std::to_string(trial) + " after " +
+                           std::to_string(i) + " inserts, query " +
+                           std::to_string(query));
+      }
+      if (i == size) break;
+      const double key = RandomSeedNumber(&rng);
+      const double value = RandomSeedNumber(&rng);
+      seeds.Insert(key, value);
+      ref.Insert(key, value);
+    }
+  }
+}
+
+TEST(NeighborSeedsTest, AbsorbMatchesInsertingRowByRow) {
+  Schema schema({Attribute::MakeNumeric("x", -4.0, 4.0, 9),
+                 Attribute::MakeNumeric("y", -4.0, 4.0, 9)});
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t rows = static_cast<size_t>(rng.UniformInt(0, 16));
+    Table table(schema);
+    for (size_t r = 0; r < rows; ++r) {
+      const double key = RandomSeedNumber(&rng);
+      const double value = RandomSeedNumber(&rng);
+      table.AppendRowUnchecked({Value::Numeric(key), Value::Numeric(value)});
+    }
+    NeighborSeeds absorbed(0, 1);
+    NeighborSeeds inserted(0, 1);
+    const std::vector<size_t> cuts = RandomCuts(rows, &rng);
+    for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+      Table slice(schema);
+      slice.AppendRowsFrom(table, cuts[k], cuts[k + 1] - cuts[k]);
+      absorbed.Absorb(slice);
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      inserted.Insert(table.at(r, 0).numeric(), table.at(r, 1).numeric());
+    }
+    for (double query : SeedQueries()) {
+      std::vector<double> got;
+      std::vector<double> want;
+      absorbed.Seed(query, &got);
+      inserted.Seed(query, &want);
+      ExpectSameBits(got, want,
+                     "trial " + std::to_string(trial) + ", query " +
+                         std::to_string(query));
+    }
+  }
+}
+
+TEST(NeighborSeedsTest, NanPairsAreNeverStoredAndNanKeysSeedNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  NeighborSeeds seeds(0, 1);
+  seeds.Insert(nan, 1.0);
+  seeds.Insert(1.0, nan);
+  std::vector<double> out;
+  seeds.Seed(1.0, &out);
+  EXPECT_TRUE(out.empty());
+  seeds.Insert(1.0, 2.0);
+  seeds.Seed(nan, &out);
+  EXPECT_TRUE(out.empty());
+
+  Schema schema({Attribute::MakeNumeric("x", 0.0, 10.0, 11),
+                 Attribute::MakeNumeric("y", 0.0, 10.0, 11)});
+  Table slice(schema);
+  for (const auto& [x, y] : std::vector<std::pair<double, double>>{
+           {nan, 4.0}, {3.0, nan}, {3.0, 5.0}}) {
+    slice.AppendRowUnchecked({Value::Numeric(x), Value::Numeric(y)});
+  }
+  seeds.Absorb(slice);
+  seeds.Seed(0.0, &out);
+  EXPECT_EQ(out, (std::vector<double>{2.0, 5.0}));
+}
 
 TEST(PrefixMergeNanTest, NanKeyCellsMatchNothing) {
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "kamino/data/generators.h"
 
@@ -71,6 +74,60 @@ TEST(SequencingTest, AdultFdOrdering) {
   const size_t edu = ds.table.schema().IndexOf("edu").value();
   const size_t edu_num = ds.table.schema().IndexOf("edu_num").value();
   EXPECT_LT(PositionOf(seq, edu), PositionOf(seq, edu_num));
+}
+
+/// Checks SequenceSchema's FD rule on `ds`: with FDs taken by increasing
+/// minimal LHS domain, an FD's LHS precedes its RHS unless an FD taken
+/// earlier already placed the RHS. Returns the LHS attributes placed
+/// after their RHS, by name.
+std::vector<std::string> LhsAfterRhs(const BenchmarkDataset& ds) {
+  const Schema& schema = ds.table.schema();
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, schema).TakeValue();
+  const std::vector<size_t> seq = SequenceSchema(schema, constraints);
+  std::vector<FdSpec> fds;
+  for (const WeightedConstraint& wc : constraints) {
+    if (auto fd = wc.dc.Decompose().Fd()) fds.push_back(std::move(*fd));
+  }
+  auto min_lhs_domain = [&](const FdSpec& fd) {
+    int64_t best = std::numeric_limits<int64_t>::max();
+    for (size_t a : fd.lhs) {
+      best = std::min(best, schema.attribute(a).DomainSize());
+    }
+    return best;
+  };
+  std::stable_sort(fds.begin(), fds.end(),
+                   [&](const FdSpec& a, const FdSpec& b) {
+                     return min_lhs_domain(a) < min_lhs_domain(b);
+                   });
+  std::vector<bool> placed(schema.size(), false);
+  std::vector<std::string> late;
+  for (const FdSpec& fd : fds) {
+    for (size_t a : fd.lhs) {
+      if (PositionOf(seq, a) < PositionOf(seq, fd.rhs)) continue;
+      EXPECT_TRUE(placed[fd.rhs])
+          << ds.name << ": " << schema.attribute(a).name() << " follows "
+          << schema.attribute(fd.rhs).name()
+          << ", which no earlier FD placed";
+      late.push_back(schema.attribute(a).name());
+    }
+    for (size_t a : fd.lhs) placed[a] = true;
+    placed[fd.rhs] = true;
+  }
+  return late;
+}
+
+TEST(SequencingTest, FdLhsPrecedesRhsUnlessAnEarlierFdPlacedIt) {
+  // Tax: `state, has_child -> child_exemp` comes first and places
+  // `state`, so `areacode -> state` and `zip -> state` find it placed.
+  std::vector<std::string> tax = LhsAfterRhs(MakeTaxLike(50, 3));
+  std::sort(tax.begin(), tax.end());
+  EXPECT_EQ(tax, (std::vector<std::string>{"areacode", "zip"}));
+  // TPC-H: `n_name -> n_regionkey` places `n_name` before
+  // `c_custkey -> n_name` comes up.
+  EXPECT_EQ(LhsAfterRhs(MakeTpchLike(50, 3)),
+            (std::vector<std::string>{"c_custkey"}));
+  EXPECT_TRUE(LhsAfterRhs(MakeAdultLike(50, 3)).empty());
 }
 
 TEST(SequencingTest, RandomSequenceIsPermutation) {

@@ -393,6 +393,40 @@ TEST(ShardedSamplerTest, TpchDigestsPinned) {
                     {4, "0x6a56edcda904d5dd", 2064, 0}});
 }
 
+TEST(ShardedSamplerTest, ExactPassCountersReachMetricsRegistry) {
+  // The freeze's exact passes report through the metrics registry too:
+  // on a 4-shard Tax run, `kamino.sampler.merge_fd_rewrites` and
+  // `.merge_order_alignments` equal the run's telemetry.
+  const BenchmarkDataset ds = MakeTaxLike(200, 13);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.seed = 31;
+  options.num_shards = 4;
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  registry.SetEnabled(true);
+  Rng srng(17);
+  SynthesisTelemetry telemetry;
+  ASSERT_TRUE(Synthesize(model, constraints, options, SampleSpec{800}, &srng,
+                         &telemetry)
+                  .ok());
+  EXPECT_GT(telemetry.merge_fd_rewrites, 0);
+  EXPECT_GT(telemetry.merge_order_alignments, 0);
+  EXPECT_EQ(registry.counter("kamino.sampler.merge_fd_rewrites")->Value(),
+            telemetry.merge_fd_rewrites);
+  EXPECT_EQ(registry.counter("kamino.sampler.merge_order_alignments")->Value(),
+            telemetry.merge_order_alignments);
+  registry.SetEnabled(false);
+  registry.Reset();
+}
+
 /// Samples recorded by the pool's per-task latency histogram so far (0
 /// before any task ran).
 int64_t PoolTaskCount() {

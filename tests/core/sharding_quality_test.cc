@@ -8,6 +8,8 @@
 //    hard-DC violations by the naive pair scan at 1, 2 and 4 shards.
 //  - BR2000 (soft DCs only, all owned by the freeze repair): total
 //    soft-DC violations within a fixed factor of the 1-shard total.
+//  - Adult with its order DC soft (the freeze repair owns an order pair):
+//    order-violating pairs at or below fixed ceilings.
 
 #include <gtest/gtest.h>
 
@@ -122,6 +124,35 @@ TEST(ShardingQualityTest, ShardedSoftDcViolationsWithinFactorOfSequential) {
               kMaxFactor * static_cast<double>(sequential.soft_violations))
         << "soft-DC violations at num_shards=" << num_shards << " vs "
         << sequential.soft_violations << " at 1 shard";
+  }
+  runtime::SetGlobalNumThreads(0);
+}
+
+TEST(ShardingQualityTest, SoftOrderDcRepairStaysWithinCeiling) {
+  // With the order DC soft the freeze repair owns it, and the values of
+  // the rows nearest under the order pair — the repair's numeric seeds —
+  // are often the only candidates that violate nothing. The ceilings are
+  // this harness's totals under the earlier seeding rule (the 4
+  // distance-nearest of frozen and live rows). A 1-shard multiple cannot
+  // serve: that rule read 73x and 81x the 1-shard total (205) here, and
+  // with no repair seeding at all the totals are 40006 and 20033.
+  BenchmarkDataset ds = MakeAdultLike(600, 13);
+  ds.hardness = {true, false};  // the FD stays hard, the order DC is soft
+  Result<FitArtifacts> fitted = Fit(ds);
+  ASSERT_TRUE(fitted.ok()) << fitted.status();
+
+  const size_t n = 4800;
+  const struct {
+    size_t num_shards;
+    int64_t ceiling;
+  } kCeilings[] = {{2, 14950}, {4, 16659}};
+  for (const auto& [num_shards, ceiling] : kCeilings) {
+    const Quality sharded =
+        MeasureAtShards(fitted.value(), ds.table, n, num_shards);
+    EXPECT_EQ(sharded.hard_violations, 0)
+        << "hard FD violated at num_shards=" << num_shards;
+    EXPECT_LE(sharded.soft_violations, ceiling)
+        << "order-violating pairs at num_shards=" << num_shards;
   }
   runtime::SetGlobalNumThreads(0);
 }

@@ -795,14 +795,15 @@ int Main() {
     }
 
     // Out-of-core streaming: the in-memory sharded run vs the
-    // spill-backed one at 4 shards across request sizes. Rows are
+    // out-of-core one at 4 shards across request sizes, both streamed to
+    // a sink with no table kept (so neither spills: the out-of-core run
+    // differs only by its two-shard dispatch window). Rows are
     // bit-identical by contract (asserted in OutOfCoreTest); what this
     // sweep measures is the memory/latency trade — the resident-row
-    // high-water mark collapsing from n to ~2 shard widths, the bytes
-    // the spill store absorbs instead, and what the spill costs in
-    // first-chunk / job-total seconds.
-    std::printf("\n%-28s %8s %12s %12s %10s %12s\n", "method", "rows",
-                "first_chunk", "job_total", "peak_rows", "spill_bytes");
+    // high-water mark collapsing from n to ~2 shard widths, and what the
+    // window costs in first-chunk / job-total seconds.
+    std::printf("\n%-28s %8s %12s %12s %10s\n", "method", "rows",
+                "first_chunk", "job_total", "peak_rows");
     for (size_t stream_rows : {size_t{600}, size_t{2400}, size_t{9600}}) {
       for (bool out_of_core : {false, true}) {
         CountingSink sink;
@@ -828,10 +829,8 @@ int Main() {
         records.push_back({std::string(tag) + "_peak_resident_rows",
                            stream_rows, 1,
                            static_cast<double>(tel.peak_resident_rows)});
-        records.push_back({std::string(tag) + "_spill_bytes", stream_rows, 1,
-                           static_cast<double>(tel.spill_bytes)});
         if (out_of_core) {
-          // The acceptance bound: at 4 shards the spill-backed run's
+          // The acceptance bound: at 4 shards the out-of-core run's
           // residency must stay within 2 shard widths at every size.
           const int64_t shard_width =
               static_cast<int64_t>((stream_rows + 3) / 4);
@@ -839,11 +838,10 @@ int Main() {
             ooc_resident_bounded = false;
           }
         }
-        std::printf("%-28s %8zu %12.4f %12.4f %10lld %12lld\n",
+        std::printf("%-28s %8zu %12.4f %12.4f %10lld\n",
                     out_of_core ? "stream_out_of_core" : "stream_in_memory",
                     stream_rows, first, total,
-                    static_cast<long long>(tel.peak_resident_rows),
-                    static_cast<long long>(tel.spill_bytes));
+                    static_cast<long long>(tel.peak_resident_rows));
       }
     }
     std::printf("\nout-of-core peak residency <= 2 shard widths: %s\n",

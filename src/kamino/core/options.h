@@ -120,8 +120,9 @@ struct KaminoOptions {
 
   // --- Out-of-core spill (src/kamino/store/) ---
   /// Parent directory for the spill store's private `mkdtemp` directory
-  /// of an out-of-core run (`SampleSpec::out_of_core`). Empty (the
-  /// default) means $TMPDIR, else /tmp.
+  /// of an out-of-core run that collects its table
+  /// (`SampleSpec::out_of_core` with `collect_table`; no other run
+  /// spills). Empty (the default) means $TMPDIR, else /tmp.
   std::string spill_dir;
 
   /// Root seed for all randomness in the run.

@@ -806,33 +806,104 @@ std::vector<PrefixFdFamily> BuildFdFamilies(
   return families;
 }
 
-/// Retires one final slice of the instance and delivers it to
-/// `hooks->on_chunk`. The slice is encoded at most once: out-of-core runs
-/// seal the encoding into `spill` (and, under `compress`, pass the
-/// same payload straight to the sink instead of re-encoding or re-reading
-/// it); otherwise the rows are appended to `out` when the caller keeps the
-/// table (null `out` = discard). The chunk then owns the slice, so the
-/// sink may keep it alive past the call.
+/// Where the run's frozen slices live, decided once at open from the
+/// run's delivery settings:
+///  - no table kept (`collect_table` off): nothing is stored, nothing
+///    touches disk; the rows exist only as delivered chunks;
+///  - memory (collecting, in memory): slices are appended to the table;
+///  - spill (collecting, `out_of_core`): each slice is sealed into a
+///    `store::SpillStore` block, and the table is re-read at the end.
+/// The store lives on the synthesis stack frame, so the spill store's
+/// destructor (which unlinks the spill file and temp dir) runs on every
+/// exit path: completion, error, cancellation and engine teardown.
+class FrozenSliceStore {
+ public:
+  /// Opens the store `run` asks for. Only the spill backend touches disk
+  /// (a private directory under `spill_dir`), so only it can fail here.
+  static Result<FrozenSliceStore> Open(const SampleSpec& run,
+                                       const Schema& schema,
+                                       const std::string& spill_dir,
+                                       size_t num_shards) {
+    FrozenSliceStore store(schema, run.collect_table,
+                           run.out_of_core ? std::min<size_t>(2, num_shards)
+                                           : num_shards);
+    if (run.collect_table && run.out_of_core) {
+      KAMINO_ASSIGN_OR_RETURN(store.spill_,
+                              store::SpillStore::Create(spill_dir));
+    }
+    return store;
+  }
+
+  /// Shards the coordinator keeps dispatched ahead of its freezes. An
+  /// in-memory run dispatches every shard up front for maximum overlap.
+  /// An out-of-core run keeps two — the one being frozen plus the one
+  /// sampling behind it — and releases the next only after a freeze
+  /// retires its slice; that, not the spill, is what bounds peak
+  /// residency to ~2 shard widths.
+  size_t dispatch_window() const { return dispatch_window_; }
+
+  /// Frozen rows held in memory (the memory backend's term of the
+  /// resident-row count).
+  size_t resident_rows() const { return table_.num_rows(); }
+
+  /// Stores one frozen slice. The spill backend encodes it into
+  /// `*encoded` on the way to disk, so a compressed chunk can reuse that
+  /// payload; the other backends leave `*encoded` empty.
+  Status Put(const Table& slice, size_t shard, std::vector<uint8_t>* encoded,
+             SynthesisTelemetry* telemetry) {
+    if (spill_ != nullptr) {
+      obs::TraceSpan spill_span("sampler/spill");
+      spill_span.AddArg("shard", static_cast<int64_t>(shard));
+      spill_span.AddArg("rows", static_cast<int64_t>(slice.num_rows()));
+      *encoded = EncodeChunkColumns(slice);
+      const uint64_t before = spill_->spilled_bytes();
+      KAMINO_RETURN_IF_ERROR(spill_->AppendBlock(*encoded, slice.num_rows()));
+      const int64_t delta =
+          static_cast<int64_t>(spill_->spilled_bytes() - before);
+      spill_span.AddArg("bytes", delta);
+      telemetry->spill_blocks += 1;
+      telemetry->spill_bytes += delta;
+      telemetry->spilled_rows += static_cast<int64_t>(slice.num_rows());
+    } else if (collect_) {
+      table_.AppendRowsFrom(slice, 0, slice.num_rows());
+    }
+    return Status::OK();
+  }
+
+  /// The run's table, schema-only when none is kept. Spilled blocks are
+  /// re-read one validated block at a time, bit-exact by the codec's
+  /// round-trip contract.
+  Result<Table> Finish() {
+    if (spill_ != nullptr) {
+      for (size_t b = 0; b < spill_->block_count(); ++b) {
+        KAMINO_ASSIGN_OR_RETURN(Table slice,
+                                spill_->ReadBlock(b, table_.schema()));
+        table_.AppendRowsFrom(slice, 0, slice.num_rows());
+      }
+    }
+    return std::move(table_);
+  }
+
+ private:
+  FrozenSliceStore(const Schema& schema, bool collect, size_t dispatch_window)
+      : table_(schema), collect_(collect), dispatch_window_(dispatch_window) {}
+
+  Table table_;
+  bool collect_;
+  size_t dispatch_window_;
+  std::unique_ptr<store::SpillStore> spill_;  // set by the spill backend only
+};
+
+/// Retires one final slice of the instance into `store` and delivers it
+/// to `hooks->on_chunk`. The slice is encoded at most once: a compressed
+/// chunk reuses the payload the store sealed, if it made one. The chunk
+/// then owns the slice, so the sink may keep it alive past the call.
 Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
                        bool compress, const SynthesisHooks* hooks,
-                       store::SpillStore* spill, Table* out,
+                       FrozenSliceStore* store,
                        SynthesisTelemetry* telemetry) {
   std::vector<uint8_t> encoded;
-  if (spill != nullptr) {
-    obs::TraceSpan spill_span("sampler/spill");
-    spill_span.AddArg("shard", static_cast<int64_t>(shard));
-    spill_span.AddArg("rows", static_cast<int64_t>(live.num_rows()));
-    encoded = EncodeChunkColumns(live);
-    const uint64_t before = spill->spilled_bytes();
-    KAMINO_RETURN_IF_ERROR(spill->AppendBlock(encoded, live.num_rows()));
-    const int64_t delta = static_cast<int64_t>(spill->spilled_bytes() - before);
-    spill_span.AddArg("bytes", delta);
-    telemetry->spill_blocks += 1;
-    telemetry->spill_bytes += delta;
-    telemetry->spilled_rows += static_cast<int64_t>(live.num_rows());
-  } else if (out != nullptr) {
-    out->AppendRowsFrom(live, 0, live.num_rows());
-  }
+  KAMINO_RETURN_IF_ERROR(store->Put(live, shard, &encoded, telemetry));
   if (hooks == nullptr || !hooks->on_chunk) return Status::OK();
   if (!KeepGoing(hooks)) return CancelledStatus();
   obs::TraceSpan span("sampler/chunk");
@@ -844,7 +915,7 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
   chunk.row_offset = offset;
   chunk.last = last;
   if (compress) {
-    if (spill == nullptr) encoded = EncodeChunkColumns(live);
+    if (encoded.empty()) encoded = EncodeChunkColumns(live);
     chunk.encoded = std::move(encoded);
     chunk.encoded_rows = live.num_rows();
     chunk.rows = Table(live.schema());  // schema-only carrier
@@ -908,21 +979,9 @@ Result<Table> ProgressiveShardSynthesis(
   // with no frozen prefix there are no cross-shard conflicts.
   const bool one_shard = num_shards == 1;
   const runtime::RngStream root(one_shard ? 0 : rng->NextSeed());
-  // The assembled table, unless the caller consumes the run through chunks
-  // only (`collect_table` off): then it stays schema-only.
-  Table out(schema);
-  Table* const keep_table = run.collect_table ? &out : nullptr;
-
-  // Out-of-core: frozen slices leave memory for the spill store at their
-  // freeze. The store lives on this stack frame, so its destructor —
-  // which unlinks the spill file and temp dir — runs on every exit path:
-  // completion, error, cancellation, and engine teardown (the drain
-  // below unwinds through here).
-  const bool out_of_core = run.out_of_core;
-  std::unique_ptr<store::SpillStore> spill;
-  if (out_of_core) {
-    KAMINO_ASSIGN_OR_RETURN(spill, store::SpillStore::Create(options.spill_dir));
-  }
+  KAMINO_ASSIGN_OR_RETURN(
+      FrozenSliceStore store,
+      FrozenSliceStore::Open(run, schema, options.spill_dir, num_shards));
 
   std::vector<ShardState> shards(num_shards);
   for (ShardState& shard : shards) shard.table = Table(schema);
@@ -972,14 +1031,9 @@ Result<Table> ProgressiveShardSynthesis(
   };
   if (!inline_shards) {
     pool = runtime::GlobalThreadPool();
-    // In-memory runs dispatch everything up front for maximum overlap.
-    // Out-of-core runs window the dispatch to two shards — the one being
-    // frozen plus the one sampling behind it — and release the next only
-    // after a freeze retires its slice to disk; that, not the spill, is
-    // what bounds peak residency to ~2 shard widths.
-    const size_t window =
-        out_of_core ? std::min<size_t>(2, num_shards) : num_shards;
-    for (; dispatched < window; ++dispatched) dispatch_shard(dispatched);
+    for (; dispatched < store.dispatch_window(); ++dispatched) {
+      dispatch_shard(dispatched);
+    }
   }
 
   // The freeze plan, fixed for the run: one owner per DC, the exact
@@ -1033,12 +1087,12 @@ Result<Table> ProgressiveShardSynthesis(
 
   // Resident-row high-water mark, computed analytically (never by reading
   // a table a pool worker may be filling): the slice being frozen + the
-  // accumulated in-memory output + every dispatched-but-unfrozen shard at
-  // its full width.
+  // store's in-memory rows + every dispatched-but-unfrozen shard at its
+  // full width.
   int64_t peak_resident = 0;
   auto note_resident = [&](size_t s, size_t live_rows) {
-    int64_t resident =
-        static_cast<int64_t>(live_rows) + static_cast<int64_t>(out.num_rows());
+    int64_t resident = static_cast<int64_t>(live_rows) +
+                       static_cast<int64_t>(store.resident_rows());
     const size_t hi = inline_shards ? s + 1 : dispatched;
     for (size_t j = s + 1; j < hi; ++j) {
       resident += static_cast<int64_t>(sizes[j]);
@@ -1253,11 +1307,10 @@ Result<Table> ProgressiveShardSynthesis(
     span.AddArg("conflict_rows", static_cast<int64_t>(offenders.size()));
     const int64_t fold_us = lap_us();
 
-    // Emit immediately: these rows are frozen and never rewritten. The
-    // in-memory copy dies with `live` unless the caller keeps the table.
+    // Emit immediately: these rows are frozen and never rewritten.
     Status emitted = EmitFrozenSlice(std::move(live), s, begin, last,
-                                     run.compress_chunks, hooks, spill.get(),
-                                     keep_table, telemetry);
+                                     run.compress_chunks, hooks, &store,
+                                     telemetry);
     span.AddArg("detect_us", detect_us);
     span.AddArg("repair_us", repair_us);
     span.AddArg("canonicalize_us", canonicalize_us);
@@ -1289,9 +1342,8 @@ Result<Table> ProgressiveShardSynthesis(
     status = freeze_shard(s, span);
     telemetry->merge_seconds += span.Finish();
     if (!status.ok()) break;
-    // Windowed dispatch (out-of-core; an in-memory run dispatched every
-    // shard up front): the freeze just retired a slice to disk, so there
-    // is room for the next shard's table.
+    // Windowed dispatch: the freeze just retired a slice, so there is
+    // room for the next shard's table (a full window dispatched them all).
     if (!inline_shards && dispatched < num_shards) {
       dispatch_shard(dispatched);
       ++dispatched;
@@ -1313,16 +1365,7 @@ Result<Table> ProgressiveShardSynthesis(
   }
   KAMINO_RETURN_IF_ERROR(status);
   telemetry->peak_resident_rows = peak_resident;
-  if (out_of_core && keep_table != nullptr) {
-    // The full table only ever existed on disk: reassemble it by bounded
-    // re-read — one validated block resident at a time, bit-exact by the
-    // codec's round-trip contract.
-    for (size_t b = 0; b < spill->block_count(); ++b) {
-      KAMINO_ASSIGN_OR_RETURN(Table slice, spill->ReadBlock(b, schema));
-      out.AppendRowsFrom(slice, 0, slice.num_rows());
-    }
-  }
-  return out;
+  return store.Finish();
 }
 
 /// Folds the run's telemetry into the global metrics registry once per

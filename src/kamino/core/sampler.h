@@ -96,17 +96,20 @@ struct SampleSpec {
   /// rows are unchanged — only their wire form is. Ignored without an
   /// `on_chunk` hook.
   bool compress_chunks = false;
-  /// Spill each frozen slice to disk (`src/kamino/store/`, under
-  /// `KaminoOptions::spill_dir`) at its freeze and drop the in-memory
-  /// columns, keeping only the live shards, the merged violation-index
-  /// state, and the persisted frozen FD/envelope lookups — turning "n
-  /// rows" from a RAM limit into a disk limit. Bit-identical to the
-  /// in-memory run at any num_threads.
+  /// Keep frozen rows out of memory. With `collect_table` on, each frozen
+  /// slice is spilled to disk (`src/kamino/store/`, under
+  /// `KaminoOptions::spill_dir`) at its freeze and re-read once when the
+  /// run ends, so "n rows" becomes a disk limit instead of a RAM limit.
+  /// In either case the shard dispatch is windowed to two shards, so only
+  /// the live shards, the merged violation-index state and the persisted
+  /// frozen FD/envelope lookups stay resident (~2 shard widths of rows).
+  /// Bit-identical to the in-memory run at any num_threads.
   bool out_of_core = false;
-  /// When false, the run returns a schema-only table and the rows are
-  /// observable through `on_chunk` only: in memory it never accumulates
-  /// the frozen slices, and under `out_of_core` it skips re-reading them
-  /// from the spill store — the constant-memory delivery path.
+  /// When false, the run keeps no table: it returns a schema-only table,
+  /// the rows are observable through `on_chunk` only, and no frozen slice
+  /// is stored anywhere — in memory or, under `out_of_core`, on disk (no
+  /// spill file is created). With `out_of_core` this is the
+  /// constant-memory delivery path.
   bool collect_table = true;
 
   static constexpr size_t kUnset = static_cast<size_t>(-1);
@@ -174,17 +177,20 @@ struct SynthesisTelemetry {
   int64_t merge_penalty_live_row_scans = 0;
   int64_t merge_penalty_frozen_row_scans = 0;
 
-  // --- Out-of-core spill (`SampleSpec::out_of_core`) ---
+  // --- Frozen-slice spill (`out_of_core` with `collect_table`; 0 in
+  // every other mode, which writes no spill file) ---
   /// Frozen-slice blocks sealed into the spill file (one per freeze).
   int64_t spill_blocks = 0;
   /// Bytes appended to the spill file (chunk-codec payloads + framing).
   int64_t spill_bytes = 0;
-  /// Rows written to the spill store (equals n on a completed run).
+  /// Rows written to the spill store (equals n on a completed spilling
+  /// run).
   int64_t spilled_rows = 0;
   /// High-water mark of rows resident in materialized tables at any
   /// point of the run (dispatched shard tables + the slice being frozen
-  /// + the accumulated output). Out-of-core runs bound this to ~2 shard
-  /// widths; in-memory runs grow it to n.
+  /// + the frozen rows kept in memory), set on every run. Out-of-core
+  /// runs bound this to ~2 shard widths; in-memory runs that collect the
+  /// table grow it to n.
   int64_t peak_resident_rows = 0;
   /// Seconds from job start (after dequeue — queue wait excluded) to the
   /// first `TableChunk` handed to the `RowSink`. Filled by the service

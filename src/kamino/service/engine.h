@@ -149,8 +149,8 @@ struct SynthesisRequest : SampleSpec {
   /// Optional streaming delivery (see RowSink for the order guarantee).
   /// Must outlive the job. `compress_chunks` is ignored without a sink;
   /// `out_of_core` combined with `collect_table = false` and a sink is the
-  /// constant-memory delivery path: rows then exist only as chunks and
-  /// spill blocks.
+  /// constant-memory delivery path: rows then exist only as chunks, and
+  /// nothing is spilled to disk.
   RowSink* sink = nullptr;
   /// No-op, kept for source compatibility: every run streams through the
   /// prefix-frozen merge, so nothing reads this field.

@@ -82,7 +82,8 @@ class SpillStore {
   Result<Table> ReadBlock(size_t index, const Schema& schema);
 
   /// Reads block `index`'s raw codec payload (frame validated, payload not
-  /// decoded) — the pass-through source for compressed chunk delivery.
+  /// decoded). Synthesis does not call it: a compressed chunk reuses the
+  /// payload encoded for the spill instead of reading it back.
   Result<std::vector<uint8_t>> ReadBlockPayload(size_t index);
 
   size_t block_count() const { return blocks_.size(); }

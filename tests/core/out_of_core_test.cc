@@ -5,8 +5,9 @@
 // hard DCs stay exact after every freeze, frozen rows are never
 // re-scanned by the repair penalty kernel (the constant-memory
 // contract, asserted by counters), residency stays bounded to ~2 shard
-// widths, compressed chunks pass the spilled payload through, and
-// cancellation mid-spill leaves no orphaned spill files.
+// widths, compressed chunks pass the spilled payload through,
+// cancellation mid-spill leaves no orphaned spill files, and a run that
+// keeps no table spills nothing.
 
 #include <dirent.h>
 #include <gtest/gtest.h>
@@ -89,6 +90,7 @@ struct RunConfig {
   size_t num_shards = 4;
   bool out_of_core = false;
   bool compress_chunks = false;
+  bool collect_table = true;
 };
 
 struct RunOutput {
@@ -97,12 +99,15 @@ struct RunOutput {
   std::vector<TableChunk> chunks;
 };
 
-/// Trains on `ds` (fixed seeds, comparable across configs) and
-/// synthesizes `n` sharded rows, in-memory or out-of-core per `config`,
-/// capturing every chunk.
-RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
-                   const RunConfig& config) {
-  ScopedNumThreads threads(config.num_threads);
+/// A model trained on one dataset with fixed seeds, so runs are
+/// comparable across configs.
+struct Trained {
+  std::vector<WeightedConstraint> constraints;
+  KaminoOptions options;
+  ProbabilisticDataModel model;
+};
+
+Trained Train(const BenchmarkDataset& ds, size_t num_shards) {
   auto constraints =
       ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
   auto sequence = SequenceSchema(ds.table.schema(), constraints);
@@ -111,10 +116,17 @@ RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
   options.iterations = 8;
   options.mcmc_resamples = 40;
   options.seed = 77;
-  options.num_shards = config.num_shards;
+  options.num_shards = num_shards;
   Rng rng(77);
   auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
                    .TakeValue();
+  return {std::move(constraints), options, std::move(model)};
+}
+
+/// Synthesizes `n` sharded rows from `trained`, with the threads and
+/// delivery settings of `config`, capturing every chunk.
+RunOutput RunMerge(const Trained& trained, size_t n, const RunConfig& config) {
+  ScopedNumThreads threads(config.num_threads);
   RunOutput run;
   SynthesisHooks hooks;
   hooks.on_chunk = [&run](const TableChunk& chunk) {
@@ -122,45 +134,103 @@ RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
     return Status::OK();
   };
   SampleSpec spec{n};
+  spec.num_shards = config.num_shards;
   spec.out_of_core = config.out_of_core;
   spec.compress_chunks = config.compress_chunks;
+  spec.collect_table = config.collect_table;
   Rng srng(17);
-  run.out = Synthesize(model, constraints, options, spec, &srng,
-                       &run.telemetry, &hooks)
+  run.out = Synthesize(trained.model, trained.constraints, trained.options,
+                       spec, &srng, &run.telemetry, &hooks)
                 .TakeValue();
   return run;
 }
 
+/// Trains on `ds` and runs `config` once.
+RunOutput RunMerge(const BenchmarkDataset& ds, size_t n,
+                   const RunConfig& config) {
+  ScopedNumThreads threads(config.num_threads);
+  return RunMerge(Train(ds, config.num_shards), n, config);
+}
+
+/// The rows of `chunk`, decoded when it travels compressed.
+Table ChunkRows(const TableChunk& chunk) {
+  if (!chunk.compressed()) return chunk.rows;
+  return DecodeChunkColumns(chunk.rows.schema(), chunk.encoded).TakeValue();
+}
+
 TEST(OutOfCoreTest, BitIdenticalToInMemoryProgressiveAcrossThreadsAndShards) {
-  // The acceptance grid: {1, 4} threads x {2, 4} shards, spilling on vs
-  // off, must agree on every bit and on the merge telemetry.
+  // The acceptance grid: {1, 4} threads x {2, 4} shards x every delivery
+  // setting (out_of_core x collect_table x compress_chunks) must deliver
+  // the same rows, collect the same table and report the same merge
+  // telemetry. Only a collecting out-of-core run spills, and every
+  // out-of-core run keeps residency within 2 shard widths.
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
+  const size_t n = 120;
+  const Trained trained = Train(ds, 1);
   for (const size_t num_shards : {size_t{2}, size_t{4}}) {
+    const int64_t shard_width =
+        static_cast<int64_t>((n + num_shards - 1) / num_shards);
     RunOutput baseline;
     bool have_baseline = false;
     for (const size_t num_threads : {size_t{1}, size_t{4}}) {
       for (const bool out_of_core : {false, true}) {
-        RunConfig config;
-        config.num_threads = num_threads;
-        config.num_shards = num_shards;
-        config.out_of_core = out_of_core;
-        RunOutput run = RunMerge(ds, 120, config);
-        EXPECT_EQ(run.telemetry.num_shards, num_shards);
-        if (!have_baseline) {
-          baseline = std::move(run);
-          have_baseline = true;
-          continue;
+        for (const bool collect_table : {true, false}) {
+          for (const bool compress_chunks : {false, true}) {
+            RunConfig config;
+            config.num_threads = num_threads;
+            config.num_shards = num_shards;
+            config.out_of_core = out_of_core;
+            config.collect_table = collect_table;
+            config.compress_chunks = compress_chunks;
+            RunOutput run = RunMerge(trained, n, config);
+            SCOPED_TRACE(testing::Message()
+                         << "shards=" << num_shards
+                         << " threads=" << num_threads
+                         << " out_of_core=" << out_of_core
+                         << " collect_table=" << collect_table
+                         << " compress_chunks=" << compress_chunks);
+            EXPECT_EQ(run.telemetry.num_shards, num_shards);
+            EXPECT_EQ(run.telemetry.spill_blocks > 0,
+                      out_of_core && collect_table);
+            if (out_of_core) {
+              EXPECT_LE(run.telemetry.peak_resident_rows, 2 * shard_width);
+            }
+            if (!collect_table) EXPECT_EQ(run.out.num_rows(), 0u);
+            if (!have_baseline) {
+              ASSERT_TRUE(collect_table && !compress_chunks);
+              baseline = std::move(run);
+              have_baseline = true;
+              continue;
+            }
+            ASSERT_EQ(run.chunks.size(), baseline.chunks.size());
+            for (size_t k = 0; k < run.chunks.size(); ++k) {
+              EXPECT_EQ(run.chunks[k].compressed(), compress_chunks);
+              EXPECT_EQ(run.chunks[k].row_offset,
+                        baseline.chunks[k].row_offset);
+              ExpectSameTable(ChunkRows(baseline.chunks[k]),
+                              ChunkRows(run.chunks[k]));
+            }
+            if (collect_table) {
+              ExpectSameTable(baseline.out, run.out);
+              EXPECT_EQ(TableDigest(baseline.out), TableDigest(run.out));
+            }
+            const SynthesisTelemetry& a = baseline.telemetry;
+            const SynthesisTelemetry& b = run.telemetry;
+            EXPECT_EQ(a.merge_cross_violations, b.merge_cross_violations);
+            EXPECT_EQ(a.merge_conflict_rows, b.merge_conflict_rows);
+            EXPECT_EQ(a.merge_resamples, b.merge_resamples);
+            EXPECT_EQ(a.merge_budget, b.merge_budget);
+            EXPECT_EQ(a.merge_early_stops, b.merge_early_stops);
+            EXPECT_EQ(a.merge_fd_rewrites, b.merge_fd_rewrites);
+            EXPECT_EQ(a.merge_order_alignments, b.merge_order_alignments);
+            EXPECT_EQ(a.merge_prefix_freezes, b.merge_prefix_freezes);
+            EXPECT_EQ(a.merge_frozen_rows, b.merge_frozen_rows);
+            EXPECT_EQ(a.merge_penalty_live_row_scans,
+                      b.merge_penalty_live_row_scans);
+            EXPECT_EQ(a.merge_penalty_frozen_row_scans,
+                      b.merge_penalty_frozen_row_scans);
+          }
         }
-        ExpectSameTable(baseline.out, run.out);
-        EXPECT_EQ(TableDigest(baseline.out), TableDigest(run.out))
-            << "shards=" << num_shards << " threads=" << num_threads
-            << " out_of_core=" << out_of_core;
-        EXPECT_EQ(baseline.telemetry.merge_cross_violations,
-                  run.telemetry.merge_cross_violations);
-        EXPECT_EQ(baseline.telemetry.merge_resamples,
-                  run.telemetry.merge_resamples);
-        EXPECT_EQ(baseline.telemetry.merge_fd_rewrites,
-                  run.telemetry.merge_fd_rewrites);
       }
     }
   }
@@ -302,7 +372,8 @@ TEST(OutOfCoreTest, CompressedChunksPassThroughTheSpilledPayload) {
 
 TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
   // With collect_table off the sampler returns a schema-only table — the
-  // rows exist solely as delivered chunks (the constant-memory path).
+  // rows exist solely as delivered chunks (the constant-memory path), so
+  // nothing is written to the spill store that nobody would read back.
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
   ScopedNumThreads threads(1);
   auto constraints =
@@ -332,7 +403,9 @@ TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
           .TakeValue();
   EXPECT_EQ(out.num_rows(), 0u);
   EXPECT_EQ(delivered, 120u);
-  EXPECT_EQ(telemetry.spilled_rows, 120);
+  EXPECT_EQ(telemetry.spilled_rows, 0);
+  EXPECT_EQ(telemetry.spill_blocks, 0);
+  EXPECT_EQ(telemetry.spill_bytes, 0);
 }
 
 /// Entries in `dir` other than "." / "..".
@@ -398,6 +471,51 @@ TEST(OutOfCoreTest, CancellationMidSpillLeavesNoOrphanedFiles) {
   }
   EXPECT_EQ(DirEntryCount(parent_dir), 0u)
       << "orphaned spill files under " << parent_dir;
+  ::rmdir(parent_dir.c_str());
+}
+
+TEST(OutOfCoreTest, NoTableRunCreatesNoSpillDirectory) {
+  // out_of_core with collect_table off keeps no table, so nothing may be
+  // spilled: the spill parent stays empty while chunks are delivered.
+  char parent_template[] = "/tmp/kamino-ooc-test-XXXXXX";
+  char* parent = ::mkdtemp(parent_template);
+  ASSERT_NE(parent, nullptr);
+  const std::string parent_dir(parent);
+  const BenchmarkDataset ds = MakeAdultLike(100, 13);
+  ScopedNumThreads threads(1);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 8;
+  options.seed = 77;
+  options.num_shards = 4;
+  options.spill_dir = parent_dir;
+  Rng rng(77);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  std::vector<size_t> entries_at_chunk;
+  SynthesisHooks hooks;
+  hooks.on_chunk = [&](const TableChunk&) {
+    entries_at_chunk.push_back(DirEntryCount(parent_dir));
+    return Status::OK();
+  };
+  SampleSpec spec{120};
+  spec.out_of_core = true;
+  spec.collect_table = false;
+  Rng srng(17);
+  SynthesisTelemetry telemetry;
+  const auto result =
+      Synthesize(model, constraints, options, spec, &srng, &telemetry, &hooks);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(entries_at_chunk.size(), 4u);
+  for (size_t k = 0; k < entries_at_chunk.size(); ++k) {
+    EXPECT_EQ(entries_at_chunk[k], 0u)
+        << "spill entries under " << parent_dir << " at chunk " << k;
+  }
+  EXPECT_EQ(telemetry.spill_blocks, 0);
+  EXPECT_EQ(telemetry.spill_bytes, 0);
   ::rmdir(parent_dir.c_str());
 }
 

@@ -4,13 +4,16 @@
 // streaming delivery-order guarantee, cooperative job cancellation at
 // shard boundaries, and the overlapping-jobs concurrency contract that
 // core/kamino.h promises (two concurrent jobs at different thread budgets
-// both reproduce their single-run outputs).
+// both reproduce their single-run outputs), and a spill failure that
+// fails only its own run.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -340,8 +343,58 @@ TEST(EngineJobTest, AsyncJobMatchesSynchronousRun) {
   EXPECT_EQ(a.spilled_rows, b.spilled_rows);
   EXPECT_EQ(a.merge_prefix_freezes, b.merge_prefix_freezes);
   EXPECT_EQ(a.merge_cross_violations, b.merge_cross_violations);
-  EXPECT_EQ(a.spill_blocks, 4);
-  EXPECT_EQ(a.spilled_rows, static_cast<int64_t>(ds.table.num_rows()));
+  // No table is kept, so nothing is spilled.
+  EXPECT_EQ(a.spill_blocks, 0);
+  EXPECT_EQ(a.spilled_rows, 0);
+}
+
+TEST(EngineJobTest, UnusableSpillDirFailsOnlyTheSpillingRun) {
+  // A collecting out-of-core run whose spill directory cannot be created
+  // fails with kIoError, through both entry points; the engine stays
+  // usable, and the runs that spill nothing succeed on the same model.
+  ScopedNumThreads threads(1);
+  BenchmarkDataset ds = MakeAdultLike(80, 13);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  char file_template[] = "/tmp/kamino-spill-parent-XXXXXX";
+  const int fd = ::mkstemp(file_template);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  KaminoConfig config = TestConfig(77);
+  config.options.spill_dir = file_template;  // a file, not a directory
+  KaminoEngine engine;
+  auto model = engine.Fit(ds.table, constraints, config);
+  ASSERT_TRUE(model.ok()) << model.status();
+
+  SynthesisRequest spilling;
+  spilling.num_shards = 2;
+  spilling.out_of_core = true;
+  auto failed = engine.Synthesize(model.value(), spilling);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  auto failed_job = engine.Submit(model.value(), spilling)->Wait();
+  ASSERT_FALSE(failed_job.ok());
+  EXPECT_EQ(failed_job.status().code(), StatusCode::kIoError);
+
+  SynthesisRequest in_memory;
+  in_memory.num_shards = 2;
+  auto collected = engine.Synthesize(model.value(), in_memory);
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected.value().synthetic.num_rows(), ds.table.num_rows());
+
+  RecordingSink sink;
+  SynthesisRequest streamed = spilling;
+  streamed.collect_table = false;
+  streamed.sink = &sink;
+  auto streamed_run = engine.Submit(model.value(), streamed)->Wait();
+  ASSERT_TRUE(streamed_run.ok()) << streamed_run.status();
+  Table delivered(ds.table.schema());
+  for (const TableChunk& chunk : sink.chunks()) {
+    delivered.AppendRowsFrom(chunk.rows, 0, chunk.num_rows());
+  }
+  ExpectSameTable(collected.value().synthetic, delivered);
+  EXPECT_EQ(streamed_run.value().telemetry.spill_blocks, 0);
+  ::unlink(file_template);
 }
 
 TEST(EngineJobTest, StreamingSinkDeliversBeforeJobCompletion) {

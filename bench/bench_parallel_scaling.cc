@@ -730,7 +730,11 @@ int Main() {
     auto model = engine.Fit(ds.table, constraints, config);
     const double fit_seconds = Now() - fit_start;
     KAMINO_CHECK(model.ok()) << model.status();
-    records.push_back({"service_fit", rows, 1, fit_seconds});
+    // The engine runs at the fit's thread budget (the hardware one: the
+    // config leaves `num_threads` unset), so the service, stream and
+    // out-of-core records carry the budget each run resolved.
+    records.push_back(
+        {"service_fit", rows, runtime::GlobalNumThreads(), fit_seconds});
 
     constexpr int kRequests = 4;
     double synthesize_seconds = 0.0;
@@ -744,7 +748,8 @@ int Main() {
       KAMINO_CHECK(result.ok()) << result.status();
       const double secs = Now() - t0;
       synthesize_seconds += secs;
-      records.push_back({"service_synthesize", rows, 1, secs});
+      records.push_back({"service_synthesize", rows,
+                         result.value().telemetry.num_threads, secs});
       std::printf("%-28s %8d %12.4f\n", "service_synthesize", i, secs);
       // Identical requests must reproduce identical instances.
       auto again = engine.Synthesize(model.value(), request);
@@ -786,18 +791,21 @@ int Main() {
       auto job_result = job->Wait();
       KAMINO_CHECK(job_result.ok()) << job_result.status();
       KAMINO_CHECK(sink.chunks == 4u) << "streaming run lost chunks";
-      const double first = job_result.value().telemetry.first_chunk_seconds;
+      const SynthesisTelemetry& tel = job_result.value().telemetry;
+      const double first = tel.first_chunk_seconds;
       const double total = job_result.value().sampling_seconds;
-      records.push_back({"stream_first_chunk_shards4", stream_rows, 1, first});
-      records.push_back({"stream_job_total_shards4", stream_rows, 1, total});
+      records.push_back({"stream_first_chunk_shards4", stream_rows,
+                         tel.num_threads, first});
+      records.push_back({"stream_job_total_shards4", stream_rows,
+                         tel.num_threads, total});
       std::printf("%-28s %8zu %12.4f %12.4f\n", "stream_shards4", stream_rows,
                   first, total);
     }
 
     // Out-of-core streaming: the in-memory sharded run vs the
     // out-of-core one at 4 shards across request sizes, both streamed to
-    // a sink with no table kept (so neither spills: the out-of-core run
-    // differs only by its two-shard dispatch window). Rows are
+    // a sink with no table kept (the out-of-core run differs only by its
+    // two-shard dispatch window). Rows are
     // bit-identical by contract (asserted in OutOfCoreTest); what this
     // sweep measures is the memory/latency trade — the resident-row
     // high-water mark collapsing from n to ~2 shard widths, and what the
@@ -823,11 +831,11 @@ int Main() {
         const double total = job_result.value().sampling_seconds;
         const char* tag = out_of_core ? "ooc" : "inmem";
         records.push_back({std::string(tag) + "_first_chunk_shards4",
-                           stream_rows, 1, first});
+                           stream_rows, tel.num_threads, first});
         records.push_back({std::string(tag) + "_job_total_shards4",
-                           stream_rows, 1, total});
+                           stream_rows, tel.num_threads, total});
         records.push_back({std::string(tag) + "_peak_resident_rows",
-                           stream_rows, 1,
+                           stream_rows, tel.num_threads,
                            static_cast<double>(tel.peak_resident_rows)});
         if (out_of_core) {
           // The acceptance bound: at 4 shards the out-of-core run's

@@ -60,6 +60,19 @@ kamino::Table MakeEmployees(size_t n, uint64_t seed) {
   return table;
 }
 
+/// True when `a` and `b` hold the same cells, row for row.
+bool SameCells(const kamino::Table& a, const kamino::Table& b) {
+  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
+    return false;
+  }
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      if (!(a.at(r, c) == b.at(r, c))) return false;
+    }
+  }
+  return true;
+}
+
 /// Prints each chunk as it arrives — a stand-in for a network writer.
 class PrintingSink : public kamino::RowSink {
  public:
@@ -229,49 +242,47 @@ int main(int argc, char** argv) {
                 static_cast<long long>(telemetry.merge_frozen_rows));
   }
 
-  // --- Out-of-core streaming: frozen slices spill to disk at each
-  // freeze and their in-memory columns are dropped, bounding resident
-  // rows to ~2 shard widths while the delivered rows stay bit-identical
-  // to the in-memory run (same seed, same shard count). ---
+  // --- Out-of-core streaming: `out_of_core` keeps at most two shards in
+  // flight. A run that collects its table still returns all n rows, cell
+  // for cell the in-memory run's (same seed, same shard count). A run
+  // that keeps no table streams the same rows with ~2 shard widths
+  // resident at most. Neither writes to disk. ---
   kamino::SynthesisRequest in_memory_ref;
   in_memory_ref.seed = 23;
   in_memory_ref.num_shards = 4;
   auto in_memory_out = engine.Synthesize(model.value(), in_memory_ref);
-  kamino::SynthesisRequest out_of_core;
-  out_of_core.seed = 23;
-  out_of_core.num_shards = 4;
+  kamino::SynthesisRequest out_of_core = in_memory_ref;
   out_of_core.out_of_core = true;
+  auto ooc_collected = engine.Synthesize(model.value(), out_of_core);
+  DecodingSink ooc_sink;
+  out_of_core.collect_table = false;
+  out_of_core.compress_chunks = true;
+  out_of_core.sink = &ooc_sink;
   std::printf("  out-of-core streaming job (4 shards):\n");
-  auto ooc_out = engine.Synthesize(model.value(), out_of_core);
-  if (!in_memory_out.ok() || !ooc_out.ok()) {
+  auto ooc_streamed = engine.Synthesize(model.value(), out_of_core);
+  if (!in_memory_out.ok() || !ooc_collected.ok() || !ooc_streamed.ok()) {
     std::fprintf(stderr, "out-of-core synthesis failed\n");
     return 1;
   }
   {
     const kamino::Table& mem_rows = in_memory_out.value().synthetic;
-    const kamino::Table& ooc_rows = ooc_out.value().synthetic;
-    bool identical = mem_rows.num_rows() == ooc_rows.num_rows();
-    for (size_t r = 0; identical && r < mem_rows.num_rows(); ++r) {
-      for (size_t c = 0; c < mem_rows.num_columns(); ++c) {
-        if (!(mem_rows.at(r, c) == ooc_rows.at(r, c))) {
-          identical = false;
-          break;
-        }
-      }
-    }
-    const auto& telemetry = ooc_out.value().telemetry;
-    const long long peak = telemetry.peak_resident_rows;
+    const bool collected_same =
+        SameCells(mem_rows, ooc_collected.value().synthetic);
+    const bool streamed_same = SameCells(mem_rows, ooc_sink.assembled());
+    const long long peak =
+        ooc_streamed.value().telemetry.peak_resident_rows;
     const long long shard_width =
         static_cast<long long>((mem_rows.num_rows() + 3) / 4);
     const bool bounded = peak > 0 && peak <= 2 * shard_width;
+    const bool ok = collected_same && streamed_same && bounded;
     std::printf(
-        "    spilled %lld rows in %lld blocks (%lld bytes), "
-        "peak_resident_rows=%lld (bound 2x%lld), out_of_core=%s\n",
-        static_cast<long long>(telemetry.spilled_rows),
-        static_cast<long long>(telemetry.spill_blocks),
-        static_cast<long long>(telemetry.spill_bytes), peak, shard_width,
-        identical && bounded ? "OK" : "MISMATCH");
-    if (!identical || !bounded) return 1;
+        "    collected table identical=%s; no-table run streamed %zu rows "
+        "in %zu chunks identical=%s, peak_resident_rows=%lld "
+        "(bound 2x%lld), out_of_core=%s\n",
+        collected_same ? "yes" : "no", ooc_sink.assembled().num_rows(),
+        ooc_sink.chunks(), streamed_same ? "yes" : "no", peak, shard_width,
+        ok ? "OK" : "MISMATCH");
+    if (!ok) return 1;
   }
 
   // --- Compressed streaming: same rows, encoded per-column payloads. ---
@@ -293,15 +304,7 @@ int main(int argc, char** argv) {
   }
   const kamino::Table& direct = compressed_result.value().synthetic;
   const kamino::Table& decoded = decoder.assembled();
-  bool round_trip = direct.num_rows() == decoded.num_rows();
-  for (size_t r = 0; round_trip && r < direct.num_rows(); ++r) {
-    for (size_t c = 0; c < direct.num_columns(); ++c) {
-      if (!(direct.at(r, c) == decoded.at(r, c))) {
-        round_trip = false;
-        break;
-      }
-    }
-  }
+  const bool round_trip = SameCells(direct, decoded);
   std::printf(
       "    compressed stream: %zu chunks, encoded=%zu bytes raw=%zu bytes "
       "(%.1fx), round_trip=%s\n",
@@ -343,15 +346,7 @@ int main(int argc, char** argv) {
   }
   const kamino::Table& from_fit = original_out.value().synthetic;
   const kamino::Table& from_disk = reloaded_out.value().synthetic;
-  bool artifact_match = from_fit.num_rows() == from_disk.num_rows();
-  for (size_t r = 0; artifact_match && r < from_fit.num_rows(); ++r) {
-    for (size_t c = 0; c < from_fit.num_columns(); ++c) {
-      if (!(from_fit.at(r, c) == from_disk.at(r, c))) {
-        artifact_match = false;
-        break;
-      }
-    }
-  }
+  const bool artifact_match = SameCells(from_fit, from_disk);
   std::printf("  artifact: %zu bytes, reloaded synthesis match=%s\n",
               artifact_bytes.value().size(), artifact_match ? "OK" : "MISMATCH");
   if (!artifact_match) return 1;

@@ -118,11 +118,9 @@ struct KaminoOptions {
   /// set (Validate rejects the combination that could record nothing).
   size_t trace_capacity_events = size_t{1} << 20;
 
-  // --- Out-of-core spill (src/kamino/store/) ---
-  /// Parent directory for the spill store's private `mkdtemp` directory
-  /// of an out-of-core run that collects its table
-  /// (`SampleSpec::out_of_core` with `collect_table`; no other run
-  /// spills). Empty (the default) means $TMPDIR, else /tmp.
+  /// No-op, kept for source compatibility: synthesis writes nothing to
+  /// disk, so nothing reads this field. It goes with the service
+  /// benchmark's next change, which still assigns it.
   std::string spill_dir;
 
   /// Root seed for all randomness in the run.

@@ -21,7 +21,6 @@
 #include "kamino/runtime/parallel_for.h"
 #include "kamino/runtime/rng_stream.h"
 #include "kamino/runtime/thread_pool.h"
-#include "kamino/store/spill_store.h"
 
 namespace kamino {
 namespace {
@@ -806,104 +805,13 @@ std::vector<PrefixFdFamily> BuildFdFamilies(
   return families;
 }
 
-/// Where the run's frozen slices live, decided once at open from the
-/// run's delivery settings:
-///  - no table kept (`collect_table` off): nothing is stored, nothing
-///    touches disk; the rows exist only as delivered chunks;
-///  - memory (collecting, in memory): slices are appended to the table;
-///  - spill (collecting, `out_of_core`): each slice is sealed into a
-///    `store::SpillStore` block, and the table is re-read at the end.
-/// The store lives on the synthesis stack frame, so the spill store's
-/// destructor (which unlinks the spill file and temp dir) runs on every
-/// exit path: completion, error, cancellation and engine teardown.
-class FrozenSliceStore {
- public:
-  /// Opens the store `run` asks for. Only the spill backend touches disk
-  /// (a private directory under `spill_dir`), so only it can fail here.
-  static Result<FrozenSliceStore> Open(const SampleSpec& run,
-                                       const Schema& schema,
-                                       const std::string& spill_dir,
-                                       size_t num_shards) {
-    FrozenSliceStore store(schema, run.collect_table,
-                           run.out_of_core ? std::min<size_t>(2, num_shards)
-                                           : num_shards);
-    if (run.collect_table && run.out_of_core) {
-      KAMINO_ASSIGN_OR_RETURN(store.spill_,
-                              store::SpillStore::Create(spill_dir));
-    }
-    return store;
-  }
-
-  /// Shards the coordinator keeps dispatched ahead of its freezes. An
-  /// in-memory run dispatches every shard up front for maximum overlap.
-  /// An out-of-core run keeps two — the one being frozen plus the one
-  /// sampling behind it — and releases the next only after a freeze
-  /// retires its slice; that, not the spill, is what bounds peak
-  /// residency to ~2 shard widths.
-  size_t dispatch_window() const { return dispatch_window_; }
-
-  /// Frozen rows held in memory (the memory backend's term of the
-  /// resident-row count).
-  size_t resident_rows() const { return table_.num_rows(); }
-
-  /// Stores one frozen slice. The spill backend encodes it into
-  /// `*encoded` on the way to disk, so a compressed chunk can reuse that
-  /// payload; the other backends leave `*encoded` empty.
-  Status Put(const Table& slice, size_t shard, std::vector<uint8_t>* encoded,
-             SynthesisTelemetry* telemetry) {
-    if (spill_ != nullptr) {
-      obs::TraceSpan spill_span("sampler/spill");
-      spill_span.AddArg("shard", static_cast<int64_t>(shard));
-      spill_span.AddArg("rows", static_cast<int64_t>(slice.num_rows()));
-      *encoded = EncodeChunkColumns(slice);
-      const uint64_t before = spill_->spilled_bytes();
-      KAMINO_RETURN_IF_ERROR(spill_->AppendBlock(*encoded, slice.num_rows()));
-      const int64_t delta =
-          static_cast<int64_t>(spill_->spilled_bytes() - before);
-      spill_span.AddArg("bytes", delta);
-      telemetry->spill_blocks += 1;
-      telemetry->spill_bytes += delta;
-      telemetry->spilled_rows += static_cast<int64_t>(slice.num_rows());
-    } else if (collect_) {
-      table_.AppendRowsFrom(slice, 0, slice.num_rows());
-    }
-    return Status::OK();
-  }
-
-  /// The run's table, schema-only when none is kept. Spilled blocks are
-  /// re-read one validated block at a time, bit-exact by the codec's
-  /// round-trip contract.
-  Result<Table> Finish() {
-    if (spill_ != nullptr) {
-      for (size_t b = 0; b < spill_->block_count(); ++b) {
-        KAMINO_ASSIGN_OR_RETURN(Table slice,
-                                spill_->ReadBlock(b, table_.schema()));
-        table_.AppendRowsFrom(slice, 0, slice.num_rows());
-      }
-    }
-    return std::move(table_);
-  }
-
- private:
-  FrozenSliceStore(const Schema& schema, bool collect, size_t dispatch_window)
-      : table_(schema), collect_(collect), dispatch_window_(dispatch_window) {}
-
-  Table table_;
-  bool collect_;
-  size_t dispatch_window_;
-  std::unique_ptr<store::SpillStore> spill_;  // set by the spill backend only
-};
-
-/// Retires one final slice of the instance into `store` and delivers it
-/// to `hooks->on_chunk`. The slice is encoded at most once: a compressed
-/// chunk reuses the payload the store sealed, if it made one. The chunk
-/// then owns the slice, so the sink may keep it alive past the call.
+/// Retires one final slice of the instance into `table`, when the run
+/// keeps one, and delivers it to `hooks->on_chunk`. The chunk then owns
+/// the slice, so the sink may keep it alive past the call.
 Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
                        bool compress, const SynthesisHooks* hooks,
-                       FrozenSliceStore* store,
-                       SynthesisTelemetry* telemetry) {
-  std::vector<uint8_t> encoded;
-  KAMINO_RETURN_IF_ERROR(store->Put(live, shard, &encoded, telemetry));
+                       Table* table) {
+  if (table != nullptr) table->AppendRowsFrom(live, 0, live.num_rows());
   if (hooks == nullptr || !hooks->on_chunk) return Status::OK();
   if (!KeepGoing(hooks)) return CancelledStatus();
   obs::TraceSpan span("sampler/chunk");
@@ -915,8 +823,7 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
   chunk.row_offset = offset;
   chunk.last = last;
   if (compress) {
-    if (encoded.empty()) encoded = EncodeChunkColumns(live);
-    chunk.encoded = std::move(encoded);
+    chunk.encoded = EncodeChunkColumns(live);
     chunk.encoded_rows = live.num_rows();
     chunk.rows = Table(live.schema());  // schema-only carrier
     span.AddArg("encoded_bytes", static_cast<int64_t>(chunk.encoded.size()));
@@ -979,9 +886,17 @@ Result<Table> ProgressiveShardSynthesis(
   // with no frozen prefix there are no cross-shard conflicts.
   const bool one_shard = num_shards == 1;
   const runtime::RngStream root(one_shard ? 0 : rng->NextSeed());
-  KAMINO_ASSIGN_OR_RETURN(
-      FrozenSliceStore store,
-      FrozenSliceStore::Open(run, schema, options.spill_dir, num_shards));
+  // Delivery, fixed for the run. An out-of-core run keeps two shards in
+  // flight (the one being frozen plus the one sampling behind it) and
+  // dispatches the next only after a freeze retires its slice; that bounds
+  // a run that keeps no table to ~2 shard widths of resident rows. An
+  // in-memory run dispatches every shard up front for maximum overlap.
+  // Frozen slices are appended to `collected` only when the run keeps a
+  // table; otherwise the rows exist only as delivered chunks.
+  const size_t dispatch_window =
+      run.out_of_core ? std::min<size_t>(2, num_shards) : num_shards;
+  Table collected(schema);
+  Table* table = run.collect_table ? &collected : nullptr;
 
   std::vector<ShardState> shards(num_shards);
   for (ShardState& shard : shards) shard.table = Table(schema);
@@ -1031,7 +946,7 @@ Result<Table> ProgressiveShardSynthesis(
   };
   if (!inline_shards) {
     pool = runtime::GlobalThreadPool();
-    for (; dispatched < store.dispatch_window(); ++dispatched) {
+    for (; dispatched < dispatch_window; ++dispatched) {
       dispatch_shard(dispatched);
     }
   }
@@ -1087,12 +1002,12 @@ Result<Table> ProgressiveShardSynthesis(
 
   // Resident-row high-water mark, computed analytically (never by reading
   // a table a pool worker may be filling): the slice being frozen + the
-  // store's in-memory rows + every dispatched-but-unfrozen shard at its
+  // collected frozen rows + every dispatched-but-unfrozen shard at its
   // full width.
   int64_t peak_resident = 0;
   auto note_resident = [&](size_t s, size_t live_rows) {
     int64_t resident = static_cast<int64_t>(live_rows) +
-                       static_cast<int64_t>(store.resident_rows());
+                       static_cast<int64_t>(collected.num_rows());
     const size_t hi = inline_shards ? s + 1 : dispatched;
     for (size_t j = s + 1; j < hi; ++j) {
       resident += static_cast<int64_t>(sizes[j]);
@@ -1105,8 +1020,8 @@ Result<Table> ProgressiveShardSynthesis(
     // The freeze works on the shard's own table ("live"): local row r is
     // global row begin + r. The frozen prefix is consulted only through
     // the merged indices and the persistent lookups above — never by
-    // reading prefix rows — which is what lets the out-of-core path drop
-    // them from memory without changing a single sampled bit.
+    // reading prefix rows — which is what lets a run that keeps no table
+    // drop them from memory without changing a single sampled bit.
     Table live = std::move(shards[s].table);
     shards[s].table = Table(schema);
     note_resident(s, live.num_rows());
@@ -1309,8 +1224,7 @@ Result<Table> ProgressiveShardSynthesis(
 
     // Emit immediately: these rows are frozen and never rewritten.
     Status emitted = EmitFrozenSlice(std::move(live), s, begin, last,
-                                     run.compress_chunks, hooks, &store,
-                                     telemetry);
+                                     run.compress_chunks, hooks, table);
     span.AddArg("detect_us", detect_us);
     span.AddArg("repair_us", repair_us);
     span.AddArg("canonicalize_us", canonicalize_us);
@@ -1365,7 +1279,7 @@ Result<Table> ProgressiveShardSynthesis(
   }
   KAMINO_RETURN_IF_ERROR(status);
   telemetry->peak_resident_rows = peak_resident;
-  return store.Finish();
+  return collected;
 }
 
 /// Folds the run's telemetry into the global metrics registry once per
@@ -1400,9 +1314,6 @@ void RecordSamplerMetrics(const SynthesisTelemetry& t, size_t rows) {
       ->Increment(t.merge_penalty_live_row_scans);
   reg.counter("kamino.sampler.merge_penalty_frozen_row_scans")
       ->Increment(t.merge_penalty_frozen_row_scans);
-  reg.counter("kamino.store.spill_blocks")->Increment(t.spill_blocks);
-  reg.counter("kamino.store.spill_bytes")->Increment(t.spill_bytes);
-  reg.counter("kamino.store.spilled_rows")->Increment(t.spilled_rows);
   reg.gauge("kamino.store.peak_resident_rows")
       ->Set(static_cast<double>(t.peak_resident_rows));
 }

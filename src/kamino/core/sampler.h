@@ -96,20 +96,21 @@ struct SampleSpec {
   /// rows are unchanged — only their wire form is. Ignored without an
   /// `on_chunk` hook.
   bool compress_chunks = false;
-  /// Keep frozen rows out of memory. With `collect_table` on, each frozen
-  /// slice is spilled to disk (`src/kamino/store/`, under
-  /// `KaminoOptions::spill_dir`) at its freeze and re-read once when the
-  /// run ends, so "n rows" becomes a disk limit instead of a RAM limit.
-  /// In either case the shard dispatch is windowed to two shards, so only
-  /// the live shards, the merged violation-index state and the persisted
-  /// frozen FD/envelope lookups stay resident (~2 shard widths of rows).
-  /// Bit-identical to the in-memory run at any num_threads.
+  /// Bound the shards in flight: the coordinator keeps at most two shards
+  /// dispatched (the one being frozen plus the one sampling behind it)
+  /// and releases the next only after a freeze retires its slice, instead
+  /// of dispatching every shard up front. With `collect_table` off this
+  /// is the constant-memory delivery path: only the live shards, the
+  /// merged violation-index state and the frozen FD/envelope lookups stay
+  /// resident (~2 shard widths of rows). A collecting run still returns
+  /// all n rows, so it gains nothing in memory. Synthesis writes nothing
+  /// to disk in either case. Bit-identical to the in-memory run at any
+  /// num_threads.
   bool out_of_core = false;
   /// When false, the run keeps no table: it returns a schema-only table,
   /// the rows are observable through `on_chunk` only, and no frozen slice
-  /// is stored anywhere — in memory or, under `out_of_core`, on disk (no
-  /// spill file is created). With `out_of_core` this is the
-  /// constant-memory delivery path.
+  /// is stored. When true, each frozen slice is appended to the returned
+  /// table at its freeze.
   bool collect_table = true;
 
   static constexpr size_t kUnset = static_cast<size_t>(-1);
@@ -177,20 +178,11 @@ struct SynthesisTelemetry {
   int64_t merge_penalty_live_row_scans = 0;
   int64_t merge_penalty_frozen_row_scans = 0;
 
-  // --- Frozen-slice spill (`out_of_core` with `collect_table`; 0 in
-  // every other mode, which writes no spill file) ---
-  /// Frozen-slice blocks sealed into the spill file (one per freeze).
-  int64_t spill_blocks = 0;
-  /// Bytes appended to the spill file (chunk-codec payloads + framing).
-  int64_t spill_bytes = 0;
-  /// Rows written to the spill store (equals n on a completed spilling
-  /// run).
-  int64_t spilled_rows = 0;
   /// High-water mark of rows resident in materialized tables at any
   /// point of the run (dispatched shard tables + the slice being frozen
-  /// + the frozen rows kept in memory), set on every run. Out-of-core
-  /// runs bound this to ~2 shard widths; in-memory runs that collect the
-  /// table grow it to n.
+  /// + the frozen rows collected so far), set on every run. A run that
+  /// collects the table reaches n; an `out_of_core` run that keeps no
+  /// table stays within ~2 shard widths.
   int64_t peak_resident_rows = 0;
   /// Seconds from job start (after dequeue — queue wait excluded) to the
   /// first `TableChunk` handed to the `RowSink`. Filled by the service

@@ -142,15 +142,16 @@ class RowSink {
 
 /// One synthesis request against a fitted model: the sampling run of
 /// `SampleSpec` (rows, seed, shard and thread overrides, compressed
-/// chunks, out-of-core spill, table collection) plus its sink.
+/// chunks, the out-of-core dispatch window, table collection) plus its
+/// sink.
 /// Value-semantics; the defaults reproduce the fit config's sampling
 /// phase exactly.
 struct SynthesisRequest : SampleSpec {
   /// Optional streaming delivery (see RowSink for the order guarantee).
   /// Must outlive the job. `compress_chunks` is ignored without a sink;
   /// `out_of_core` combined with `collect_table = false` and a sink is the
-  /// constant-memory delivery path: rows then exist only as chunks, and
-  /// nothing is spilled to disk.
+  /// constant-memory delivery path: rows then exist only as chunks. No
+  /// run writes to disk.
   RowSink* sink = nullptr;
   /// No-op, kept for source compatibility: every run streams through the
   /// prefix-frozen merge, so nothing reads this field.

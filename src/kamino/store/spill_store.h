@@ -23,9 +23,11 @@ inline constexpr uint8_t kSpillBlockMagic[4] = {'K', 'S', 'P', 'B'};
 /// 4 magic + 4 version + 8 rows + 8 payload length before it, 8 digest after.
 inline constexpr size_t kSpillBlockFramingBytes = 4 + 4 + 8 + 8 + 8;
 
-/// Append-only store of frozen-slice spill blocks for sharded synthesis.
+/// Append-only store of table-slice blocks. Synthesis does not use it;
+/// it is kept as a library module for the service benchmark's store
+/// probe.
 ///
-/// Each block is one frozen shard slice, already encoded by the chunk codec
+/// Each block is one table slice, already encoded by the chunk codec
 /// (`EncodeChunkColumns`), sealed into a self-validating frame:
 ///
 /// | bytes | field                                             |
@@ -45,12 +47,10 @@ inline constexpr size_t kSpillBlockFramingBytes = 4 + 4 + 8 + 8 + 8;
 /// `Status`, never as silently wrong rows.
 ///
 /// The destructor closes the descriptor and best-effort unlinks the file
-/// and directory, which covers job completion, cancellation (the store
-/// lives on the synthesis stack and unwinds with it), and engine
-/// destruction (joining a cancelled job unwinds the same stack).
+/// and directory, so every exit path of the owner that unwinds the store
+/// (completion, error, early return) removes them.
 ///
-/// Not thread-safe: the shard-freeze coordinator thread is the only
-/// caller.
+/// Not thread-safe: one thread at a time may call it.
 class SpillStore {
  public:
   /// Location and shape of one sealed block inside the spill file.

@@ -32,7 +32,7 @@ inline constexpr size_t kSpillWriteAlignment = 4096;
 /// further appends with the same status.
 ///
 /// The writer borrows the descriptor; the owner (SpillStore) closes it.
-/// Not thread-safe: the shard-freeze coordinator is the only writer.
+/// Not thread-safe: one thread at a time may call it.
 class SpillWriter {
  public:
   SpillWriter(int fd, std::string path_for_errors);

@@ -1,17 +1,16 @@
-// Tests for out-of-core synthesis (SampleSpec::out_of_core): spilling
-// frozen slices through src/kamino/store/ must not change a single
-// sampled bit relative to the in-memory sharded run at any thread
-// or shard count, the sequential golden digest must survive the flag,
-// hard DCs stay exact after every freeze, frozen rows are never
-// re-scanned by the repair penalty kernel (the constant-memory
-// contract, asserted by counters), residency stays bounded to ~2 shard
-// widths, compressed chunks pass the spilled payload through,
-// cancellation mid-spill leaves no orphaned spill files, and a run that
-// keeps no table spills nothing.
+// Tests for out-of-core synthesis (SampleSpec::out_of_core): bounding
+// the shards in flight to two must not change a single sampled bit
+// relative to the in-memory sharded run at any thread or shard count,
+// the sequential golden digest must survive the flag, hard DCs stay
+// exact after every freeze, frozen rows are never re-scanned by the
+// repair penalty kernel (the constant-memory contract, asserted by
+// counters), a run that keeps no table stays within ~2 shard widths of
+// resident rows while a collecting run holds all n, compressed chunks
+// decode to the uncompressed rows, and no run, cancelled or not, leaves
+// any entry under `spill_dir` (synthesis writes nothing to disk).
 
 #include <dirent.h>
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -162,8 +161,8 @@ TEST(OutOfCoreTest, BitIdenticalToInMemoryProgressiveAcrossThreadsAndShards) {
   // The acceptance grid: {1, 4} threads x {2, 4} shards x every delivery
   // setting (out_of_core x collect_table x compress_chunks) must deliver
   // the same rows, collect the same table and report the same merge
-  // telemetry. Only a collecting out-of-core run spills, and every
-  // out-of-core run keeps residency within 2 shard widths.
+  // telemetry. Every collecting run holds all n rows at its peak; an
+  // out-of-core run that keeps no table stays within 2 shard widths.
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
   const size_t n = 120;
   const Trained trained = Train(ds, 1);
@@ -190,9 +189,10 @@ TEST(OutOfCoreTest, BitIdenticalToInMemoryProgressiveAcrossThreadsAndShards) {
                          << " collect_table=" << collect_table
                          << " compress_chunks=" << compress_chunks);
             EXPECT_EQ(run.telemetry.num_shards, num_shards);
-            EXPECT_EQ(run.telemetry.spill_blocks > 0,
-                      out_of_core && collect_table);
-            if (out_of_core) {
+            if (collect_table) {
+              EXPECT_EQ(run.telemetry.peak_resident_rows,
+                        static_cast<int64_t>(n));
+            } else if (out_of_core) {
               EXPECT_LE(run.telemetry.peak_resident_rows, 2 * shard_width);
             }
             if (!collect_table) EXPECT_EQ(run.out.num_rows(), 0u);
@@ -238,8 +238,8 @@ TEST(OutOfCoreTest, BitIdenticalToInMemoryProgressiveAcrossThreadsAndShards) {
 
 TEST(OutOfCoreTest, GoldenDigestUnchangedAtSingleShard) {
   // The golden scenario (same pin as ShardedSamplerTest): out_of_core on
-  // at the default num_shards=1 spills the one frozen slice and rebuilds
-  // the table from it; the round trip is bit-exact, so the digest holds.
+  // at the default num_shards=1 has a one-shard window, which is the
+  // whole run, so the digest holds.
   ScopedNumThreads threads(1);
   BenchmarkDataset ds = MakeAdultLike(120, 7);
   auto constraints =
@@ -263,14 +263,12 @@ TEST(OutOfCoreTest, GoldenDigestUnchangedAtSingleShard) {
                   .TakeValue();
   EXPECT_EQ(TableDigest(out), 0x214d31f811dbdd0full)
       << "out_of_core changed the one-shard output";
-  EXPECT_EQ(telemetry.spill_blocks, 1);
-  EXPECT_EQ(telemetry.spilled_rows, 150);
 }
 
 TEST(OutOfCoreTest, ChunksTileAndMatchTheRebuiltTable) {
-  // The final table is rebuilt from the spill file; every chunk must
-  // reappear bit-identical in it (the codec + frame round trip is exact),
-  // and the chunks must tile [0, n) in ascending order.
+  // The final table is collected from the frozen slices; every chunk
+  // must reappear bit-identical in it, and the chunks must tile [0, n) in
+  // ascending order.
   const BenchmarkDataset ds = MakeTaxLike(100, 13);
   RunConfig config;
   config.num_threads = 4;
@@ -313,44 +311,49 @@ TEST(OutOfCoreTest, HardDcsExactAfterEveryFreezeWhileSpilling) {
 TEST(OutOfCoreTest, FrozenRowsNeverRescannedAndResidencyBounded) {
   // The constant-memory contract, asserted by counters: the repair runs
   // and scores through the violation indices without pair-scanning any
-  // row, frozen or live, every row ends up in the spill store, and the
-  // resident high-water mark stays within 2 shard widths while the
-  // in-memory run grows to n. Tax's order DC is made soft so that the
-  // repair owns it and runs; the hard FDs stay with the exact pass.
+  // row, frozen or live, and an out-of-core run that keeps no table
+  // stays within 2 shard widths of resident rows, while a run that
+  // collects the table (out-of-core or not) holds all n. Tax's order DC
+  // is made soft so that the repair owns it and runs; the hard FDs stay
+  // with the exact pass.
   BenchmarkDataset ds = MakeTaxLike(100, 13);
   ds.hardness.back() = false;
   const size_t n = 120;
   const size_t num_shards = 4;
+  const int64_t shard_width =
+      static_cast<int64_t>((n + num_shards - 1) / num_shards);
   for (const size_t num_threads : {size_t{1}, size_t{4}}) {
-    RunConfig config;
-    config.num_threads = num_threads;
-    config.num_shards = num_shards;
-    config.out_of_core = true;
-    const RunOutput run = RunMerge(ds, n, config);
-    EXPECT_EQ(run.telemetry.merge_penalty_frozen_row_scans, 0);
-    EXPECT_GT(run.telemetry.merge_resamples, 0);
-    EXPECT_EQ(run.telemetry.merge_penalty_live_row_scans, 0);
-    EXPECT_EQ(run.telemetry.spill_blocks, static_cast<int64_t>(num_shards));
-    EXPECT_EQ(run.telemetry.spilled_rows, static_cast<int64_t>(n));
-    EXPECT_GT(run.telemetry.spill_bytes, 0);
-    const int64_t shard_width =
-        static_cast<int64_t>((n + num_shards - 1) / num_shards);
-    EXPECT_LE(run.telemetry.peak_resident_rows, 2 * shard_width)
-        << "threads=" << num_threads;
-    EXPECT_GT(run.telemetry.peak_resident_rows, 0);
+    for (const bool collect_table : {false, true}) {
+      RunConfig config;
+      config.num_threads = num_threads;
+      config.num_shards = num_shards;
+      config.out_of_core = true;
+      config.collect_table = collect_table;
+      const RunOutput run = RunMerge(ds, n, config);
+      SCOPED_TRACE(testing::Message() << "threads=" << num_threads
+                                      << " collect_table=" << collect_table);
+      EXPECT_EQ(run.telemetry.merge_penalty_frozen_row_scans, 0);
+      EXPECT_GT(run.telemetry.merge_resamples, 0);
+      EXPECT_EQ(run.telemetry.merge_penalty_live_row_scans, 0);
+      if (collect_table) {
+        EXPECT_EQ(run.telemetry.peak_resident_rows, static_cast<int64_t>(n));
+      } else {
+        EXPECT_LE(run.telemetry.peak_resident_rows, 2 * shard_width);
+        EXPECT_GT(run.telemetry.peak_resident_rows, 0);
+      }
+    }
   }
   // The in-memory run accumulates the full instance.
   RunConfig in_memory;
   in_memory.num_shards = num_shards;
   const RunOutput mem = RunMerge(ds, n, in_memory);
   EXPECT_EQ(mem.telemetry.peak_resident_rows, static_cast<int64_t>(n));
-  EXPECT_EQ(mem.telemetry.spill_blocks, 0);
 }
 
 TEST(OutOfCoreTest, CompressedChunksPassThroughTheSpilledPayload) {
-  // compress_chunks + out_of_core: the chunk carries the exact encoded
-  // payload sealed into the spill store; decoding it reproduces the
-  // uncompressed run's rows bit for bit.
+  // compress_chunks + out_of_core: the chunk carries an encoded payload;
+  // decoding it reproduces the uncompressed run's rows bit for bit, and
+  // both runs collect the same table.
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
   RunConfig plain;
   plain.out_of_core = true;
@@ -372,8 +375,7 @@ TEST(OutOfCoreTest, CompressedChunksPassThroughTheSpilledPayload) {
 
 TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
   // With collect_table off the sampler returns a schema-only table — the
-  // rows exist solely as delivered chunks (the constant-memory path), so
-  // nothing is written to the spill store that nobody would read back.
+  // rows exist solely as delivered chunks (the constant-memory path).
   const BenchmarkDataset ds = MakeAdultLike(100, 13);
   ScopedNumThreads threads(1);
   auto constraints =
@@ -403,9 +405,6 @@ TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
           .TakeValue();
   EXPECT_EQ(out.num_rows(), 0u);
   EXPECT_EQ(delivered, 120u);
-  EXPECT_EQ(telemetry.spilled_rows, 0);
-  EXPECT_EQ(telemetry.spill_blocks, 0);
-  EXPECT_EQ(telemetry.spill_bytes, 0);
 }
 
 /// Entries in `dir` other than "." / "..".
@@ -424,10 +423,10 @@ size_t DirEntryCount(const std::string& dir) {
 }
 
 TEST(OutOfCoreTest, CancellationMidSpillLeavesNoOrphanedFiles) {
-  // Cancel after the second delivered chunk: blocks are already sealed in
-  // the spill file when the run aborts, and the store's unwind must
-  // remove the file and its private directory from the parent we point
-  // it at.
+  // Cancel a collecting out-of-core run after its second delivered chunk,
+  // with `spill_dir` pointed at an empty parent: the run returns
+  // kCancelled and, since synthesis writes nothing to disk, the parent is
+  // still empty afterwards.
   char parent_template[] = "/tmp/kamino-ooc-test-XXXXXX";
   char* parent = ::mkdtemp(parent_template);
   ASSERT_NE(parent, nullptr);
@@ -467,16 +466,16 @@ TEST(OutOfCoreTest, CancellationMidSpillLeavesNoOrphanedFiles) {
                    &hooks);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-    EXPECT_GE(telemetry.spill_blocks, 2);  // it really was mid-spill
+    EXPECT_GE(chunks.load(), 2u);  // it really was mid-run
   }
   EXPECT_EQ(DirEntryCount(parent_dir), 0u)
-      << "orphaned spill files under " << parent_dir;
+      << "orphaned files under " << parent_dir;
   ::rmdir(parent_dir.c_str());
 }
 
 TEST(OutOfCoreTest, NoTableRunCreatesNoSpillDirectory) {
-  // out_of_core with collect_table off keeps no table, so nothing may be
-  // spilled: the spill parent stays empty while chunks are delivered.
+  // out_of_core with collect_table off keeps no table and writes nothing:
+  // the `spill_dir` parent stays empty while chunks are delivered.
   char parent_template[] = "/tmp/kamino-ooc-test-XXXXXX";
   char* parent = ::mkdtemp(parent_template);
   ASSERT_NE(parent, nullptr);
@@ -512,10 +511,9 @@ TEST(OutOfCoreTest, NoTableRunCreatesNoSpillDirectory) {
   ASSERT_EQ(entries_at_chunk.size(), 4u);
   for (size_t k = 0; k < entries_at_chunk.size(); ++k) {
     EXPECT_EQ(entries_at_chunk[k], 0u)
-        << "spill entries under " << parent_dir << " at chunk " << k;
+        << "entries under " << parent_dir << " at chunk " << k;
   }
-  EXPECT_EQ(telemetry.spill_blocks, 0);
-  EXPECT_EQ(telemetry.spill_bytes, 0);
+  EXPECT_EQ(DirEntryCount(parent_dir), 0u);
   ::rmdir(parent_dir.c_str());
 }
 

@@ -4,23 +4,28 @@
 // streaming delivery-order guarantee, cooperative job cancellation at
 // shard boundaries, and the overlapping-jobs concurrency contract that
 // core/kamino.h promises (two concurrent jobs at different thread budgets
-// both reproduce their single-run outputs), and a spill failure that
-// fails only its own run.
+// both reproduce their single-run outputs), and an unusable `spill_dir`
+// that fails no run, since synthesis touches no file.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "kamino/common/logging.h"
 #include "kamino/core/kamino.h"
+#include "kamino/data/chunk_codec.h"
 #include "kamino/data/generators.h"
 #include "kamino/runtime/thread_pool.h"
 #include "kamino/service/engine.h"
@@ -306,8 +311,9 @@ TEST(EngineJobTest, AsyncJobMatchesSynchronousRun) {
   ASSERT_TRUE(again.ok());
   ExpectSameTable(result.value().synthetic, again.value().synthetic);
 
-  // Every delivery setting through both entry points: spilled, compressed
-  // chunks to a sink, no table collected. Both deliver the same payloads.
+  // Every delivery setting through both entry points: out-of-core,
+  // compressed chunks to a sink, no table collected. Both deliver the
+  // same payloads.
   RecordingSink sync_sink;
   RecordingSink async_sink;
   SynthesisRequest streamed;
@@ -339,62 +345,14 @@ TEST(EngineJobTest, AsyncJobMatchesSynchronousRun) {
   }
   const SynthesisTelemetry& a = sync_run.value().telemetry;
   const SynthesisTelemetry& b = async_run.value().telemetry;
-  EXPECT_EQ(a.spill_blocks, b.spill_blocks);
-  EXPECT_EQ(a.spilled_rows, b.spilled_rows);
+  EXPECT_EQ(a.peak_resident_rows, b.peak_resident_rows);
   EXPECT_EQ(a.merge_prefix_freezes, b.merge_prefix_freezes);
   EXPECT_EQ(a.merge_cross_violations, b.merge_cross_violations);
-  // No table is kept, so nothing is spilled.
-  EXPECT_EQ(a.spill_blocks, 0);
-  EXPECT_EQ(a.spilled_rows, 0);
-}
-
-TEST(EngineJobTest, UnusableSpillDirFailsOnlyTheSpillingRun) {
-  // A collecting out-of-core run whose spill directory cannot be created
-  // fails with kIoError, through both entry points; the engine stays
-  // usable, and the runs that spill nothing succeed on the same model.
-  ScopedNumThreads threads(1);
-  BenchmarkDataset ds = MakeAdultLike(80, 13);
-  auto constraints =
-      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
-  char file_template[] = "/tmp/kamino-spill-parent-XXXXXX";
-  const int fd = ::mkstemp(file_template);
-  ASSERT_GE(fd, 0);
-  ::close(fd);
-  KaminoConfig config = TestConfig(77);
-  config.options.spill_dir = file_template;  // a file, not a directory
-  KaminoEngine engine;
-  auto model = engine.Fit(ds.table, constraints, config);
-  ASSERT_TRUE(model.ok()) << model.status();
-
-  SynthesisRequest spilling;
-  spilling.num_shards = 2;
-  spilling.out_of_core = true;
-  auto failed = engine.Synthesize(model.value(), spilling);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
-  auto failed_job = engine.Submit(model.value(), spilling)->Wait();
-  ASSERT_FALSE(failed_job.ok());
-  EXPECT_EQ(failed_job.status().code(), StatusCode::kIoError);
-
-  SynthesisRequest in_memory;
-  in_memory.num_shards = 2;
-  auto collected = engine.Synthesize(model.value(), in_memory);
-  ASSERT_TRUE(collected.ok()) << collected.status();
-  EXPECT_EQ(collected.value().synthetic.num_rows(), ds.table.num_rows());
-
-  RecordingSink sink;
-  SynthesisRequest streamed = spilling;
-  streamed.collect_table = false;
-  streamed.sink = &sink;
-  auto streamed_run = engine.Submit(model.value(), streamed)->Wait();
-  ASSERT_TRUE(streamed_run.ok()) << streamed_run.status();
-  Table delivered(ds.table.schema());
-  for (const TableChunk& chunk : sink.chunks()) {
-    delivered.AppendRowsFrom(chunk.rows, 0, chunk.num_rows());
-  }
-  ExpectSameTable(collected.value().synthetic, delivered);
-  EXPECT_EQ(streamed_run.value().telemetry.spill_blocks, 0);
-  ::unlink(file_template);
+  // No table is kept, so at most two shard widths are ever resident.
+  const int64_t shard_width =
+      static_cast<int64_t>((ds.table.num_rows() + 3) / 4);
+  EXPECT_GT(a.peak_resident_rows, 0);
+  EXPECT_LE(a.peak_resident_rows, 2 * shard_width);
 }
 
 TEST(EngineJobTest, StreamingSinkDeliversBeforeJobCompletion) {
@@ -550,6 +508,128 @@ TEST(EngineJobTest, CancelStopsARunningJobAtAShardBoundary) {
   EXPECT_EQ(sink.delivered(), 1u);
   EXPECT_EQ(job->progress().phase, SynthesisJob::Phase::kCancelled);
   EXPECT_EQ(job->progress().chunks_delivered, 1u);
+}
+
+/// Entries in `dir` other than "." / ".." (0 when it cannot be opened).
+size_t DirEntryCount(const std::string& dir) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return 0;
+  size_t count = 0;
+  while (struct dirent* e = ::readdir(d)) {
+    if (std::strcmp(e->d_name, ".") == 0 || std::strcmp(e->d_name, "..") == 0) {
+      continue;
+    }
+    ++count;
+  }
+  ::closedir(d);
+  return count;
+}
+
+/// Decodes and re-assembles every delivered chunk, and records the most
+/// entries `watched_dir` held at any delivery.
+class AssemblingSink : public RowSink {
+ public:
+  AssemblingSink(const Schema& schema, std::string watched_dir)
+      : rows_(schema), watched_dir_(std::move(watched_dir)) {}
+
+  Status OnChunk(const TableChunk& chunk) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (chunk.compressed()) {
+      KAMINO_ASSIGN_OR_RETURN(
+          Table slice, DecodeChunkColumns(chunk.rows.schema(), chunk.encoded));
+      rows_.AppendRowsFrom(slice, 0, slice.num_rows());
+    } else {
+      rows_.AppendRowsFrom(chunk.rows, 0, chunk.num_rows());
+    }
+    max_dir_entries_ = std::max(max_dir_entries_, DirEntryCount(watched_dir_));
+    return Status::OK();
+  }
+
+  Table rows() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return rows_;
+  }
+  size_t max_dir_entries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_dir_entries_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  Table rows_;
+  const std::string watched_dir_;
+  size_t max_dir_entries_ = 0;
+};
+
+TEST(EngineJobTest, UnusableSpillDirFailsOnlyTheSpillingRun) {
+  // Synthesis writes nothing to disk, so no run spills and `spill_dir` (a
+  // no-op) can fail none. With it naming a regular file and then an empty
+  // directory, every out_of_core x collect_table x compress_chunks setting
+  // succeeds through both entry points and delivers the in-memory run's
+  // rows, and the directory stays empty at every chunk.
+  ScopedNumThreads threads(1);
+  BenchmarkDataset ds = MakeAdultLike(80, 13);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  char file_template[] = "/tmp/kamino-spill-parent-XXXXXX";
+  const int fd = ::mkstemp(file_template);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  char dir_template[] = "/tmp/kamino-spill-dir-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string empty_dir(dir_template);
+  struct RemoveOnExit {  // also when an assertion below fails
+    std::string file, dir;
+    ~RemoveOnExit() {
+      ::unlink(file.c_str());
+      ::rmdir(dir.c_str());
+    }
+  } remove_on_exit{file_template, empty_dir};
+  KaminoEngine engine;
+
+  for (const std::string spill_dir : {std::string(file_template), empty_dir}) {
+    KaminoConfig config = TestConfig(77);
+    config.options.spill_dir = spill_dir;
+    auto model = engine.Fit(ds.table, constraints, config);
+    ASSERT_TRUE(model.ok()) << model.status();
+    SynthesisRequest in_memory;
+    in_memory.num_shards = 4;
+    auto golden = engine.Synthesize(model.value(), in_memory);
+    ASSERT_TRUE(golden.ok()) << golden.status();
+    const Table& expected = golden.value().synthetic;
+    ASSERT_EQ(expected.num_rows(), ds.table.num_rows());
+
+    for (const bool out_of_core : {false, true}) {
+      for (const bool collect_table : {true, false}) {
+        for (const bool compress_chunks : {false, true}) {
+          for (const bool submit : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "spill_dir=" << spill_dir
+                         << " out_of_core=" << out_of_core
+                         << " collect_table=" << collect_table
+                         << " compress_chunks=" << compress_chunks
+                         << " submit=" << submit);
+            AssemblingSink sink(ds.table.schema(), empty_dir);
+            SynthesisRequest request = in_memory;
+            request.out_of_core = out_of_core;
+            request.collect_table = collect_table;
+            request.compress_chunks = compress_chunks;
+            request.sink = &sink;
+            auto run = submit ? engine.Submit(model.value(), request)->Wait()
+                              : engine.Synthesize(model.value(), request);
+            ASSERT_TRUE(run.ok()) << run.status();
+            ExpectSameTable(expected, sink.rows());
+            if (collect_table) {
+              ExpectSameTable(expected, run.value().synthetic);
+            } else {
+              EXPECT_EQ(run.value().synthetic.num_rows(), 0u);
+            }
+            EXPECT_EQ(sink.max_dir_entries(), 0u);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineJobTest, ImmediateCancelNeverDeadlocks) {

@@ -243,10 +243,11 @@ int main(int argc, char** argv) {
   }
 
   // --- Out-of-core streaming: `out_of_core` keeps at most two shards in
-  // flight. A run that collects its table still returns all n rows, cell
-  // for cell the in-memory run's (same seed, same shard count). A run
-  // that keeps no table streams the same rows with ~2 shard widths
-  // resident at most. Neither writes to disk. ---
+  // flight in a run that keeps no table, which streams the in-memory
+  // run's rows (same seed, same shard count) with ~2 shard widths
+  // resident at most. A run that collects its table returns all n rows
+  // anyway, so the flag leaves its dispatch alone; its table is cell for
+  // cell the in-memory run's. Neither writes to disk. ---
   kamino::SynthesisRequest in_memory_ref;
   in_memory_ref.seed = 23;
   in_memory_ref.num_shards = 4;

@@ -145,10 +145,11 @@ class FrozenFdLookups {
 /// substitute a frozen value for a sampled one). Since `lo`, `hi`, and
 /// the rank-aligned targets are all non-decreasing along the walk, the
 /// clamped sequence is too: the group ends with zero violations, within
-/// the live rows and against the prefix. If the frozen prefix itself is
-/// non-monotone (possible only after a hard-FDs-win re-canonicalization
-/// broke an earlier alignment) the envelope can invert; the upper bound
-/// wins, deterministically.
+/// the live rows and against the prefix. The sampler only absorbs
+/// violation-free slices (no exact pass after an alignment writes its
+/// attributes), so its envelopes never invert; for a caller that absorbs
+/// a non-monotone prefix, an inverted envelope resolves to its upper
+/// bound, deterministically.
 ///
 /// Per group key (`FdKey`, hashed) the state keeps the distinct frozen
 /// contexts with their oriented dependent extrema and running envelopes,

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 
 #include "kamino/common/logging.h"
 #include "kamino/core/prefix_merge.h"
@@ -197,29 +198,6 @@ double DcPenalty(const WeightedConstraint& wc, double weight, int64_t vio,
   return vio > 0 ? weight * static_cast<double>(vio) : 0.0;
 }
 
-/// sum_phi w_phi * count(phi) over the DCs in `active`: the violations
-/// `candidate` forms with every row the `index_sets` hold (null indices
-/// skipped). With `replaced` set, the candidate replaces that row, which
-/// exactly one of the sets holds: its pair with the candidate is
-/// subtracted. `ScoreCandidates` computes the same sum for a whole
-/// candidate set.
-double ViolationPenalty(const Row& candidate, const Row* replaced,
-                        const std::vector<size_t>& active,
-                        const std::vector<WeightedConstraint>& constraints,
-                        std::initializer_list<const IndexSet*> index_sets) {
-  double penalty = 0.0;
-  for (size_t dc_index : active) {
-    int64_t vio = 0;
-    for (const IndexSet* indices : index_sets) {
-      const ViolationIndex* index = (*indices)[dc_index].get();
-      if (index != nullptr) vio += index->CountNew(candidate);
-    }
-    const WeightedConstraint& wc = constraints[dc_index];
-    penalty += DcPenalty(wc, wc.EffectiveWeight(), vio, candidate, replaced);
-  }
-  return penalty;
-}
-
 /// Indexes every row of `table` under each DC in `dcs`.
 IndexSet IndexTable(const Table& table, const std::vector<size_t>& dcs,
                     const std::vector<WeightedConstraint>& constraints) {
@@ -243,21 +221,24 @@ void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
   }
 }
 
-/// Fills `s->log_scores` with log p_{v|c} - `ViolationPenalty` for every
-/// candidate of `s->candidates` written over `s->row` (Algorithm 3 line 10
-/// in log space), and `s->penalties` with the penalties alone. Scoring is
-/// DC-major: one `CountNewBatch` per active DC and index set scores the
-/// whole candidate set, then each candidate's penalty adds its DC terms
-/// in `active` order, exactly as `ViolationPenalty` would, with each DC's
-/// weight read once per set. Runs inline: a whole set costs one index walk
-/// per DC, too little to ship to the pool. Every buffer is `s`'s own, so
-/// scoring allocates nothing once they have grown.
-void ScoreCandidates(const ModelUnit& unit, const Row* replaced,
-                     const std::vector<size_t>& active,
+/// Fills `s->log_scores` with log p_{v|c} minus the violation penalty
+/// sum_phi w_phi * count(phi) for every candidate of `candidates` written
+/// over `s->row` (Algorithm 3 line 10 in log space), and `s->penalties`
+/// with the penalties alone. A count is the violations the candidate row
+/// forms with every row the `index_sets` hold (null indices skipped); with
+/// `replaced` set, the candidate replaces that row, which exactly one of
+/// the sets holds, and its pair with the candidate is subtracted. Scoring
+/// is DC-major: one `CountNewBatch` per active DC and index set scores the
+/// whole candidate set, then each candidate's penalty adds its DC terms in
+/// `active` order, with each DC's weight read once per set. Runs inline: a
+/// whole set costs one index walk per DC, too little to ship to the pool.
+/// Every buffer is `s`'s own, so scoring allocates nothing once they have
+/// grown.
+void ScoreCandidates(const ModelUnit& unit, const CandidateSet& candidates,
+                     const Row* replaced, const std::vector<size_t>& active,
                      const std::vector<WeightedConstraint>& constraints,
                      std::initializer_list<const IndexSet*> index_sets,
                      SampleScratch* s) {
-  const CandidateSet& candidates = s->candidates;
   const size_t m = candidates.size();
   s->log_scores.resize(m);
   s->penalties.resize(m);
@@ -547,13 +528,14 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
       } else if (options.accept_reject) {
         // Experiment 6: accept-reject sampling. Draw from p_{v|c}; accept
         // with probability exp(-penalty); keep the last draw on exhaustion.
+        // The whole set is scored once; each proposal reads its penalty.
+        ScoreCandidates(unit, candidates, /*replaced=*/nullptr, active,
+                        constraints, {&indices}, &scratch);
         chosen = candidates.size() - 1;
         for (size_t attempt = 0; attempt < options.ar_max_tries; ++attempt) {
           const size_t pick = rng->Discrete(candidates.probs);
           ++telemetry->ar_proposals;
-          ApplyCandidate(unit, candidates.at(pick), &out, i, &row);
-          const double penalty =
-              ViolationPenalty(row, nullptr, active, constraints, {&indices});
+          const double penalty = scratch.penalties[pick];
           if (penalty <= 0.0 || rng->Bernoulli(std::exp(-penalty))) {
             chosen = pick;
             break;
@@ -566,8 +548,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         // computed in log space so hard-DC penalties stay comparable.
         // Candidates are scored through the indices, off the table; only
         // the winner touches it.
-        ScoreCandidates(unit, /*replaced=*/nullptr, active, constraints,
-                        {&indices}, &scratch);
+        ScoreCandidates(unit, candidates, /*replaced=*/nullptr, active,
+                        constraints, {&indices}, &scratch);
         LogScoresToWeights(scratch.log_scores, &scratch.weights);
         chosen = rng->Discrete(scratch.weights);
       }
@@ -635,8 +617,8 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
                                slot.extra_values, joint, log_prior, &task_rng,
                                &slot.inference, &slot.candidates);
             if (slot.candidates.empty()) continue;
-            ScoreCandidates(unit, &slot.row, scored, constraints,
-                            {&table_indices}, &slot);
+            ScoreCandidates(unit, slot.candidates, &slot.row, scored,
+                            constraints, {&table_indices}, &slot);
             LogScoresToWeights(slot.log_scores, &slot.weights);
             resamples[k].pick = task_rng.Discrete(slot.weights);
             resamples[k].accepted = true;
@@ -696,7 +678,8 @@ size_t ResolveNumShards(size_t num_shards, size_t n) {
 enum class DcOwner : uint8_t {
   kNone,          // no cross-shard pairs: unary, or not indexed this run
   kCanonicalize,  // hard FD: FrozenFdLookups::Canonicalize
-  kAlign,         // hard order DC with an AlignTask: FrozenAlignLookups
+  kAlign,         // hard order DC whose dependent attribute no FD family
+                  // touches: FrozenAlignLookups (see BuildAlignments)
   kRepair,        // everything else: the budgeted greedy re-sample repair
 };
 
@@ -716,66 +699,68 @@ std::vector<DcOwner> RepairOwners(
   return owner;
 }
 
-/// A hard order DC reconciled by rank alignment instead of per-row
-/// re-sampling (see BuildAlignTasks).
-struct AlignTask {
-  size_t dc = 0;              // index into `constraints`
-  std::vector<size_t> group;  // equality scope (empty for the pair form)
-  size_t ctx = 0;             // sort context attribute
-  size_t dep = 0;             // attribute whose values get reassigned
-  bool co_monotone = true;
-};
-
 /// Hard (possibly equality-scoped) order DCs are reconciled by rank
 /// alignment instead of per-row re-sampling: each shard's internally
 /// monotone relation disagrees with the others', and no sequence of
-/// single-row repairs can make disagreeing monotone maps agree. Claims
-/// (`DcOwner::kAlign`) each still repair-owned DC whose task is accepted.
-std::vector<AlignTask> BuildAlignTasks(
+/// single-row repairs can make disagreeing monotone maps agree. Returns
+/// each aligned DC's index with its alignment form, and claims
+/// (`DcOwner::kAlign`) each of them.
+///
+/// Canonicalization runs first, then the alignments in this order, and no
+/// pass may write an attribute an earlier pass reads or writes: a DC is
+/// aligned only when its dependent attribute (the one alignment rewrites)
+/// is neither read nor written by an FD family in `families` nor read by
+/// an earlier aligned DC. Every other hard order DC stays repair-owned.
+/// So each pass runs once per freeze, and none undoes an earlier one.
+std::vector<std::pair<size_t, PrefixAlignSpec>> BuildAlignments(
     const ProbabilisticDataModel& model,
     const std::vector<WeightedConstraint>& constraints,
-    const ActivationMap& activation, std::vector<DcOwner>* owner) {
-  std::vector<AlignTask> alignments;
-  // Attributes an accepted task's correctness depends on: a later task
-  // whose dep would rewrite one of them would silently re-break the
-  // earlier task's zeroed DC, so such a task falls back to repair instead.
+    const ActivationMap& activation,
+    const std::vector<PrefixFdFamily>& families,
+    std::vector<DcOwner>* owner) {
+  std::vector<std::pair<size_t, PrefixAlignSpec>> alignments;
+  // Attributes an exact pass's correctness depends on: every attribute an
+  // FD family reads or writes, then each aligned DC's own.
   std::vector<size_t> locked_attrs;
+  for (const PrefixFdFamily& family : families) {
+    locked_attrs.push_back(family.rhs);
+    for (const std::vector<size_t>& lhs : family.lhs_sets) {
+      locked_attrs.insert(locked_attrs.end(), lhs.begin(), lhs.end());
+    }
+  }
   for (size_t l = 0; l < constraints.size(); ++l) {
     if ((*owner)[l] != DcOwner::kRepair || !constraints[l].hard) continue;
-    const std::optional<GroupedOrderSpec>& spec =
+    const std::optional<GroupedOrderSpec>& order =
         activation.dc_shape[l].order;
-    if (!spec.has_value()) continue;
-    AlignTask task;
-    task.dc = l;
-    task.group = spec->group_attrs;
-    task.co_monotone = spec->co_monotone;
-    const size_t x = spec->x_attr;
-    const size_t y = spec->y_attr;
+    if (!order.has_value()) continue;
     const size_t u = activation.dc_unit[l];
     if (u == SIZE_MAX || model.units()[u].attrs.size() != 1) continue;
     // The dependent side is the attribute sampled last (the activating
     // unit's attribute); its values get reassigned, the other side is the
     // sort context.
+    PrefixAlignSpec spec;
+    spec.group_attrs = order->group_attrs;
+    spec.co_monotone = order->co_monotone;
     const size_t a = model.units()[u].attrs[0];
-    if (a == y) {
-      task.dep = y;
-      task.ctx = x;
-    } else if (a == x) {
-      task.dep = x;
-      task.ctx = y;
+    if (a == order->y_attr) {
+      spec.dep_attr = order->y_attr;
+      spec.ctx_attr = order->x_attr;
+    } else if (a == order->x_attr) {
+      spec.dep_attr = order->x_attr;
+      spec.ctx_attr = order->y_attr;
     } else {
       continue;  // the unit samples a group attribute; fall back to repair
     }
-    if (std::find(locked_attrs.begin(), locked_attrs.end(), task.dep) !=
+    if (std::find(locked_attrs.begin(), locked_attrs.end(), spec.dep_attr) !=
         locked_attrs.end()) {
-      continue;  // would rewrite an earlier task's attribute
+      continue;  // would rewrite an attribute another exact pass reads
     }
-    locked_attrs.push_back(task.dep);
-    locked_attrs.push_back(task.ctx);
-    locked_attrs.insert(locked_attrs.end(), task.group.begin(),
-                        task.group.end());
+    locked_attrs.push_back(spec.dep_attr);
+    locked_attrs.push_back(spec.ctx_attr);
+    locked_attrs.insert(locked_attrs.end(), spec.group_attrs.begin(),
+                        spec.group_attrs.end());
     (*owner)[l] = DcOwner::kAlign;
-    alignments.push_back(std::move(task));
+    alignments.emplace_back(l, std::move(spec));
   }
   return alignments;
 }
@@ -841,10 +826,12 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
 /// work. A one-shard run is one freeze against an empty prefix.
 ///
 /// Every DC has exactly one owner (`DcOwner`, fixed before the first
-/// freeze): hard FDs are canonicalized, hard order DCs with an accepted
-/// `AlignTask` are rank-aligned, and every other indexed pair DC — soft,
-/// or hard with no exact pass — is repaired. Each freeze touches only
-/// shard s's rows (frozen cells are never written):
+/// freeze): hard FDs are canonicalized, hard order DCs whose dependent
+/// attribute no FD family touches are rank-aligned, and every other
+/// indexed pair DC — soft, or hard with no exact pass — is repaired. No
+/// exact pass writes an attribute an earlier one reads or writes, so each
+/// runs once per freeze. Each freeze touches only shard s's rows (frozen
+/// cells are never written):
 ///  1. Conflict detection: each shard row's `CountNew` against the running
 ///     merged indices (exactly the frozen prefix) counts the cross-shard
 ///     violating pairs the per-shard sampling could not see; rows in such
@@ -857,9 +844,8 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
 ///  3. Prefix-frozen hard-FD canonicalization: shard rows adopt the
 ///     frozen prefix's canonical RHS values, never the reverse.
 ///  4. Prefix-frozen rank alignment: shard rows slot into the frozen
-///     monotone relation (envelope clamp). Run whenever the DC actually
-///     has violations.
-///  5. Hard FDs win: re-run 3 if 4 touched an FD attribute.
+///     monotone relation (envelope clamp). Run whenever the DC has
+///     violations in the shard or against the prefix.
 /// Shard 0's freeze runs 3/4 with an empty prefix, so the exactly-owned
 /// hard DCs hold after *every* freeze, at every shard count.
 ///
@@ -886,15 +872,17 @@ Result<Table> ProgressiveShardSynthesis(
   // with no frozen prefix there are no cross-shard conflicts.
   const bool one_shard = num_shards == 1;
   const runtime::RngStream root(one_shard ? 0 : rng->NextSeed());
-  // Delivery, fixed for the run. An out-of-core run keeps two shards in
-  // flight (the one being frozen plus the one sampling behind it) and
-  // dispatches the next only after a freeze retires its slice; that bounds
-  // a run that keeps no table to ~2 shard widths of resident rows. An
-  // in-memory run dispatches every shard up front for maximum overlap.
-  // Frozen slices are appended to `collected` only when the run keeps a
-  // table; otherwise the rows exist only as delivered chunks.
-  const size_t dispatch_window =
-      run.out_of_core ? std::min<size_t>(2, num_shards) : num_shards;
+  // Delivery, fixed for the run. An out-of-core run that keeps no table
+  // keeps two shards in flight (the one being frozen plus the one sampling
+  // behind it) and dispatches the next only after a freeze retires its
+  // slice, which bounds it to ~2 shard widths of resident rows. Every
+  // other run dispatches every shard up front for maximum overlap: a run
+  // that collects the table holds all n rows whatever the window. Frozen
+  // slices are appended to `collected` only when the run keeps a table;
+  // otherwise the rows exist only as delivered chunks.
+  const size_t dispatch_window = run.out_of_core && !run.collect_table
+                                     ? std::min<size_t>(2, num_shards)
+                                     : num_shards;
   Table collected(schema);
   Table* table = run.collect_table ? &collected : nullptr;
 
@@ -957,8 +945,8 @@ Result<Table> ProgressiveShardSynthesis(
   std::vector<DcOwner> owner = RepairOwners(constraints, activation, options);
   const std::vector<PrefixFdFamily> families =
       BuildFdFamilies(constraints, activation, &owner);
-  const std::vector<AlignTask> alignments =
-      BuildAlignTasks(model, constraints, activation, &owner);
+  const std::vector<std::pair<size_t, PrefixAlignSpec>> alignments =
+      BuildAlignments(model, constraints, activation, families, &owner);
   IndexSet merged(constraints.size());
   for (size_t l = 0; l < constraints.size(); ++l) {
     if (owner[l] != DcOwner::kNone) {
@@ -971,13 +959,8 @@ Result<Table> ProgressiveShardSynthesis(
   // runs share the exact same code path).
   FrozenFdLookups fd_lookups(families);
   std::vector<FrozenAlignLookups> align_lookups;
-  for (const AlignTask& task : alignments) {
-    PrefixAlignSpec spec;
-    spec.group_attrs = task.group;
-    spec.ctx_attr = task.ctx;
-    spec.dep_attr = task.dep;
-    spec.co_monotone = task.co_monotone;
-    align_lookups.emplace_back(std::move(spec));
+  for (const auto& alignment : alignments) {
+    align_lookups.emplace_back(alignment.second);
   }
   // The units the repair re-samples (the activation unit of a
   // repair-owned DC), with the DCs its candidates are scored on — every
@@ -994,9 +977,6 @@ Result<Table> ProgressiveShardSynthesis(
       repair_seeds[u] = activation.unit_seeds[u].seeds;
     }
   }
-  // Running count of violating pairs wholly inside the frozen prefix,
-  // per alignment DC — the frozen-side term of the align-pass gate.
-  std::vector<int64_t> frozen_violations(constraints.size(), 0);
   const runtime::RngStream merge_stream(root.SubSeed(num_shards));
   constexpr size_t kMergeNoGainStreak = 8;
 
@@ -1071,6 +1051,8 @@ Result<Table> ProgressiveShardSynthesis(
       IndexSet live_indices = IndexTable(live, repair_scored, constraints);
       SampleScratch repair;
       Row& current = repair.row;
+      CandidateSet current_set;  // the row's own unit values, one candidate
+      current_set.probs.assign(1, 1.0);
       size_t budget = 16 + 2 * offenders.size();
       telemetry->merge_budget += static_cast<int64_t>(budget);
       size_t no_gain_streak = 0;
@@ -1107,9 +1089,16 @@ Result<Table> ProgressiveShardSynthesis(
                              activation.unit_log_prior[u], &task_rng,
                              &repair.inference, &repair.candidates);
           if (candidates.empty()) continue;
-          const double penalty_before = ViolationPenalty(
-              current, &current, active, constraints, {&merged, &live_indices});
-          ScoreCandidates(unit, &current, active, constraints,
+          // The penalty to beat: the row's current values, scored as a
+          // one-candidate set before the real one.
+          current_set.width = unit.attrs.size();
+          current_set.owned.clear();
+          for (size_t a : unit.attrs) current_set.owned.push_back(current[a]);
+          current_set.values = current_set.owned.data();
+          ScoreCandidates(unit, current_set, &current, active, constraints,
+                          {&merged, &live_indices}, &repair);
+          const double penalty_before = repair.penalties[0];
+          ScoreCandidates(unit, candidates, &current, active, constraints,
                           {&merged, &live_indices}, &repair);
           size_t pick = 0;
           double best = -std::numeric_limits<double>::infinity();
@@ -1144,48 +1133,26 @@ Result<Table> ProgressiveShardSynthesis(
     const int64_t repair_us = lap_us();
 
     // Exact hard-DC passes against the persistent frozen lookups; frozen
-    // rows are neither written nor read.
-    std::vector<bool> attr_modified(schema.size(), false);
-    telemetry->merge_fd_rewrites +=
-        fd_lookups.Canonicalize(&live, &attr_modified);
-    int64_t canonicalize_us = lap_us();
+    // rows are neither written nor read. Alignment writes no attribute an
+    // FD family touches (BuildAlignments), so each pass runs once.
+    telemetry->merge_fd_rewrites += fd_lookups.Canonicalize(&live, nullptr);
+    const int64_t canonicalize_us = lap_us();
 
-    bool realigned_fd_attr = false;
     for (size_t k = 0; k < alignments.size(); ++k) {
-      const AlignTask& task = alignments[k];
+      const size_t dc_index = alignments[k].first;
       // Count for real every freeze (intra-shard residuals must also be
       // caught before the rows freeze) — but without re-reading frozen
-      // rows: total = pairs wholly inside the prefix (the running
-      // `frozen_violations` fold) + pairs inside the live slice + frozen
-      // x live pairs via the merged index delta.
-      int64_t total = frozen_violations[task.dc] +
-                      CountViolations(constraints[task.dc].dc, live);
-      if (merged[task.dc] != nullptr) {
-        for (size_t r = 0; r < live.num_rows(); ++r) {
-          live.CopyRowInto(r, &live_row);
-          total += merged[task.dc]->CountNew(live_row);
-        }
+      // rows: the prefix is violation-free, so total = pairs inside the
+      // live slice + frozen x live pairs via the merged index delta.
+      int64_t total = CountViolations(constraints[dc_index].dc, live);
+      for (size_t r = 0; r < live.num_rows(); ++r) {
+        live.CopyRowInto(r, &live_row);
+        total += merged[dc_index]->CountNew(live_row);
       }
       if (total == 0) continue;
-      const int64_t moved = align_lookups[k].Align(&live);
-      telemetry->merge_order_alignments += moved;
-      if (moved == 0) continue;
-      attr_modified[task.dep] = true;
-      for (const PrefixFdFamily& family : families) {
-        if (family.rhs == task.dep) realigned_fd_attr = true;
-        for (const std::vector<size_t>& lhs : family.lhs_sets) {
-          if (std::find(lhs.begin(), lhs.end(), task.dep) != lhs.end()) {
-            realigned_fd_attr = true;
-          }
-        }
-      }
+      telemetry->merge_order_alignments += align_lookups[k].Align(&live);
     }
     const int64_t align_us = lap_us();
-    if (realigned_fd_attr) {
-      telemetry->merge_fd_rewrites +=
-          fd_lookups.Canonicalize(&live, &attr_modified);
-      canonicalize_us += lap_us();
-    }
 
     // Freeze: fold the shard's *final* rows into the frozen-prefix state
     // the later freezes read. The last freeze has no later one, so it
@@ -1193,17 +1160,11 @@ Result<Table> ProgressiveShardSynthesis(
     const bool last = s + 1 == num_shards;
     if (!last) {
       // Index the rows into the running merged indices, each row copied
-      // once; every index still sees the rows in row order. For alignment
-      // DCs, fold the new intra-prefix pairs into the running count first
-      // — CountNew before AddRow sees each pair exactly once.
+      // once; every index still sees the rows in row order.
       for (size_t r = 0; r < live.num_rows(); ++r) {
         live.CopyRowInto(r, &live_row);
-        for (size_t l = 0; l < constraints.size(); ++l) {
-          if (merged[l] == nullptr) continue;
-          if (owner[l] == DcOwner::kAlign) {
-            frozen_violations[l] += merged[l]->CountNew(live_row);
-          }
-          merged[l]->AddRow(live_row);
+        for (std::unique_ptr<ViolationIndex>& index : merged) {
+          if (index != nullptr) index->AddRow(live_row);
         }
       }
       // Absorb the now-final slice into the persistent frozen lookups —

@@ -96,16 +96,17 @@ struct SampleSpec {
   /// rows are unchanged — only their wire form is. Ignored without an
   /// `on_chunk` hook.
   bool compress_chunks = false;
-  /// Bound the shards in flight: the coordinator keeps at most two shards
-  /// dispatched (the one being frozen plus the one sampling behind it)
-  /// and releases the next only after a freeze retires its slice, instead
-  /// of dispatching every shard up front. With `collect_table` off this
-  /// is the constant-memory delivery path: only the live shards, the
-  /// merged violation-index state and the frozen FD/envelope lookups stay
-  /// resident (~2 shard widths of rows). A collecting run still returns
-  /// all n rows, so it gains nothing in memory. Synthesis writes nothing
-  /// to disk in either case. Bit-identical to the in-memory run at any
-  /// num_threads.
+  /// With `collect_table` off, bound the shards in flight: the
+  /// coordinator keeps at most two shards dispatched (the one being frozen
+  /// plus the one sampling behind it) and releases the next only after a
+  /// freeze retires its slice, instead of dispatching every shard up
+  /// front. That is the constant-memory delivery path: only the live
+  /// shards, the merged violation-index state and the frozen FD/envelope
+  /// lookups stay resident (~2 shard widths of rows). A collecting run
+  /// returns all n rows whatever the window, so there the flag changes
+  /// nothing and every shard is dispatched up front. Synthesis writes
+  /// nothing to disk in either case. Bit-identical to the in-memory run at
+  /// any num_threads.
   bool out_of_core = false;
   /// When false, the run keeps no table: it returns a schema-only table,
   /// the rows are observable through `on_chunk` only, and no frozen slice
@@ -212,14 +213,16 @@ struct SynthesisTelemetry {
 /// from `rng` itself, the sequential paper stream). Shards then freeze in
 /// ascending order: each is reconciled against the frozen prefix before it
 /// (empty for shard 0), rewriting only the incoming shard's rows, and its
-/// chunk is emitted at once. Every DC has one reconciling mechanism: hard FDs
-/// are canonicalized onto the prefix's values, hard order DCs are
-/// rank-aligned into the prefix's monotone relation (both exact, and
-/// both also fixing violations inside the shard), and every other DC —
-/// soft, or hard with no exact pass — gets a bounded greedy repair of the
-/// rows in its cross-shard conflicts. The output is a pure function of
-/// (seed, num_shards) — bit-identical at any `num_threads` — and the
-/// hard DCs hold over every delivered prefix at every shard count.
+/// chunk is emitted at once. Every DC has one reconciling mechanism, fixed
+/// once per run: hard FDs are canonicalized onto the prefix's values, hard
+/// order DCs are rank-aligned into the prefix's monotone relation where no
+/// FD touches the attribute alignment rewrites (both exact, both also
+/// fixing violations inside the shard, and each run once per freeze), and
+/// every other DC — soft, or hard with no exact pass — gets a bounded
+/// greedy repair of the rows in its cross-shard conflicts. The output is a
+/// pure function of (seed, num_shards) — bit-identical at any
+/// `num_threads` — and every hard DC an exact pass owns holds over every
+/// delivered prefix at every shard count.
 ///
 /// Runs entirely on the learned model - a post-processing step with no
 /// additional privacy cost.

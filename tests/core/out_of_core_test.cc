@@ -1,6 +1,7 @@
 // Tests for out-of-core synthesis (SampleSpec::out_of_core): bounding
-// the shards in flight to two must not change a single sampled bit
-// relative to the in-memory sharded run at any thread or shard count,
+// the shards in flight to two (in a run that keeps no table; a collecting
+// run dispatches every shard up front) must not change a single sampled
+// bit relative to the in-memory sharded run at any thread or shard count,
 // the sequential golden digest must survive the flag, hard DCs stay
 // exact after every freeze, frozen rows are never re-scanned by the
 // repair penalty kernel (the constant-memory contract, asserted by
@@ -14,9 +15,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -405,6 +409,63 @@ TEST(OutOfCoreTest, DiscardResultSkipsTheRebuild) {
           .TakeValue();
   EXPECT_EQ(out.num_rows(), 0u);
   EXPECT_EQ(delivered, 120u);
+}
+
+TEST(OutOfCoreTest, CollectingRunDispatchesEveryShardUpFront) {
+  // A run that collects the table holds all n rows whatever the window,
+  // so `out_of_core` narrows dispatch only for a run that keeps none. A
+  // collecting out-of-core run at 4 shards and 4 threads therefore samples
+  // every shard while shard 0 freezes: shard 0's chunk waits (at most
+  // 30 s) until the progress callback has fired for all 4 shards. Under a
+  // two-shard window shard 2 would be dispatched only after that chunk
+  // returns, and the wait would time out. The rows equal the in-memory
+  // run's.
+  const BenchmarkDataset ds = MakeAdultLike(100, 13);
+  const size_t n = 120;
+  const size_t num_shards = 4;
+  const Trained trained = Train(ds, 1);
+  RunConfig in_memory;
+  in_memory.num_threads = 4;
+  in_memory.num_shards = num_shards;
+  const RunOutput expected = RunMerge(trained, n, in_memory);
+
+  ScopedNumThreads threads(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t shards_sampled = 0;
+  size_t sampled_at_first_chunk = 0;
+  RunOutput run;
+  SynthesisHooks hooks;
+  hooks.on_rows_sampled = [&](size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++shards_sampled;
+    cv.notify_all();
+  };
+  hooks.on_chunk = [&](const TableChunk& chunk) {
+    if (chunk.shard == 0) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_for(lock, std::chrono::seconds(30),
+                  [&] { return shards_sampled == num_shards; });
+      sampled_at_first_chunk = shards_sampled;
+    }
+    run.chunks.push_back(chunk);
+    return Status::OK();
+  };
+  SampleSpec spec{n};
+  spec.num_shards = num_shards;
+  spec.out_of_core = true;
+  Rng srng(17);
+  run.out = Synthesize(trained.model, trained.constraints, trained.options,
+                       spec, &srng, &run.telemetry, &hooks)
+                .TakeValue();
+  EXPECT_EQ(sampled_at_first_chunk, num_shards)
+      << "shards sampled when shard 0's chunk was emitted";
+  ExpectSameTable(expected.out, run.out);
+  ASSERT_EQ(run.chunks.size(), expected.chunks.size());
+  for (size_t k = 0; k < run.chunks.size(); ++k) {
+    ExpectSameTable(expected.chunks[k].rows, run.chunks[k].rows);
+  }
+  EXPECT_EQ(run.telemetry.peak_resident_rows, static_cast<int64_t>(n));
 }
 
 /// Entries in `dir` other than "." / "..".

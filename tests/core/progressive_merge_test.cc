@@ -1,10 +1,12 @@
 // Tests for the prefix-frozen shard reconciliation every sharded run goes
 // through: the (seed, num_shards) determinism contract across thread
 // budgets, hard-DC exactness after *every* prefix freeze (checked against
-// the MakeNaiveViolationIndex oracle), frozen-prefix immutability (rows
-// already streamed are never rewritten), the one-shard golden digest,
-// chunk-only delivery (`collect_table` off), and unit tests of the
-// frozen-prefix FD and order lookups in core/prefix_merge.h.
+// the MakeNaiveViolationIndex oracle), DC ownership (an order DC whose
+// dependent attribute an FD touches is repaired, not rank-aligned),
+// frozen-prefix immutability (rows already streamed are never
+// rewritten), the one-shard golden digest, chunk-only delivery
+// (`collect_table` off), and unit tests of the frozen-prefix FD and order
+// lookups in core/prefix_merge.h.
 
 #include <gtest/gtest.h>
 
@@ -224,6 +226,45 @@ TEST(ProgressiveMergeTest, ExactPassesOwnEveryHardDcOnTaxAndTpch) {
               << wc.dc.ToString(ds.table.schema())
               << " violated on the frozen prefix after freeze " << s;
         }
+      }
+    }
+  }
+}
+
+TEST(ProgressiveMergeTest, OrderDcOnAnFdAttributeStaysRepairOwned) {
+  // Adult plus two hard FDs, edu -> cap_gain and edu -> cap_loss: the
+  // order DC's dependent attribute (whichever cap is sampled last) is an
+  // FD's RHS, so rank alignment would rewrite a cell the FD pass owns.
+  // The order DC stays with the repair instead: no cell is rank-aligned,
+  // the FDs hold over every delivered prefix by the naive pair scan, and
+  // the thread budget changes no bit.
+  BenchmarkDataset ds = MakeAdultLike(100, 13);
+  ds.dc_specs.push_back("!(t1.edu == t2.edu & t1.cap_gain != t2.cap_gain)");
+  ds.dc_specs.push_back("!(t1.edu == t2.edu & t1.cap_loss != t2.cap_loss)");
+  ds.hardness.push_back(true);
+  ds.hardness.push_back(true);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  for (const size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << num_shards);
+    const ProgressiveRun t1 = RunProgressive(ds, 120, 1, num_shards);
+    const ProgressiveRun t4 = RunProgressive(ds, 120, 4, num_shards);
+    ExpectSameTable(t1.out, t4.out);
+    EXPECT_EQ(t1.telemetry.merge_order_alignments, 0);
+    EXPECT_EQ(t4.telemetry.merge_order_alignments, 0);
+    if (num_shards == 4) {
+      // The order DC's cross-shard pairs now queue rows for the repair.
+      EXPECT_GT(t1.telemetry.merge_conflict_rows, 0);
+    }
+    ASSERT_EQ(t1.chunks.size(), num_shards);
+    Table prefix(t1.out.schema());
+    for (size_t s = 0; s < t1.chunks.size(); ++s) {
+      prefix.AppendRowsFrom(t1.chunks[s].rows, 0, t1.chunks[s].num_rows());
+      for (const WeightedConstraint& wc : constraints) {
+        if (!wc.dc.Decompose().Fd().has_value()) continue;
+        EXPECT_EQ(CountViolationsNaive(wc.dc, prefix), 0)
+            << wc.dc.ToString(ds.table.schema())
+            << " violated on the frozen prefix after freeze " << s;
       }
     }
   }

@@ -311,11 +311,14 @@ struct FreezePin {
 
 /// Synthesizes 800 rows (sampling seed 17) at each pin's shard count and
 /// at 1 and 4 threads; checks the hard DCs hold and the digest and
-/// `merge_fd_rewrites` / `merge_order_alignments` match the pin.
+/// `merge_fd_rewrites` / `merge_order_alignments` match the pin. With
+/// `expect_repairs`, each run must also queue conflict rows and re-sample
+/// some of them in the freeze repair.
 void ExpectFreezePins(const ProbabilisticDataModel& model,
                       const std::vector<WeightedConstraint>& constraints,
                       const Schema& schema, KaminoOptions options,
-                      const std::vector<FreezePin>& pinned) {
+                      const std::vector<FreezePin>& pinned,
+                      bool expect_repairs = false) {
   for (const FreezePin& pin : pinned) {
     for (const size_t num_threads : {size_t{1}, size_t{4}}) {
       ScopedNumThreads threads(num_threads);
@@ -339,6 +342,14 @@ void ExpectFreezePins(const ProbabilisticDataModel& model,
           << "num_shards=" << pin.num_shards << " num_threads=" << num_threads;
       EXPECT_EQ(telemetry.merge_order_alignments, pin.order_alignments)
           << "num_shards=" << pin.num_shards << " num_threads=" << num_threads;
+      if (expect_repairs) {
+        EXPECT_GT(telemetry.merge_conflict_rows, 0)
+            << "num_shards=" << pin.num_shards
+            << " num_threads=" << num_threads;
+        EXPECT_GT(telemetry.merge_resamples, 0)
+            << "num_shards=" << pin.num_shards
+            << " num_threads=" << num_threads;
+      }
     }
   }
 }
@@ -391,6 +402,32 @@ TEST(ShardedSamplerTest, TpchDigestsPinned) {
   ExpectFreezePins(model, constraints, ds.table.schema(), options,
                    {{1, "0x682c759774f5d844", 5, 0},
                     {4, "0x6a56edcda904d5dd", 2064, 0}});
+}
+
+TEST(ShardedSamplerTest, SoftOrderAdultRepairDigestsPinned) {
+  // With Adult's order DC soft, the freeze repair owns it: conflict rows
+  // are re-scored against the merged indices plus the shard's own, and
+  // re-sampled with numeric seeds from the frozen order pair's nearest
+  // rows. No other pin reaches that path on Adult. Pinned per shard
+  // count, at every thread budget. If one fails after an *intentional*
+  // sampler change, re-capture from the failure message.
+  BenchmarkDataset ds = MakeAdultLike(120, 7);
+  ds.hardness = {true, false};  // the FD stays hard, the order DC is soft
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  KaminoOptions options;
+  options.non_private = true;
+  options.iterations = 12;
+  options.mcmc_resamples = 48;
+  options.seed = 31;
+  Rng rng(31);
+  auto model = ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+                   .TakeValue();
+  ExpectFreezePins(model, constraints, ds.table.schema(), options,
+                   {{2, "0xfba7fc75a0b2592c", 400, 0},
+                    {4, "0xac2398551cbb943c", 575, 0}},
+                   /*expect_repairs=*/true);
 }
 
 TEST(ShardedSamplerTest, ExactPassCountersReachMetricsRegistry) {

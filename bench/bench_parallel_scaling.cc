@@ -114,7 +114,7 @@ int Main() {
     const double secs = TimeBest(
         3, [&] { (void)BuildViolationMatrix(ds.table, constraints); });
     if (t == 1) matrix_serial = secs;
-    records.push_back({"build_violation_matrix", rows, t, secs});
+    records.push_back({"build_violation_matrix", rows, t, 1, secs, "s"});
     std::printf("%-28s %8zu %12.4f %9.2fx\n", "build_violation_matrix", t,
                 secs, matrix_serial / secs);
   }
@@ -131,7 +131,7 @@ int Main() {
       const double secs = TimeBest(
           3, [&] { (void)CountViolationsNaive(*binary_dc, ds.table); });
       if (t == 1) naive_serial = secs;
-      records.push_back({"count_violations_naive", rows, t, secs});
+      records.push_back({"count_violations_naive", rows, t, 1, secs, "s"});
       std::printf("%-28s %8zu %12.4f %9.2fx\n", "count_violations_naive", t,
                   secs, naive_serial / secs);
     }
@@ -157,9 +157,9 @@ int Main() {
     } else if (!SameTable(serial_output, result.synthetic)) {
       deterministic = false;
     }
-    records.push_back({"pipeline_training", rows, t, ph.training});
-    records.push_back({"pipeline_sampling", rows, t, ph.sampling});
-    records.push_back({"pipeline_total", rows, t, total});
+    records.push_back({"pipeline_training", rows, t, 1, ph.training, "s"});
+    records.push_back({"pipeline_sampling", rows, t, 1, ph.sampling, "s"});
+    records.push_back({"pipeline_total", rows, t, 1, total, "s"});
     std::printf("%-28s %8zu %12.4f %9.2fx\n", "pipeline_training", t,
                 ph.training, serial_timings.training / ph.training);
     std::printf("%-28s %8zu %12.4f %9.2fx\n", "pipeline_sampling", t,
@@ -192,9 +192,9 @@ int Main() {
       }
       const PhaseTimings& ph = result.timings;
       records.push_back({"sampling_shards" + std::to_string(shards), rows, t,
-                         ph.sampling});
+                         shards, ph.sampling, "s"});
       records.push_back({"shard_merge_shards" + std::to_string(shards), rows,
-                         t, ph.shard_merge});
+                         t, shards, ph.shard_merge, "s"});
       if (t == 4) {
         std::printf("%-28s %8zu %12.4f %12.4f\n", "sampling_shards", shards,
                     ph.sampling, ph.shard_merge);
@@ -238,8 +238,8 @@ int Main() {
             "mcmc_sampling_shards" + std::to_string(shards);
         const double secs = serial.value().sampling_seconds;
         const double secs4 = parallel.value().sampling_seconds;
-        records.push_back({method, mcmc_rows, 1, secs});
-        records.push_back({method, mcmc_rows, 4, secs4});
+        records.push_back({method, mcmc_rows, 1, shards, secs, "s"});
+        records.push_back({method, mcmc_rows, 4, shards, secs4, "s"});
         std::printf("%-28s %8zu %8zu %12.4f %12.4f\n", method.c_str(),
                     mcmc_rows, shards, secs, secs4);
       }
@@ -283,7 +283,7 @@ int Main() {
           outputs[k] = std::move(result.value().synthetic);
         }
         records.push_back(
-            {"freeze_tax_shards4", freeze_rows, threads[k], secs[k]});
+            {"freeze_tax_shards4", freeze_rows, threads[k], 4, secs[k], "s"});
       }
       if (!SameTable(outputs[0], outputs[1])) freeze_deterministic = false;
       std::printf("%-28s %8zu %12.4f %12.4f\n", "freeze_tax_shards4",
@@ -319,8 +319,8 @@ int Main() {
         2, [&] { (void)CountViolationsNaive(*order_dc, tax.table); });
     const double sorted_count =
         TimeBest(2, [&] { (void)CountViolations(*order_dc, tax.table); });
-    records.push_back({"order_count_naive", n, 1, naive_count});
-    records.push_back({"order_count_sorted", n, 1, sorted_count});
+    records.push_back({"order_count_naive", n, 1, 1, naive_count, "s"});
+    records.push_back({"order_count_sorted", n, 1, 1, sorted_count, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "order_count", n,
                 naive_count, sorted_count, naive_count / sorted_count);
     // The incremental commit loop: score every row against the prefix,
@@ -340,8 +340,8 @@ int Main() {
     const double sorted_index = TimeBest(
         2, [&] { sorted_sum = run_index(MakeViolationIndex(*order_dc)); });
     if (naive_sum != sorted_sum) order_counts_agree = false;
-    records.push_back({"order_index_naive", n, 1, naive_index});
-    records.push_back({"order_index_sorted", n, 1, sorted_index});
+    records.push_back({"order_index_naive", n, 1, 1, naive_index, "s"});
+    records.push_back({"order_index_sorted", n, 1, 1, sorted_index, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "order_index", n,
                 naive_index, sorted_index, naive_index / sorted_index);
   }
@@ -401,8 +401,8 @@ int Main() {
       }
     });
     if (single_counts != batched_counts) scoring_counts_agree = false;
-    records.push_back({"order_scoring_per_candidate", n, 1, single});
-    records.push_back({"order_scoring_batched", n, 1, batched});
+    records.push_back({"order_scoring_per_candidate", n, 1, 1, single, "s"});
+    records.push_back({"order_scoring_batched", n, 1, 1, batched, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "order_scoring", n,
                 single, batched, single / batched);
   }
@@ -477,8 +477,8 @@ int Main() {
       }
     });
     if (single_digest != batched_digest) fd_scoring_counts_agree = false;
-    records.push_back({"fd_scoring_per_candidate", n, 1, single});
-    records.push_back({"fd_scoring_batched", n, 1, batched});
+    records.push_back({"fd_scoring_per_candidate", n, 1, 1, single, "s"});
+    records.push_back({"fd_scoring_batched", n, 1, 1, batched, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "fd_scoring", n,
                 single, batched, single / batched);
   }
@@ -533,8 +533,9 @@ int Main() {
         (void)CountViolations(dc, tax.table);
       }
     });
-    records.push_back({"mixed_count_naive", n, 1, naive_count});
-    records.push_back({"mixed_count_composite", n, 1, composite_count});
+    records.push_back({"mixed_count_naive", n, 1, 1, naive_count, "s"});
+    records.push_back(
+        {"mixed_count_composite", n, 1, 1, composite_count, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "mixed_count", n,
                 naive_count, composite_count, naive_count / composite_count);
     auto run_indices = [&] (bool naive) {
@@ -556,8 +557,9 @@ int Main() {
     const double composite_index =
         TimeBest(2, [&] { composite_sum = run_indices(false); });
     if (naive_sum != composite_sum) mixed_counts_agree = false;
-    records.push_back({"mixed_index_naive", n, 1, naive_index});
-    records.push_back({"mixed_index_composite", n, 1, composite_index});
+    records.push_back({"mixed_index_naive", n, 1, 1, naive_index, "s"});
+    records.push_back(
+        {"mixed_index_composite", n, 1, 1, composite_index, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "mixed_index", n,
                 naive_index, composite_index, naive_index / composite_index);
   }
@@ -653,8 +655,8 @@ int Main() {
         if (packed_matrix[i][l] != boxed_cols[l][i]) columnar_agree = false;
       }
     }
-    records.push_back({"boxed_index_build", n, 1, boxed_build});
-    records.push_back({"columnar_index_build", n, 1, packed_build});
+    records.push_back({"boxed_index_build", n, 1, 1, boxed_build, "s"});
+    records.push_back({"columnar_index_build", n, 1, 1, packed_build, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "columnar_index_build",
                 n, boxed_build, packed_build, boxed_build / packed_build);
 
@@ -689,23 +691,23 @@ int Main() {
         !SameTable(merged_columnar, tax.table)) {
       columnar_agree = false;
     }
-    records.push_back({"rowwise_shard_merge", n, 1, rowwise_merge});
-    records.push_back({"columnar_shard_merge", n, 1, columnar_merge});
+    records.push_back({"rowwise_shard_merge", n, 1, 4, rowwise_merge, "s"});
+    records.push_back({"columnar_shard_merge", n, 1, 4, columnar_merge, "s"});
     std::printf("%-28s %8zu %12.4f %12.4f %8.1fx\n", "columnar_shard_merge",
                 n, rowwise_merge, columnar_merge,
                 rowwise_merge / columnar_merge);
 
     // Chunk codec: encoded payload vs the raw Value payload it replaces
-    // on the wire (bytes recorded in the value slot of the record).
+    // on the wire, in bytes.
     const std::vector<uint8_t> encoded = EncodeChunkColumns(tax.table);
     auto decoded = DecodeChunkColumns(tax.table.schema(), encoded);
     KAMINO_CHECK(decoded.ok()) << decoded.status();
     if (!SameTable(decoded.value(), tax.table)) columnar_agree = false;
     const size_t raw_bytes = RawChunkBytes(tax.table);
-    records.push_back({"chunk_encode_bytes", n, 1,
-                       static_cast<double>(encoded.size())});
-    records.push_back({"chunk_raw_bytes", n, 1,
-                       static_cast<double>(raw_bytes)});
+    records.push_back({"chunk_encode_bytes", n, 1, 1,
+                       static_cast<double>(encoded.size()), "bytes"});
+    records.push_back({"chunk_raw_bytes", n, 1, 1,
+                       static_cast<double>(raw_bytes), "bytes"});
     std::printf("%-28s %8zu %12zu %12zu %8.1fx\n", "chunk_encode_bytes", n,
                 raw_bytes, encoded.size(),
                 static_cast<double>(raw_bytes) /
@@ -733,8 +735,8 @@ int Main() {
     // The engine runs at the fit's thread budget (the hardware one: the
     // config leaves `num_threads` unset), so the service, stream and
     // out-of-core records carry the budget each run resolved.
-    records.push_back(
-        {"service_fit", rows, runtime::GlobalNumThreads(), fit_seconds});
+    records.push_back({"service_fit", rows, runtime::GlobalNumThreads(), 1,
+                       fit_seconds, "s"});
 
     constexpr int kRequests = 4;
     double synthesize_seconds = 0.0;
@@ -749,7 +751,8 @@ int Main() {
       const double secs = Now() - t0;
       synthesize_seconds += secs;
       records.push_back({"service_synthesize", rows,
-                         result.value().telemetry.num_threads, secs});
+                         result.value().telemetry.num_threads,
+                         result.value().telemetry.num_shards, secs, "s"});
       std::printf("%-28s %8d %12.4f\n", "service_synthesize", i, secs);
       // Identical requests must reproduce identical instances.
       auto again = engine.Synthesize(model.value(), request);
@@ -795,9 +798,9 @@ int Main() {
       const double first = tel.first_chunk_seconds;
       const double total = job_result.value().sampling_seconds;
       records.push_back({"stream_first_chunk_shards4", stream_rows,
-                         tel.num_threads, first});
+                         tel.num_threads, tel.num_shards, first, "s"});
       records.push_back({"stream_job_total_shards4", stream_rows,
-                         tel.num_threads, total});
+                         tel.num_threads, tel.num_shards, total, "s"});
       std::printf("%-28s %8zu %12.4f %12.4f\n", "stream_shards4", stream_rows,
                   first, total);
     }
@@ -831,12 +834,15 @@ int Main() {
         const double total = job_result.value().sampling_seconds;
         const char* tag = out_of_core ? "ooc" : "inmem";
         records.push_back({std::string(tag) + "_first_chunk_shards4",
-                           stream_rows, tel.num_threads, first});
+                           stream_rows, tel.num_threads, tel.num_shards, first,
+                           "s"});
         records.push_back({std::string(tag) + "_job_total_shards4",
-                           stream_rows, tel.num_threads, total});
+                           stream_rows, tel.num_threads, tel.num_shards, total,
+                           "s"});
         records.push_back({std::string(tag) + "_peak_resident_rows",
-                           stream_rows, tel.num_threads,
-                           static_cast<double>(tel.peak_resident_rows)});
+                           stream_rows, tel.num_threads, tel.num_shards,
+                           static_cast<double>(tel.peak_resident_rows),
+                           "rows"});
         if (out_of_core) {
           // The acceptance bound: at 4 shards the out-of-core run's
           // residency must stay within 2 shard widths at every size.
@@ -857,8 +863,7 @@ int Main() {
 
     // Model artifact serde: the cost of checkpointing a fit to its wire
     // form and rehydrating it (what a load-by-id worker pays per cold
-    // model), plus the artifact size (bytes in the value slot, like
-    // chunk_encode_bytes).
+    // model), plus the artifact size in bytes.
     auto artifact_bytes = model.value().Serialize();
     KAMINO_CHECK(artifact_bytes.ok()) << artifact_bytes.status();
     const double save_seconds = TimeBest(3, [&] {
@@ -880,10 +885,11 @@ int Main() {
                    from_artifact.value().synthetic)) {
       service_deterministic = false;
     }
-    records.push_back({"artifact_save", rows, 1, save_seconds});
-    records.push_back({"artifact_load", rows, 1, load_seconds});
-    records.push_back({"artifact_bytes", rows, 1,
-                       static_cast<double>(artifact_bytes.value().size())});
+    records.push_back({"artifact_save", rows, 1, 1, save_seconds, "s"});
+    records.push_back({"artifact_load", rows, 1, 1, load_seconds, "s"});
+    records.push_back({"artifact_bytes", rows, 1, 1,
+                       static_cast<double>(artifact_bytes.value().size()),
+                       "bytes"});
     std::printf("%-28s %8s %12.4f\n", "artifact_save", "-", save_seconds);
     std::printf("%-28s %8s %12.4f  (%zu bytes)\n", "artifact_load", "-",
                 load_seconds, artifact_bytes.value().size());
@@ -928,8 +934,8 @@ int Main() {
     obs::TraceRecorder::Global().Clear();
     obs::MetricsRegistry::Global().SetEnabled(false);
     obs::MetricsRegistry::Global().Reset();
-    records.push_back({"obs_overhead_off", n, 1, off_seconds});
-    records.push_back({"obs_overhead_on", n, 1, on_seconds});
+    records.push_back({"obs_overhead_off", n, 1, 1, off_seconds, "s"});
+    records.push_back({"obs_overhead_on", n, 1, 1, on_seconds, "s"});
     std::printf("\n%-28s %8s %12s %12s %9s\n", "method", "rows", "off-sec",
                 "on-sec", "overhead");
     std::printf("%-28s %8zu %12.4f %12.4f %8.1f%%\n", "obs_overhead", n,
@@ -938,7 +944,7 @@ int Main() {
   }
   runtime::SetGlobalNumThreads(0);
 
-  WriteBenchJson("BENCH_parallel.json", records);
+  if (!WriteBenchJson("BENCH_parallel.json", records)) return 1;
   return deterministic && shards_deterministic && mcmc_deterministic &&
                  freeze_deterministic && order_counts_agree &&
                  scoring_counts_agree && fd_scoring_counts_agree &&

@@ -150,24 +150,29 @@ MarginalSummary MarginalQuality(const Table& synthetic, const Table& truth,
   return m;
 }
 
-void WriteBenchJson(const std::string& path,
+bool WriteBenchJson(const std::string& path,
                     const std::vector<BenchRecord>& records) {
   std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "WriteBenchJson: cannot open %s\n", path.c_str());
-    return;
-  }
   out << "[\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
-    char seconds[32];
-    std::snprintf(seconds, sizeof(seconds), "%.6f", r.seconds);
+    // Seconds to the microsecond; byte and row counts are whole numbers.
+    char value[32];
+    std::snprintf(value, sizeof(value), r.unit == "s" ? "%.6f" : "%.0f",
+                  r.value);
     out << "  {\"method\": \"" << r.method << "\", \"rows\": " << r.rows
-        << ", \"threads\": " << r.threads << ", \"seconds\": " << seconds
-        << "}" << (i + 1 < records.size() ? "," : "") << "\n";
+        << ", \"threads\": " << r.threads << ", \"shards\": " << r.shards
+        << ", \"value\": " << value << ", \"unit\": \"" << r.unit << "\"}"
+        << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "WriteBenchJson: cannot write %s\n", path.c_str());
+    return false;
+  }
   std::printf("wrote %zu records to %s\n", records.size(), path.c_str());
+  return true;
 }
 
 void PrintHeader(const std::string& title) {

@@ -71,19 +71,24 @@ MarginalSummary MarginalQuality(const Table& synthetic, const Table& truth,
 /// Prints a horizontal rule + centered title.
 void PrintHeader(const std::string& title);
 
-/// One machine-readable timing record for the perf trajectory.
+/// One machine-readable measurement for the perf trajectory: `value` in
+/// `unit` ("s", "bytes" or "rows") for `method` at `rows` rows, `threads`
+/// threads and `shards` shards (1 for work that does not shard).
 struct BenchRecord {
   std::string method;
   size_t rows = 0;
   size_t threads = 1;
-  double seconds = 0.0;
+  size_t shards = 1;
+  double value = 0.0;
+  std::string unit;
 };
 
 /// Writes `records` as a JSON array of {"method", "rows", "threads",
-/// "seconds"} objects (bench_parallel_scaling writes BENCH_parallel.json
-/// with it), so future PRs can diff performance mechanically instead of
-/// scraping stdout.
-void WriteBenchJson(const std::string& path,
+/// "shards", "value", "unit"} objects (bench_parallel_scaling writes
+/// BENCH_parallel.json with it), so a change can diff performance
+/// mechanically instead of scraping stdout. Returns false, after a message
+/// on stderr, when the file cannot be written.
+bool WriteBenchJson(const std::string& path,
                     const std::vector<BenchRecord>& records);
 
 }  // namespace kamino::bench

@@ -101,8 +101,7 @@ void FrozenFdLookups::Absorb(const Table& slice, size_t global_begin) {
   }
 }
 
-int64_t FrozenFdLookups::Canonicalize(Table* live,
-                                      std::vector<bool>* attr_modified) const {
+int64_t FrozenFdLookups::Canonicalize(Table* live) const {
   const size_t n = live->num_rows();
   if (n == 0 || families_.empty()) return 0;
   const size_t num_families = families_.size();
@@ -148,7 +147,6 @@ int64_t FrozenFdLookups::Canonicalize(Table* live,
       bool wrote_lhs = false;
       auto write = [&](size_t i, size_t a, const Value& v) {
         live->set(i, a, v);
-        if (attr_modified != nullptr) (*attr_modified)[a] = true;
         written[a] = pass;
         if (a != family.rhs || family.rhs_in_lhs) wrote_lhs = true;
         ++rewrites;

@@ -82,8 +82,8 @@ struct PrefixAlignSpec {
 /// pass, other than by that pass's own RHS writes (its own LHS writes
 /// count). After such a pass the components are unchanged and each
 /// already holds one value, so the repeat would rewrite nothing: rounds,
-/// rewrite counts and `attr_modified` are those of running every family
-/// every round.
+/// rewrite counts and the canonicalized rows are those of running every
+/// family every round.
 ///
 /// NaN rule: two keys match when every cell is equal as a `Value`, so a
 /// key with a NaN cell matches no other key, live or frozen. Such a row
@@ -97,9 +97,8 @@ class FrozenFdLookups {
   void Absorb(const Table& slice, size_t global_begin);
 
   /// Canonicalizes all rows of `live` against the absorbed prefix.
-  /// Returns cells rewritten; flags touched attributes in `attr_modified`
-  /// (schema-width vector, may be null).
-  int64_t Canonicalize(Table* live, std::vector<bool>* attr_modified) const;
+  /// Returns cells rewritten.
+  int64_t Canonicalize(Table* live) const;
 
  private:
   struct FrozenEntry {

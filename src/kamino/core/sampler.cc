@@ -198,26 +198,13 @@ double DcPenalty(const WeightedConstraint& wc, double weight, int64_t vio,
   return vio > 0 ? weight * static_cast<double>(vio) : 0.0;
 }
 
-/// Indexes every row of `table` under each DC in `dcs`.
-IndexSet IndexTable(const Table& table, const std::vector<size_t>& dcs,
-                    const std::vector<WeightedConstraint>& constraints) {
-  IndexSet indices(constraints.size());
-  if (dcs.empty()) return indices;
-  for (size_t l : dcs) indices[l] = MakeViolationIndex(constraints[l].dc);
-  Row row;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    table.CopyRowInto(r, &row);
-    for (size_t l : dcs) indices[l]->AddRow(row);
-  }
-  return indices;
-}
-
-/// Replaces committed row `old` with `now` in every index of `indices`.
-void ReplaceIndexedRow(const Row& old, const Row& now, IndexSet* indices) {
-  for (std::unique_ptr<ViolationIndex>& index : *indices) {
-    if (index == nullptr) continue;
-    index->RemoveRow(old);
-    index->AddRow(now);
+/// Replaces committed row `old` with `now` in the index of each DC in
+/// `dcs`: every index the caller reads afterwards (the others may go stale).
+void ReplaceIndexedRow(const Row& old, const Row& now,
+                       const std::vector<size_t>& dcs, IndexSet* indices) {
+  for (size_t l : dcs) {
+    (*indices)[l]->RemoveRow(old);
+    (*indices)[l]->AddRow(now);
   }
 }
 
@@ -428,13 +415,15 @@ void AppendSeeds(const SeedPlan& plan, const Row& row, const IndexSet& indices,
 }
 
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
-/// `n` rows, writing into `out` (resized here). Its sampling indices are
-/// local and hold each unit's rows as first drawn; the MCMC pass scores
-/// against a full-table index of its own and leaves them untouched.
-/// Candidate scoring runs inline; only the MCMC batches go through
-/// `runtime::ParallelFor`, which fans out when the one shard of a run
-/// samples on the caller's thread and runs inline when the shard is itself
-/// a pool task or the budget is one thread. `mcmc_resamples` is this shard's
+/// `n` rows, writing into `out` (resized here). Its indices
+/// (`out_indices`: one per DC active at a unit that samples with the DC
+/// factor) stay exact for the shard's rows: the row loop adds each row as
+/// it is drawn, and the MCMC pass scores against them and replaces each
+/// row it rewrites. The freeze repair reads them next. Candidate scoring
+/// runs inline; only the MCMC batches go through `runtime::ParallelFor`,
+/// which fans out when the one shard of a run samples on the caller's
+/// thread and runs inline when the shard is itself a pool task or the
+/// budget is one thread. `mcmc_resamples` is this shard's
 /// slice of the run-wide `options.mcmc_resamples` budget, so total MCMC
 /// work stays the same at every shard count. `hooks` cancellation is
 /// polled at every column-group boundary; the per-shard progress callback
@@ -451,12 +440,14 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
                        const ActivationMap& activation, size_t n,
                        const KaminoOptions& options, size_t mcmc_resamples,
                        const SynthesisHooks* hooks, Rng* rng,
-                       SynthesisTelemetry* telemetry, Table* out_table) {
+                       SynthesisTelemetry* telemetry, Table* out_table,
+                       IndexSet* out_indices) {
   const Schema& schema = model.schema();
   Table& out = *out_table;
   out.ResizeRows(n);
 
-  IndexSet indices(constraints.size());
+  IndexSet& indices = *out_indices;
+  indices = IndexSet(constraints.size());
   SampleScratch scratch;
   Row& row = scratch.row;
 
@@ -577,12 +568,11 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
     // by thread or schedule. When the shard is itself a pool task the
     // batch runs inline (`ParallelFor` never nests) — same result, since
     // randomness is keyed by resample index either way. Candidates score
-    // against full-table indices, which only the apply step writes.
+    // against the row loop's indices, which only the apply step writes.
     if (mcmc_resamples > 0) {
       const runtime::RngStream streams(rng->NextSeed());
       const std::vector<size_t> scored =
           use_dc_factor ? active : std::vector<size_t>();
-      IndexSet table_indices = IndexTable(out, scored, constraints);
       // Batch slot k re-samples through its own scratch (ParallelFor
       // chunks are single indices), reused batch after batch.
       struct Resample {
@@ -618,7 +608,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
                                &slot.inference, &slot.candidates);
             if (slot.candidates.empty()) continue;
             ScoreCandidates(unit, slot.candidates, &slot.row, scored,
-                            constraints, {&table_indices}, &slot);
+                            constraints, {&indices}, &slot);
             LogScoresToWeights(slot.log_scores, &slot.weights);
             resamples[k].pick = task_rng.Discrete(slot.weights);
             resamples[k].accepted = true;
@@ -634,7 +624,7 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
           row = old_row;
           ApplyCandidate(unit, r.scratch.candidates.at(r.pick), &out, r.row,
                          &row);
-          ReplaceIndexedRow(old_row, row, &table_indices);
+          ReplaceIndexedRow(old_row, row, scored, &indices);
           ++telemetry->mcmc_resamples;
         }
         ++telemetry->mcmc_batches;
@@ -646,10 +636,11 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
   return Status::OK();
 }
 
-/// Everything one shard produces: its slice of the instance and its
-/// telemetry counters.
+/// Everything one shard produces: its slice of the instance, the indices
+/// of its rows that the freeze repair reads, and its telemetry counters.
 struct ShardState {
   Table table;
+  IndexSet indices;
   SynthesisTelemetry telemetry;
 };
 
@@ -889,15 +880,60 @@ Result<Table> ProgressiveShardSynthesis(
   std::vector<ShardState> shards(num_shards);
   for (ShardState& shard : shards) shard.table = Table(schema);
 
+  // The freeze plan, fixed for the run: one owner per DC, the exact
+  // passes' inputs, and merged[l], which indexes exactly the frozen prefix
+  // of every DC with cross-shard pairs, growing at each freeze.
+  std::vector<DcOwner> owner = RepairOwners(constraints, activation, options);
+  const std::vector<PrefixFdFamily> families =
+      BuildFdFamilies(constraints, activation, &owner);
+  const std::vector<std::pair<size_t, PrefixAlignSpec>> alignments =
+      BuildAlignments(model, constraints, activation, families, &owner);
+  IndexSet merged(constraints.size());
+  for (size_t l = 0; l < constraints.size(); ++l) {
+    if (owner[l] != DcOwner::kNone) {
+      merged[l] = MakeViolationIndex(constraints[l].dc);
+    }
+  }
+  // Persistent frozen-prefix lookups: everything a freeze needs from the
+  // rows frozen before it, absorbed slice by slice so no frozen row is
+  // ever re-read for reconciliation (the out-of-core contract; in-memory
+  // runs share the exact same code path).
+  FrozenFdLookups fd_lookups(families);
+  std::vector<FrozenAlignLookups> align_lookups;
+  for (const auto& alignment : alignments) {
+    align_lookups.emplace_back(alignment.second);
+  }
+  // The units the repair re-samples (the activation unit of a
+  // repair-owned DC), with the DCs its candidates are scored on — every
+  // DC active at such a unit — and each one's seeders over the frozen
+  // prefix, empty until the first fold.
+  std::vector<size_t> repair_scored;
+  std::vector<std::vector<NeighborSeeds>> repair_seeds(model.units().size());
+  for (size_t u = 0; u < model.units().size(); ++u) {
+    const std::vector<size_t>& active = activation.unit_active[u];
+    if (std::any_of(active.begin(), active.end(), [&](size_t l) {
+          return owner[l] == DcOwner::kRepair;
+        })) {
+      repair_scored.insert(repair_scored.end(), active.begin(), active.end());
+      repair_seeds[u] = activation.unit_seeds[u].seeds;
+    }
+  }
+
   auto run_shard = [&](size_t s) -> Status {
     if (!KeepGoing(hooks)) return CancelledStatus();
     obs::TraceSpan span("sampler/shard");
     span.AddArg("shard", static_cast<int64_t>(s));
     span.AddArg("rows", static_cast<int64_t>(sizes[s]));
     Rng shard_rng(root.SubSeed(s));
-    return SampleShardRows(model, constraints, activation, sizes[s], options,
-                           mcmc_budgets[s], hooks, one_shard ? rng : &shard_rng,
-                           &shards[s].telemetry, &shards[s].table);
+    KAMINO_RETURN_IF_ERROR(SampleShardRows(
+        model, constraints, activation, sizes[s], options, mcmc_budgets[s],
+        hooks, one_shard ? rng : &shard_rng, &shards[s].telemetry,
+        &shards[s].table, &shards[s].indices));
+    // Only the indices the freeze repair reads wait for the freeze.
+    IndexSet kept(constraints.size());
+    for (size_t l : repair_scored) kept[l] = std::move(shards[s].indices[l]);
+    shards[s].indices = std::move(kept);
+    return Status::OK();
   };
 
   // Scheduling: shards go onto the pool as independent tasks while this
@@ -939,44 +975,6 @@ Result<Table> ProgressiveShardSynthesis(
     }
   }
 
-  // The freeze plan, fixed for the run: one owner per DC, the exact
-  // passes' inputs, and merged[l], which indexes exactly the frozen prefix
-  // of every DC with cross-shard pairs, growing at each freeze.
-  std::vector<DcOwner> owner = RepairOwners(constraints, activation, options);
-  const std::vector<PrefixFdFamily> families =
-      BuildFdFamilies(constraints, activation, &owner);
-  const std::vector<std::pair<size_t, PrefixAlignSpec>> alignments =
-      BuildAlignments(model, constraints, activation, families, &owner);
-  IndexSet merged(constraints.size());
-  for (size_t l = 0; l < constraints.size(); ++l) {
-    if (owner[l] != DcOwner::kNone) {
-      merged[l] = MakeViolationIndex(constraints[l].dc);
-    }
-  }
-  // Persistent frozen-prefix lookups: everything a freeze needs from the
-  // rows frozen before it, absorbed slice by slice so no frozen row is
-  // ever re-read for reconciliation (the out-of-core contract; in-memory
-  // runs share the exact same code path).
-  FrozenFdLookups fd_lookups(families);
-  std::vector<FrozenAlignLookups> align_lookups;
-  for (const auto& alignment : alignments) {
-    align_lookups.emplace_back(alignment.second);
-  }
-  // The units the repair re-samples (the activation unit of a
-  // repair-owned DC), with the DCs its candidates are scored on — every
-  // DC active at such a unit — and each one's seeders over the frozen
-  // prefix, empty until the first fold.
-  std::vector<size_t> repair_scored;
-  std::vector<std::vector<NeighborSeeds>> repair_seeds(model.units().size());
-  for (size_t u = 0; u < model.units().size(); ++u) {
-    const std::vector<size_t>& active = activation.unit_active[u];
-    if (std::any_of(active.begin(), active.end(), [&](size_t l) {
-          return owner[l] == DcOwner::kRepair;
-        })) {
-      repair_scored.insert(repair_scored.end(), active.begin(), active.end());
-      repair_seeds[u] = activation.unit_seeds[u].seeds;
-    }
-  }
   const runtime::RngStream merge_stream(root.SubSeed(num_shards));
   constexpr size_t kMergeNoGainStreak = 8;
 
@@ -1004,6 +1002,8 @@ Result<Table> ProgressiveShardSynthesis(
     // drop them from memory without changing a single sampled bit.
     Table live = std::move(shards[s].table);
     shards[s].table = Table(schema);
+    // The repair's indices of `live` rows, which end with this freeze.
+    IndexSet indices = std::move(shards[s].indices);
     note_resident(s, live.num_rows());
     telemetry->ar_proposals += shards[s].telemetry.ar_proposals;
     telemetry->fd_fast_path_hits += shards[s].telemetry.fd_fast_path_hits;
@@ -1044,11 +1044,10 @@ Result<Table> ProgressiveShardSynthesis(
 
     // Bounded greedy repair, restricted to shard s's rows. Candidates are
     // scored through the indices only: the merged indices (exactly the
-    // frozen prefix) plus live-slice indices of every DC active at a
-    // repaired unit, which each repair write keeps in step — equal to the
+    // frozen prefix) plus the shard's own, which each repair write keeps
+    // in step for every DC active at a repaired unit — equal to the
     // full-table penalty over [0, end) without touching a frozen row.
     if (!offenders.empty()) {
-      IndexSet live_indices = IndexTable(live, repair_scored, constraints);
       SampleScratch repair;
       Row& current = repair.row;
       CandidateSet current_set;  // the row's own unit values, one candidate
@@ -1096,10 +1095,10 @@ Result<Table> ProgressiveShardSynthesis(
           for (size_t a : unit.attrs) current_set.owned.push_back(current[a]);
           current_set.values = current_set.owned.data();
           ScoreCandidates(unit, current_set, &current, active, constraints,
-                          {&merged, &live_indices}, &repair);
+                          {&merged, &indices}, &repair);
           const double penalty_before = repair.penalties[0];
           ScoreCandidates(unit, candidates, &current, active, constraints,
-                          {&merged, &live_indices}, &repair);
+                          {&merged, &indices}, &repair);
           size_t pick = 0;
           double best = -std::numeric_limits<double>::infinity();
           double best_penalty = penalty_before;
@@ -1113,7 +1112,7 @@ Result<Table> ProgressiveShardSynthesis(
           Row& now = repair.candidate_row;
           now = current;
           ApplyCandidate(unit, candidates.at(pick), &live, local, &now);
-          ReplaceIndexedRow(current, now, &live_indices);
+          ReplaceIndexedRow(current, now, repair_scored, &indices);
           ++telemetry->merge_resamples;
           --budget;
           // Early stop: a run of repairs that leave the weighted penalty
@@ -1135,7 +1134,7 @@ Result<Table> ProgressiveShardSynthesis(
     // Exact hard-DC passes against the persistent frozen lookups; frozen
     // rows are neither written nor read. Alignment writes no attribute an
     // FD family touches (BuildAlignments), so each pass runs once.
-    telemetry->merge_fd_rewrites += fd_lookups.Canonicalize(&live, nullptr);
+    telemetry->merge_fd_rewrites += fd_lookups.Canonicalize(&live);
     const int64_t canonicalize_us = lap_us();
 
     for (size_t k = 0; k < alignments.size(); ++k) {

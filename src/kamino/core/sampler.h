@@ -172,9 +172,9 @@ struct SynthesisTelemetry {
   int64_t merge_frozen_rows = 0;
   /// Rows pair-scanned by the freeze repair's penalty scoring, in the live
   /// slice and in the frozen prefix. Both are always 0: the repair scores
-  /// candidates through the violation indices only (`CountNew` against
-  /// the merged frozen-prefix indices plus live-slice indices), so no row
-  /// is scanned and frozen rows are never re-read. Kept because the
+  /// candidates through the violation indices only (`CountNewBatch`
+  /// against the merged frozen-prefix indices plus the shard's own), so no
+  /// row is scanned and frozen rows are never re-read. Kept because the
   /// service benchmark reads and cross-checks them.
   int64_t merge_penalty_live_row_scans = 0;
   int64_t merge_penalty_frozen_row_scans = 0;

@@ -91,9 +91,9 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 ///   row (sampling, MCMC and freeze-repair scoring);
 /// - `CountNew` scores one complete row (freeze conflict detection);
 /// - `AddRow` commits a row: the sampling loop as each row is drawn;
-/// - `RemoveRow` retracts one: the MCMC pass keeps a full-table index and
-///   the freeze repair a live-slice index, and both replace a rewritten
-///   row with `RemoveRow` then `AddRow`;
+/// - `RemoveRow` retracts one: the MCMC pass and the freeze repair score
+///   against the shard's sampling indices, and replace each row they
+///   rewrite with `RemoveRow` then `AddRow`;
 /// - `FdForcedValue` feeds the hard-FD fast path.
 /// Counts are exact integers for every class, so no caller ever
 /// pair-scans a table, and a batch count equals the per-row `CountNew`

@@ -376,13 +376,24 @@ void WriteBackLive(Table* t, size_t frozen_end, const Table& live) {
 /// the rest as the live table, and writes it back. Returns cells
 /// rewritten.
 int64_t CanonicalizeLive(Table* t, const std::vector<PrefixFdFamily>& families,
-                         size_t frozen_end, std::vector<bool>* attr_modified) {
+                         size_t frozen_end) {
   FrozenFdLookups lookups(families);
   lookups.Absorb(t->Slice(0, frozen_end), 0);
   Table live = t->Slice(frozen_end, t->num_rows() - frozen_end);
-  const int64_t rewrites = lookups.Canonicalize(&live, attr_modified);
+  const int64_t rewrites = lookups.Canonicalize(&live);
   WriteBackLive(t, frozen_end, live);
   return rewrites;
+}
+
+/// Per attribute: whether some row of `after` differs from `before`.
+std::vector<bool> ChangedAttrs(const Table& before, const Table& after) {
+  std::vector<bool> changed(before.num_columns(), false);
+  for (size_t r = 0; r < before.num_rows(); ++r) {
+    for (size_t c = 0; c < before.num_columns(); ++c) {
+      if (!(before.at(r, c) == after.at(r, c))) changed[c] = true;
+    }
+  }
+  return changed;
 }
 
 /// Absorbs rows [0, frozen_end) of `t` as one frozen slice, aligns the
@@ -586,10 +597,10 @@ TEST(ProgressiveMergeTest, PrefixFdCanonicalizeAdoptsFrozenValue) {
   PrefixFdFamily family;
   family.rhs = 2;
   family.lhs_sets = {{0}};
-  std::vector<bool> modified(4, false);
-  const int64_t rewrites = CanonicalizeLive(&t, {family}, 2, &modified);
+  const Table before = t;
+  const int64_t rewrites = CanonicalizeLive(&t, {family}, 2);
   EXPECT_EQ(rewrites, 2);
-  EXPECT_TRUE(modified[2]);
+  EXPECT_TRUE(ChangedAttrs(before, t)[2]);
   EXPECT_EQ(t.at(2, 2).category(), 1);  // adopted frozen canonical
   EXPECT_EQ(t.at(3, 2).category(), 7);  // suffix-internal canonical
   EXPECT_EQ(t.at(4, 2).category(), 7);
@@ -607,12 +618,12 @@ TEST(ProgressiveMergeTest, BridgingRowRepointsLhsAtAdoptedRepresentative) {
   PrefixFdFamily family;
   family.rhs = 2;
   family.lhs_sets = {{0}, {1}};
-  std::vector<bool> modified(4, false);
-  CanonicalizeLive(&t, {family}, 2, &modified);
+  const Table before = t;
+  CanonicalizeLive(&t, {family}, 2);
   EXPECT_EQ(t.at(2, 2).category(), 1);
   EXPECT_EQ(t.at(2, 1).category(), 0);
   EXPECT_EQ(t.at(2, 0).category(), 0);
-  EXPECT_TRUE(modified[1]);
+  EXPECT_TRUE(ChangedAttrs(before, t)[1]);
   // Both FDs now exact over the whole table.
   for (size_t lhs : {size_t{0}, size_t{1}}) {
     for (size_t i = 0; i < t.num_rows(); ++i) {
@@ -639,7 +650,7 @@ TEST(ProgressiveMergeTest, FdCanonicalizationCascadesAcrossFamilies) {
   PrefixFdFamily cd;
   cd.rhs = 3;
   cd.lhs_sets = {{2}};
-  CanonicalizeLive(&t, {ac, cd}, 1, nullptr);
+  CanonicalizeLive(&t, {ac, cd}, 1);
   EXPECT_EQ(t.at(1, 2).category(), 1);
   EXPECT_EQ(t.at(1, 3).category(), 5);
 }
@@ -675,12 +686,9 @@ TEST(ProgressiveMergeTest, FdCanonicalizeInvariantToFrozenSlicing) {
   }
   Table a = live;
   Table b = live;
-  std::vector<bool> modified_a(4, false);
-  std::vector<bool> modified_b(4, false);
-  const int64_t rewrites = whole.Canonicalize(&a, &modified_a);
+  const int64_t rewrites = whole.Canonicalize(&a);
   EXPECT_GT(rewrites, 0);
-  EXPECT_EQ(rewrites, sliced.Canonicalize(&b, &modified_b));
-  EXPECT_EQ(modified_a, modified_b);
+  EXPECT_EQ(rewrites, sliced.Canonicalize(&b));
   ExpectSameTable(a, b);
   // The bridging rows adopted the later-slice representative's values.
   EXPECT_EQ(a.at(1, 0).category(), 2);

@@ -260,9 +260,9 @@ TEST(ShardedSamplerTest, Br2000McmcAndRepairDigestsPinned) {
 TEST(ShardedSamplerTest, MultiBlockAdultDigestsPinned) {
   // The goldens above sample 150 rows, under 3 order-index blocks per
   // group. At 2400 rows the cap_gain/cap_loss order DC's one group holds
-  // tens of blocks in the sampling index, the MCMC full-table index and
-  // the freeze's merged index, so candidate scoring runs the batched
-  // one-walk count. Pinned per shard count, at every thread budget. If
+  // tens of blocks in the shard's sampling index (which the MCMC pass
+  // scores against and rewrites) and in the freeze's merged index, so
+  // candidate scoring runs the batched one-walk count. Pinned per shard count, at every thread budget. If
   // one fails after an *intentional* sampler change, re-capture from the
   // failure message.
   const BenchmarkDataset ds = MakeAdultLike(120, 7);

@@ -34,6 +34,12 @@ void RowsByGroup(const std::vector<uint32_t>& gid, size_t num_groups,
   for (size_t i = 0; i < gid.size(); ++i) (*order)[fill[gid[i]]++] = i;
 }
 
+/// One row of an align group: its context and its dependent.
+struct Pair {
+  Value x;
+  Value dep;
+};
+
 }  // namespace
 
 FrozenFdLookups::FrozenFdLookups(std::vector<PrefixFdFamily> families) {
@@ -256,10 +262,6 @@ void FrozenAlignLookups::Absorb(const Table& slice) {
   std::vector<size_t> order;
   RowsByGroup(gid, num_groups, &start, &order);
 
-  struct Pair {
-    Value x;
-    Value dep;
-  };
   std::vector<Pair> pairs;
   Envelope merged;
   for (size_t g = 0; g < num_groups; ++g) {
@@ -353,7 +355,6 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
     if (b < a) return false;
     return i < j;
   };
-  auto ctx_less = [](const Value& a, const Value& b) { return a < b; };
 
   size_t num_groups = 0;
   const std::vector<uint32_t> gid =
@@ -378,10 +379,7 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
       fresh.push_back(r);
     }
     if (fresh.empty()) continue;
-    const auto git =
-        groups_.find(RowKey(*live, order[start[g]], spec_.group_attrs));
-    const Envelope* env = git == groups_.end() ? nullptr : &git->second;
-    const size_t runs = env == nullptr ? 0 : env->ctx.size();
+    const Envelope* env = EnvelopeOf(*live, order[start[g]]);
 
     // Rank-align the live rows among themselves: walked in (context, row)
     // order, they receive their own dependent values in oriented sorted
@@ -397,20 +395,11 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
       Value v = targets[k];
       // ...then clamp each into the frozen envelope at its context.
       if (env != nullptr) {
-        const size_t idx = static_cast<size_t>(
-            std::lower_bound(env->ctx.begin(), env->ctx.end(), x, ctx_less) -
-            env->ctx.begin());
-        const size_t jdx = static_cast<size_t>(
-            std::upper_bound(env->ctx.begin(), env->ctx.end(), x, ctx_less) -
-            env->ctx.begin());
+        const Bounds b = BoundsAt(*env, x);
         // Lower clamp before upper: the upper bound wins should the
         // envelope invert (non-monotone frozen prefix).
-        if (idx > 0 && oriented_lt(v, env->pmax[idx - 1])) {
-          v = env->pmax[idx - 1];
-        }
-        if (jdx < runs && oriented_lt(env->smin[jdx], v)) {
-          v = env->smin[jdx];
-        }
+        if (b.lo != nullptr && oriented_lt(v, *b.lo)) v = *b.lo;
+        if (b.hi != nullptr && oriented_lt(*b.hi, v)) v = *b.hi;
       }
       if (!(live->at(r, spec_.dep_attr) == v)) {
         live->set(r, spec_.dep_attr, v);
@@ -419,6 +408,71 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
     }
   }
   return rewrites;
+}
+
+bool FrozenAlignLookups::Agrees(const Table& live) const {
+  const size_t n = live.num_rows();
+  if (n == 0) return true;
+  size_t num_groups = 0;
+  const std::vector<uint32_t> gid =
+      GroupIds(live, spec_.group_attrs, &num_groups);
+  std::vector<size_t> start;
+  std::vector<size_t> order;
+  RowsByGroup(gid, num_groups, &start, &order);
+
+  std::vector<Pair> pairs;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const Envelope* env = EnvelopeOf(live, order[start[g]]);
+    pairs.clear();
+    for (size_t k = start[g]; k < start[g + 1]; ++k) {
+      const size_t r = order[k];
+      const Value x = live.at(r, spec_.ctx_attr);
+      const Value dep = live.at(r, spec_.dep_attr);
+      if (IsNan(x) || IsNan(dep)) continue;
+      if (env != nullptr) {
+        const Bounds b = BoundsAt(*env, x);
+        if ((b.lo != nullptr && OrientedLt(dep, *b.lo)) ||
+            (b.hi != nullptr && OrientedLt(*b.hi, dep))) {
+          return false;
+        }
+      }
+      pairs.push_back(Pair{x, dep});
+    }
+    std::sort(pairs.begin(), pairs.end(),
+              [](const Pair& a, const Pair& b) { return a.x < b.x; });
+    // Walk the contexts in ascending runs: `top` is the greatest dependent
+    // at a strictly smaller context, so a run member below it violates.
+    const Value* top = nullptr;
+    for (size_t i = 0; i < pairs.size();) {
+      size_t e = i;
+      const Value* run_top = &pairs[i].dep;
+      for (; e < pairs.size() && !(pairs[i].x < pairs[e].x); ++e) {
+        if (top != nullptr && OrientedLt(pairs[e].dep, *top)) return false;
+        if (OrientedLt(*run_top, pairs[e].dep)) run_top = &pairs[e].dep;
+      }
+      if (top == nullptr || OrientedLt(*top, *run_top)) top = run_top;
+      i = e;
+    }
+  }
+  return true;
+}
+
+FrozenAlignLookups::Bounds FrozenAlignLookups::BoundsAt(const Envelope& env,
+                                                        const Value& x) {
+  const size_t idx = static_cast<size_t>(
+      std::lower_bound(env.ctx.begin(), env.ctx.end(), x) - env.ctx.begin());
+  const size_t jdx = static_cast<size_t>(
+      std::upper_bound(env.ctx.begin(), env.ctx.end(), x) - env.ctx.begin());
+  Bounds b;
+  if (idx > 0) b.lo = &env.pmax[idx - 1];
+  if (jdx < env.ctx.size()) b.hi = &env.smin[jdx];
+  return b;
+}
+
+const FrozenAlignLookups::Envelope* FrozenAlignLookups::EnvelopeOf(
+    const Table& live, size_t row) const {
+  const auto it = groups_.find(RowKey(live, row, spec_.group_attrs));
+  return it == groups_.end() ? nullptr : &it->second;
 }
 
 void NeighborSeeds::Insert(double key, double value) {

@@ -173,6 +173,14 @@ class FrozenAlignLookups {
   /// absorbed frozen envelope. Returns cells rewritten.
   int64_t Align(Table* live) const;
 
+  /// True when `live` adds no violation of the DC: within each group, no
+  /// live dependent lies oriented-below the greatest live dependent at a
+  /// strictly smaller context, and every live row lies inside its frozen
+  /// envelope (not below `lo`, not above `hi`). Exact also when the
+  /// absorbed prefix itself violates the DC. Groups and NaN cells follow
+  /// `Align`. The shard freeze runs `Align` only where this is false.
+  bool Agrees(const Table& live) const;
+
  private:
   struct Envelope {
     std::vector<Value> ctx;   // distinct frozen contexts, ascending
@@ -181,6 +189,18 @@ class FrozenAlignLookups {
     std::vector<Value> pmax;  // running prefix max of mx
     std::vector<Value> smin;  // running suffix min of mn
   };
+
+  /// The frozen bounds on a dependent at context x: `lo`, the greatest
+  /// frozen dependent at a context strictly below x, and `hi`, the least
+  /// at a context strictly above it; null where there is no such context.
+  struct Bounds {
+    const Value* lo = nullptr;
+    const Value* hi = nullptr;
+  };
+  static Bounds BoundsAt(const Envelope& env, const Value& x);
+
+  /// The absorbed envelope of `live` row `row`'s group, or nullptr.
+  const Envelope* EnvelopeOf(const Table& live, size_t row) const;
 
   bool OrientedLt(const Value& a, const Value& b) const {
     return spec_.co_monotone ? a < b : b < a;

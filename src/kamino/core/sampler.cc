@@ -694,8 +694,8 @@ std::vector<DcOwner> RepairOwners(
 /// alignment instead of per-row re-sampling: each shard's internally
 /// monotone relation disagrees with the others', and no sequence of
 /// single-row repairs can make disagreeing monotone maps agree. Returns
-/// each aligned DC's index with its alignment form, and claims
-/// (`DcOwner::kAlign`) each of them.
+/// the (still empty) frozen-prefix lookups of each aligned DC's alignment
+/// form, and claims (`DcOwner::kAlign`) each of them.
 ///
 /// Canonicalization runs first, then the alignments in this order, and no
 /// pass may write an attribute an earlier pass reads or writes: a DC is
@@ -703,13 +703,13 @@ std::vector<DcOwner> RepairOwners(
 /// is neither read nor written by an FD family in `families` nor read by
 /// an earlier aligned DC. Every other hard order DC stays repair-owned.
 /// So each pass runs once per freeze, and none undoes an earlier one.
-std::vector<std::pair<size_t, PrefixAlignSpec>> BuildAlignments(
+std::vector<FrozenAlignLookups> BuildAlignments(
     const ProbabilisticDataModel& model,
     const std::vector<WeightedConstraint>& constraints,
     const ActivationMap& activation,
     const std::vector<PrefixFdFamily>& families,
     std::vector<DcOwner>* owner) {
-  std::vector<std::pair<size_t, PrefixAlignSpec>> alignments;
+  std::vector<FrozenAlignLookups> alignments;
   // Attributes an exact pass's correctness depends on: every attribute an
   // FD family reads or writes, then each aligned DC's own.
   std::vector<size_t> locked_attrs;
@@ -751,7 +751,7 @@ std::vector<std::pair<size_t, PrefixAlignSpec>> BuildAlignments(
     locked_attrs.insert(locked_attrs.end(), spec.group_attrs.begin(),
                         spec.group_attrs.end());
     (*owner)[l] = DcOwner::kAlign;
-    alignments.emplace_back(l, std::move(spec));
+    alignments.emplace_back(std::move(spec));
   }
   return alignments;
 }
@@ -835,8 +835,9 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
 ///  3. Prefix-frozen hard-FD canonicalization: shard rows adopt the
 ///     frozen prefix's canonical RHS values, never the reverse.
 ///  4. Prefix-frozen rank alignment: shard rows slot into the frozen
-///     monotone relation (envelope clamp). Run whenever the DC has
-///     violations in the shard or against the prefix.
+///     monotone relation (envelope clamp). Run whenever the align lookups
+///     find a violation in the shard or against the prefix
+///     (`FrozenAlignLookups::Agrees`).
 /// Shard 0's freeze runs 3/4 with an empty prefix, so the exactly-owned
 /// hard DCs hold after *every* freeze, at every shard count.
 ///
@@ -886,7 +887,7 @@ Result<Table> ProgressiveShardSynthesis(
   std::vector<DcOwner> owner = RepairOwners(constraints, activation, options);
   const std::vector<PrefixFdFamily> families =
       BuildFdFamilies(constraints, activation, &owner);
-  const std::vector<std::pair<size_t, PrefixAlignSpec>> alignments =
+  std::vector<FrozenAlignLookups> align_lookups =
       BuildAlignments(model, constraints, activation, families, &owner);
   IndexSet merged(constraints.size());
   for (size_t l = 0; l < constraints.size(); ++l) {
@@ -899,10 +900,6 @@ Result<Table> ProgressiveShardSynthesis(
   // ever re-read for reconciliation (the out-of-core contract; in-memory
   // runs share the exact same code path).
   FrozenFdLookups fd_lookups(families);
-  std::vector<FrozenAlignLookups> align_lookups;
-  for (const auto& alignment : alignments) {
-    align_lookups.emplace_back(alignment.second);
-  }
   // The units the repair re-samples (the activation unit of a
   // repair-owned DC), with the DCs its candidates are scored on — every
   // DC active at such a unit — and each one's seeders over the frozen
@@ -1137,19 +1134,12 @@ Result<Table> ProgressiveShardSynthesis(
     telemetry->merge_fd_rewrites += fd_lookups.Canonicalize(&live);
     const int64_t canonicalize_us = lap_us();
 
-    for (size_t k = 0; k < alignments.size(); ++k) {
-      const size_t dc_index = alignments[k].first;
-      // Count for real every freeze (intra-shard residuals must also be
-      // caught before the rows freeze) — but without re-reading frozen
-      // rows: the prefix is violation-free, so total = pairs inside the
-      // live slice + frozen x live pairs via the merged index delta.
-      int64_t total = CountViolations(constraints[dc_index].dc, live);
-      for (size_t r = 0; r < live.num_rows(); ++r) {
-        live.CopyRowInto(r, &live_row);
-        total += merged[dc_index]->CountNew(live_row);
-      }
-      if (total == 0) continue;
-      telemetry->merge_order_alignments += align_lookups[k].Align(&live);
+    for (const FrozenAlignLookups& align : align_lookups) {
+      // Align only a slice that adds violations, inside the live rows or
+      // against the prefix (intra-shard residuals must be caught before
+      // the rows freeze); the lookups answer without a frozen row.
+      if (align.Agrees(live)) continue;
+      telemetry->merge_order_alignments += align.Align(&live);
     }
     const int64_t align_us = lap_us();
 
@@ -1169,9 +1159,7 @@ Result<Table> ProgressiveShardSynthesis(
       // Absorb the now-final slice into the persistent frozen lookups —
       // the last read of these rows for reconciliation purposes, ever.
       fd_lookups.Absorb(live, begin);
-      for (size_t k = 0; k < alignments.size(); ++k) {
-        align_lookups[k].Absorb(live);
-      }
+      for (FrozenAlignLookups& align : align_lookups) align.Absorb(live);
       for (std::vector<NeighborSeeds>& seeds : repair_seeds) {
         for (NeighborSeeds& pair_seeds : seeds) pair_seeds.Absorb(live);
       }

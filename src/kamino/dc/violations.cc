@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -39,9 +38,9 @@ void RecordDcIndexBuilt(const char* kind) {
   reg.counter(std::string("kamino.dc.index_built.") + kind)->Increment();
 }
 
-/// Rows per ParallelFor chunk for the pair scans. Fixed (not derived from
-/// the thread count) so chunk boundaries — and therefore the partial
-/// buffers merged below — are identical at any `num_threads`.
+/// Rows per ParallelFor chunk of `CountViolationsNaive`'s pair scan. Fixed
+/// (not derived from the thread count) so chunk boundaries — and therefore
+/// the partial counts merged there — are identical at any `num_threads`.
 constexpr size_t kPairScanGrain = 64;
 
 /// True when the unit attribute list `attrs` sets some attribute of `of`.
@@ -58,17 +57,6 @@ bool SetsAnyOf(const std::vector<size_t>& attrs,
 size_t SlotOf(const std::vector<size_t>& attrs, size_t attr) {
   return static_cast<size_t>(std::find(attrs.begin(), attrs.end(), attr) -
                              attrs.begin());
-}
-
-/// One attribute's OrderKey sequence as a contiguous double span: numeric
-/// columns expose their payload array directly, categorical columns widen
-/// their codes once into `scratch`.
-const double* OrderKeySpan(const Table& table, size_t attr,
-                           std::vector<double>* scratch) {
-  const Column& col = table.columns().column(attr);
-  if (col.is_numeric()) return col.nums().data();
-  scratch->assign(col.codes().begin(), col.codes().end());
-  return scratch->data();
 }
 
 /// O(1)-per-candidate index for scope-minus-diagonal plans: FD-shaped DCs
@@ -447,116 +435,6 @@ int64_t CountAbove(const Fenwick& bit, const std::vector<double>& keys,
   const size_t upper = static_cast<size_t>(
       std::upper_bound(keys.begin(), keys.end(), key) - keys.begin());
   return bit.total() - bit.CountBelowRank(upper);
-}
-
-/// One row of a grouped order DC, reduced to its two sort keys.
-struct OrderPoint {
-  double x = 0.0;  // context key
-  double y = 0.0;  // oriented dependent key
-  size_t row = 0;  // source row (used by the matrix column pass)
-};
-
-bool OrderPointByX(const OrderPoint& a, const OrderPoint& b) {
-  return a.x < b.x;
-}
-
-/// Sorted-unique oriented-y universe of a point set.
-std::vector<double> YUniverse(const std::vector<OrderPoint>& points) {
-  std::vector<double> keys;
-  keys.reserve(points.size());
-  for (const OrderPoint& p : points) keys.push_back(p.y);
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
-}
-
-/// Partitions `table` into the spec's equality groups, each an x-sorted
-/// point vector. Grouping runs on `GroupIds` and the sort keys come
-/// straight from the typed x/y arrays; group order in the result is
-/// first-occurrence (consumers only sum per-group counts, so the order is
-/// immaterial).
-std::vector<std::vector<OrderPoint>> GroupOrderPoints(
-    const GroupedOrderSpec& spec, const Table& table) {
-  const size_t n = table.num_rows();
-  size_t num_groups = 0;
-  const std::vector<uint32_t> gid =
-      GroupIds(table, spec.group_attrs, &num_groups);
-  std::vector<double> x_scratch, y_scratch;
-  const double* xs = OrderKeySpan(table, spec.x_attr, &x_scratch);
-  const double* ys = OrderKeySpan(table, spec.y_attr, &y_scratch);
-  std::vector<size_t> sizes(num_groups, 0);
-  for (size_t i = 0; i < n; ++i) ++sizes[gid[i]];
-  std::vector<std::vector<OrderPoint>> groups(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) groups[g].reserve(sizes[g]);
-  for (size_t i = 0; i < n; ++i) {
-    const double oriented = spec.co_monotone ? ys[i] : -ys[i];
-    groups[gid[i]].push_back({xs[i], oriented, i});
-  }
-  for (auto& points : groups) {
-    std::sort(points.begin(), points.end(), OrderPointByX);
-  }
-  return groups;
-}
-
-/// The one Fenwick sweep every order count is built from: walk an
-/// x-sorted group in ascending x, and for each point emit the number of
-/// already-seen points (strictly smaller x — equal-x batches insert after
-/// querying, so x ties never count) with strictly larger oriented y.
-/// `keys` is the group's sorted-unique y universe.
-template <typename Emit>
-void AscendingInversionSweep(const std::vector<OrderPoint>& points,
-                             const std::vector<double>& keys,
-                             const Emit& emit) {
-  Fenwick bit(keys.size());
-  for (size_t i = 0; i < points.size();) {
-    size_t j = i;
-    while (j < points.size() && points[j].x == points[i].x) ++j;
-    for (size_t k = i; k < j; ++k) {
-      emit(points[k], CountAbove(bit, keys, points[k].y));
-    }
-    for (size_t k = i; k < j; ++k) bit.Add(RankOf(keys, points[k].y));
-    i = j;
-  }
-}
-
-/// Count evaluator of an order term: strict inversions within every
-/// group, each violating pair counted exactly once, at its larger-x
-/// member. O(n log n).
-int64_t OrderInversions(const GroupedOrderSpec& spec, const Table& table) {
-  int64_t count = 0;
-  for (const auto& points : GroupOrderPoints(spec, table)) {
-    AscendingInversionSweep(points, YUniverse(points),
-                            [&](const OrderPoint&, int64_t c) { count += c; });
-  }
-  return count;
-}
-
-/// Column evaluator of an order term: adds `sign` times each row's
-/// inversion count into `column`, two Fenwick passes per group —
-/// ascending x counts each row's partners with smaller x and larger y',
-/// descending x counts partners with larger x and smaller y'. Exact
-/// integers, so the column is bit-identical to the pair scan.
-void AddOrderColumn(const GroupedOrderSpec& spec, const Table& table,
-                    int sign, std::vector<int64_t>* column) {
-  for (const auto& points : GroupOrderPoints(spec, table)) {
-    const std::vector<double> keys = YUniverse(points);
-    auto into_column = [&](const OrderPoint& p, int64_t count) {
-      (*column)[p.row] += sign * count;
-    };
-    // Pass 1 (ascending x): partners with x_j < x_i and y_j > y_i.
-    AscendingInversionSweep(points, keys, into_column);
-    // Pass 2: partners with x_j > x_i and y_j < y_i — the same sweep on
-    // the point-reflected group (both axes negated, order reversed so the
-    // reflection is x-sorted again; "seen with larger -y" = smaller y).
-    std::vector<OrderPoint> reflected(points.rbegin(), points.rend());
-    for (OrderPoint& p : reflected) {
-      p.x = -p.x;
-      p.y = -p.y;
-    }
-    std::vector<double> reflected_keys(keys.rbegin(), keys.rend());
-    for (double& k : reflected_keys) k = -k;
-    AscendingInversionSweep(reflected, reflected_keys, into_column);
-  }
 }
 
 /// Incremental index for (equality-scoped) order DCs, replacing the
@@ -1002,13 +880,13 @@ class OrderViolationIndex : public ViolationIndex {
 // GroupedOrderSpec geometry above). All blocks are exact integer counters,
 // so every composite count is bit-identical to the naive pair scan.
 //
-// The plan is the only shape switch of this file: `CountViolations` sums
-// signed per-term counts, `BuildViolationMatrix` signed per-term columns,
-// and `MakeViolationIndex` picks the FD index for the decomposition's FD
-// view (a scope-minus-diagonal plan), the order index for its
-// grouped-order view (a single order term), and the composite index
-// otherwise. Each term kind has one count evaluator (`TermCount`), one
-// column evaluator (`PlanViolationColumn`) and one index block.
+// The plan is the only shape switch of this file: `MakeViolationIndex`
+// picks the FD index for the decomposition's FD view (a
+// scope-minus-diagonal plan), the order index for its grouped-order view
+// (a single order term), and the composite index otherwise. Each term
+// kind has exactly one evaluator, its index block: `CountViolations` and
+// `BuildViolationMatrix` stream the table's rows through the same indices
+// the sampler scores with.
 // ---------------------------------------------------------------------------
 
 /// One signed term of the composite plan: a scope block (pairs agreeing
@@ -1280,44 +1158,6 @@ class CompositeViolationIndex : public ViolationIndex {
   size_t num_rows_ = 0;
 };
 
-/// Count evaluator of one plan term: pairs agreeing on the scope key (all
-/// pairs for an empty key), or the order term's strict inversions.
-int64_t TermCount(const CompositeTerm& t, const Table& table) {
-  if (t.is_order) return OrderInversions(t.order, table);
-  size_t num_groups = 0;
-  const std::vector<uint32_t> gid = GroupIds(table, t.key_attrs, &num_groups);
-  std::vector<int64_t> group_size(num_groups, 0);
-  for (uint32_t g : gid) ++group_size[g];
-  int64_t pairs = 0;
-  for (int64_t g : group_size) pairs += PairsOf(g);
-  return pairs;
-}
-
-/// Per-row violation counts of a plan (its DC's column of the violation
-/// matrix): the signed sum of per-term columns — group size minus one
-/// (the row itself) for scope terms, the two-pass Fenwick sweep for order
-/// terms. Exact integers throughout.
-std::vector<int64_t> PlanViolationColumn(const std::vector<CompositeTerm>& plan,
-                                         const Table& table) {
-  const size_t n = table.num_rows();
-  std::vector<int64_t> column(n, 0);
-  for (const CompositeTerm& t : plan) {
-    if (t.is_order) {
-      AddOrderColumn(t.order, table, t.sign, &column);
-      continue;
-    }
-    size_t num_groups = 0;
-    const std::vector<uint32_t> gid =
-        GroupIds(table, t.key_attrs, &num_groups);
-    std::vector<int64_t> group_size(num_groups, 0);
-    for (uint32_t g : gid) ++group_size[g];
-    for (size_t i = 0; i < n; ++i) {
-      column[i] += t.sign * (group_size[gid[i]] - 1);
-    }
-  }
-  return column;
-}
-
 }  // namespace
 
 void ViolationIndex::CountNewBatch(const Row& base,
@@ -1379,20 +1219,25 @@ int64_t CountViolationsNaive(const DenialConstraint& dc, const Table& table) {
 
 int64_t CountViolations(const DenialConstraint& dc, const Table& table) {
   const size_t n = table.num_rows();
-  const PredicateDecomposition decomp = dc.Decompose();
   using Shape = PredicateDecomposition::Shape;
-  if (decomp.shape == Shape::kNeverFires) {
+  const Shape shape = dc.Decompose().shape;
+  if (shape == Shape::kNeverFires) {
     RecordDcMetric("count", "never", n);
     return 0;
   }
-  if (decomp.shape != Shape::kComposite) {
+  if (shape != Shape::kComposite) {
     RecordDcMetric("count", "naive", n);
     return CountViolationsNaive(dc, table);
   }
   RecordDcMetric("count", "composite", n);
+  // One pass: each violating pair is counted once, at its later row.
+  const std::unique_ptr<ViolationIndex> index = MakeViolationIndex(dc);
+  Row row;
   int64_t total = 0;
-  for (const CompositeTerm& t : CompositeTermPlan(decomp)) {
-    total += t.sign * TermCount(t, table);
+  for (size_t i = 0; i < n; ++i) {
+    table.CopyRowInto(i, &row);
+    total += index->CountNew(row);
+    index->AddRow(row);
   }
   return total;
 }
@@ -1423,54 +1268,30 @@ std::vector<std::vector<double>> BuildViolationMatrix(
   const size_t n = table.num_rows();
   std::vector<std::vector<double>> matrix(
       n, std::vector<double>(constraints.size(), 0.0));
+  Row row;
   for (size_t l = 0; l < constraints.size(); ++l) {
     const DenialConstraint& dc = constraints[l].dc;
     if (dc.is_unary()) {
-      runtime::ParallelForEach(0, n, kPairScanGrain, [&](size_t i) {
-        matrix[i][l] = dc.ViolatesUnaryAt(table, i) ? 1.0 : 0.0;
-      });
-      continue;
-    }
-    const PredicateDecomposition decomp = dc.Decompose();
-    if (decomp.shape == PredicateDecomposition::Shape::kNeverFires) {
-      continue;  // the conjunction is unsatisfiable: the column is zero
-    }
-    if (decomp.shape == PredicateDecomposition::Shape::kComposite) {
-      const std::vector<int64_t> column =
-          PlanViolationColumn(CompositeTermPlan(decomp), table);
-      runtime::ParallelForEach(0, n, kPairScanGrain, [&](size_t i) {
-        matrix[i][l] = static_cast<double>(column[i]);
-      });
-      continue;
-    }
-    // Each chunk of outer rows scans its i < j pairs into a private column
-    // so rows i and j of a violating pair never race, then folds it into
-    // the matrix under a lock and frees it — live memory stays bounded by
-    // the executor count, not the chunk count. The fold adds exact
-    // integers (commutative in doubles), so the matrix is bit-identical
-    // at any thread count and merge order. (Chunks shrink in cost as i
-    // grows; the grain keeps them numerous enough for the pool to
-    // balance.)
-    const size_t num_chunks =
-        n == 0 ? 0 : (n + kPairScanGrain - 1) / kPairScanGrain;
-    std::mutex merge_mu;
-    runtime::ParallelForEach(0, num_chunks, 1, [&](size_t k) {
-      const size_t lo = k * kPairScanGrain;
-      const size_t hi = std::min(n, lo + kPairScanGrain);
-      std::vector<double> column(n, 0.0);
-      for (size_t i = lo; i < hi; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          if (dc.ViolatesPairRows(table, i, j)) {
-            column[i] += 1.0;
-            column[j] += 1.0;
-          }
-        }
-      }
-      std::lock_guard<std::mutex> lock(merge_mu);
       for (size_t i = 0; i < n; ++i) {
-        if (column[i] != 0.0) matrix[i][l] += column[i];
+        matrix[i][l] = dc.ViolatesUnaryAt(table, i) ? 1.0 : 0.0;
       }
-    });
+      continue;
+    }
+    // Row i's violations against the rows before it (a forward pass),
+    // plus those against the rows after it (a backward pass over a second
+    // index). Both are exact integers, so the sum is too.
+    const std::unique_ptr<ViolationIndex> earlier = MakeViolationIndex(dc);
+    for (size_t i = 0; i < n; ++i) {
+      table.CopyRowInto(i, &row);
+      matrix[i][l] = static_cast<double>(earlier->CountNew(row));
+      earlier->AddRow(row);
+    }
+    const std::unique_ptr<ViolationIndex> later = MakeViolationIndex(dc);
+    for (size_t i = n; i-- > 0;) {
+      table.CopyRowInto(i, &row);
+      matrix[i][l] += static_cast<double>(later->CountNew(row));
+      later->AddRow(row);
+    }
   }
   return matrix;
 }

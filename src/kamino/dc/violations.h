@@ -29,11 +29,11 @@ double PairsOfDouble(int64_t m);
 /// - binary DC: the number of violating *unordered* tuple pairs (a pair
 ///   violates when either binding orientation fires).
 /// Dispatches on `dc.Decompose()`: a `kComposite` DC (FDs, order DCs and
-/// every mixed equality + `!=` + order shape) counts as the sum of its
-/// composite term plan's signed per-term counts — Σ C(g, 2) over the key
-/// groups of a scope term, an O(n log n) sort + Fenwick-tree inversion
-/// count for an order term. `kNeverFires` is zero, and unary and
-/// `kGeneral` DCs take the naive O(n^2) scan.
+/// every mixed equality + `!=` + order shape) streams the rows once
+/// through its `MakeViolationIndex` index, summing each row's `CountNew`
+/// against the rows before it before adding it (O(n) group lookups for an
+/// FD, O(n sqrt(n) log n) for an order term). `kNeverFires` is zero, and
+/// unary and `kGeneral` DCs take the naive O(n^2) scan.
 int64_t CountViolations(const DenialConstraint& dc, const Table& table);
 
 /// Forces the naive scan (reference implementation; used by tests to check
@@ -55,14 +55,13 @@ int64_t CountNewViolations(const DenialConstraint& dc, const Row& row,
 /// number of violations of DC l caused by tuple i with respect to all other
 /// tuples of `table`.
 ///
-/// Dispatches on `Decompose()` like `CountViolations`: a `kComposite` DC's
-/// column is the sum of its term plan's signed per-term columns (group
-/// size minus one for a scope term, two Fenwick-tree passes for an order
-/// term; O(n log n) per term), and a `kNeverFires` column is zero. Only
-/// `kGeneral` binary DCs pair-scan, on the global runtime pool
-/// (kamino/runtime/): chunk-private partial columns merge in fixed order
-/// with exact integer sums, so the matrix is bit-identical to the pair
-/// scan at any thread count.
+/// A unary DC's column flags its violating tuples. Every binary DC's
+/// column takes one path, through `MakeViolationIndex`: a forward pass
+/// over a fresh index gives each row's `CountNew` against the rows before
+/// it, and a backward pass over a second one adds its count against the
+/// rows after it. The counts are exact integers, so the matrix is
+/// bit-identical to the pair scan. Single-threaded: the fit builds it
+/// over at most `KaminoOptions::weight_sample` rows.
 std::vector<std::vector<double>> BuildViolationMatrix(
     const Table& table, const std::vector<WeightedConstraint>& constraints);
 
@@ -97,7 +96,9 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 /// - `FdForcedValue` feeds the hard-FD fast path.
 /// Counts are exact integers for every class, so no caller ever
 /// pair-scans a table, and a batch count equals the per-row `CountNew`
-/// of each candidate. Queries are read-only: several threads may query
+/// of each candidate. The offline counts (`CountViolations`,
+/// `BuildViolationMatrix`) run on these indices too: each term kind has
+/// this one evaluator. Queries are read-only: several threads may query
 /// one index while no thread writes it. `Merge` and `CountAgainst` have
 /// no production caller; they remain for tests and the service
 /// benchmark's probe.

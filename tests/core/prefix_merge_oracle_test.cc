@@ -2,7 +2,8 @@
 // against a reference: the ordered-map implementation the hashed lookups
 // replaced, kept here verbatim in behaviour. Random families, align specs,
 // frozen prefixes, frozen slicings and live tables must give bit-identical
-// tables (the sign of a zero included) and rewrite counts. Also the NaN
+// tables (the sign of a zero included) and rewrite counts. The align
+// pass's `Agrees` is held to the naive violation count. Also the NaN
 // key rule of both passes. `NeighborSeeds`
 // is held to the sampling loop's order-DC tracker it replaced, and its
 // `Absorb` to one-by-one `Insert`.
@@ -24,6 +25,7 @@
 #include "kamino/data/table.h"
 #include "kamino/dc/constraint.h"
 #include "kamino/dc/grouping.h"
+#include "kamino/dc/violations.h"
 
 namespace kamino {
 namespace {
@@ -543,27 +545,33 @@ TEST(PrefixMergeOracleTest, CanonicalizeMatchesOrderedMapReference) {
   EXPECT_GT(total_lhs_rewrites, 50);
 }
 
+/// Zero to four group attributes, either orientation. Context and
+/// dependent are numeric (so they carry signed zeros); the group scope is
+/// any other attributes.
+PrefixAlignSpec RandomAlignSpec(Rng* rng) {
+  PrefixAlignSpec spec;
+  const size_t num_group = static_cast<size_t>(rng->UniformInt(0, 4));
+  spec.ctx_attr =
+      static_cast<size_t>(rng->UniformInt(kCategorical, kWidth - 1));
+  do {
+    spec.dep_attr =
+        static_cast<size_t>(rng->UniformInt(kCategorical, kWidth - 1));
+  } while (spec.dep_attr == spec.ctx_attr);
+  for (size_t a : RandomAttrs(kWidth - 1, kWidth, rng)) {
+    if (spec.group_attrs.size() == num_group) break;
+    if (a != spec.ctx_attr && a != spec.dep_attr) {
+      spec.group_attrs.push_back(a);
+    }
+  }
+  spec.co_monotone = rng->UniformInt(0, 1) == 1;
+  return spec;
+}
+
 TEST(PrefixMergeOracleTest, AlignMatchesOrderedMapReference) {
   Rng rng(4048);
   int64_t total_moved = 0;
   for (int trial = 0; trial < 400; ++trial) {
-    PrefixAlignSpec spec;
-    const size_t num_group = static_cast<size_t>(rng.UniformInt(0, 4));
-    // Context and dependent are numeric (so they carry signed zeros); the
-    // group scope is any other attributes.
-    spec.ctx_attr = static_cast<size_t>(
-        rng.UniformInt(kCategorical, kWidth - 1));
-    do {
-      spec.dep_attr = static_cast<size_t>(
-          rng.UniformInt(kCategorical, kWidth - 1));
-    } while (spec.dep_attr == spec.ctx_attr);
-    for (size_t a : RandomAttrs(kWidth - 1, kWidth, &rng)) {
-      if (spec.group_attrs.size() == num_group) break;
-      if (a != spec.ctx_attr && a != spec.dep_attr) {
-        spec.group_attrs.push_back(a);
-      }
-    }
-    spec.co_monotone = rng.UniformInt(0, 1) == 1;
+    const PrefixAlignSpec spec = RandomAlignSpec(&rng);
     const size_t domain = static_cast<size_t>(rng.UniformInt(2, 7));
     const size_t frozen_rows = static_cast<size_t>(rng.UniformInt(0, 60));
     const size_t live_rows = static_cast<size_t>(rng.UniformInt(1, 40));
@@ -589,6 +597,78 @@ TEST(PrefixMergeOracleTest, AlignMatchesOrderedMapReference) {
     total_moved += want_moved;
   }
   EXPECT_GT(total_moved, 1000);
+}
+
+/// The order DC a spec aligns, as the parser reads it: within equal group
+/// attributes, a strict rise of the context with a strict fall
+/// (co-monotone) or rise (anti-monotone) of the dependent violates. The
+/// DC is symmetric in its two order attributes, so a spec with context
+/// and dependent swapped aligns the same DC.
+DenialConstraint AlignDc(const PrefixAlignSpec& spec, const Schema& schema) {
+  auto pair = [&schema](size_t a, const char* op) {
+    const std::string& name = schema.attribute(a).name();
+    return "t1." + name + " " + op + " t2." + name;
+  };
+  std::string body;
+  for (size_t a : spec.group_attrs) body += pair(a, "==") + " & ";
+  body += pair(spec.ctx_attr, "<") + " & " +
+          pair(spec.dep_attr, spec.co_monotone ? ">" : "<");
+  return DenialConstraint::Parse("!(" + body + ")", schema).TakeValue();
+}
+
+/// `table` with each numeric cell NaN at rate 1/12.
+Table WithNans(Table table, Rng* rng) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t a = kCategorical; a < kWidth; ++a) {
+      if (rng->UniformInt(0, 11) == 0) {
+        table.set(r, a, Value::Numeric(std::nan("")));
+      }
+    }
+  }
+  return table;
+}
+
+TEST(PrefixMergeOracleTest, AgreesMatchesNaiveViolationCount) {
+  // `Agrees(live)` says exactly whether appending the live rows to the
+  // absorbed prefix adds a violation of the spec's DC, by the naive pair
+  // scan — whether or not the prefix itself violates it. Half the
+  // prefixes and half the live slices are aligned first, so both answers
+  // are common; NaN, -0.0 and context ties occur throughout.
+  const Schema schema = MixedSchema();
+  Rng rng(8192);
+  constexpr int kTrials = 20000;
+  int agreed = 0;
+  int violating_prefixes = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    PrefixAlignSpec spec = RandomAlignSpec(&rng);
+    const DenialConstraint dc = AlignDc(spec, schema);
+    if (rng.UniformInt(0, 1) == 1) std::swap(spec.ctx_attr, spec.dep_attr);
+    const size_t domain = static_cast<size_t>(rng.UniformInt(2, 7));
+    const size_t frozen_rows = static_cast<size_t>(rng.UniformInt(0, 40));
+    const size_t live_rows = static_cast<size_t>(rng.UniformInt(1, 12));
+    Table frozen = WithNans(RandomTable(frozen_rows, domain, &rng), &rng);
+    if (rng.UniformInt(0, 1) == 0) FrozenAlignLookups(spec).Align(&frozen);
+    const std::vector<size_t> cuts = RandomCuts(frozen_rows, &rng);
+    FrozenAlignLookups lookups(spec);
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      lookups.Absorb(frozen.Slice(cuts[i], cuts[i + 1] - cuts[i]));
+    }
+    Table live = WithNans(RandomTable(live_rows, domain, &rng), &rng);
+    if (rng.UniformInt(0, 1) == 0) lookups.Align(&live);
+
+    const int64_t prefix_count = CountViolationsNaive(dc, frozen);
+    Table joined = frozen;
+    joined.AppendRowsFrom(live, 0, live.num_rows());
+    const bool want = CountViolationsNaive(dc, joined) == prefix_count;
+    ASSERT_EQ(lookups.Agrees(live), want)
+        << "trial " << trial << ": " << dc.ToString(schema) << " ctx "
+        << spec.ctx_attr;
+    agreed += want;
+    violating_prefixes += prefix_count > 0;
+  }
+  EXPECT_GT(agreed, kTrials / 10);
+  EXPECT_LT(agreed, kTrials * 9 / 10);
+  EXPECT_GT(violating_prefixes, kTrials / 10);
 }
 
 // ---------------------------------------------------------------------

@@ -311,8 +311,9 @@ DenialConstraint Respell(const DenialConstraint& dc, const Schema& schema,
 
 TEST(CompositeViolationsTest, RandomizedDcsMatchNaiveEverywhere) {
   // Fuzz over randomized DC shapes: whatever the decomposition decides
-  // (composite, never-fires, or general fallback), full counts and the
-  // incremental index must agree with the naive reference. A respelling
+  // (composite, never-fires, or general fallback), full counts, matrix
+  // columns and the incremental index must agree with the naive
+  // reference. A respelling
   // of each DC (mirrored predicates, one repeated) must decompose to the
   // same shape and views and count the same violations.
   Schema schema = TestSchema();
@@ -343,6 +344,17 @@ TEST(CompositeViolationsTest, RandomizedDcsMatchNaiveEverywhere) {
     const int64_t count = CountViolations(dc, t);
     ASSERT_EQ(count, CountViolationsNaive(dc, t)) << label;
     ASSERT_EQ(CountViolations(respelled, t), count) << label;
+    // Its violation-matrix column is each row's pair count, whatever the
+    // shape: never-fires and general DCs take the index path too.
+    const auto matrix = BuildViolationMatrix(t, {WeightedConstraint{dc}});
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      int64_t expected = 0;
+      for (size_t j = 0; j < t.num_rows(); ++j) {
+        if (j != i && dc.ViolatesPair(t.row(i), t.row(j))) ++expected;
+      }
+      ASSERT_EQ(matrix[i][0], static_cast<double>(expected))
+          << label << " row " << i;
+    }
     auto fast = MakeViolationIndex(dc);
     auto fast_respelled = MakeViolationIndex(respelled);
     auto naive = MakeNaiveViolationIndex(dc);

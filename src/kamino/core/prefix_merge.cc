@@ -34,12 +34,6 @@ void RowsByGroup(const std::vector<uint32_t>& gid, size_t num_groups,
   for (size_t i = 0; i < gid.size(); ++i) (*order)[fill[gid[i]]++] = i;
 }
 
-/// One row of an align group: its context and its dependent.
-struct Pair {
-  Value x;
-  Value dep;
-};
-
 }  // namespace
 
 FrozenFdLookups::FrozenFdLookups(std::vector<PrefixFdFamily> families) {
@@ -262,6 +256,10 @@ void FrozenAlignLookups::Absorb(const Table& slice) {
   std::vector<size_t> order;
   RowsByGroup(gid, num_groups, &start, &order);
 
+  struct Pair {
+    Value x;
+    Value dep;
+  };
   std::vector<Pair> pairs;
   Envelope merged;
   for (size_t g = 0; g < num_groups; ++g) {
@@ -413,6 +411,9 @@ int64_t FrozenAlignLookups::Align(Table* live) const {
 bool FrozenAlignLookups::Agrees(const Table& live) const {
   const size_t n = live.num_rows();
   if (n == 0) return true;
+  auto ctx_less = [&](size_t i, size_t j) {
+    return live.at(i, spec_.ctx_attr) < live.at(j, spec_.ctx_attr);
+  };
   size_t num_groups = 0;
   const std::vector<uint32_t> gid =
       GroupIds(live, spec_.group_attrs, &num_groups);
@@ -420,38 +421,43 @@ bool FrozenAlignLookups::Agrees(const Table& live) const {
   std::vector<size_t> order;
   RowsByGroup(gid, num_groups, &start, &order);
 
-  std::vector<Pair> pairs;
   for (size_t g = 0; g < num_groups; ++g) {
     const Envelope* env = EnvelopeOf(live, order[start[g]]);
-    pairs.clear();
-    for (size_t k = start[g]; k < start[g + 1]; ++k) {
-      const size_t r = order[k];
-      const Value x = live.at(r, spec_.ctx_attr);
-      const Value dep = live.at(r, spec_.dep_attr);
-      if (IsNan(x) || IsNan(dep)) continue;
-      if (env != nullptr) {
-        const Bounds b = BoundsAt(*env, x);
-        if ((b.lo != nullptr && OrientedLt(dep, *b.lo)) ||
-            (b.hi != nullptr && OrientedLt(*b.hi, dep))) {
-          return false;
-        }
+    // The group's rows with a context and a dependent, each inside the
+    // frozen envelope at its context...
+    const auto first = order.begin() + static_cast<ptrdiff_t>(start[g]);
+    const auto last = std::remove_if(
+        first, order.begin() + static_cast<ptrdiff_t>(start[g + 1]),
+        [&](size_t r) {
+          return IsNan(live.at(r, spec_.ctx_attr)) ||
+                 IsNan(live.at(r, spec_.dep_attr));
+        });
+    for (auto it = first; it != last; ++it) {
+      if (env == nullptr) break;
+      const Value dep = live.at(*it, spec_.dep_attr);
+      const Bounds b = BoundsAt(*env, live.at(*it, spec_.ctx_attr));
+      if ((b.lo != nullptr && OrientedLt(dep, *b.lo)) ||
+          (b.hi != nullptr && OrientedLt(*b.hi, dep))) {
+        return false;
       }
-      pairs.push_back(Pair{x, dep});
     }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const Pair& a, const Pair& b) { return a.x < b.x; });
-    // Walk the contexts in ascending runs: `top` is the greatest dependent
-    // at a strictly smaller context, so a run member below it violates.
-    const Value* top = nullptr;
-    for (size_t i = 0; i < pairs.size();) {
-      size_t e = i;
-      const Value* run_top = &pairs[i].dep;
-      for (; e < pairs.size() && !(pairs[i].x < pairs[e].x); ++e) {
-        if (top != nullptr && OrientedLt(pairs[e].dep, *top)) return false;
-        if (OrientedLt(*run_top, pairs[e].dep)) run_top = &pairs[e].dep;
+    // ...then walked in ascending context runs: `top` is the greatest
+    // dependent at a strictly smaller context, so a run member below it
+    // violates.
+    std::sort(first, last, ctx_less);
+    bool has_top = false;
+    Value top;
+    for (auto it = first; it != last;) {
+      auto e = it;
+      Value run_top = live.at(*it, spec_.dep_attr);
+      for (; e != last && !ctx_less(*it, *e); ++e) {
+        const Value dep = live.at(*e, spec_.dep_attr);
+        if (has_top && OrientedLt(dep, top)) return false;
+        if (OrientedLt(run_top, dep)) run_top = dep;
       }
-      if (top == nullptr || OrientedLt(*top, *run_top)) top = run_top;
-      i = e;
+      if (!has_top || OrientedLt(top, run_top)) top = run_top;
+      has_top = true;
+      it = e;
     }
   }
   return true;

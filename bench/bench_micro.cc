@@ -73,6 +73,25 @@ void BM_DiscriminativeForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_DiscriminativeForwardBackward);
 
+// The same example's gradient as DP-SGD computes it: tape-free and sparse.
+void BM_DiscriminativeLossGradient(benchmark::State& state) {
+  const BenchmarkDataset& ds = AdultData();
+  Rng rng(3);
+  EncoderStore store(ds.table.schema(), 12, &rng);
+  std::vector<size_t> context = {0, 1, 2, 3, 4};
+  DiscriminativeModel model(ds.table.schema(), context, {5}, &store, &rng);
+  InferenceScratch scratch;
+  SparseGradient grad;
+  Row row;
+  size_t r = 0;
+  for (auto _ : state) {
+    ds.table.CopyRowInto(r, &row);
+    benchmark::DoNotOptimize(model.LossGradient(row, &scratch, &grad));
+    r = (r + 1) % ds.table.num_rows();
+  }
+}
+BENCHMARK(BM_DiscriminativeLossGradient);
+
 void BM_RdpAccountantEpsilon(benchmark::State& state) {
   RdpAccountant acc;
   acc.AddGaussian(4.0, 1);

@@ -2,7 +2,8 @@
 // (Algorithm 5, single-threaded on the violation indices),
 // constraint-aware synthesis (Algorithm 3) and DP-SGD training
 // (Algorithm 2) at 1/2/4/N threads on the generated 600-row Adult
-// workload, plus a cross-thread-count determinism check, the 1/2/4/8
+// workload, non-private DP-SGD fits of 9600 Adult rows at T = 40 and 400
+// on 1 and 4 threads, plus a cross-thread-count determinism check, the 1/2/4/8
 // shard sweep, the constrained MCMC pass at 1 and 4 shards, the sorted
 // order-DC and composite mixed-DC engines vs the naive pair scan at
 // growing n, per-candidate vs batched order-DC candidate scoring, and
@@ -16,11 +17,13 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/harness.h"
+#include "kamino/core/pipeline.h"
 #include "kamino/data/chunk_codec.h"
 #include "kamino/dc/violations.h"
 #include "kamino/obs/metrics.h"
@@ -169,7 +172,48 @@ int Main() {
     std::printf("%-28s %8zu %12.4f %9.2fx\n", "pipeline_sampling", t,
                 ph.sampling, serial_timings.sampling / ph.sampling);
   }
-  std::printf("\nsynthetic output across thread counts: %s\n",
+
+  // --- Hot path 2b: DP-SGD at scale. A non-private fit keeps its base T,
+  // which the privacy parameter search would cut, so these rows time
+  // T = 40 and T = 400 over 9600 input rows. The fitted models must be
+  // bit-identical across thread counts too. ---
+  {
+    const BenchmarkDataset big = MakeAdultLike(9600, kSeed);
+    const std::vector<WeightedConstraint> big_constraints = Constraints(big);
+    const size_t big_rows = big.table.num_rows();
+    for (const size_t iterations : {size_t{40}, size_t{400}}) {
+      const std::string method =
+          "pipeline_training_t" + std::to_string(iterations);
+      std::vector<uint8_t> serial_model;
+      double serial_seconds = 0.0;
+      for (const size_t t : {size_t{1}, size_t{4}}) {
+        KaminoConfig config = BenchKaminoConfig(0.0, kSeed);
+        config.options.iterations = iterations;
+        config.options.num_threads = t;
+        double best = 1e300;
+        std::vector<uint8_t> model_bytes;
+        for (int r = 0; r < 2; ++r) {
+          auto fitted = FitPipeline(big.table, big_constraints, config);
+          KAMINO_CHECK(fitted.ok()) << fitted.status().ToString();
+          best = std::min(best, fitted.value().fit_timings.training);
+          model_bytes.clear();
+          fitted.value().model.SerializeTo(&model_bytes);
+        }
+        if (t == 1) {
+          serial_model = model_bytes;
+          serial_seconds = best;
+        } else if (model_bytes != serial_model) {
+          deterministic = false;
+        }
+        records.push_back({method, big_rows, t, 1, best, "s"});
+        std::printf("%-28s %8zu %12.4f %9.2fx\n", method.c_str(), t, best,
+                    serial_seconds / best);
+      }
+    }
+  }
+  runtime::SetGlobalNumThreads(0);
+  std::printf("\nsynthetic output and fitted models across thread counts: "
+              "%s\n",
               deterministic ? "IDENTICAL (bit-exact)" : "MISMATCH");
 
   // --- Hot path 4: shard-parallel synthesis (shard-count sweep). ---

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "kamino/core/model.h"
 #include "kamino/dp/rdp.h"
@@ -54,9 +55,25 @@ Result<KaminoOptions> SearchDpParameters(double epsilon, double delta,
   options.iterations = base.iterations;
   options.batch_size = std::max<size_t>(b_min, base.batch_size);
 
+  // The back-off re-evaluates the cost after every step, often of an
+  // option set no step changed. The cost is a pure function of these
+  // fields, so such a call reuses the last value.
+  auto cost_key = [&]() {
+    return std::make_tuple(options.sigma_g, options.sigma_d, options.sigma_w,
+                           options.batch_size, options.iterations,
+                           options.weight_sample);
+  };
+  decltype(cost_key()) last_key;
+  double last_cost = 0.0;
+  bool costed = false;
   auto cost = [&]() {
-    return PrivacyCostEpsilon(options, num_rows, num_histograms, num_models,
-                              learn_weights, delta);
+    if (!costed || cost_key() != last_key) {
+      last_cost = PrivacyCostEpsilon(options, num_rows, num_histograms,
+                                     num_models, learn_weights, delta);
+      last_key = cost_key();
+      costed = true;
+    }
+    return last_cost;
   };
 
   // Lines 10-15: priority-ordered back-off until the budget fits.

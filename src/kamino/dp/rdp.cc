@@ -15,6 +15,25 @@ double LogBinomial(int n, int k) {
          std::lgamma(n - k + 1.0);
 }
 
+/// log C(alpha, k) for k = 0..alpha when `alpha` is on the `RdpOrders()`
+/// grid, else null. Built once from `LogBinomial` itself, so a lookup
+/// reads exactly the value the call would return.
+const double* LogBinomialRow(int alpha) {
+  static const std::vector<std::vector<double>>* rows = [] {
+    const std::vector<int>& orders = RdpOrders();
+    auto* table = new std::vector<std::vector<double>>(
+        *std::max_element(orders.begin(), orders.end()) + 1);
+    for (int a : orders) {
+      std::vector<double>& row = (*table)[a];
+      for (int k = 0; k <= a; ++k) row.push_back(LogBinomial(a, k));
+    }
+    return table;
+  }();
+  if (alpha < 0 || static_cast<size_t>(alpha) >= rows->size()) return nullptr;
+  const std::vector<double>& row = (*rows)[alpha];
+  return row.empty() ? nullptr : row.data();
+}
+
 double LogSumExp(const std::vector<double>& xs) {
   double mx = -std::numeric_limits<double>::infinity();
   for (double x : xs) mx = std::max(mx, x);
@@ -49,13 +68,15 @@ double SampledGaussianRdp(double sigma, double q, int alpha) {
   if (q == 1.0) return GaussianRdp(sigma, alpha);
   const double log_q = std::log(q);
   const double log_1mq = std::log1p(-q);
+  const double* log_binomial = LogBinomialRow(alpha);
   std::vector<double> terms;
   terms.reserve(alpha + 1);
   for (int k = 0; k <= alpha; ++k) {
     const double moment =
         static_cast<double>(k) * (k - 1) / (2.0 * sigma * sigma);
-    terms.push_back(LogBinomial(alpha, k) + (alpha - k) * log_1mq +
-                    k * log_q + moment);
+    const double log_c =
+        log_binomial != nullptr ? log_binomial[k] : LogBinomial(alpha, k);
+    terms.push_back(log_c + (alpha - k) * log_1mq + k * log_q + moment);
   }
   const double log_a = LogSumExp(terms);
   // The bound can dip below 0 from floating point error; clamp.

@@ -164,6 +164,35 @@ Var DiscriminativeModel::Loss(const Row& row, ForwardContext* ctx) const {
   return GaussianNll(out, enc->Standardize(row[targets_[0]].numeric()));
 }
 
+void DiscriminativeModel::ForwardInto(const Row& row, double* keys,
+                                      double* hidden, size_t hidden_stride,
+                                      double* alpha, double* context_vec,
+                                      double* h, double* out) const {
+  const size_t m = context_.size();
+  const size_t d = store_->embed_dim();
+  for (size_t i = 0; i < m; ++i) {
+    store_->encoder(context_[i])
+        ->EncodeInto(row[context_[i]], hidden + i * hidden_stride,
+                     keys + i * d);
+  }
+  // scores = q keys^T, accumulated as MatMul(q, Transpose(keys)).
+  const Tensor& q = query_->value;
+  for (size_t j = 0; j < d; ++j) {
+    const double qj = q[j];
+    if (qj == 0.0) continue;
+    for (size_t l = 0; l < m; ++l) alpha[l] += qj * keys[l * d + j];
+  }
+  SoftmaxInPlace(alpha, m);
+  RowTimesMatrix(alpha, m, keys, d, context_vec);
+  RowTimesMatrix(context_vec, d, w1_->value.data().data(), d, h);
+  const Tensor& b1 = b1_->value;
+  for (size_t l = 0; l < d; ++l) h[l] = std::max(0.0, h[l] + b1[l]);
+  const Tensor& w2 = w2_->value;
+  RowTimesMatrix(h, d, w2.data().data(), w2.cols(), out);
+  const Tensor& b2 = b2_->value;
+  for (size_t l = 0; l < w2.cols(); ++l) out[l] += b2[l];
+}
+
 void DiscriminativeModel::Forward(const Row& row, InferenceScratch* scratch,
                                   double* out) const {
   const size_t m = context_.size();
@@ -176,26 +205,164 @@ void DiscriminativeModel::Forward(const Row& row, InferenceScratch* scratch,
   double* context_vec = scores + m;   // 1 x d
   double* h = context_vec + d;        // 1 x d
   double* hidden = h + d;             // 1 x d, numeric encoder hidden layer
+  ForwardInto(row, keys, hidden, 0, scores, context_vec, h, out);
+}
+
+double DiscriminativeModel::LossGradient(const Row& row,
+                                         InferenceScratch* scratch,
+                                         SparseGradient* grad) const {
+  const size_t m = context_.size();
+  const size_t d = store_->embed_dim();
+  const Tensor& w2 = w2_->value;
+  const size_t v = w2.cols();
+
+  // Segments in `Parameters()` order: the context encoders, then the head.
+  grad->segments.clear();
+  size_t start = 0;
+  size_t param = 0;
   for (size_t i = 0; i < m; ++i) {
     store_->encoder(context_[i])
-        ->EncodeInto(row[context_[i]], hidden, keys + i * d);
+        ->AppendGradientSegments(row[context_[i]], &param, &start, grad);
   }
-  // scores = q keys^T, accumulated as MatMul(q, Transpose(keys)).
-  const Tensor& q = query_->value;
+  const size_t head = start;
+  auto append = [&](size_t length) {
+    grad->segments.push_back({param++, 0, start, length});
+    start += length;
+  };
+  append(d);      // query
+  append(d * d);  // w1
+  append(d);      // b1
+  append(d * v);  // w2
+  append(v);      // b2
+  // Zeroed: like the graph's gradients, every value below accumulates.
+  grad->values.assign(start, 0.0);
+  double* values = grad->values.data();
+  double* grad_query = values + head;
+  double* grad_w1 = grad_query + d;
+  double* grad_b1 = grad_w1 + d * d;
+  double* grad_w2 = grad_b1 + d;
+  double* grad_b2 = grad_w2 + d * v;
+
+  std::vector<double>& buffer = scratch->buffer;
+  buffer.assign(3 * m * d + 3 * m + 5 * d + v, 0.0);
+  double* keys = buffer.data();                // m x d
+  double* grad_keys = keys + m * d;            // m x d
+  double* hidden = grad_keys + m * d;          // m x d, numeric encoders
+  double* alpha = hidden + m * d;              // m
+  double* grad_alpha = alpha + m;              // m
+  double* grad_scores = grad_alpha + m;        // m
+  double* context_vec = grad_scores + m;       // d
+  double* h = context_vec + d;                 // d
+  double* grad_h = h + d;                      // d
+  double* grad_context = grad_h + d;           // d
+  double* encoder_scratch = grad_context + d;  // d
+  double* out = encoder_scratch + d;           // v
+  ForwardInto(row, keys, hidden, d, alpha, context_vec, h, out);
+
+  // The loss, and its gradient with respect to `out`: `Backward` seeds
+  // the root with 1, and Add(h W2, b2) hands b2 the output's gradient
+  // unchanged, so b2's gradient is where d(out) lives.
+  const double g = 1.0;
+  double loss;
+  if (target_is_categorical_) {
+    // CrossEntropyWithLogits.
+    const size_t target = JointIndex(row);
+    KAMINO_CHECK(target < v) << "target out of range";
+    double mx = out[0];
+    for (size_t i = 1; i < v; ++i) mx = std::max(mx, out[i]);
+    double sum = 0.0;
+    for (size_t i = 0; i < v; ++i) sum += std::exp(out[i] - mx);
+    const double lse = mx + std::log(sum);
+    loss = lse - out[target];
+    for (size_t i = 0; i < v; ++i) {
+      const double softmax_i = std::exp(out[i] - mx) / sum;
+      const double indicator = i == target ? 1.0 : 0.0;
+      grad_b2[i] += g * (softmax_i - indicator);
+    }
+  } else {
+    // GaussianNll: sigma = softplus(s) + 1e-3.
+    const double y =
+        store_->encoder(targets_[0])->Standardize(row[targets_[0]].numeric());
+    const double mu = out[0];
+    const double s = out[1];
+    const double sigma = (s > 30.0 ? s : std::log1p(std::exp(s))) + 1e-3;
+    const double z = (y - mu) / sigma;
+    loss = 0.5 * z * z + std::log(sigma);
+    const double diff = mu - y;
+    grad_b2[0] += g * diff / (sigma * sigma);
+    const double dl_dsigma =
+        -(diff * diff) / (sigma * sigma * sigma) + 1.0 / sigma;
+    grad_b2[1] += g * dl_dsigma * (1.0 / (1.0 + std::exp(-s)));
+  }
+
+  // The graph's backward, node by node in `Backward`'s order. Each MatMul
+  // (a x b) sends a's gradient first (row sums over b), then b's.
+  // MatMul(h, W2).
+  const double* grad_out = grad_b2;
+  const double* w2_data = w2.data().data();
   for (size_t j = 0; j < d; ++j) {
-    const double qj = q[j];
-    if (qj == 0.0) continue;
-    for (size_t l = 0; l < m; ++l) scores[l] += qj * keys[l * d + j];
+    double s = 0.0;
+    for (size_t l = 0; l < v; ++l) s += grad_out[l] * w2_data[j * v + l];
+    grad_h[j] += s;
   }
-  SoftmaxInPlace(scores, m);
-  RowTimesMatrix(scores, m, keys, d, context_vec);
-  RowTimesMatrix(context_vec, d, w1_->value.data().data(), d, h);
-  const Tensor& b1 = b1_->value;
-  for (size_t l = 0; l < d; ++l) h[l] = std::max(0.0, h[l] + b1[l]);
-  const Tensor& w2 = w2_->value;
-  RowTimesMatrix(h, d, w2.data().data(), w2.cols(), out);
-  const Tensor& b2 = b2_->value;
-  for (size_t l = 0; l < w2.cols(); ++l) out[l] += b2[l];
+  for (size_t j = 0; j < d; ++j) {
+    for (size_t l = 0; l < v; ++l) grad_w2[j * v + l] += h[j] * grad_out[l];
+  }
+  // Relu, then Add(context_vec W1, b1): b1's gradient is the pre-ReLU one.
+  for (size_t j = 0; j < d; ++j) {
+    if (h[j] > 0.0) grad_b1[j] += grad_h[j];
+  }
+  // MatMul(context_vec, W1).
+  const double* grad_pre = grad_b1;
+  const double* w1 = w1_->value.data().data();
+  for (size_t j = 0; j < d; ++j) {
+    double s = 0.0;
+    for (size_t l = 0; l < d; ++l) s += grad_pre[l] * w1[j * d + l];
+    grad_context[j] += s;
+  }
+  for (size_t j = 0; j < d; ++j) {
+    for (size_t l = 0; l < d; ++l) {
+      grad_w1[j * d + l] += context_vec[j] * grad_pre[l];
+    }
+  }
+  // MatMul(alpha, keys): keys' first gradient contribution.
+  for (size_t j = 0; j < m; ++j) {
+    double s = 0.0;
+    for (size_t l = 0; l < d; ++l) s += grad_context[l] * keys[j * d + l];
+    grad_alpha[j] += s;
+  }
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t l = 0; l < d; ++l) {
+      grad_keys[j * d + l] += alpha[j] * grad_context[l];
+    }
+  }
+  // Softmax.
+  double dot = 0.0;
+  for (size_t c = 0; c < m; ++c) dot += grad_alpha[c] * alpha[c];
+  for (size_t c = 0; c < m; ++c) {
+    grad_scores[c] += alpha[c] * (grad_alpha[c] - dot);
+  }
+  // MatMul(q, Transpose(keys)): keys' second contribution, transposed.
+  const double* q = query_->value.data().data();
+  for (size_t j = 0; j < d; ++j) {
+    double s = 0.0;
+    for (size_t l = 0; l < m; ++l) s += grad_scores[l] * keys[l * d + j];
+    grad_query[j] += s;
+  }
+  for (size_t l = 0; l < m; ++l) {
+    for (size_t j = 0; j < d; ++j) {
+      grad_keys[l * d + j] += q[j] * grad_scores[l];
+    }
+  }
+  // ConcatRows hands each context encoder its row of d(keys).
+  double* grad_encoder = values;
+  for (size_t i = 0; i < m; ++i) {
+    const AttributeEncoder* enc = store_->encoder(context_[i]);
+    enc->BackwardInto(row[context_[i]], hidden + i * d, grad_keys + i * d,
+                      encoder_scratch, grad_encoder);
+    grad_encoder += enc->GradientSize();
+  }
+  return loss;
 }
 
 std::vector<double> DiscriminativeModel::PredictCategorical(

@@ -11,10 +11,10 @@
 
 namespace kamino {
 
-/// Working memory of tape-free inference: one buffer, regrown to the
-/// largest forward pass it served and zeroed per use, so a caller that
-/// predicts row after row (from any mix of models) allocates nothing once
-/// it has grown. Belongs to one thread at a time.
+/// Working memory of tape-free forward (and backward) passes: one buffer,
+/// regrown to the largest pass it served and zeroed per use, so a caller
+/// that predicts or differentiates row after row (from any mix of models)
+/// allocates nothing once it has grown. Belongs to one thread at a time.
 struct InferenceScratch {
   std::vector<double> buffer;
 };
@@ -30,11 +30,15 @@ struct InferenceScratch {
 ///   h       = relu(ctx_vec W1 + b1)                         (1 x d)
 ///   out     = h W2 + b2     (logits, or 1 x 2 (mu, s))
 ///
-/// Training builds this as an autograd graph (`Loss`). Inference
-/// (`PredictCategorical` / `PredictGaussian`) computes the same forward
-/// pass straight from the live parameter tensors into scratch buffers, with
-/// the same floating-point operations in the same order, so predictions
-/// are bit-identical to the graph's and never read a stale weight copy.
+/// `Loss` builds this as an autograd graph. Nothing in the library trains
+/// or predicts through that graph: inference (`PredictCategorical` /
+/// `PredictGaussian`) and DP-SGD's per-example gradients (`LossGradient`)
+/// compute the same forward pass straight from the live parameter tensors
+/// into scratch buffers, and `LossGradient` runs the graph's backward by
+/// hand over the kept intermediates. Both use the graph's floating-point
+/// operations in the graph's order, so their results are bit-identical to
+/// the graph's and never read a stale weight copy. `Loss` stays as their
+/// test oracle.
 ///
 /// Targets come in two flavors:
 ///  - one numeric attribute: a Gaussian regression head (mu, sigma) trained
@@ -62,6 +66,16 @@ class DiscriminativeModel {
   /// Builds the per-example loss graph. The returned Var is the scalar
   /// loss; `ctx` records the parameter bindings for gradient extraction.
   Var Loss(const Row& row, ForwardContext* ctx) const;
+
+  /// Tape-free `Loss` + `Backward`: returns `row`'s loss and writes its
+  /// gradient with respect to `Parameters()` to `grad`, sparsely. An
+  /// example touches only its context categories' embedding rows, its
+  /// numeric context encoders and the head, so those are the segments.
+  /// Each value equals, bit for bit, the coordinate that
+  /// `ForwardContext::AccumulateInto` collects after `Backward(Loss(row))`.
+  /// `scratch` holds the forward pass's intermediates. Reentrant.
+  double LossGradient(const Row& row, InferenceScratch* scratch,
+                      SparseGradient* grad) const;
 
   /// Conditional distribution over the (joint) categorical target domain
   /// given the row's context attributes. Requires a categorical target.
@@ -112,6 +126,15 @@ class DiscriminativeModel {
   /// (logits, or (mu, s)) to `out`, op for op as `Output` computes them,
   /// with `scratch` (zeroed here) as working memory.
   void Forward(const Row& row, InferenceScratch* scratch, double* out) const;
+
+  /// The forward pass of `Forward` into caller buffers, keeping what the
+  /// backward needs: `keys` (m x d), context i's numeric-encoder hidden
+  /// layer at `hidden + i * hidden_stride` (d values; a stride of 0 shares
+  /// one buffer), `alpha` (m, zeroed on entry), the context vector and the
+  /// post-ReLU hidden layer `h` (d each) and the head output `out`.
+  void ForwardInto(const Row& row, double* keys, double* hidden,
+                   size_t hidden_stride, double* alpha, double* context_vec,
+                   double* h, double* out) const;
 
   const Schema* schema_;
   std::vector<size_t> context_;

@@ -34,11 +34,19 @@ struct DpSgdOptions {
 /// `noise_multiplier * clip_norm`, averages by the *expected* batch size
 /// and takes an SGD step.
 ///
-/// Per-example gradients are computed in parallel on the global runtime
-/// pool (see kamino/runtime/): the Poisson inclusion draws and the noise
-/// stay on the sequential `rng`, and the clipped gradients reduce in
-/// example order, so the trained model is bit-identical at any thread
-/// count — and to the original serial implementation.
+/// The per-example path builds no autograd tape: each example's gradient
+/// comes from `DiscriminativeModel::LossGradient`, which runs the
+/// training graph's forward and backward by hand, and is stored sparsely
+/// (the example's context categories' embedding rows, its numeric context
+/// encoders and the head), clipped with `ClipGradients`' per-tensor
+/// grouping of the squared norm and added to the batch sum on the touched
+/// coordinates only. Per-example gradients are computed in parallel on
+/// the global runtime pool (see kamino/runtime/): the Poisson inclusion
+/// draws and the dense per-coordinate noise stay on the sequential `rng`,
+/// and the clipped gradients reduce in example order, so the trained
+/// model is bit-identical at any thread count, and to a serial loop of
+/// `Loss`, `Backward`, `ForwardContext::AccumulateInto` and
+/// `ClipGradients` over dense gradients.
 ///
 /// Returns the average (unnoised) training loss of the final iteration,
 /// for diagnostics only — callers must not release it.
@@ -46,8 +54,14 @@ double TrainDpSgd(DiscriminativeModel* model, const Table& data,
                   const DpSgdOptions& options, Rng* rng);
 
 /// Clips `grads` (one tensor per parameter, jointly treated as a single
-/// vector) to L2 norm at most `clip_norm`, in place. Exposed for tests.
+/// vector) to L2 norm at most `clip_norm`, in place. The squared norm is
+/// summed per tensor, then across tensors in order.
 void ClipGradients(std::vector<Tensor>* grads, double clip_norm);
+
+/// `ClipGradients` of a sparse gradient: per segment, then across
+/// segments in order, so it scales by the same factor as the dense form
+/// of `grad` would be.
+void ClipGradients(SparseGradient* grad, double clip_norm);
 
 }  // namespace kamino
 

@@ -73,6 +73,61 @@ void AttributeEncoder::EncodeInto(const Value& v, double* scratch,
   for (size_t i = 0; i < d; ++i) out[i] += bias[i];
 }
 
+void AttributeEncoder::AppendGradientSegments(const Value& v, size_t* param,
+                                              size_t* start,
+                                              SparseGradient* grad) const {
+  const size_t d = embed_dim_;
+  auto append = [&](size_t offset, size_t length) {
+    grad->segments.push_back({(*param)++, offset, *start, length});
+    *start += length;
+  };
+  if (is_categorical_) {
+    const size_t index = static_cast<size_t>(v.category());
+    KAMINO_CHECK(index < lookup_->value.rows()) << "SelectRow out of range";
+    append(index * d, d);
+    return;
+  }
+  append(0, d);      // a
+  append(0, d);      // c
+  append(0, d * d);  // B
+  append(0, d);      // bias
+}
+
+void AttributeEncoder::BackwardInto(const Value& v, const double* hidden,
+                                    const double* grad_out, double* scratch,
+                                    double* grad) const {
+  const size_t d = embed_dim_;
+  if (is_categorical_) {
+    // SelectRow: the embedding's gradient lands on its table row.
+    for (size_t l = 0; l < d; ++l) grad[l] += grad_out[l];
+    return;
+  }
+  double* grad_a = grad;
+  double* grad_c = grad_a + d;
+  double* grad_b = grad_c + d;
+  double* grad_bias = grad_b + d * d;
+  const double* b = num_b_->value.data().data();
+  // Add(hidden B, bias): both sides get the embedding's gradient.
+  for (size_t l = 0; l < d; ++l) grad_bias[l] += grad_out[l];
+  // MatMul(hidden, B): d(hidden) = d(out) B^T, then d(B) = hidden^T d(out).
+  std::fill(scratch, scratch + d, 0.0);
+  for (size_t j = 0; j < d; ++j) {
+    double s = 0.0;
+    for (size_t l = 0; l < d; ++l) s += grad_out[l] * b[j * d + l];
+    scratch[j] += s;
+  }
+  for (size_t j = 0; j < d; ++j) {
+    for (size_t l = 0; l < d; ++l) grad_b[j * d + l] += hidden[j] * grad_out[l];
+  }
+  // Relu, then Add(a * x, c): c's gradient is the pre-ReLU one.
+  for (size_t j = 0; j < d; ++j) {
+    if (hidden[j] > 0.0) grad_c[j] += scratch[j];
+  }
+  // Scale(a, x).
+  const double x = Standardize(v.numeric());
+  for (size_t j = 0; j < d; ++j) grad_a[j] += x * grad_c[j];
+}
+
 std::vector<Parameter*> AttributeEncoder::Parameters() {
   if (is_categorical_) return {lookup_.get()};
   return {num_a_.get(), num_c_.get(), num_b_.get(), num_d_.get()};

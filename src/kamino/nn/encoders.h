@@ -31,6 +31,30 @@ class AttributeEncoder {
   /// bit-identical. Const and state-free, so concurrent calls are safe.
   void EncodeInto(const Value& v, double* scratch, double* out) const;
 
+  /// Tape-free backward of `Encode`. `AppendGradientSegments` appends to
+  /// `grad->segments` the coordinates the gradient of `Encode(v)` touches:
+  /// the looked-up table row of a categorical encoder, or all of a numeric
+  /// encoder's a, c, B and bias. They are numbered as parameters `*param`,
+  /// `*param + 1`, ... (this encoder's `Parameters()` as they sit in the
+  /// caller's list) and take values from `grad->values` offset `*start`
+  /// on; both are advanced past them (`values` is not resized).
+  void AppendGradientSegments(const Value& v, size_t* param, size_t* start,
+                              SparseGradient* grad) const;
+  /// Values `AppendGradientSegments` lays out: d, or 3d + d*d.
+  size_t GradientSize() const {
+    const size_t d = embed_dim_;
+    return is_categorical_ ? d : 3 * d + d * d;
+  }
+  /// Adds to `grad` (those values, zeroed or partly summed) the gradient
+  /// of `Encode(v)` given `grad_out` = d(loss)/d(embedding), from `hidden`,
+  /// the hidden layer `EncodeInto` wrote for `v`; `scratch` holds d
+  /// doubles. Every floating-point operation is one that `Backward` runs
+  /// over `Encode`'s graph, in the same order, so the values are
+  /// bit-identical.
+  void BackwardInto(const Value& v, const double* hidden,
+                    const double* grad_out, double* scratch,
+                    double* grad) const;
+
   /// All trainable tensors of this encoder.
   std::vector<Parameter*> Parameters();
 

@@ -74,6 +74,35 @@ inline void RowTimesMatrix(const double* x, size_t k, const double* w,
   }
 }
 
+/// A gradient over a parameter list that stores only the coordinates one
+/// example touches. Segment `s` holds the values
+/// `values[s.start, s.start + s.length)` of the coordinates
+/// `[s.offset, s.offset + s.length)` (row-major) of parameter `s.param`.
+/// Segments come in parameter order, at most one per parameter, and every
+/// coordinate outside them is exactly zero. So a dense consumer that skips
+/// the zeros (a sum, a squared norm) sees the same values in the same
+/// order.
+struct SparseGradient {
+  struct Segment {
+    size_t param = 0;
+    size_t offset = 0;
+    size_t start = 0;
+    size_t length = 0;
+  };
+  std::vector<Segment> segments;
+  std::vector<double> values;
+
+  /// dense[s.param][s.offset + i] += values[s.start + i] for every segment:
+  /// `Tensor::Add` of the dense gradient, on the touched coordinates only.
+  void AddTo(std::vector<Tensor>* dense) const {
+    for (const Segment& s : segments) {
+      double* out = (*dense)[s.param].data().data() + s.offset;
+      const double* in = values.data() + s.start;
+      for (size_t i = 0; i < s.length; ++i) out[i] += in[i];
+    }
+  }
+};
+
 /// Allocates zero tensors shaped like each parameter, for gradient
 /// accumulation.
 inline std::vector<Tensor> ZeroGradients(

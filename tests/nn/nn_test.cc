@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "kamino/autograd/ops.h"
 #include "kamino/core/model.h"
 #include "kamino/data/table.h"
 #include "kamino/nn/discriminative.h"
@@ -497,6 +498,315 @@ TEST(DiscriminativeInferenceTest, SharedModelPredictsIdenticallyFromFourThreads)
     EXPECT_EQ(parallel_cat[r], serial_cat[r]) << "row " << r;
     EXPECT_EQ(parallel_gauss[r], serial_gauss[r]) << "row " << r;
   }
+}
+
+// --- Tape-free per-example gradients: bit identity against the tape. ---
+
+/// `RandomRows`, plus a row at the numeric attributes' domain midpoints,
+/// which standardize to x = 0.
+std::vector<Row> GradientRows(const Schema& schema, size_t count, Rng* rng) {
+  std::vector<Row> rows = RandomRows(schema, count, rng);
+  Row mid = rows[0];
+  mid[1] = Value::Numeric(5.0);
+  mid[4] = Value::Numeric(0.0);
+  rows.push_back(std::move(mid));
+  return rows;
+}
+
+/// The tape's clipped per-example gradient, dense. Returns the loss.
+double TapeGradient(DiscriminativeModel* model, const Row& row,
+                    double clip_norm, std::vector<Tensor>* grads) {
+  ForwardContext ctx;
+  Var loss = model->Loss(row, &ctx);
+  Backward(loss);
+  const std::vector<Parameter*> params = model->Parameters();
+  *grads = ZeroGradients(params);
+  ctx.AccumulateInto(params, grads);
+  ClipGradients(grads, clip_norm);
+  return loss->value[0];
+}
+
+double Norm(const std::vector<Tensor>& grads) {
+  double squared = 0.0;
+  for (const Tensor& g : grads) squared += g.SquaredL2();
+  return std::sqrt(squared);
+}
+
+/// EXPECT_EQ of the tape-free gradient against the tape's on every
+/// coordinate of every parameter, for each row, clipped at `clip_norm`.
+/// Returns how many rows the clip scaled.
+size_t ExpectMatchesTape(DiscriminativeModel* model,
+                         const std::vector<Row>& rows, double clip_norm) {
+  const std::vector<Parameter*> params = model->Parameters();
+  InferenceScratch scratch;
+  SparseGradient sparse;
+  size_t clipped = 0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<Tensor> unclipped;
+    TapeGradient(model, rows[r], 1e300, &unclipped);
+    if (Norm(unclipped) > clip_norm) ++clipped;
+    std::vector<Tensor> want;
+    const double want_loss = TapeGradient(model, rows[r], clip_norm, &want);
+
+    const double got_loss = model->LossGradient(rows[r], &scratch, &sparse);
+    ClipGradients(&sparse, clip_norm);
+    std::vector<Tensor> got = ZeroGradients(params);
+    sparse.AddTo(&got);
+    EXPECT_EQ(got_loss, want_loss) << "row " << r;
+    for (size_t p = 0; p < params.size(); ++p) {
+      for (size_t i = 0; i < got[p].size(); ++i) {
+        EXPECT_EQ(got[p][i], want[p][i])
+            << "row " << r << " param " << p << " coordinate " << i;
+      }
+    }
+    // One segment per parameter, in order; a categorical context encoder
+    // touches exactly its category's table row.
+    EXPECT_EQ(sparse.segments.size(), params.size());
+    size_t p = 0;
+    for (size_t attr : model->context()) {
+      const Value& v = rows[r][attr];
+      if (v.is_categorical()) {
+        const size_t d = params[p]->value.cols();
+        EXPECT_EQ(sparse.segments[p].offset,
+                  static_cast<size_t>(v.category()) * d);
+        EXPECT_EQ(sparse.segments[p].length, d);
+        p += 1;
+      } else {
+        p += 4;
+      }
+    }
+  }
+  return clipped;
+}
+
+/// Checks each row with no clipping, clipping at the median norm (some
+/// rows above the bound, some below), and clipping every row.
+void ExpectMatchesTapeAtEveryClip(DiscriminativeModel* model,
+                                  const std::vector<Row>& rows) {
+  EXPECT_EQ(ExpectMatchesTape(model, rows, 1e300), 0u);
+  std::vector<double> norms;
+  for (const Row& row : rows) {
+    std::vector<Tensor> g;
+    TapeGradient(model, row, 1e300, &g);
+    norms.push_back(Norm(g));
+  }
+  std::sort(norms.begin(), norms.end());
+  const size_t clipped =
+      ExpectMatchesTape(model, rows, norms[norms.size() / 2]);
+  EXPECT_GT(clipped, 0u);
+  EXPECT_LT(clipped, rows.size());
+  EXPECT_EQ(ExpectMatchesTape(model, rows, 1e-6), rows.size());
+}
+
+TEST(TapeFreeGradientTest, CategoricalTargetMatchesTape) {
+  Schema schema = InferenceSchema();
+  Rng rng(21);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel model(schema, {0, 1, 3, 4}, {2}, &store, &rng);
+  ExpectMatchesTapeAtEveryClip(&model, GradientRows(schema, 48, &rng));
+}
+
+TEST(TapeFreeGradientTest, JointTargetMatchesTape) {
+  Schema schema = InferenceSchema();
+  Rng rng(22);
+  EncoderStore store(schema, 8, &rng);
+  // Hyper-attribute target (a, c): a 3 x 4 = 12-class joint domain.
+  DiscriminativeModel model(schema, {1, 2, 4}, {0, 3}, &store, &rng);
+  ASSERT_EQ(model.joint_domain_size(), 12u);
+  ExpectMatchesTapeAtEveryClip(&model, GradientRows(schema, 48, &rng));
+}
+
+TEST(TapeFreeGradientTest, GaussianTargetMatchesTape) {
+  Schema schema = InferenceSchema();
+  Rng rng(23);
+  EncoderStore store(schema, 6, &rng);
+  DiscriminativeModel model(schema, {0, 1, 2, 3}, {4}, &store, &rng);
+  ExpectMatchesTapeAtEveryClip(&model, GradientRows(schema, 48, &rng));
+}
+
+TEST(TapeFreeGradientTest, CategoricalOnlyAndNumericOnlyContexts) {
+  Schema schema = InferenceSchema();
+  Rng rng(24);
+  EncoderStore store(schema, 5, &rng);
+  DiscriminativeModel categorical(schema, {0, 3}, {2}, &store, &rng);
+  DiscriminativeModel numeric(schema, {1, 4}, {3}, &store, &rng);
+  DiscriminativeModel single(schema, {1}, {4}, &store, &rng);
+  const std::vector<Row> rows = GradientRows(schema, 32, &rng);
+  for (DiscriminativeModel* model : {&categorical, &numeric, &single}) {
+    ExpectMatchesTapeAtEveryClip(model, rows);
+  }
+}
+
+TEST(TapeFreeGradientTest, ZeroQueryAndDeadUnitsMatchTape) {
+  Schema schema = InferenceSchema();
+  Rng rng(25);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel cat(schema, {0, 1, 4}, {2, 3}, &store, &rng);
+  DiscriminativeModel gauss(schema, {0, 1, 3}, {4}, &store, &rng);
+  // Dead hidden units in both numeric encoders: c so negative that every
+  // other unit is clamped on every row.
+  std::vector<Tensor> encoders;
+  store.ExportTensors(&encoders);
+  // Tensor order: a (1), n (4: a, c, B, d), b (1), c (1), m (4).
+  for (size_t c_index : {size_t{2}, size_t{8}}) {
+    Tensor& c = encoders[c_index];
+    ASSERT_EQ(c.rows(), 1u);
+    for (size_t j = 1; j < c.size(); j += 2) c[j] = -1e3;
+  }
+  size_t pos = 0;
+  ASSERT_TRUE(store.ImportTensors(encoders, &pos).ok());
+  const std::vector<Row> rows = GradientRows(schema, 32, &rng);
+  for (DiscriminativeModel* model : {&cat, &gauss}) {
+    // Exact zeros in the attention query, and b1 so negative that half the
+    // head's hidden units are dead on every row: both drive MatMul's zero
+    // skip in the forward and zero rows in the backward.
+    std::vector<Tensor> head;
+    model->ExportHeadTensors(&head);
+    for (size_t j = 0; j < head[0].size(); j += 2) head[0][j] = 0.0;
+    for (size_t j = 1; j < head[2].size(); j += 2) head[2][j] = -1e3;
+    size_t head_pos = 0;
+    ASSERT_TRUE(model->ImportHeadTensors(head, &head_pos).ok());
+    ExpectMatchesTapeAtEveryClip(model, rows);
+  }
+}
+
+TEST(TapeFreeGradientTest, ReusedBuffersMatchFreshOnes) {
+  // One scratch and one gradient alternate between models of different
+  // widths, embedding sizes and output sizes.
+  Schema schema = InferenceSchema();
+  Rng rng(26);
+  EncoderStore wide(schema, 8, &rng);
+  EncoderStore narrow(schema, 4, &rng);
+  DiscriminativeModel cat(schema, {0, 1, 4}, {2, 3}, &wide, &rng);
+  DiscriminativeModel gauss(schema, {0, 1, 2, 3}, {4}, &narrow, &rng);
+  const std::vector<Row> rows = GradientRows(schema, 24, &rng);
+  InferenceScratch scratch;
+  SparseGradient reused;
+  for (const Row& row : rows) {
+    for (const DiscriminativeModel* model : {&cat, &gauss}) {
+      InferenceScratch fresh_scratch;
+      SparseGradient fresh;
+      const double want = model->LossGradient(row, &fresh_scratch, &fresh);
+      EXPECT_EQ(model->LossGradient(row, &scratch, &reused), want);
+      EXPECT_EQ(reused.values, fresh.values);
+      ASSERT_EQ(reused.segments.size(), fresh.segments.size());
+      for (size_t s = 0; s < fresh.segments.size(); ++s) {
+        EXPECT_EQ(reused.segments[s].param, fresh.segments[s].param);
+        EXPECT_EQ(reused.segments[s].offset, fresh.segments[s].offset);
+        EXPECT_EQ(reused.segments[s].start, fresh.segments[s].start);
+        EXPECT_EQ(reused.segments[s].length, fresh.segments[s].length);
+      }
+    }
+  }
+}
+
+// --- TrainDpSgd against a dense trainer over the tape. ---
+
+/// DP-SGD as a serial loop over the autograd tape with dense per-example
+/// gradients: the same Poisson draws, clip, example-order sum, noise and
+/// update as `TrainDpSgd`.
+double TapeTrainDpSgd(DiscriminativeModel* model, const Table& data,
+                      const DpSgdOptions& options, Rng* rng) {
+  std::vector<Parameter*> params = model->Parameters();
+  const size_t n = data.num_rows();
+  if (n == 0) return 0.0;
+  const double sample_prob =
+      std::min(1.0, static_cast<double>(options.batch_size) /
+                        static_cast<double>(n));
+  double last_loss = 0.0;
+  for (size_t iter = 0; iter < options.iterations; ++iter) {
+    std::vector<size_t> batch;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng->Bernoulli(sample_prob)) batch.push_back(i);
+    }
+    std::vector<Tensor> grad_sum = ZeroGradients(params);
+    double loss_sum = 0.0;
+    for (size_t k : batch) {
+      std::vector<Tensor> grads;
+      loss_sum += TapeGradient(model, data.row(k), options.clip_norm, &grads);
+      for (size_t p = 0; p < params.size(); ++p) grad_sum[p].Add(grads[p]);
+    }
+    const double noise_sd = options.noise_multiplier * options.clip_norm;
+    if (noise_sd > 0.0) {
+      for (Tensor& g : grad_sum) {
+        for (double& v : g.data()) v += rng->Gaussian(0.0, noise_sd);
+      }
+    }
+    const double denom = static_cast<double>(options.batch_size);
+    for (size_t p = 0; p < params.size(); ++p) {
+      params[p]->value.Axpy(-options.learning_rate / denom, grad_sum[p]);
+    }
+    last_loss = !batch.empty()
+                    ? loss_sum / static_cast<double>(batch.size())
+                    : last_loss;
+  }
+  return last_loss;
+}
+
+std::vector<Tensor> Trained(const EncoderStore& store,
+                            const std::vector<DiscriminativeModel*>& models) {
+  std::vector<Tensor> out;
+  store.ExportTensors(&out);
+  for (const DiscriminativeModel* model : models) {
+    model->ExportHeadTensors(&out);
+  }
+  return out;
+}
+
+/// Trains a categorical, a joint and a Gaussian model on one shared store,
+/// in sequence (as Algorithm 2 does), with `TrainDpSgd` or the tape
+/// trainer; returns every trained tensor and the final losses.
+std::vector<Tensor> TrainThree(bool tape, double noise_multiplier,
+                               std::vector<double>* losses) {
+  Schema schema = InferenceSchema();
+  Rng data_rng(31);
+  Table data(schema);
+  for (const Row& row : GradientRows(schema, 240, &data_rng)) {
+    data.AppendRowUnchecked(row);
+  }
+  Rng rng(32);
+  EncoderStore store(schema, 8, &rng);
+  DiscriminativeModel cat(schema, {0, 1, 4}, {2}, &store, &rng);
+  DiscriminativeModel joint(schema, {1, 2, 4}, {0, 3}, &store, &rng);
+  DiscriminativeModel gauss(schema, {0, 1, 2, 3}, {4}, &store, &rng);
+  DpSgdOptions options;
+  options.noise_multiplier = noise_multiplier;
+  options.clip_norm = 0.5;      // some examples clip, some do not
+  options.batch_size = 40;      // batches span more than one wave
+  options.iterations = 12;
+  options.learning_rate = 0.2;
+  for (DiscriminativeModel* model : {&cat, &joint, &gauss}) {
+    losses->push_back(tape ? TapeTrainDpSgd(model, data, options, &rng)
+                           : TrainDpSgd(model, data, options, &rng));
+  }
+  return Trained(store, {&cat, &joint, &gauss});
+}
+
+void ExpectTrainsLikeTape(double noise_multiplier) {
+  std::vector<double> want_losses;
+  const std::vector<Tensor> want =
+      TrainThree(/*tape=*/true, noise_multiplier, &want_losses);
+  for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+    runtime::SetGlobalNumThreads(num_threads);
+    std::vector<double> got_losses;
+    const std::vector<Tensor> got =
+        TrainThree(/*tape=*/false, noise_multiplier, &got_losses);
+    runtime::SetGlobalNumThreads(0);
+    EXPECT_EQ(got_losses, want_losses) << "num_threads=" << num_threads;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(got[t].data(), want[t].data())
+          << "tensor " << t << " at num_threads=" << num_threads;
+    }
+  }
+}
+
+TEST(TapeFreeGradientTest, NonPrivateTrainingMatchesTapeTrainer) {
+  ExpectTrainsLikeTape(0.0);
+}
+
+TEST(TapeFreeGradientTest, PrivateTrainingMatchesTapeTrainer) {
+  ExpectTrainsLikeTape(1.1);
 }
 
 }  // namespace

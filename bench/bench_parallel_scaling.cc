@@ -211,7 +211,6 @@ int Main() {
       }
     }
   }
-  runtime::SetGlobalNumThreads(0);
   std::printf("\nsynthetic output and fitted models across thread counts: "
               "%s\n",
               deterministic ? "IDENTICAL (bit-exact)" : "MISMATCH");

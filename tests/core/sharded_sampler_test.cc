@@ -430,6 +430,62 @@ TEST(ShardedSamplerTest, SoftOrderAdultRepairDigestsPinned) {
                    /*expect_repairs=*/true);
 }
 
+TEST(ShardedSamplerTest, AllSoftCrossViolationsPinned) {
+  // With every DC soft, the freeze repair owns each indexed DC, so the
+  // conflict detection counts every cross-shard pair it sees against the
+  // merged frozen-prefix indices. Pinned for Adult (FD + order DC) and
+  // BR2000 (composite and naive indices) per shard count, at every thread
+  // budget. If one fails after an *intentional* sampler change,
+  // re-capture from the failure message.
+  struct CrossPin {
+    size_t num_shards;
+    int64_t cross_violations;
+  };
+  struct Workload {
+    BenchmarkDataset ds;
+    size_t rows;
+    std::vector<CrossPin> pinned;
+  };
+  BenchmarkDataset adult = MakeAdultLike(120, 7);
+  adult.hardness.assign(adult.hardness.size(), false);
+  BenchmarkDataset br2000 = MakeBr2000Like(200, 5);
+  br2000.hardness.assign(br2000.hardness.size(), false);
+  const Workload workloads[] = {
+      {adult, 800, {{2, 41141}, {4, 61595}}},
+      {br2000, 200, {{2, 1549}, {4, 3556}}},
+  };
+  for (const Workload& w : workloads) {
+    auto constraints =
+        ParseConstraints(w.ds.dc_specs, w.ds.hardness, w.ds.table.schema())
+            .TakeValue();
+    auto sequence = SequenceSchema(w.ds.table.schema(), constraints);
+    KaminoOptions options;
+    options.non_private = true;
+    options.iterations = 12;
+    options.mcmc_resamples = 48;
+    options.seed = 31;
+    Rng rng(31);
+    auto model =
+        ProbabilisticDataModel::Train(w.ds.table, sequence, options, &rng)
+            .TakeValue();
+    for (const CrossPin& pin : w.pinned) {
+      for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+        ScopedNumThreads threads(num_threads);
+        options.num_shards = pin.num_shards;
+        Rng srng(17);
+        SynthesisTelemetry telemetry;
+        ASSERT_TRUE(Synthesize(model, constraints, options,
+                               SampleSpec{w.rows}, &srng, &telemetry)
+                        .ok());
+        EXPECT_GT(telemetry.merge_conflict_rows, 0) << w.ds.name;
+        EXPECT_EQ(telemetry.merge_cross_violations, pin.cross_violations)
+            << w.ds.name << " at num_shards=" << pin.num_shards
+            << " num_threads=" << num_threads;
+      }
+    }
+  }
+}
+
 TEST(ShardedSamplerTest, ExactPassCountersReachMetricsRegistry) {
   // The freeze's exact passes report through the metrics registry too:
   // on a 4-shard Tax run, `kamino.sampler.merge_fd_rewrites` and

@@ -415,17 +415,18 @@ void AppendSeeds(const SeedPlan& plan, const Row& row, const IndexSet& indices,
 }
 
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
-/// `n` rows, writing into `out` (resized here). Its indices
+/// `n` rows, writing into `out` (built here). Its indices
 /// (`out_indices`: one per DC active at a unit that samples with the DC
 /// factor) stay exact for the shard's rows: the row loop adds each row as
 /// it is drawn, and the MCMC pass scores against them and replaces each
-/// row it rewrites. The freeze repair reads them next. Candidate scoring
-/// runs inline; only the MCMC batches go through `runtime::ParallelFor`,
-/// which fans out when the one shard of a run samples on the caller's
-/// thread and runs inline when the shard is itself a pool task or the
-/// budget is one thread. `mcmc_resamples` is this shard's
-/// slice of the run-wide `options.mcmc_resamples` budget, so total MCMC
-/// work stays the same at every shard count. `hooks` cancellation is
+/// row it rewrites. No later unit reads them, so each is released after
+/// its unit's MCMC pass unless `keep` marks it for the freeze repair.
+/// Candidate scoring runs inline; only the MCMC batches go through
+/// `runtime::ParallelFor`, which fans out when the one shard of a run
+/// samples on the caller's thread and runs inline when the shard is itself
+/// a pool task or the budget is one thread. `mcmc_resamples` is this
+/// shard's slice of the run-wide `options.mcmc_resamples` budget, so total
+/// MCMC work stays the same at every shard count. `hooks` cancellation is
 /// polled at every column-group boundary; the per-shard progress callback
 /// fires once all rows of the shard are sampled.
 ///
@@ -440,10 +441,12 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
                        const ActivationMap& activation, size_t n,
                        const KaminoOptions& options, size_t mcmc_resamples,
                        const SynthesisHooks* hooks, Rng* rng,
+                       const std::vector<bool>& keep,
                        SynthesisTelemetry* telemetry, Table* out_table,
                        IndexSet* out_indices) {
   const Schema& schema = model.schema();
   Table& out = *out_table;
+  out = Table(schema);
   out.ResizeRows(n);
 
   IndexSet& indices = *out_indices;
@@ -630,6 +633,9 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         ++telemetry->mcmc_batches;
         done += batch;
       }
+    }
+    for (size_t dc_index : active) {
+      if (!keep[dc_index]) indices[dc_index].reset();
     }
   }
   if (hooks != nullptr && hooks->on_rows_sampled) hooks->on_rows_sampled(n);
@@ -823,10 +829,10 @@ Status EmitFrozenSlice(Table live, size_t shard, size_t offset, bool last,
 /// exact pass writes an attribute an earlier one reads or writes, so each
 /// runs once per freeze. Each freeze touches only shard s's rows (frozen
 /// cells are never written):
-///  1. Conflict detection: each shard row's `CountNew` against the running
-///     merged indices (exactly the frozen prefix) counts the cross-shard
-///     violating pairs the per-shard sampling could not see; rows in such
-///     a pair of a repair-owned DC become the conflict set.
+///  1. Conflict detection: each shard row's `CountNew` against the merged
+///     index (exactly the frozen prefix) of each repair-owned DC counts the
+///     cross-shard violating pairs the repair acts on; their rows become
+///     the conflict set.
 ///  2. Bounded greedy re-sample repair over the conflicted shard rows in
 ///     ascending row order, with randomness keyed by (global row, unit).
 ///     The budget scales with the conflict set (16 + 2 per conflicted
@@ -879,22 +885,15 @@ Result<Table> ProgressiveShardSynthesis(
   Table* table = run.collect_table ? &collected : nullptr;
 
   std::vector<ShardState> shards(num_shards);
-  for (ShardState& shard : shards) shard.table = Table(schema);
 
-  // The freeze plan, fixed for the run: one owner per DC, the exact
-  // passes' inputs, and merged[l], which indexes exactly the frozen prefix
-  // of every DC with cross-shard pairs, growing at each freeze.
+  // The freeze plan, fixed for the run: one owner per DC, and one store
+  // of each DC's frozen prefix, the one its owner reads, growing at each
+  // freeze: the exact passes' lookups, or merged[l] for a repair-scored DC.
   std::vector<DcOwner> owner = RepairOwners(constraints, activation, options);
   const std::vector<PrefixFdFamily> families =
       BuildFdFamilies(constraints, activation, &owner);
   std::vector<FrozenAlignLookups> align_lookups =
       BuildAlignments(model, constraints, activation, families, &owner);
-  IndexSet merged(constraints.size());
-  for (size_t l = 0; l < constraints.size(); ++l) {
-    if (owner[l] != DcOwner::kNone) {
-      merged[l] = MakeViolationIndex(constraints[l].dc);
-    }
-  }
   // Persistent frozen-prefix lookups: everything a freeze needs from the
   // rows frozen before it, absorbed slice by slice so no frozen row is
   // ever re-read for reconciliation (the out-of-core contract; in-memory
@@ -902,9 +901,12 @@ Result<Table> ProgressiveShardSynthesis(
   FrozenFdLookups fd_lookups(families);
   // The units the repair re-samples (the activation unit of a
   // repair-owned DC), with the DCs its candidates are scored on — every
-  // DC active at such a unit — and each one's seeders over the frozen
-  // prefix, empty until the first fold.
+  // DC active at such a unit, whose shard and merged indices it reads —
+  // and each one's seeders over the frozen prefix, empty until the first
+  // fold.
   std::vector<size_t> repair_scored;
+  std::vector<bool> repair_reads(constraints.size(), false);
+  IndexSet merged(constraints.size());
   std::vector<std::vector<NeighborSeeds>> repair_seeds(model.units().size());
   for (size_t u = 0; u < model.units().size(); ++u) {
     const std::vector<size_t>& active = activation.unit_active[u];
@@ -913,6 +915,12 @@ Result<Table> ProgressiveShardSynthesis(
         })) {
       repair_scored.insert(repair_scored.end(), active.begin(), active.end());
       repair_seeds[u] = activation.unit_seeds[u].seeds;
+      for (size_t l : active) {
+        repair_reads[l] = true;
+        if (owner[l] != DcOwner::kNone) {
+          merged[l] = MakeViolationIndex(constraints[l].dc);
+        }
+      }
     }
   }
 
@@ -924,12 +932,10 @@ Result<Table> ProgressiveShardSynthesis(
     Rng shard_rng(root.SubSeed(s));
     KAMINO_RETURN_IF_ERROR(SampleShardRows(
         model, constraints, activation, sizes[s], options, mcmc_budgets[s],
-        hooks, one_shard ? rng : &shard_rng, &shards[s].telemetry,
-        &shards[s].table, &shards[s].indices));
-    // Only the indices the freeze repair reads wait for the freeze.
-    IndexSet kept(constraints.size());
-    for (size_t l : repair_scored) kept[l] = std::move(shards[s].indices[l]);
-    shards[s].indices = std::move(kept);
+        hooks, one_shard ? rng : &shard_rng,
+        // Shard 0's empty prefix yields no conflict rows to repair.
+        s == 0 ? std::vector<bool>(constraints.size()) : repair_reads,
+        &shards[s].telemetry, &shards[s].table, &shards[s].indices));
     return Status::OK();
   };
 
@@ -998,7 +1004,6 @@ Result<Table> ProgressiveShardSynthesis(
     // reading prefix rows — which is what lets a run that keeps no table
     // drop them from memory without changing a single sampled bit.
     Table live = std::move(shards[s].table);
-    shards[s].table = Table(schema);
     // The repair's indices of `live` rows, which end with this freeze.
     IndexSet indices = std::move(shards[s].indices);
     note_resident(s, live.num_rows());
@@ -1018,21 +1023,21 @@ Result<Table> ProgressiveShardSynthesis(
     };
 
     // Conflict detection against the frozen prefix, recounted from the
-    // final shard rows: each row's delta against the merged indices is
-    // its frozen x live violating pairs. Rows in such a pair of a
-    // repair-owned DC are queued for repair; the exact passes below fix
-    // the other DCs' conflicts wholesale.
+    // final shard rows: each row's delta against the merged index of a
+    // repair-owned DC is its frozen x live violating pairs, and the row
+    // is queued for repair at that DC's unit (`offenders`: row -> units).
+    // The exact passes below fix the other DCs' conflicts wholesale.
     std::map<size_t, std::vector<size_t>> offenders;
     int64_t freeze_cross = 0;
     Row live_row;
-    for (size_t r = 0; r < live.num_rows(); ++r) {
+    for (size_t r = 0; !repair_scored.empty() && r < live.num_rows(); ++r) {
       live.CopyRowInto(r, &live_row);
-      for (size_t l = 0; l < constraints.size(); ++l) {
-        if (merged[l] == nullptr) continue;
+      for (size_t l : repair_scored) {
+        if (owner[l] != DcOwner::kRepair) continue;
         const int64_t cross = merged[l]->CountNew(live_row);
         if (cross == 0) continue;
         freeze_cross += cross;
-        if (owner[l] == DcOwner::kRepair) offenders[begin + r].push_back(l);
+        offenders[begin + r].push_back(activation.dc_unit[l]);
       }
     }
     telemetry->merge_cross_violations += freeze_cross;
@@ -1053,17 +1058,10 @@ Result<Table> ProgressiveShardSynthesis(
       telemetry->merge_budget += static_cast<int64_t>(budget);
       size_t no_gain_streak = 0;
       bool swept_dry = false;
-      for (const auto& [row, dcs] : offenders) {
+      for (auto& [row, units] : offenders) {
         if (budget == 0 || swept_dry) break;
-        std::vector<size_t> units;
-        for (size_t l : dcs) {
-          const size_t u = activation.dc_unit[l];
-          if (u != SIZE_MAX &&
-              std::find(units.begin(), units.end(), u) == units.end()) {
-            units.push_back(u);
-          }
-        }
         std::sort(units.begin(), units.end());
+        units.erase(std::unique(units.begin(), units.end()), units.end());
         for (size_t u : units) {
           if (budget == 0) break;
           const ModelUnit& unit = model.units()[u];
@@ -1148,9 +1146,9 @@ Result<Table> ProgressiveShardSynthesis(
     // skips the fold.
     const bool last = s + 1 == num_shards;
     if (!last) {
-      // Index the rows into the running merged indices, each row copied
-      // once; every index still sees the rows in row order.
-      for (size_t r = 0; r < live.num_rows(); ++r) {
+      // Index the rows into the running merged indices, if any, each row
+      // copied once; every index still sees the rows in row order.
+      for (size_t r = 0; !repair_scored.empty() && r < live.num_rows(); ++r) {
         live.CopyRowInto(r, &live_row);
         for (std::unique_ptr<ViolationIndex>& index : merged) {
           if (index != nullptr) index->AddRow(live_row);

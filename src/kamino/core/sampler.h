@@ -101,12 +101,12 @@ struct SampleSpec {
   /// plus the one sampling behind it) and releases the next only after a
   /// freeze retires its slice, instead of dispatching every shard up
   /// front. That is the constant-memory delivery path: only the live
-  /// shards, the merged violation-index state and the frozen FD/envelope
-  /// lookups stay resident (~2 shard widths of rows). A collecting run
-  /// returns all n rows whatever the window, so there the flag changes
-  /// nothing and every shard is dispatched up front. Synthesis writes
-  /// nothing to disk in either case. Bit-identical to the in-memory run at
-  /// any num_threads.
+  /// shards, the frozen FD / envelope lookups and the repair's merged
+  /// violation indices stay resident (~2 shard widths of rows). A
+  /// collecting run returns all n rows whatever the window, so there the
+  /// flag changes nothing and every shard is dispatched up front.
+  /// Synthesis writes nothing to disk in either case. Bit-identical to
+  /// the in-memory run at any num_threads.
   bool out_of_core = false;
   /// When false, the run keeps no table: it returns a schema-only table,
   /// the rows are observable through `on_chunk` only, and no frozen slice
@@ -140,9 +140,9 @@ struct SynthesisTelemetry {
   // --- Shard plan and prefix freezes (every run) ---
   /// Shards the run was partitioned into (resolved; >= 1).
   size_t num_shards = 1;
-  /// Cross-shard violating pairs found between each shard and the frozen
-  /// prefix before it (violations the per-shard sampling could not see),
-  /// over every DC whatever reconciles it.
+  /// Cross-shard violating pairs of repair-owned DCs between each shard
+  /// and the frozen prefix before it: the pairs the freeze repair acts on
+  /// (0 when the exact passes own every DC; see `merge_fd_rewrites`).
   int64_t merge_cross_violations = 0;
   /// Rows queued for the bounded repair: rows in at least one cross-shard
   /// violation of a repair-owned DC (soft, or hard with no exact pass).

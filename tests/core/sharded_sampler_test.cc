@@ -653,11 +653,7 @@ TEST(ShardedSamplerTest, TaxWorkloadHardDcsExactAfterMerge) {
     // The hard DCs were reconciled by the exact passes, not luck: against
     // the frozen prefix, or inside the one shard when there is none.
     const SynthesisTelemetry& t = result.value().telemetry;
-    if (num_shards == 1) {
-      EXPECT_GT(t.merge_fd_rewrites + t.merge_order_alignments, 0);
-    } else {
-      EXPECT_GT(t.merge_cross_violations, 0);
-    }
+    EXPECT_GT(t.merge_fd_rewrites + t.merge_order_alignments, 0);
   }
 }
 

@@ -252,7 +252,6 @@ TEST(ProgressiveMergeTest, ExactPassesOwnEveryHardDcOnTaxAndTpch) {
   }
 }
 
-
 TEST(ProgressiveMergeTest, OrderDcOnAnFdAttributeStaysRepairOwned) {
   // Adult plus two hard FDs, edu -> cap_gain and edu -> cap_loss: the
   // order DC's dependent attribute (whichever cap is sampled last) is an
